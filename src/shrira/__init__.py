@@ -58,7 +58,6 @@ from .kernels import (
     kernel_spectral_oracle,
     quadrature_vs_oracle,
     kernel_decay_scan,
-    decay_scan_to_csv,
     lizorkin_sample,
 )
 from .decay import (

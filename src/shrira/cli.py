@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 solver
-non-convergence (reports are still written).  `SHRIRA_THREADS` caps worker
-parallelism for batch kernel evaluation (0 or unset = one worker per CPU).
+non-convergence (reports are still written).
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,15 +28,6 @@ from .io import read_field, write_field
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-def worker_count() -> int:
-    raw = os.environ.get("SHRIRA_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SHRIRA_THREADS: expected an integer, got {raw!r}")
-    return os.cpu_count() or 1 if n <= 0 else n
 
 
 def _write_json(path: Path, obj) -> None:
@@ -176,32 +165,17 @@ def _cmd_kernel(args) -> int:
     points = _read_points_csv(args.points)
     oracle_grid = Grid(nx=args.oracle_nx, ny=args.oracle_ny, lx=args.oracle_lx, ly=args.oracle_ly)
     oracle = ker.kernel_spectral_oracle(args.nu, oracle_grid)
-    workers = worker_count()
-    if workers > 1 and len(points) >= 16:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [points[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_kernel_rows, [(spec, ch) for ch in chunks]))
-        samples = [s for part in parts for s in part]
-    else:
-        samples = _kernel_rows((spec, points))
     rows = []
-    for s in samples:
-        xs, y2s, kv = ker.oracle_node_value(oracle, s.x, 2.0 * s.y)
-        mapped = ker.SQRT_PI * s.value
-        rel = abs(mapped - kv) / max(abs(kv), 1e-300)
+    for (x, y) in points:
+        s = ker.h_nu_point(spec, x, y)
+        _, _, kv = ker.oracle_node_value(oracle, x, 2.0 * y)
+        rel = abs(ker.SQRT_PI * s.value - kv) / max(abs(kv), 1e-300)
         rows.append(
-            (f"{s.x:.17g}", f"{s.y:.17g}", f"{s.value:.17g}", f"{s.est_error:.3g}",
+            (f"{x:.17g}", f"{y:.17g}", f"{s.value:.17g}", f"{s.est_error:.3g}",
              f"{kv:.17g}", f"{rel:.6g}")
         )
     _write_csv(Path(args.out), ("x", "y", "value", "est_error", "oracle", "rel_diff"), rows)
     return EXIT_OK
-
-
-def _kernel_rows(job):
-    spec, pts = job
-    return [ker.h_nu_point(spec, x, y) for (x, y) in pts]
 
 
 def _cmd_sweep(args) -> int:

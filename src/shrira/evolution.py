@@ -37,8 +37,8 @@ DISPERSIVE_STEP_FRACTION = 0.05
 
 
 def linear_symbol(grid: sg.Grid) -> np.ndarray:
-    """i * sgn(xi) * (xi^2 + eta^2); purely imaginary, zero on xi = 0."""
-    return 1j * np.sign(grid.xi2d) * (grid.xi2d**2 + grid.eta2d**2)
+    """i * sgn(xi) * (xi^2 + eta^2) = i * xi * dispersion; purely imaginary, zero on xi = 0."""
+    return 1j * grid.xi2d * grid.dispersion
 
 
 def default_dt(grid: sg.Grid, u0: np.ndarray, rule: str) -> float:
@@ -57,12 +57,13 @@ class EvolveConfig:
     record_every: int = 20
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise GridMismatchError("dt must be positive")
-        if self.t_end <= 0:
-            raise GridMismatchError("t_end must be positive")
-        if self.record_every < 1:
-            raise GridMismatchError("record_every must be >= 1")
+        if self.dt is not None and not self.dt > 0:
+            raise GridMismatchError(f"dt: must be positive, got {self.dt}")
+        if not self.t_end > 0:
+            raise GridMismatchError(f"t_end: must be positive, got {self.t_end}")
+        if not self.record_every >= 1:
+            raise GridMismatchError(f"record_every: must be >= 1, got {self.record_every}")
+        sg.check_dealias_rule(self.dealias_rule)
 
 
 @dataclass
@@ -129,13 +130,7 @@ def _rk4_kernel(uh, dt, e_half, e_full, grid, params, keep):
 def _mass_energy(uh, grid, params):
     u = np.real(np.fft.ifft2(uh))
     mass = 0.5 * float(np.sum(u * u)) * grid.cell_area
-    nz = grid.xi_nonzero
-    quad = 0.5 * float(
-        np.sum(
-            (grid.abs_xi[nz] + grid.eta2d[nz] ** 2 / grid.abs_xi[nz])
-            * np.abs(uh[nz]) ** 2
-        )
-    ) * grid.spectral_weight
+    quad = 0.5 * sg.weighted_sq_sum(grid.dispersion, uh) * grid.spectral_weight
     energy = quad - float(np.sum(params.F(u))) * grid.cell_area
     return mass, energy
 

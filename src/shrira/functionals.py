@@ -45,19 +45,14 @@ class PhysicsParams:
 
     def __post_init__(self):
         if not self.c > 0:
-            raise GridMismatchError("wave speed c must be positive")
+            raise GridMismatchError(f"c: wave speed must be positive, got {self.c}")
         if not self.m > 1:
-            raise GridMismatchError("nonlinearity exponent m must exceed 1")
-        if not self.signed_power and self.m != int(self.m):
-            raise GridMismatchError("non-integer m requires signed_power=True")
+            raise GridMismatchError(f"m: nonlinearity exponent must exceed 1, got {self.m}")
+        if not self.signed_power and not float(self.m).is_integer():
+            raise GridMismatchError(f"m: non-integer m = {self.m} requires signed_power=True")
 
     @property
     def p(self) -> float:
-        return self.m + 1.0
-
-    @property
-    def mu(self) -> float:
-        """Superlinearity constant of the homogeneous nonlinearity."""
         return self.m + 1.0
 
     def f(self, u: np.ndarray) -> np.ndarray:
@@ -94,11 +89,7 @@ def z_norm_sq(f: sg.Field, params: PhysicsParams) -> float:
     operators map them to zero).
     """
     g = f.grid
-    ch = np.fft.fft2(f.values)
-    nz = g.xi_nonzero
-    weight = np.full((g.ny, g.nx), params.c)
-    weight[nz] += g.abs_xi[nz] + g.eta2d[nz] ** 2 / g.abs_xi[nz]
-    return float(np.sum(weight * np.abs(ch) ** 2) * g.spectral_weight)
+    return sg.weighted_sq_sum(params.c + g.dispersion, np.fft.fft2(f.values)) * g.spectral_weight
 
 
 def _f_integrals(f: sg.Field, params: PhysicsParams):

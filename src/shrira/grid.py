@@ -14,6 +14,11 @@ exactly for any discrete field.  The x-directional Hilbert transform is the
 multiplier -i*sgn(xi); half-order derivatives are |xi|^(1/2) and |xi|^(-1/2),
 the latter with all xi = 0 modes mapped to zero (membership in the energy space
 requires finite D_x^{-1/2} u_y content, so the zero-x-mean convention is built in).
+
+This module is the one place that knows the dispersion relation: every symbol
+of the equation (profile operator, energy weights, dispersive phase, kernel
+denominator) is derived from `dispersion_table`, (xi^2 + eta^2)/|xi| on
+xi != 0 and 0 on every xi = 0 mode.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ class Grid:
     def __post_init__(self):
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if n < 8 or n % 2 != 0:
-                raise GridMismatchError(f"{name} must be even and >= 8, got {n}")
-        if not (self.lx > 0 and self.ly > 0):
-            raise GridMismatchError("box lengths must be positive")
+                raise GridMismatchError(f"{name}: must be even and >= 8, got {n}")
+        for name, length in (("lx", self.lx), ("ly", self.ly)):
+            if not length > 0:
+                raise GridMismatchError(f"{name}: box length must be positive, got {length}")
 
     @property
     def dx(self) -> float:
@@ -91,12 +97,17 @@ class Grid:
 
     @cached_property
     def abs_xi(self) -> np.ndarray:
-        return np.abs(self.xi2d)
+        return np.broadcast_to(np.abs(self.xi)[None, :], (self.ny, self.nx))
 
     @cached_property
     def xi_nonzero(self) -> np.ndarray:
         """Boolean mask of modes with xi != 0 (shape (ny, nx))."""
-        return self.abs_xi > 0
+        return np.broadcast_to(self.xi[None, :] != 0, (self.ny, self.nx))
+
+    @cached_property
+    def dispersion(self) -> np.ndarray:
+        """Cached, read-only `dispersion_table` of this grid."""
+        return _read_only(dispersion_table(self))
 
     def index_x(self) -> np.ndarray:
         """Signed integer x-indices j~ per spectral entry."""
@@ -106,15 +117,50 @@ class Grid:
         return np.rint(self.eta2d / (2 * np.pi / self.ly)).astype(int)
 
     def dealias_mask(self, rule: str = TWO_THIRDS) -> np.ndarray:
-        """Boolean keep-mask for the given truncation rule."""
-        frac = {TWO_THIRDS: 2.0 / 3.0, HALF: 0.5}[rule]
-        return (np.abs(self.index_x()) <= frac * self.nx / 2) & (
-            np.abs(self.index_y()) <= frac * self.ny / 2
-        )
+        """Boolean keep-mask for the given truncation rule (cached, read-only)."""
+        masks = self.__dict__.setdefault("_dealias_masks", {})
+        if rule not in masks:
+            frac = {TWO_THIRDS: 2.0 / 3.0, HALF: 0.5}[rule]
+            masks[rule] = _read_only(
+                (np.abs(self.index_x()) <= frac * self.nx / 2)
+                & (np.abs(self.index_y()) <= frac * self.ny / 2)
+            )
+        return masks[rule]
 
     def meshgrid(self):
         """Physical coordinate arrays X, Y of shape (ny, nx)."""
         return np.meshgrid(self.x, self.y, indexing="xy")
+
+
+def dispersion_table(grid: Grid) -> np.ndarray:
+    """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new (ny, nx) array.
+
+    The profile symbol is c + table, the energy weight is the table itself, the
+    dispersive symbol is i*xi*table and the kernel denominator |xi|(1 + table).
+    Callers that must not keep the array alive (the large kernel oracle grids)
+    use this function; everything else reads the cached `Grid.dispersion`.
+    """
+    return divide_off_xi0(grid, grid.xi**2 + grid.eta[:, None] ** 2, np.abs(grid.xi))
+
+
+def divide_off_xi0(grid: Grid, num, den, dtype=np.float64) -> np.ndarray:
+    """num/den on the xi != 0 modes and 0 on every xi = 0 mode.
+
+    num and den broadcast to (ny, nx) and are never divided on xi = 0, so a
+    symbol singular there (|xi|^-1/2, 1/|xi|) needs no special casing.
+    """
+    out = np.zeros((grid.ny, grid.nx), dtype=dtype)
+    return np.divide(num, den, out=out, where=grid.xi_nonzero)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def weighted_sq_sum(weight, coeffs) -> float:
+    """sum weight * |coeffs|^2; times `Grid.spectral_weight` it is an integral."""
+    return float(np.sum(weight * np.abs(coeffs) ** 2))
 
 
 @dataclass(frozen=True)
@@ -186,10 +232,7 @@ def _dx_half_symbol(grid: Grid) -> np.ndarray:
 
 
 def _dx_neg_half_dy_symbol(grid: Grid) -> np.ndarray:
-    out = np.zeros((grid.ny, grid.nx), dtype=np.complex128)
-    nz = grid.xi_nonzero
-    out[nz] = grid.abs_xi[nz] ** -0.5 * (1j * grid.eta2d[nz])
-    return out
+    return divide_off_xi0(grid, 1j * grid.eta[:, None], np.sqrt(np.abs(grid.xi)), np.complex128)
 
 
 def _hilbert_symbol(grid: Grid) -> np.ndarray:
@@ -227,6 +270,14 @@ def dealias(s: Spectrum, rule: str = TWO_THIRDS) -> Spectrum:
     if rule not in (TWO_THIRDS, HALF):
         raise GridMismatchError(f"unknown dealias rule {rule!r}")
     return Spectrum(s.grid, np.where(s.grid.dealias_mask(rule), s.coeffs, 0.0))
+
+
+def check_dealias_rule(rule) -> None:
+    """Reject a configured rule other than None (the default for m), 2/3 or 1/2."""
+    if rule not in (None, TWO_THIRDS, HALF):
+        raise GridMismatchError(
+            f"dealias_rule: expected '{TWO_THIRDS}', '{HALF}' or None, got {rule!r}"
+        )
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -174,20 +174,20 @@ def hk_point(x: float, y: float, quad_tol: float = 1e-10, t_cutoff: float = None
 
 
 def _oracle_symbol(nu: float, grid: sg.Grid, hilbert: bool) -> np.ndarray:
-    den = grid.abs_xi + grid.xi2d**2 + grid.eta2d**2
-    safe = np.where(den > 0, den, 1.0)
-    if hilbert:
-        sym = np.where(den > 0, -1j * grid.xi2d / safe, 0.0)
-    else:
-        if nu < 0:
-            warnings.warn(
-                "nu < 0: the symbol's xi -> 0 limit is direction-dependent; "
-                "xi = 0 modes set to 0",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        sym = np.where(den > 0, grid.abs_xi ** (1.0 + nu) / safe, 0.0)
-    return sym
+    """Numerator over |xi|(1 + dispersion) on xi != 0, and 0 on every xi = 0 mode."""
+    if not hilbert and nu < 0:
+        warnings.warn(
+            "nu < 0: the symbol's xi -> 0 limit is direction-dependent; "
+            "xi = 0 modes set to 0",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    ax = np.abs(grid.xi)
+    with np.errstate(divide="ignore"):  # |0|^(1+nu) for nu < -1: a xi = 0 mode, left 0
+        num = -1j * grid.xi if hilbert else ax ** (1.0 + nu)
+    # a fresh table, not Grid.dispersion: the oracle grids are too large to cache it on
+    den = ax * (1.0 + sg.dispersion_table(grid))
+    return sg.divide_off_xi0(grid, num, den, np.complex128 if hilbert else np.float64)
 
 
 def kernel_spectral_oracle(nu: float, grid: sg.Grid, hilbert: bool = False) -> sg.Field:
@@ -231,16 +231,6 @@ def quadrature_vs_oracle(spec: KernelSpec, points, oracle: sg.Field) -> list:
         rel = abs(mapped - kv) / max(abs(kv), 1e-300)
         rows.append((xs, y2s / 2.0, s.value, s.est_error, kv, rel))
     return rows
-
-
-def decay_scan_to_csv(path, rows) -> None:
-    """Write kernel_decay_scan rows with the documented column order."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("r", "value", "est_error", "weighted"))
-        w.writerows((f"{r:.17g}", f"{v:.17g}", f"{e:.3g}", f"{wv:.17g}") for r, v, e, wv in rows)
 
 
 def kernel_decay_scan(spec: KernelSpec, axis: str, points) -> list:

@@ -23,7 +23,7 @@ iterates solve the truncated Galerkin problem exactly at convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .errors import (
     GridMismatchError,
     UndefinedResidualError,
 )
+from .decay import tail_exponent_fit, zero_x_mean_and_sign
 from .functionals import PhysicsParams, FunctionalReport, functional_report
 
 PETVIASHVILI = "petviashvili"
@@ -52,10 +53,7 @@ def default_dealias_rule(m: float) -> str:
 
 def profile_symbol(grid: sg.Grid, c: float) -> np.ndarray:
     """s = c + (xi^2+eta^2)/|xi| on xi != 0; +inf placeholder on xi = 0."""
-    nz = grid.xi_nonzero
-    s = np.full((grid.ny, grid.nx), np.inf)
-    s[nz] = c + (grid.xi2d[nz] ** 2 + grid.eta2d[nz] ** 2) / grid.abs_xi[nz]
-    return s
+    return np.where(grid.xi_nonzero, c + grid.dispersion, np.inf)
 
 
 @dataclass(frozen=True)
@@ -63,6 +61,11 @@ class GaussianInit:
     amplitude: float = 1.0
     sigma_x: float = 2.0
     sigma_y: float = 2.0
+
+    def __post_init__(self):
+        for name in ("sigma_x", "sigma_y"):
+            if not getattr(self, name) > 0:
+                raise GridMismatchError(f"{name}: must be positive, got {getattr(self, name)}")
 
     def build(self, grid: sg.Grid) -> np.ndarray:
         X, Y = grid.meshgrid()
@@ -97,11 +100,17 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.method not in (PETVIASHVILI, NEHARI_DESCENT):
-            raise GridMismatchError(f"unknown solver method {self.method!r}")
-        if not (self.tol_residual > 0 and self.tol_delta > 0):
-            raise GridMismatchError("tolerances must be positive")
+            raise GridMismatchError(
+                f"method: expected '{PETVIASHVILI}' or '{NEHARI_DESCENT}', got {self.method!r}"
+            )
+        for name in ("tol_residual", "tol_delta", "descent_step"):
+            if not getattr(self, name) > 0:
+                raise GridMismatchError(f"{name}: must be positive, got {getattr(self, name)}")
+        if not self.max_iter >= 1:
+            raise GridMismatchError(f"max_iter: must be >= 1, got {self.max_iter}")
         if self.gamma is not None and not 1.0 < self.gamma <= 3.0:
-            raise GridMismatchError("gamma must lie in (1, 3]")
+            raise GridMismatchError(f"gamma: must lie in (1, 3], got {self.gamma}")
+        sg.check_dealias_rule(self.dealias_rule)
 
 
 @dataclass
@@ -136,21 +145,22 @@ def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
     return init.build(grid)
 
 
-def _diagnostics(phi: np.ndarray, grid: sg.Grid) -> tuple:
+def _diagnostics(f: sg.Field) -> tuple:
+    phi, grid = f.values, f.grid
     amax = float(np.max(np.abs(phi)))
     jy, jx = np.unravel_index(int(np.argmax(np.abs(phi))), phi.shape)
     loc = (float(grid.x[jx]), float(grid.y[jy]))
     scale = amax if amax > 0 else 1.0
     even_x = float(np.max(np.abs(phi - phi[:, (-np.arange(grid.nx)) % grid.nx])) / scale)
     even_y = float(np.max(np.abs(phi - phi[(-np.arange(grid.ny)) % grid.ny, :])) / scale)
-    row_defect = float(np.max(np.abs(phi.sum(axis=1))) * grid.dx / scale)
+    row_defect, _ = zero_x_mean_and_sign(f)
     return {"even_x": even_x, "even_y": even_y}, row_defect, loc, amax
 
 
 def _report(method, phi, grid, params, res_hist, m_hist, converged) -> SolveReport:
     f = sg.Field(grid, phi)
     fr = functional_report(f, params)
-    sym, row_defect, loc, amax = _diagnostics(phi, grid)
+    sym, row_defect, loc, amax = _diagnostics(f)
     return SolveReport(
         method=method,
         iterations=len(res_hist),
@@ -175,14 +185,25 @@ def spectral_residual(f: sg.Field, params: PhysicsParams, rule: Optional[str] = 
     """
     g = f.grid
     rule = rule or default_dealias_rule(params.m)
-    nz = g.xi_nonzero
-    s = profile_symbol(g, params.c)
     ph = np.fft.fft2(f.values)
     fh = np.where(g.dealias_mask(rule), np.fft.fft2(params.f(f.values)), 0.0)
-    den = np.linalg.norm(s[nz] * ph[nz])
+    return _residual(profile_symbol(g, params.c), ph, fh, g.xi_nonzero)
+
+
+def _residual(s, ph, fh, modes) -> float:
+    """||s*ph - fh|| / ||s*ph|| over the boolean mode set `modes`."""
+    sph = s[modes] * ph[modes]
+    den = np.linalg.norm(sph)
     if den == 0.0:
         raise UndefinedResidualError("spectral residual of a zero field is undefined")
-    return float(np.linalg.norm(s[nz] * ph[nz] - fh[nz]) / den)
+    return float(np.linalg.norm(sph - fh[modes]) / den)
+
+
+def _loop_setup(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
+    """(keep, s_keep): the dealiased xi != 0 modes and s on them (1 elsewhere)."""
+    rule = config.dealias_rule or default_dealias_rule(params.m)
+    keep = grid.dealias_mask(rule) & grid.xi_nonzero
+    return keep, np.where(keep, profile_symbol(grid, params.c), 1.0)
 
 
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
@@ -191,11 +212,8 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     Raises ConvergenceError (with the partial report attached) when max_iter is
     exhausted, CollapseError when the normalization quotient turns non-positive.
     """
-    rule = config.dealias_rule or default_dealias_rule(params.m)
     gamma = config.gamma if config.gamma is not None else params.m / (params.m - 1.0)
-    s = profile_symbol(grid, params.c)
-    keep = grid.dealias_mask(rule) & grid.xi_nonzero
-    s_keep = np.where(keep, s, 1.0)
+    keep, s_keep = _loop_setup(config, params, grid)
 
     ph = np.where(keep, np.fft.fft2(_init_values(config, grid)), 0.0)
     phi = np.real(np.fft.ifft2(ph))
@@ -204,7 +222,7 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     converged = False
     for _ in range(config.max_iter):
         fh = np.where(keep, np.fft.fft2(params.f(phi)), 0.0)
-        num = float(np.sum(s_keep[keep] * np.abs(ph[keep]) ** 2))
+        num = sg.weighted_sq_sum(s_keep[keep], ph[keep])
         den = float(np.real(np.sum(fh[keep] * np.conj(ph[keep]))))
         if den == 0.0 or num == 0.0:
             raise CollapseError(
@@ -212,8 +230,7 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
                 report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False),
             )
         M = num / den
-        sph = s_keep * ph
-        resid = float(np.linalg.norm(sph[keep] - fh[keep]) / np.linalg.norm(sph[keep]))
+        resid = _residual(s_keep, ph, fh, keep)
         res_hist.append(resid)
         m_hist.append(M)
         if resid <= config.tol_residual and delta <= config.tol_delta:
@@ -243,10 +260,7 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
 
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Preconditioned descent of S on the Nehari manifold; returns (Field, SolveReport)."""
-    rule = config.dealias_rule or default_dealias_rule(params.m)
-    s = profile_symbol(grid, params.c)
-    keep = grid.dealias_mask(rule) & grid.xi_nonzero
-    s_keep = np.where(keep, s, 1.0)
+    keep, s_keep = _loop_setup(config, params, grid)
     w = grid.spectral_weight
     dA = grid.cell_area
     m = params.m
@@ -257,7 +271,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     phi = _init_values(config, grid)
     ph = np.where(keep, np.fft.fft2(phi), 0.0)
     phi = np.real(np.fft.ifft2(ph))
-    zsq = float(np.sum(s_keep[keep] * np.abs(ph[keep]) ** 2)) * w
+    zsq = sg.weighted_sq_sum(s_keep[keep], ph[keep]) * w
     uf = float(np.sum(phi * params.f(phi)) * dA)
     if uf <= 0:
         raise CollapseError("initial guess has int u f(u) <= 0", report=None)
@@ -271,8 +285,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     converged = False
     for _ in range(config.max_iter):
         fh = np.where(keep, np.fft.fft2(params.f(phi)), 0.0)
-        sph = s_keep * ph
-        resid = float(np.linalg.norm(sph[keep] - fh[keep]) / np.linalg.norm(sph[keep]))
+        resid = _residual(s_keep, ph, fh, keep)
         res_hist.append(resid)
         if resid <= config.tol_residual:
             converged = True
@@ -282,7 +295,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         for _try in range(40):
             v = phi - h * d
             vh = np.where(keep, np.fft.fft2(v), 0.0)
-            zv = float(np.sum(s_keep[keep] * np.abs(vh[keep]) ** 2)) * w
+            zv = sg.weighted_sq_sum(s_keep[keep], vh[keep]) * w
             ufv = float(np.sum(v * params.f(v)) * dA)
             if ufv <= 0 or zv == 0.0:
                 h *= 0.5
@@ -359,8 +372,6 @@ def sweep(
     the same grid.  Rows carry d = S(phi), ||phi||_2^2 and the fitted tail
     exponents along both axes.
     """
-    from .decay import tail_exponent_fit
-
     def fit_exponent(fld, axis):
         half = fld.grid.lx / 2 if axis == "x" else fld.grid.ly / 2
         for hi in (0.11, 0.25, 0.8):
@@ -378,10 +389,7 @@ def sweep(
     prev_value = None
     cur_grid = grid
     for v in values:
-        if param == "c":
-            p = PhysicsParams(c=float(v), m=params.m, signed_power=params.signed_power)
-        else:
-            p = PhysicsParams(c=params.c, m=float(v), signed_power=params.signed_power)
+        p = replace(params, **{param: float(v)})
         cfg = config
         if prev_field is not None:
             if param == "c":
@@ -389,16 +397,9 @@ def sweep(
                 cur_grid = warm.grid
             else:
                 warm = prev_field
-            cfg = SolverConfig(
-                method=config.method,
-                tol_residual=config.tol_residual,
-                tol_delta=config.tol_delta,
-                max_iter=config.max_iter,
-                gamma=None if param == "m" else config.gamma,
-                init=warm,
-                descent_step=config.descent_step,
-                dealias_rule=None if param == "m" else config.dealias_rule,
-            )
+            # an m-sweep re-derives gamma and the dealias rule from each m
+            reset = {"gamma": None, "dealias_rule": None} if param == "m" else {}
+            cfg = replace(config, init=warm, **reset)
         fld, rep = solve(cfg, p, cur_grid)
         ex = fit_exponent(fld, "x")
         ey = fit_exponent(fld, "y")

@@ -47,7 +47,7 @@ def test_params_validation():
     with pytest.raises(GridMismatchError):
         PhysicsParams(c=1.0, m=2.5)  # non-integer needs signed_power
     p = PhysicsParams(c=1.0, m=2.5, signed_power=True)
-    assert p.p == 3.5 and p.mu == 3.5
+    assert p.p == 3.5
     u = np.array([-2.0, 3.0])
     assert np.allclose(p.f(u), np.abs(u) ** 1.5 * u)
 

@@ -51,6 +51,26 @@ def test_wavenumber_tables(g2pi):
     assert int(np.sum(~g2pi.xi_nonzero)) == g2pi.ny
 
 
+def test_dispersion_table(g2pi):
+    """(xi^2 + eta^2)/|xi| on xi != 0, 0 on xi = 0; cached read-only on the grid."""
+    from shrira.grid import dispersion_table
+
+    tab = g2pi.dispersion
+    jx, jy = g2pi.index_x(), g2pi.index_y()
+    assert tab[(jx == 1) & (jy == 0)][0] == 1.0
+    assert tab[(jx == -2) & (jy == 3)][0] == pytest.approx(13.0 / 2.0, rel=1e-15)
+    assert np.all(tab[jx == 0] == 0.0)
+    assert np.array_equal(tab, dispersion_table(g2pi))
+    assert g2pi.dispersion is tab and not tab.flags.writeable
+
+
+def test_dealias_mask_cached_per_rule(g2pi):
+    two_thirds, half = g2pi.dealias_mask("two_thirds"), g2pi.dealias_mask("half")
+    assert g2pi.dealias_mask("two_thirds") is two_thirds
+    assert not two_thirds.flags.writeable
+    assert half.sum() < two_thirds.sum()
+
+
 def test_dc_mode(g2pi):
     s = forward(Field(g2pi, np.ones((32, 32))))
     nonzero = np.abs(s.coeffs) > 1e-12

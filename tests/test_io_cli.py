@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from shrira import Grid, Field, read_field, write_field
-from shrira.cli import main, worker_count
+from shrira.cli import main
+from shrira.kernels import KernelSpec, h_nu_point
 from shrira.config import parse_config, serialize_config
 from shrira.errors import ConfigError, CorruptFieldFileError
 
@@ -110,14 +112,24 @@ def test_config_syntax_error_has_line_and_column():
         parse_config('{\n  "grid": ,\n}')
 
 
-def test_worker_count(monkeypatch):
-    monkeypatch.setenv("SHRIRA_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("SHRIRA_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("SHRIRA_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        worker_count()
+def test_config_range_errors_name_the_key():
+    """Range checks live in the dataclasses; the parser prefixes the section."""
+    for section, body, key in (
+        ("grid", {"nx": 6, "ny": 64, "lx": 1.0, "ly": 1.0}, "grid.nx"),
+        ("physics", {"m": 2.5}, "physics.m"),
+        ("solver", {"max_iter": 0}, "solver.max_iter"),
+        ("solver", {"descent_step": 0.0}, "solver.descent_step"),
+        ("solver", {"gamma": 4.0}, "solver.gamma"),
+        ("solver", {"dealias_rule": "thirds"}, "solver.dealias_rule"),
+        ("solver", {"init": {"kind": "gaussian", "sigma_y": -1.0}}, "solver.init.sigma_y"),
+        ("evolve", {"t_end": 1.0, "record_every": 0}, "evolve.record_every"),
+        # json accepts NaN and Infinity (json.dumps writes them for these floats)
+        ("physics", {"m": math.inf}, "physics.m"),
+        ("grid", {"nx": 16, "ny": 16, "lx": math.inf, "ly": 1.0}, "grid.lx"),
+        ("solver", {"tol_residual": math.nan}, "solver.tol_residual"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(json.dumps({**BASE_CONFIG, section: body}))
 
 
 # --- CLI end-to-end -----------------------------------------------------------
@@ -227,6 +239,27 @@ def test_cli_kernel(tmp_path):
     with open(out) as fh:
         row = next(csv.DictReader(fh))
     assert float(row["value"]) == pytest.approx(0.43494240479584123, abs=1e-8)
+
+
+def test_cli_kernel_rows_in_input_order(tmp_path, monkeypatch):
+    """Rows come out in input order; a SHRIRA_THREADS setting is ignored."""
+    monkeypatch.setenv("SHRIRA_THREADS", "2")
+    node = PI / 32  # oracle node spacing in x and in y below
+    points = [(i * node, j * node / 2) for i, j in zip(range(4, 24), range(30, 10, -1))]
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in points))
+    out = tmp_path / "kernel.csv"
+    code = main(
+        ["kernel", "--nu", "0", "--points", str(pts), "--out", str(out),
+         "--oracle-nx", "256", "--oracle-ny", "64",
+         "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)]
+    )
+    assert code == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["x"]), float(r["y"])) for r in rows] == points
+    x, y = points[5]
+    assert float(rows[5]["value"]) == h_nu_point(KernelSpec(nu=0.0), x, y).value
 
 
 def test_cli_kernel_bad_points(tmp_path):

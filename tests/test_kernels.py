@@ -142,6 +142,23 @@ def test_oracle_nu_negative_warns():
         kernel_spectral_oracle(-0.5, g)
 
 
+@pytest.mark.parametrize("nu", [-1.0, -1.2])
+def test_oracle_zero_x_modes_vanish_for_negative_nu(nu):
+    """Every xi = 0 mode of the symbol is 0, so the transform stays finite."""
+    from shrira.kernels import _oracle_symbol
+
+    g = Grid(16, 16, 2 * PI, 2 * PI)
+    with pytest.warns(RuntimeWarning, match="xi = 0 modes set to 0"):
+        sym = _oracle_symbol(nu, g, hilbert=False)
+        K = kernel_spectral_oracle(nu, g)
+    jx, jy = g.index_x(), g.index_y()
+    assert np.all(sym[jx == 0] == 0.0)
+    assert sym[(jx == 1) & (jy == 1)][0] == pytest.approx(1.0 / 3.0)  # |xi|^(1+nu) = 1
+    assert np.all(np.isfinite(K.values))
+    # no xi = 0 content: every row of the transform sums to zero
+    assert np.max(np.abs(K.values.sum(axis=1))) <= 1e-12 * np.max(np.abs(K.values)) * g.nx
+
+
 @pytest.fixture(scope="module")
 def oracle_aniso():
     g = Grid(4096, 512, 128 * PI, 16 * PI)

@@ -23,6 +23,7 @@ from shrira.solver import profile_symbol, default_dealias_rule
 from shrira.errors import (
     CollapseError,
     ConvergenceError,
+    GridMismatchError,
     UndefinedResidualError,
 )
 
@@ -38,6 +39,22 @@ def test_default_dealias_rule():
     assert default_dealias_rule(2) == "two_thirds"
     assert default_dealias_rule(3) == "half"
     assert default_dealias_rule(2.5) == "half"
+
+
+def test_solver_config_validation():
+    """Each bad setting is rejected where the config is built, not deep in solve."""
+    for bad in (
+        dict(max_iter=0),
+        dict(descent_step=0.0),
+        dict(tol_delta=-1.0),
+        dict(gamma=1.0),
+        dict(method="newton"),
+        dict(dealias_rule="thirds"),
+    ):
+        with pytest.raises(GridMismatchError, match=next(iter(bad))):
+            SolverConfig(**bad)
+    with pytest.raises(GridMismatchError, match="sigma_x"):
+        GaussianInit(sigma_x=0.0)
 
 
 def test_profile_symbol_values():
