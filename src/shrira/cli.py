@@ -63,6 +63,11 @@ def _tail_csv(path: Path, field: Field, axis: str, alpha: float) -> None:
     _write_csv(path, ("r", "phi", "weighted_phi"), rows)
 
 
+def _meta(params) -> dict:
+    return {"c": params.c, "m": params.m, "signed_power": params.signed_power,
+            "producer": f"shrira {__version__}"}
+
+
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     grid = cfg.require_grid()
@@ -77,8 +82,7 @@ def _cmd_solve(args) -> int:
         fld, report = exc.field, exc.report
         code = EXIT_NO_CONVERGENCE
         print(f"solver did not converge: {exc}", file=sys.stderr)
-    meta = {"c": cfg.physics.c, "m": cfg.physics.m, "producer": f"shrira {__version__}"}
-    write_field(out / "phi.field", fld, meta)
+    write_field(out / "phi.field", fld, _meta(cfg.physics))
     _write_json(out / "solve_report.json", report.to_dict())
     _write_json(out / "functionals.json", report.functionals.to_dict())
     return code
@@ -89,7 +93,7 @@ def _params_for(args, header):
         return load_config(args.config).physics
     from .functionals import PhysicsParams
 
-    return PhysicsParams(c=float(header["c"]), m=float(header["m"]))
+    return PhysicsParams(float(header["c"]), float(header["m"]), bool(header["signed_power"]))
 
 
 def _cmd_verify(args) -> int:
@@ -129,7 +133,7 @@ def _cmd_evolve(args) -> int:
     def snap(step, t, f):
         if cfg.output.snapshots:
             p = out / f"snap_{step:06d}.field"
-            write_field(p, f, {"c": params.c, "m": params.m, "producer": f"shrira {__version__}"})
+            write_field(p, f, _meta(params))
             snapshots.append(str(p))
 
     report = evo.evolve(fld, cfg.evolve, params, reference=reference, snapshot_cb=snap)
@@ -141,11 +145,7 @@ def _cmd_evolve(args) -> int:
     d = report.to_dict()
     d["snapshots"] = snapshots
     _write_json(out / "evolve_report.json", d)
-    write_field(
-        out / "final.field",
-        report.final,
-        {"c": params.c, "m": params.m, "producer": f"shrira {__version__}"},
-    )
+    write_field(out / "final.field", report.final, _meta(params))
     return EXIT_OK
 
 

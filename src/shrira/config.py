@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .errors import ConfigError
@@ -39,8 +39,9 @@ class RunConfig:
         return self.grid
 
 
-def _check_keys(obj: dict, allowed, where: str):
-    unknown = sorted(set(obj) - set(allowed))
+def _check_keys(obj: dict, cls, where: str, extra=()):
+    """Reject keys that name neither a field of the dataclass `cls` nor one of `extra`."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)} - set(extra))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
@@ -79,7 +80,7 @@ def _build(cls, where: str, **kwargs):
 
 
 def _parse_grid(obj) -> Grid:
-    _check_keys(obj, ("nx", "ny", "lx", "ly"), "grid")
+    _check_keys(obj, Grid, "grid")
     return _build(
         Grid,
         "grid",
@@ -91,7 +92,7 @@ def _parse_grid(obj) -> Grid:
 
 
 def _parse_physics(obj) -> PhysicsParams:
-    _check_keys(obj, ("c", "m", "signed_power"), "physics")
+    _check_keys(obj, PhysicsParams, "physics")
     return _build(
         PhysicsParams,
         "physics",
@@ -104,7 +105,7 @@ def _parse_physics(obj) -> PhysicsParams:
 def _parse_init(obj):
     kind = _need(obj, "kind", "solver.init")
     if kind == "gaussian":
-        _check_keys(obj, ("kind", "amplitude", "sigma_x", "sigma_y"), "solver.init")
+        _check_keys(obj, GaussianInit, "solver.init", ("kind",))
         return _build(
             GaussianInit,
             "solver.init",
@@ -113,7 +114,7 @@ def _parse_init(obj):
             sigma_y=_number(obj.get("sigma_y", 2.0), "solver.init.sigma_y"),
         )
     if kind == "file":
-        _check_keys(obj, ("kind", "path"), "solver.init")
+        _check_keys(obj, FileInit, "solver.init", ("kind",))
         path = _need(obj, "path", "solver.init")
         if not isinstance(path, str):
             raise ConfigError("solver.init.path: expected a string")
@@ -126,17 +127,7 @@ def _optional_number(v, where):
 
 
 def _parse_solver(obj) -> SolverConfig:
-    allowed = (
-        "method",
-        "tol_residual",
-        "tol_delta",
-        "max_iter",
-        "gamma",
-        "init",
-        "descent_step",
-        "dealias_rule",
-    )
-    _check_keys(obj, allowed, "solver")
+    _check_keys(obj, SolverConfig, "solver")
     return _build(
         SolverConfig,
         "solver",
@@ -152,7 +143,7 @@ def _parse_solver(obj) -> SolverConfig:
 
 
 def _parse_evolve(obj) -> EvolveConfig:
-    _check_keys(obj, ("dt", "t_end", "record_every", "dealias_rule"), "evolve")
+    _check_keys(obj, EvolveConfig, "evolve")
     return _build(
         EvolveConfig,
         "evolve",
@@ -164,7 +155,7 @@ def _parse_evolve(obj) -> EvolveConfig:
 
 
 def _parse_output(obj) -> OutputConfig:
-    _check_keys(obj, ("dir", "snapshots"), "output")
+    _check_keys(obj, OutputConfig, "output")
     d = obj.get("dir", ".")
     if not isinstance(d, str):
         raise ConfigError("output.dir: expected a string")
@@ -178,7 +169,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("top level: expected a JSON object")
-    _check_keys(obj, ("grid", "physics", "solver", "evolve", "output"), "top level")
+    _check_keys(obj, RunConfig, "top level")
     for key in obj:
         if not isinstance(obj[key], dict):
             raise ConfigError(f"{key}: expected a JSON object")
@@ -201,35 +192,7 @@ def load_config(path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Inverse of parse_config (parse . serialize . parse is idempotent)."""
-    obj = {}
-    if cfg.grid is not None:
-        g = cfg.grid
-        obj["grid"] = {"nx": g.nx, "ny": g.ny, "lx": g.lx, "ly": g.ly}
-    p = cfg.physics
-    obj["physics"] = {"c": p.c, "m": p.m, "signed_power": p.signed_power}
-    s = cfg.solver
-    init = (
-        {"kind": "gaussian", "amplitude": s.init.amplitude, "sigma_x": s.init.sigma_x, "sigma_y": s.init.sigma_y}
-        if isinstance(s.init, GaussianInit)
-        else {"kind": "file", "path": s.init.path}
-    )
-    obj["solver"] = {
-        "method": s.method,
-        "tol_residual": s.tol_residual,
-        "tol_delta": s.tol_delta,
-        "max_iter": s.max_iter,
-        "gamma": s.gamma,
-        "init": init,
-        "descent_step": s.descent_step,
-        "dealias_rule": s.dealias_rule,
-    }
-    if cfg.evolve is not None:
-        e = cfg.evolve
-        obj["evolve"] = {
-            "dt": e.dt,
-            "t_end": e.t_end,
-            "record_every": e.record_every,
-            "dealias_rule": e.dealias_rule,
-        }
-    obj["output"] = {"dir": cfg.output.dir, "snapshots": cfg.output.snapshots}
+    obj = {key: value for key, value in asdict(cfg).items() if value is not None}
+    init = obj["solver"]["init"]
+    init["kind"] = "gaussian" if isinstance(cfg.solver.init, GaussianInit) else "file"
     return json.dumps(obj, indent=2)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import grid as sg
 from .errors import GridMismatchError, UnderflowWindowError
@@ -100,9 +99,10 @@ def tail_exponent_fit(f: sg.Field, axis: str, window: tuple):
     """Least-squares slope of log|phi| vs log r along an axis through the peak.
 
     Returns (exponent, stderr) with exponent = -slope.  Both sides of the peak
-    contribute.  Raises UnderflowWindowError when no sample in the window sits
-    above the roundoff floor, GridMismatchError for a window outside the
-    trusted (0, 0.8*half] range or with fewer than 8 radii.
+    contribute.  Raises UnderflowWindowError when fewer than 3 samples in the
+    window sit above the roundoff floor (a fit needs 3 for its standard error),
+    GridMismatchError for a window outside the trusted (0, 0.8*half] range or
+    with fewer than 8 radii.
     """
     r_min, r_max = window
     half = f.grid.ly / 2 if axis == "y" else f.grid.lx / 2
@@ -116,10 +116,18 @@ def tail_exponent_fit(f: sg.Field, axis: str, window: tuple):
     if np.unique(np.round(r[sel], 12)).size < 8:
         raise GridMismatchError("fit window contains fewer than 8 sample radii")
     sel &= np.abs(vals) > AMPLITUDE_FLOOR
-    if not np.any(sel):
-        raise UnderflowWindowError("all samples in the window are below 1e-13")
-    fit = linregress(np.log(r[sel]), np.log(np.abs(vals[sel])))
-    return float(-fit.slope), float(fit.stderr)
+    if np.count_nonzero(sel) < 3:
+        raise UnderflowWindowError("fewer than 3 samples in the window are above 1e-13")
+    slope, stderr = _linear_fit(np.log(r[sel]), np.log(np.abs(vals[sel])))
+    return -slope, stderr
+
+
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares slope of y on x and its standard error, as scipy.stats.linregress."""
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx, sxy, syy = np.mean(dx * dx), np.mean(dx * dy), np.mean(dy * dy)
+    r = min(max(sxy / np.sqrt(sxx * syy), -1.0), 1.0) if syy > 0 else 0.0
+    return float(sxy / sxx), float(np.sqrt((1.0 - r * r) * syy / sxx / (x.size - 2)))
 
 
 def weighted_sup(f: sg.Field, weight, window: Optional[tuple] = None) -> float:
@@ -198,17 +206,12 @@ def mixed_norm(f: sg.Field, q: float, r: float, order: str = "y_outer") -> float
     """
     if order not in ("y_outer", "x_outer"):
         raise GridMismatchError("order must be 'y_outer' or 'x_outer'")
-    a = np.abs(f.values)
-    if order == "y_outer":
-        inner, d_in, d_out = a, f.grid.dx, f.grid.dy
-        axis_in = 1
-    else:
-        inner, d_in, d_out = a.T, f.grid.dy, f.grid.dx
-        axis_in = 1
+    a, g = np.abs(f.values), f.grid
+    inner, d_in, d_out = (a, g.dx, g.dy) if order == "y_outer" else (a.T, g.dy, g.dx)
     if np.isinf(q):
-        row = inner.max(axis=axis_in)
+        row = inner.max(axis=1)
     else:
-        row = (np.sum(inner**q, axis=axis_in) * d_in) ** (1.0 / q)
+        row = (np.sum(inner**q, axis=1) * d_in) ** (1.0 / q)
     if np.isinf(r):
         return float(row.max())
     return float((np.sum(row**r) * d_out) ** (1.0 / r))

@@ -64,7 +64,7 @@ class BlowUpError(ShriraError):
 
 
 class UnderflowWindowError(ShriraError, ValueError):
-    """Tail-fit window contains no samples above the roundoff floor."""
+    """Tail-fit window holds fewer than 3 samples above the roundoff floor."""
 
 
 class CorruptFieldFileError(ShriraError):

@@ -4,7 +4,9 @@ Spectrally, u_hat_t = sigma_L * u_hat - i xi * f(u)_hat with the purely
 imaginary dispersive symbol sigma_L = i sgn(xi) (xi^2 + eta^2) (sgn(0) = 0, so
 all xi = 0 modes are frozen by both terms).  The integrator is
 integrating-factor RK4: the linear phase is applied exactly, classical RK4
-handles the dealiased nonlinear term.
+handles the dealiased nonlinear term.  Transforms are real-to-complex
+(numpy.fft.rfft2/irfft2): the loop carries the half spectrum of `shrira.grid`,
+and dealiasing and the x-derivative are one fused multiplier -i xi * keep.
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
 1/2 int u^2 and E(u) = 1/2 (||D_x^{1/2}u||^2 + ||D_x^{-1/2}u_y||^2) - int F(u)
@@ -86,7 +88,7 @@ class EvolveReport:
         return max(abs(e - e0) for e in self.energy_series) / abs(e0)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "dt": self.dt,
             "times": self.times,
             "mass_series": self.mass_series,
@@ -95,42 +97,49 @@ class EvolveReport:
             "mass_drift": self.mass_drift,
             "energy_drift": self.energy_drift,
         }
-        return out
 
 
-def _nonlinear(uh, grid, params, keep):
-    u = np.real(np.fft.ifft2(uh))
-    fh = np.where(keep, np.fft.fft2(params.f(u)), 0.0)
-    return -1j * grid.xi2d * fh
+def _stepper(grid, dt, rule):
+    """Half-spectrum tables of one step: the phases e^(sigma dt/2), e^(sigma dt) and -i xi keep."""
+    e_half = np.exp(grid.half(linear_symbol(grid)) * (dt / 2))
+    mult = -1j * grid.half(grid.xi2d) * grid.half(grid.dealias_mask(rule))
+    return e_half, e_half * e_half, mult
+
+
+def _nonlinear(uh, grid, params, mult):
+    return mult * np.fft.rfft2(params.f(np.fft.irfft2(uh, s=(grid.ny, grid.nx))))
 
 
 def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams, rule: Optional[str] = None) -> sg.Spectrum:
-    """One integrating-factor RK4 step; xi = 0 modes are exactly constant."""
+    """One integrating-factor RK4 step; xi = 0 modes are exactly constant.
+
+    The step runs on the half spectrum (columns 0..nx/2) with the kernel of
+    `evolve`; the xi < 0 columns are rebuilt by conjugate symmetry.  This is
+    exact when s is the spectrum of a real field, as every caller passes.
+    """
     g = s.grid
-    rule = rule or default_dealias_rule(params.m)
-    keep = g.dealias_mask(rule)
-    sig = linear_symbol(g)
-    e_half = np.exp(sig * (dt / 2))
-    uh = _rk4_kernel(s.coeffs, dt, e_half, e_half * e_half, g, params, keep)
+    e_half, e_full, mult = _stepper(g, dt, rule or default_dealias_rule(params.m))
+    uh = _rk4_kernel(g.half(s.coeffs), dt, e_half, e_full, g, params, mult)
     if not np.all(np.isfinite(uh)):
         raise BlowUpError("non-finite coefficients after one step", last_good=s)
-    return sg.Spectrum(g, uh)
+    return sg.Spectrum(g, sg.full_from_half(g, uh))
 
 
-def _rk4_kernel(uh, dt, e_half, e_full, grid, params, keep):
+def _rk4_kernel(uh, dt, e_half, e_full, grid, params, mult):
     # overflow here is legitimate blow-up; the caller checks finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _nonlinear(uh, grid, params, keep)
-        k2 = _nonlinear(e_half * (uh + (dt / 2) * k1), grid, params, keep)
-        k3 = _nonlinear(e_half * uh + (dt / 2) * k2, grid, params, keep)
-        k4 = _nonlinear(e_full * uh + dt * e_half * k3, grid, params, keep)
+        k1 = _nonlinear(uh, grid, params, mult)
+        k2 = _nonlinear(e_half * (uh + (dt / 2) * k1), grid, params, mult)
+        k3 = _nonlinear(e_half * uh + (dt / 2) * k2, grid, params, mult)
+        k4 = _nonlinear(e_full * uh + dt * e_half * k3, grid, params, mult)
         return e_full * uh + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
 
 
 def _mass_energy(uh, grid, params):
-    u = np.real(np.fft.ifft2(uh))
+    """(1/2 ||u||^2, E(u)) of the real field with half spectrum uh."""
+    u = np.fft.irfft2(uh, s=(grid.ny, grid.nx))
     mass = 0.5 * float(np.sum(u * u)) * grid.cell_area
-    quad = 0.5 * sg.weighted_sq_sum(grid.dispersion, uh) * grid.spectral_weight
+    quad = 0.5 * sg.weighted_sq_sum(grid, grid.half(grid.dispersion), uh) * grid.spectral_weight
     energy = quad - float(np.sum(params.F(u))) * grid.cell_area
     return mass, energy
 
@@ -151,25 +160,24 @@ def evolve(
     """
     g = initial.grid
     rule = config.dealias_rule or default_dealias_rule(params.m)
-    keep = g.dealias_mask(rule)
     dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, rule)
     nsteps = max(1, ceil(config.t_end / dt_req - 1e-12))
     dt = config.t_end / nsteps
 
-    sig = linear_symbol(g)
-    e_half = np.exp(sig * (dt / 2))
-    e_full = e_half * e_half
+    e_half, e_full, mult = _stepper(g, dt, rule)
 
-    ref_hat = None
-    ref_norm = None
+    def real(h):
+        return np.fft.irfft2(h, s=(g.ny, g.nx))
+
+    ref_hat = ref_norm = None
     if reference is not None:
         ref_field, ref_speed = reference
         if (ref_field.grid.nx, ref_field.grid.ny) != (g.nx, g.ny):
             raise GridMismatchError("reference field sample count differs")
-        ref_hat = np.fft.fft2(ref_field.values)
+        ref_hat = np.fft.rfft2(ref_field.values)
         ref_norm = np.linalg.norm(ref_field.values)
 
-    uh = np.fft.fft2(initial.values)
+    uh = np.fft.rfft2(initial.values)
     times, masses, energies, shapes = [], [], [], []
 
     def record(step, t):
@@ -178,21 +186,19 @@ def evolve(
         masses.append(m)
         energies.append(e)
         if ref_hat is not None:
-            tr = np.real(np.fft.ifft2(ref_hat * np.exp(-1j * g.xi2d * ref_speed * t)))
-            shapes.append(
-                float(np.linalg.norm(np.real(np.fft.ifft2(uh)) - tr) / ref_norm)
-            )
+            tr = real(ref_hat * np.exp(-1j * g.half(g.xi2d) * ref_speed * t))
+            shapes.append(float(np.linalg.norm(real(uh) - tr) / ref_norm))
         if snapshot_cb is not None:
-            snapshot_cb(step, t, sg.Field(g, np.real(np.fft.ifft2(uh))))
+            snapshot_cb(step, t, sg.Field(g, real(uh)))
 
     record(0, 0.0)
-    last_good = uh.copy()
+    last_good = uh
     for k in range(1, nsteps + 1):
-        uh = _rk4_kernel(uh, dt, e_half, e_full, g, params, keep)
+        uh = _rk4_kernel(uh, dt, e_half, e_full, g, params, mult)
         if not np.all(np.isfinite(uh)):
             raise BlowUpError(
                 f"blow-up detected at t = {k * dt:.6g}",
-                last_good=sg.Field(g, np.real(np.fft.ifft2(last_good))),
+                last_good=sg.Field(g, real(last_good)),
                 t=(k - 1) * dt,
             )
         last_good = uh
@@ -205,5 +211,5 @@ def evolve(
         mass_series=masses,
         energy_series=energies,
         shape_error_series=shapes,
-        final=sg.Field(g, np.real(np.fft.ifft2(uh))),
+        final=sg.Field(g, real(uh)),
     )

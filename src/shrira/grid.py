@@ -19,6 +19,15 @@ This module is the one place that knows the dispersion relation: every symbol
 of the equation (profile operator, energy weights, dispersive phase, kernel
 denominator) is derived from `dispersion_table`, (xi^2 + eta^2)/|xi| on
 xi != 0 and 0 on every xi = 0 mode.
+
+Half-spectrum layout.  The hot loops (solvers, time stepping, functionals) run
+on numpy.fft.rfft2 output, shape (ny, nx/2 + 1): columns 0..nx/2 of the full
+layout, whose xi < 0 columns are the conjugates of their partners.  A half
+table is the slice `Grid.half(table)` of the full one, so the Nyquist column
+keeps fftfreq's xi = -pi*nx/lx and its symbols and phases.  Full-spectrum sums
+are half-spectrum sums with column weights `Grid.half_weight`: 1 on the xi = 0
+and Nyquist columns, 2 on the others.  The public `forward`, `inverse` and
+`apply_multiplier` stay full-complex: their symbols need not be Hermitian.
 """
 
 from __future__ import annotations
@@ -105,6 +114,17 @@ class Grid:
         return np.broadcast_to(self.xi[None, :] != 0, (self.ny, self.nx))
 
     @cached_property
+    def half_weight(self) -> np.ndarray:
+        """Half-spectrum column weights: 1 on xi = 0 and Nyquist, 2 elsewhere (read-only)."""
+        w = np.full(self.nx // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        return _read_only(w)
+
+    def half(self, table: np.ndarray) -> np.ndarray:
+        """Columns 0..nx/2 of a full-layout (ny, nx) table: its half-spectrum view."""
+        return table[..., : self.nx // 2 + 1]
+
+    @cached_property
     def dispersion(self) -> np.ndarray:
         """Cached, read-only `dispersion_table` of this grid."""
         return _read_only(dispersion_table(self))
@@ -158,9 +178,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def weighted_sq_sum(weight, coeffs) -> float:
-    """sum weight * |coeffs|^2; times `Grid.spectral_weight` it is an integral."""
-    return float(np.sum(weight * np.abs(coeffs) ** 2))
+def weighted_sq_sum(grid: Grid, weight, coeffs) -> float:
+    """Full-spectrum sum weight * |coeffs|^2 from half-spectrum coeffs and an even weight.
+
+    weight broadcasts to the half layout; times `Grid.spectral_weight` the sum is an integral.
+    """
+    return float(np.sum(weight * grid.half_weight * (coeffs.real**2 + coeffs.imag**2)))
+
+
+def half_dot(grid: Grid, a, b) -> float:
+    """Re sum a * conj(b) over the full spectrum, from half-spectrum a and b."""
+    return float(np.sum(grid.half_weight * (a.real * b.real + a.imag * b.imag)))
+
+
+def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:
+    """The full (ny, nx) spectrum of a real field from its half spectrum h.
+
+    The xi < 0 columns are rebuilt by conjugate symmetry, c[-k, -j] = conj c[k, j].
+    """
+    tail = np.conj(np.roll(h[::-1, grid.nx // 2 - 1 : 0 : -1], 1, axis=0))
+    return np.concatenate((h, tail), axis=1)
 
 
 @dataclass(frozen=True)
@@ -227,35 +264,25 @@ def apply_multiplier(s: Spectrum, symbol) -> Spectrum:
     return Spectrum(g, out)
 
 
-def _dx_half_symbol(grid: Grid) -> np.ndarray:
-    return np.sqrt(grid.abs_xi)
-
-
-def _dx_neg_half_dy_symbol(grid: Grid) -> np.ndarray:
-    return divide_off_xi0(grid, 1j * grid.eta[:, None], np.sqrt(np.abs(grid.xi)), np.complex128)
-
-
-def _hilbert_symbol(grid: Grid) -> np.ndarray:
-    return -1j * np.sign(grid.xi2d)
-
-
 def _spectral_op(f: Field, symbol: np.ndarray) -> Field:
     return inverse(Spectrum(f.grid, symbol * np.fft.fft2(f.values)))
 
 
 def dx_half(f: Field) -> Field:
     """Half-order x-derivative, symbol |xi|^(1/2)."""
-    return _spectral_op(f, _dx_half_symbol(f.grid))
+    return _spectral_op(f, np.sqrt(f.grid.abs_xi))
 
 
 def dx_neg_half_dy(f: Field) -> Field:
     """Symbol |xi|^(-1/2) * (i eta), with xi = 0 modes set to zero."""
-    return _spectral_op(f, _dx_neg_half_dy_symbol(f.grid))
+    g = f.grid
+    sym = divide_off_xi0(g, 1j * g.eta[:, None], np.sqrt(np.abs(g.xi)), np.complex128)
+    return _spectral_op(f, sym)
 
 
 def hilbert_x(f: Field) -> Field:
     """x-directional Hilbert transform, symbol -i*sgn(xi)."""
-    return _spectral_op(f, _hilbert_symbol(f.grid))
+    return _spectral_op(f, -1j * np.sign(f.grid.xi2d))
 
 
 def project_zero_x(f: Field) -> Field:

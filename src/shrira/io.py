@@ -1,10 +1,11 @@
 """Bit-exact field persistence: JSON header line + raw little-endian payload.
 
 Layout: the first line of the file is a one-line UTF-8 JSON header
-{format_version, nx, ny, lx, ly, c, m, created, producer} terminated by a
-newline; the remaining 8*nx*ny bytes are IEEE-754 float64 little-endian
-samples, row-major with x fastest, in physical order (x from -lx/2, y from
--ly/2).  See docs/formats.md.
+{format_version, nx, ny, lx, ly, c, m, signed_power, created, producer}
+terminated by a newline; the remaining 8*nx*ny bytes are IEEE-754 float64
+little-endian samples, row-major with x fastest, in physical order (x from
+-lx/2, y from -ly/2).  Version 1 headers lack signed_power and read as false.
+See docs/formats.md.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import numpy as np
 from .grid import Field, Grid
 from .errors import CorruptFieldFileError
 
-FORMAT_VERSION = 1
-_HEADER_KEYS = ("format_version", "nx", "ny", "lx", "ly", "c", "m", "created", "producer")
+FORMAT_VERSION = 2
+_HEADER_KEYS = ("format_version", "nx", "ny", "lx", "ly", "c", "m", "signed_power", "created",
+                "producer")
 
 
 def write_field(path, field: Field, meta: dict) -> None:
-    """Write a field; meta must carry c and m, may override created/producer."""
+    """Write a field; meta must carry c and m, may set signed_power (false), created, producer."""
     g = field.grid
     header = {
         "format_version": FORMAT_VERSION,
@@ -32,6 +34,7 @@ def write_field(path, field: Field, meta: dict) -> None:
         "ly": g.ly,
         "c": float(meta["c"]),
         "m": float(meta["m"]),
+        "signed_power": bool(meta.get("signed_power", False)),
         "created": meta.get("created") or datetime.now(timezone.utc).isoformat(),
         "producer": meta.get("producer", "shrira"),
     }
@@ -53,13 +56,14 @@ def read_field(path):
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFieldFileError(f"{path}: unreadable header ({exc})") from exc
+    version = header.get("format_version")
+    if version not in (1, FORMAT_VERSION):
+        raise CorruptFieldFileError(f"{path}: unsupported format_version {version}")
+    if version == 1:
+        header["signed_power"] = False  # version 1 predates signed powers
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise CorruptFieldFileError(f"{path}: header lacks keys {missing}")
-    if header["format_version"] != FORMAT_VERSION:
-        raise CorruptFieldFileError(
-            f"{path}: unsupported format_version {header['format_version']}"
-        )
     nx, ny = int(header["nx"]), int(header["ny"])
     payload = raw[nl + 1 :]
     if len(payload) != 8 * nx * ny:

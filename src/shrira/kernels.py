@@ -49,7 +49,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import grid as sg
 from .errors import (
@@ -96,6 +95,8 @@ def _tail_bound(T: float, power: float) -> float:
 
 
 def _adaptive_quad(g, quad_tol, t_cutoff, tail_power):
+    from scipy.integrate import quad  # imported here: it costs ~0.4 s at import time
+
     T = t_cutoff if t_cutoff is not None else 60.0
     for _ in range(4):
         val, err = quad(g, 0.0, T, epsabs=ABS_ERROR_FLOOR / 2, epsrel=quad_tol / 2, limit=400)
@@ -105,6 +106,19 @@ def _adaptive_quad(g, quad_tol, t_cutoff, tail_power):
             return val, est
         T += 40.0
     return val, est
+
+
+def _sample(x, y, pref, g, quad_tol, t_cutoff, tail_power) -> KernelSample:
+    """pref * int_0^inf g; QuadratureAccuracyError if the tolerance is not certified."""
+    val, est = _adaptive_quad(g, quad_tol, t_cutoff, tail_power)
+    value, est_error = pref * val, pref * est
+    if est_error > quad_tol * abs(value) + ABS_ERROR_FLOOR:
+        raise QuadratureAccuracyError(
+            f"quadrature error {est_error:.2e} exceeds tolerance at ({x}, {y})",
+            value=value,
+            est_error=est_error,
+        )
+    return KernelSample(x=x, y=y, value=value, est_error=est_error)
 
 
 def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
@@ -128,15 +142,7 @@ def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
             * math.cos((nu + 1.5) * math.atan2(t * ax, q))
         )
 
-    val, est = _adaptive_quad(g, spec.quad_tol, spec.t_cutoff, nu + 2.0)
-    value, est_error = pref * val, pref * est
-    if est_error > spec.quad_tol * abs(value) + ABS_ERROR_FLOOR:
-        raise QuadratureAccuracyError(
-            f"quadrature error {est_error:.2e} exceeds tolerance at ({x}, {y})",
-            value=value,
-            est_error=est_error,
-        )
-    return KernelSample(x=x, y=y, value=value, est_error=est_error)
+    return _sample(x, y, pref, g, spec.quad_tol, spec.t_cutoff, nu + 2.0)
 
 
 def hk_point(x: float, y: float, quad_tol: float = 1e-10, t_cutoff: float = None) -> KernelSample:
@@ -162,15 +168,7 @@ def hk_point(x: float, y: float, quad_tol: float = 1e-10, t_cutoff: float = None
             * math.sin(1.5 * math.atan2(t * x, q))
         )
 
-    val, est = _adaptive_quad(g, quad_tol, t_cutoff, 2.0)
-    value, est_error = SQRT_PI * val, SQRT_PI * est
-    if est_error > quad_tol * abs(value) + ABS_ERROR_FLOOR:
-        raise QuadratureAccuracyError(
-            f"quadrature error {est_error:.2e} exceeds tolerance at ({x}, {y})",
-            value=value,
-            est_error=est_error,
-        )
-    return KernelSample(x=x, y=y, value=value, est_error=est_error)
+    return _sample(x, y, SQRT_PI, g, quad_tol, t_cutoff, 2.0)
 
 
 def _oracle_symbol(nu: float, grid: sg.Grid, hilbert: bool) -> np.ndarray:
@@ -239,19 +237,14 @@ def kernel_decay_scan(spec: KernelSpec, axis: str, points) -> list:
     alpha = 3/2 on the x-axis, 2 nu + 3 on the y-axis: the weighted values stay
     bounded and approach a finite limit along the scan.
     """
-    if axis == "x":
-        alpha = 1.5
-        mk = lambda r: (r, 0.0)
-    elif axis == "y":
-        alpha = 2.0 * spec.nu + 3.0
-        mk = lambda r: (0.0, r)
-    else:
+    if axis not in ("x", "y"):
         raise GridMismatchError("axis must be 'x' or 'y'")
+    alpha = 1.5 if axis == "x" else 2.0 * spec.nu + 3.0
     rows = []
     for r in points:
         if r == 0:
             raise KernelSingularityError("scan radius 0 is the singular point")
-        x, y = mk(float(r))
+        x, y = (float(r), 0.0) if axis == "x" else (0.0, float(r))
         s = h_nu_point(spec, x, y)
         rows.append((float(r), s.value, s.est_error, abs(r) ** alpha * s.value))
     return rows
@@ -327,12 +320,7 @@ def lizorkin_sample(
     for (k1, k2), der in tab.items():
         weighted = np.abs(XI**k1 * ETA**k2 * der)
         maxima[(k1, k2)] = float(np.max(weighted))
-    return LizorkinReport(
-        multiplier=multiplier_id,
-        n_samples=n_samples,
-        ranges=ranges,
-        maxima=maxima,
-    )
+    return LizorkinReport(multiplier_id, n_samples, ranges, maxima)
 
 
 def lizorkin_report_all(ranges=((1e-6, 1e6), (1e-6, 1e6)), n_samples: int = 256) -> list:

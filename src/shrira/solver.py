@@ -82,8 +82,8 @@ class FileInit:
         from .io import read_field
 
         f, _ = read_field(self.path)
-        if (f.grid.nx, f.grid.ny) != (grid.nx, grid.ny):
-            raise GridMismatchError("initial-guess file has a different sample count")
+        if f.grid != grid:
+            raise GridMismatchError(f"initial guess {self.path} is on {f.grid}, the solve on {grid}")
         return f.values
 
 
@@ -139,8 +139,8 @@ def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
     if isinstance(init, np.ndarray):
         return np.array(init, dtype=float)
     if isinstance(init, sg.Field):
-        if (init.grid.nx, init.grid.ny) != (grid.nx, grid.ny):
-            raise GridMismatchError("warm-start field has a different sample count")
+        if init.grid != grid:  # same samples and same box
+            raise GridMismatchError(f"warm-start field is on {init.grid}, the solve on {grid}")
         return init.values.copy()
     return init.build(grid)
 
@@ -176,6 +176,19 @@ def _report(method, phi, grid, params, res_hist, m_hist, converged) -> SolveRepo
     )
 
 
+def _finish(method, phi, grid, params, res_hist, m_hist, converged):
+    """(Field, SolveReport) of a finished loop; ConvergenceError carrying both if not converged."""
+    report = _report(method, phi, grid, params, res_hist, m_hist, converged)
+    if not converged:
+        raise ConvergenceError(
+            f"{method} did not converge in {len(res_hist)} iterations "
+            f"(last residual {res_hist[-1]:.3e})",
+            report=report,
+            field=sg.Field(grid, phi),
+        )
+    return sg.Field(grid, phi), report
+
+
 def spectral_residual(f: sg.Field, params: PhysicsParams, rule: Optional[str] = None) -> float:
     """Relative residual ||s*phi_hat - f_hat|| / ||s*phi_hat|| over xi != 0 modes.
 
@@ -185,25 +198,25 @@ def spectral_residual(f: sg.Field, params: PhysicsParams, rule: Optional[str] = 
     """
     g = f.grid
     rule = rule or default_dealias_rule(params.m)
-    ph = np.fft.fft2(f.values)
-    fh = np.where(g.dealias_mask(rule), np.fft.fft2(params.f(f.values)), 0.0)
-    return _residual(profile_symbol(g, params.c), ph, fh, g.xi_nonzero)
+    modes = g.half(g.xi_nonzero)
+    sph = np.where(modes, (params.c + g.half(g.dispersion)) * np.fft.rfft2(f.values), 0.0)
+    fh = np.where(modes & g.half(g.dealias_mask(rule)), np.fft.rfft2(params.f(f.values)), 0.0)
+    return _residual(g, sph, fh)
 
 
-def _residual(s, ph, fh, modes) -> float:
-    """||s*ph - fh|| / ||s*ph|| over the boolean mode set `modes`."""
-    sph = s[modes] * ph[modes]
-    den = np.linalg.norm(sph)
+def _residual(grid: sg.Grid, sph, fh) -> float:
+    """||sph - fh|| / ||sph|| over the full spectrum, from half spectra."""
+    den = sg.weighted_sq_sum(grid, 1.0, sph)
     if den == 0.0:
         raise UndefinedResidualError("spectral residual of a zero field is undefined")
-    return float(np.linalg.norm(sph - fh[modes]) / den)
+    return float(np.sqrt(sg.weighted_sq_sum(grid, 1.0, sph - fh) / den))
 
 
 def _loop_setup(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
-    """(keep, s_keep): the dealiased xi != 0 modes and s on them (1 elsewhere)."""
+    """(keep, s_keep) on the half spectrum: the dealiased xi != 0 modes, s there (1 elsewhere)."""
     rule = config.dealias_rule or default_dealias_rule(params.m)
-    keep = grid.dealias_mask(rule) & grid.xi_nonzero
-    return keep, np.where(keep, profile_symbol(grid, params.c), 1.0)
+    keep = grid.half(grid.dealias_mask(rule) & grid.xi_nonzero)
+    return keep, np.where(keep, params.c + grid.half(grid.dispersion), 1.0)
 
 
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
@@ -215,22 +228,23 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     gamma = config.gamma if config.gamma is not None else params.m / (params.m - 1.0)
     keep, s_keep = _loop_setup(config, params, grid)
 
-    ph = np.where(keep, np.fft.fft2(_init_values(config, grid)), 0.0)
-    phi = np.real(np.fft.ifft2(ph))
+    shape = (grid.ny, grid.nx)
+    ph = np.where(keep, np.fft.rfft2(_init_values(config, grid)), 0.0)
+    phi = np.fft.irfft2(ph, s=shape)
     res_hist, m_hist = [], []
     delta = np.inf
     converged = False
     for _ in range(config.max_iter):
-        fh = np.where(keep, np.fft.fft2(params.f(phi)), 0.0)
-        num = sg.weighted_sq_sum(s_keep[keep], ph[keep])
-        den = float(np.real(np.sum(fh[keep] * np.conj(ph[keep]))))
+        fh = np.where(keep, np.fft.rfft2(params.f(phi)), 0.0)
+        num = sg.weighted_sq_sum(grid, s_keep, ph)
+        den = sg.half_dot(grid, fh, ph)
         if den == 0.0 or num == 0.0:
             raise CollapseError(
                 "iterate lost all spectral content",
                 report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False),
             )
         M = num / den
-        resid = _residual(s_keep, ph, fh, keep)
+        resid = _residual(grid, s_keep * ph, fh)
         res_hist.append(resid)
         m_hist.append(M)
         if resid <= config.tol_residual and delta <= config.tol_delta:
@@ -242,20 +256,12 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
                 report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False),
             )
         ph = np.where(keep, M**gamma * fh / s_keep, 0.0)
-        new = np.real(np.fft.ifft2(ph))
+        new = np.fft.irfft2(ph, s=shape)
         nrm = np.linalg.norm(phi)
         delta = float(np.linalg.norm(new - phi) / nrm) if nrm > 0 else np.inf
         phi = new
 
-    report = _report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, converged)
-    if not converged:
-        raise ConvergenceError(
-            f"Petviashvili did not converge in {config.max_iter} iterations "
-            f"(last residual {res_hist[-1]:.3e})",
-            report=report,
-            field=sg.Field(grid, phi),
-        )
-    return sg.Field(grid, phi), report
+    return _finish(PETVIASHVILI, phi, grid, params, res_hist, m_hist, converged)
 
 
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
@@ -268,10 +274,10 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     def manifold_scale(zsq, uf):
         return (zsq / uf) ** (1.0 / (m - 1.0))
 
-    phi = _init_values(config, grid)
-    ph = np.where(keep, np.fft.fft2(phi), 0.0)
-    phi = np.real(np.fft.ifft2(ph))
-    zsq = sg.weighted_sq_sum(s_keep[keep], ph[keep]) * w
+    shape = (grid.ny, grid.nx)
+    ph = np.where(keep, np.fft.rfft2(_init_values(config, grid)), 0.0)
+    phi = np.fft.irfft2(ph, s=shape)
+    zsq = sg.weighted_sq_sum(grid, s_keep, ph) * w
     uf = float(np.sum(phi * params.f(phi)) * dA)
     if uf <= 0:
         raise CollapseError("initial guess has int u f(u) <= 0", report=None)
@@ -284,18 +290,18 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     res_hist: list = []
     converged = False
     for _ in range(config.max_iter):
-        fh = np.where(keep, np.fft.fft2(params.f(phi)), 0.0)
-        resid = _residual(s_keep, ph, fh, keep)
+        fh = np.where(keep, np.fft.rfft2(params.f(phi)), 0.0)
+        resid = _residual(grid, s_keep * ph, fh)
         res_hist.append(resid)
         if resid <= config.tol_residual:
             converged = True
             break
-        d = np.real(np.fft.ifft2(np.where(keep, ph - fh / s_keep, 0.0)))
+        d = np.fft.irfft2(np.where(keep, ph - fh / s_keep, 0.0), s=shape)
         accepted = False
         for _try in range(40):
             v = phi - h * d
-            vh = np.where(keep, np.fft.fft2(v), 0.0)
-            zv = sg.weighted_sq_sum(s_keep[keep], vh[keep]) * w
+            vh = np.where(keep, np.fft.rfft2(v), 0.0)
+            zv = sg.weighted_sq_sum(grid, s_keep, vh) * w
             ufv = float(np.sum(v * params.f(v)) * dA)
             if ufv <= 0 or zv == 0.0:
                 h *= 0.5
@@ -315,15 +321,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         phi, ph, S_old = tv * v, tv * vh, Sv
         h = min(h * 1.3, 0.9)
 
-    report = _report(NEHARI_DESCENT, phi, grid, params, res_hist, [], converged)
-    if not converged:
-        raise ConvergenceError(
-            f"Nehari descent did not converge in {config.max_iter} iterations "
-            f"(last residual {res_hist[-1]:.3e})",
-            report=report,
-            field=sg.Field(grid, phi),
-        )
-    return sg.Field(grid, phi), report
+    return _finish(NEHARI_DESCENT, phi, grid, params, res_hist, [], converged)
 
 
 def solve(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):

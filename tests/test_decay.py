@@ -178,3 +178,28 @@ def test_report_outside_proven_range():
     p = PhysicsParams(c=1.0, m=1.5, signed_power=True)  # p = 2.5 < p0
     rep = decay_report(f, p, window_x=(1.0, 8.0), window_y=(1.0, 8.0))
     assert not rep.p_in_proven_range
+
+
+def test_tail_fit_matches_linregress(ground_state_256):
+    """The closed-form fit returns linregress's slope and standard error to 1e-12."""
+    from scipy.stats import linregress
+
+    from shrira.decay import _axis_samples, _linear_fit
+
+    rng = np.random.default_rng(23)
+    for n in (3, 9, 250):
+        x = rng.uniform(0.5, 4.0, n)
+        y = -2.7 * x + 0.3 * rng.standard_normal(n)
+        slope, stderr = _linear_fit(x, y)
+        fit = linregress(x, y)
+        assert slope == pytest.approx(fit.slope, rel=1e-12)
+        assert stderr == pytest.approx(fit.stderr, rel=1e-12)
+    fld, _, _ = ground_state_256
+    window = decay_report(fld, PhysicsParams(c=1.0, m=2)).fit_window_y
+    e, se = tail_exponent_fit(fld, "y", window)
+    vals, offs = _axis_samples(fld, "y")
+    r = np.abs(offs)
+    sel = (r >= window[0]) & (r <= window[1]) & (np.abs(vals) > 1e-13)
+    fit = linregress(np.log(r[sel]), np.log(np.abs(vals[sel])))
+    assert e == pytest.approx(-fit.slope, rel=1e-12)
+    assert se == pytest.approx(fit.stderr, rel=1e-12)

@@ -283,3 +283,14 @@ def test_invariant_suite_randomized():
         S_star = action_S(Field(g, t * h.values), p)
         for frac in (0.5, 0.9, 1.1, 2.0):
             assert S_star >= action_S(Field(g, frac * t * h.values), p) - 1e-12
+
+
+def test_integer_powers_by_multiplication_match_pow():
+    """f and F multiply instead of calling pow: within 4 ulp of u**n, f bit-identical at m = 2."""
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(100_000) * np.exp(rng.uniform(-3.0, 3.0, 100_000))
+    for m in (2, 3, 4, 5):
+        p = PhysicsParams(c=1.0, m=m)
+        for got, want in ((p.f(u), u**m), (p.F(u), u ** (m + 1) / (m + 1.0))):
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    assert np.array_equal(PhysicsParams(c=1.0, m=2).f(u), u**2)

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shrira
 from shrira import Grid, Field, read_field, write_field
 from shrira.cli import main
 from shrira.kernels import KernelSpec, h_nu_point
@@ -293,3 +298,54 @@ def test_cli_version_and_help():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_field_format_v1_reads_as_unsigned_power(tmp_path):
+    g = Grid(8, 8, 1.0, 1.0)
+    f = Field(g, np.arange(64.0).reshape(8, 8))
+    p = tmp_path / "v2.field"
+    write_field(p, f, {"c": 1.0, "m": 3, "signed_power": True})
+    head, payload = p.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    assert header["format_version"] == 2 and header["signed_power"] is True
+    del header["signed_power"]
+    header["format_version"] = 1
+    v1 = tmp_path / "v1.field"
+    v1.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    back, h1 = read_field(v1)
+    assert h1["signed_power"] is False
+    assert np.array_equal(back.values, f.values)
+    header["format_version"] = 3
+    (tmp_path / "v3.field").write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(CorruptFieldFileError, match="format_version 3"):
+        read_field(tmp_path / "v3.field")
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0])
+def test_cli_verify_takes_signed_power_from_the_field(tmp_path, m):
+    """A signed-power solve verifies without --config: the header carries signed_power."""
+    cfg = {
+        "grid": {"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI},
+        "physics": {"c": 1.0, "m": m, "signed_power": True},
+        "solver": {"max_iter": 1500, "init": {"kind": "gaussian", "amplitude": 1.2}},
+    }
+    p = tmp_path / "signed.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 0
+    _, header = read_field(tmp_path / "phi.field")
+    assert header["signed_power"] is True
+    assert main(["verify", "--field", str(tmp_path / "phi.field"), "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "verify_report.json").read_text())
+    assert rep["spectral_residual"] <= 1e-10  # u^2 instead of |u|u would leave ~3e-2 at m = 2
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    """scipy.stats and scipy.integrate cost ~1 s of import; no command needs them at start-up."""
+    src = str(Path(shrira.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import shrira.cli, sys; "
+        "sys.exit(' '.join(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules) or None)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

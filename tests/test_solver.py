@@ -11,6 +11,7 @@ from shrira import (
     PhysicsParams,
     SolverConfig,
     GaussianInit,
+    FileInit,
     spectral_residual,
     petviashvili,
     nehari_descent,
@@ -18,6 +19,7 @@ from shrira import (
     sweep,
     z_norm_sq,
     lp_norm,
+    write_field,
 )
 from shrira.solver import profile_symbol, default_dealias_rule
 from shrira.errors import (
@@ -220,3 +222,16 @@ def test_report_serializes(small_solution):
     _, rep = small_solution
     text = json.dumps(rep.to_dict())
     assert "residual_history" in text and "functionals" in text
+
+
+def test_warm_start_from_another_box_is_rejected(small_solution, p12, tmp_path):
+    """Same sample count, different box: both warm-start routes name the two boxes."""
+    fld, _ = small_solution
+    g = fld.grid
+    other = Grid(g.nx, g.ny, 2 * g.lx, g.ly)
+    path = tmp_path / "warm.field"
+    write_field(path, fld, {"c": 1.0, "m": 2})
+    for init in (fld, FileInit(str(path))):
+        with pytest.raises(GridMismatchError) as exc:
+            petviashvili(SolverConfig(init=init), p12, other)
+        assert str(g) in str(exc.value) and str(other) in str(exc.value)
