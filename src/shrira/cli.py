@@ -194,7 +194,7 @@ def _cmd_sweep(args) -> int:
         rows = sol.sweep(args.param, values, cfg.solver, cfg.physics, grid)
     except ConvergenceError as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        rows, code = exc.rows, EXIT_NO_CONVERGENCE
     _write_csv(
         out / "sweep.csv",
         ("value", "d", "l2_norm_sq", "exponent_x", "exponent_y", "iterations", "converged"),

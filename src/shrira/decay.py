@@ -178,10 +178,10 @@ def two_box_sup_drift(small: sg.Field, big: sg.Field, weight, window: Optional[t
 def y_weighted_seminorm(f: sg.Field) -> float:
     """int y^2 (|D_x^{1/2} phi|^2 + |grad phi|^2) by spectral derivatives."""
     g = f.grid
-    ch = np.fft.fft2(f.values)
-    dxh = np.real(np.fft.ifft2(np.sqrt(g.abs_xi) * ch))
-    px = np.real(np.fft.ifft2(1j * g.xi2d * ch))
-    py = np.real(np.fft.ifft2(1j * g.eta2d * ch))
+    ch = np.fft.rfft2(f.values)
+    xi = g.half(g.xi)
+    dxh, px, py = (np.fft.irfft2(sym * ch, s=(g.ny, g.nx))
+                   for sym in (np.sqrt(np.abs(xi)), 1j * xi, 1j * g.eta_odd[:, None]))
     _, Y = g.meshgrid()
     return float(np.sum(Y**2 * (dxh**2 + px**2 + py**2)) * g.cell_area)
 

@@ -42,7 +42,9 @@ class UndefinedResidualError(ShriraError, ValueError):
 
 
 class ConvergenceError(ShriraError):
-    """Iteration failed to converge; carries the partial report."""
+    """Iteration failed to converge; carries the partial report (a sweep's: its finished rows)."""
+
+    rows = ()
 
     def __init__(self, message, report=None, field=None):
         super().__init__(message)

@@ -172,8 +172,8 @@ def evolve(
     ref_hat = ref_norm = None
     if reference is not None:
         ref_field, ref_speed = reference
-        if (ref_field.grid.nx, ref_field.grid.ny) != (g.nx, g.ny):
-            raise GridMismatchError("reference field sample count differs")
+        if ref_field.grid != g:
+            raise GridMismatchError(f"reference field is on {ref_field.grid}, the run on {g}")
         ref_hat = np.fft.rfft2(ref_field.values)
         ref_norm = np.linalg.norm(ref_field.values)
 

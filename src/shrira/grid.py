@@ -97,6 +97,11 @@ class Grid:
         return 2 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
 
     @cached_property
+    def eta_odd(self) -> np.ndarray:
+        """eta, 0 on the Nyquist row: the part of i*eta real(ifft2) keeps, for irfft2 (read-only)."""
+        return _read_only(np.where(np.arange(self.ny) == self.ny // 2, 0.0, self.eta))
+
+    @cached_property
     def xi2d(self) -> np.ndarray:
         return np.broadcast_to(self.xi[None, :], (self.ny, self.nx))
 
@@ -152,25 +157,29 @@ class Grid:
         return np.meshgrid(self.x, self.y, indexing="xy")
 
 
-def dispersion_table(grid: Grid) -> np.ndarray:
+def dispersion_table(grid: Grid, half: bool = False) -> np.ndarray:
     """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new (ny, nx) array.
 
     The profile symbol is c + table, the energy weight is the table itself, the
     dispersive symbol is i*xi*table and the kernel denominator |xi|(1 + table).
     Callers that must not keep the array alive (the large kernel oracle grids)
     use this function; everything else reads the cached `Grid.dispersion`.
+    half=True builds only the half-spectrum columns 0..nx/2.
     """
-    return divide_off_xi0(grid, grid.xi**2 + grid.eta[:, None] ** 2, np.abs(grid.xi))
+    xi = grid.half(grid.xi) if half else grid.xi
+    return divide_off_xi0(grid, xi**2 + grid.eta[:, None] ** 2, np.abs(xi))
 
 
 def divide_off_xi0(grid: Grid, num, den, dtype=np.float64) -> np.ndarray:
     """num/den on the xi != 0 modes and 0 on every xi = 0 mode.
 
-    num and den broadcast to (ny, nx) and are never divided on xi = 0, so a
-    symbol singular there (|xi|^-1/2, 1/|xi|) needs no special casing.
+    num and den broadcast to the full (ny, nx) or the half (ny, nx/2 + 1)
+    layout and are never divided on xi = 0, so a symbol singular there
+    (|xi|^-1/2, 1/|xi|) needs no special casing.
     """
-    out = np.zeros((grid.ny, grid.nx), dtype=dtype)
-    return np.divide(num, den, out=out, where=grid.xi_nonzero)
+    shape = np.broadcast_shapes(np.shape(num), np.shape(den))
+    out = np.zeros(shape, dtype=dtype)
+    return np.divide(num, den, out=out, where=grid.xi[: shape[-1]] != 0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -264,32 +273,32 @@ def apply_multiplier(s: Spectrum, symbol) -> Spectrum:
     return Spectrum(g, out)
 
 
-def _spectral_op(f: Field, symbol: np.ndarray) -> Field:
-    return inverse(Spectrum(f.grid, symbol * np.fft.fft2(f.values)))
+def _spectral_op(f: Field, symbol) -> Field:
+    """real(ifft2(symbol * fft2(f))) of a Hermitian symbol (full or half layout), by rfft2/irfft2."""
+    g = f.grid
+    return Field(g, np.fft.irfft2(g.half(symbol) * np.fft.rfft2(f.values), s=(g.ny, g.nx)))
 
 
 def dx_half(f: Field) -> Field:
     """Half-order x-derivative, symbol |xi|^(1/2)."""
-    return _spectral_op(f, np.sqrt(f.grid.abs_xi))
+    return _spectral_op(f, np.sqrt(np.abs(f.grid.xi)))
 
 
 def dx_neg_half_dy(f: Field) -> Field:
     """Symbol |xi|^(-1/2) * (i eta), with xi = 0 modes set to zero."""
     g = f.grid
-    sym = divide_off_xi0(g, 1j * g.eta[:, None], np.sqrt(np.abs(g.xi)), np.complex128)
+    sym = divide_off_xi0(g, 1j * g.eta_odd[:, None], np.sqrt(np.abs(g.half(g.xi))), np.complex128)
     return _spectral_op(f, sym)
 
 
 def hilbert_x(f: Field) -> Field:
     """x-directional Hilbert transform, symbol -i*sgn(xi)."""
-    return _spectral_op(f, -1j * np.sign(f.grid.xi2d))
+    return _spectral_op(f, -1j * np.sign(f.grid.xi))
 
 
 def project_zero_x(f: Field) -> Field:
     """Zero every coefficient with xi = 0; output rows have zero mean."""
-    ch = np.fft.fft2(f.values)
-    ch[:, 0] = 0.0
-    return Field(f.grid, np.real(np.fft.ifft2(ch)))
+    return _spectral_op(f, f.grid.xi != 0)
 
 
 def dealias(s: Spectrum, rule: str = TWO_THIRDS) -> Spectrum:

@@ -368,7 +368,8 @@ def sweep(
     For a c-sweep the warm start is the exact speed rescaling (the grid shrinks
     by c_new/c_old alongside); for an m-sweep the previous profile is reused on
     the same grid.  Rows carry d = S(phi), ||phi||_2^2 and the fitted tail
-    exponents along both axes.
+    exponents along both axes.  A ConvergenceError carries the rows finished
+    before it (`rows`).
     """
     def fit_exponent(fld, axis):
         half = fld.grid.lx / 2 if axis == "x" else fld.grid.ly / 2
@@ -398,7 +399,11 @@ def sweep(
             # an m-sweep re-derives gamma and the dealias rule from each m
             reset = {"gamma": None, "dealias_rule": None} if param == "m" else {}
             cfg = replace(config, init=warm, **reset)
-        fld, rep = solve(cfg, p, cur_grid)
+        try:
+            fld, rep = solve(cfg, p, cur_grid)
+        except ConvergenceError as exc:
+            exc.rows = rows
+            raise
         ex = fit_exponent(fld, "x")
         ey = fit_exponent(fld, "y")
         rows.append(

@@ -211,3 +211,14 @@ def test_half_spectrum_step_matches_full_complex_step(seed, m, rule, shape, ampl
     ref = _full_complex_step(ch, dt, params, g, rule)
     got = step_if_rk4(Spectrum(g, ch), dt, params, rule).coeffs
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_reference_from_another_box_is_rejected():
+    """Same sample count, different box: the shape-error reference names both boxes."""
+    run, other = Grid(32, 32, 8 * PI, 8 * PI), Grid(32, 32, 16 * PI, 8 * PI)
+    X, Y = run.meshgrid()
+    u0 = 0.1 * np.exp(-(X**2 + Y**2))
+    ref = Field(other, np.zeros((32, 32)))
+    with pytest.raises(GridMismatchError) as exc:
+        evolve(Field(run, u0), EvolveConfig(t_end=0.1), PhysicsParams(c=1.0, m=2), reference=(ref, 1.0))
+    assert str(run) in str(exc.value) and str(other) in str(exc.value)

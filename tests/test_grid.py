@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shrira
 from shrira import (
@@ -22,6 +23,8 @@ from shrira import (
     l2_inner,
 )
 from shrira.errors import GridMismatchError, SymbolDomainError
+
+from shrira.decay import y_weighted_seminorm
 
 from conftest import random_field
 
@@ -279,3 +282,43 @@ def test_half_spectrum_weighted_sums_equal_full_sums():
     assert weighted_sq_sum(g, 1.0, ha) * g.spectral_weight == pytest.approx(phys, rel=1e-13)
     assert half_dot(g, ha, hb) == pytest.approx(np.real(np.sum(fa * np.conj(fb))), rel=1e-12)
     assert np.max(np.abs(full_from_half(g, ha) - fa)) <= 1e-13 * np.max(np.abs(fa))
+
+
+def _full_complex_op(u, g, symbol):
+    """real(ifft2(symbol * fft2(u))): the full-complex form of a Hermitian multiplier."""
+    return np.real(np.fft.ifft2(symbol * np.fft.fft2(u)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(16, 16), (32, 16), (16, 24)]),
+    box=st.sampled_from([(TWO_PI, TWO_PI), (3.0, 5.0), (40.0, 12.0)]),
+    band_limit=st.booleans(),
+)
+def test_verify_operators_on_half_spectrum_match_full_complex(seed, shape, box, band_limit):
+    """D_x^(1/2), D_x^(-1/2) d_y, H_x, the zero-x projection and the y-weighted seminorm:
+    random real fields, band-limited or with Nyquist content, agree with the full-complex
+    formulas to 1e-13."""
+    nx, ny = shape
+    g = Grid(nx, ny, *box)
+    u = random_field(g, np.random.default_rng(seed), band_limit).values
+    f = Field(g, u)
+    xi, eta = g.xi[None, :], g.eta[:, None]
+    ax = np.abs(xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg_half_dy = np.where(xi != 0, 1j * eta / np.sqrt(ax), 0.0)
+    cases = (
+        (dx_half, np.sqrt(ax)),
+        (dx_neg_half_dy, neg_half_dy),
+        (hilbert_x, -1j * np.sign(xi)),
+        (project_zero_x, (xi != 0).astype(float)),
+    )
+    for op, symbol in cases:
+        ref = _full_complex_op(u, g, symbol)
+        got = op(f).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1e-300), op.__name__
+    dxh, px, py = (_full_complex_op(u, g, sym) for sym in (np.sqrt(ax), 1j * xi, 1j * eta))
+    Y = g.meshgrid()[1]
+    ref = float(np.sum(Y**2 * (dxh**2 + px**2 + py**2)) * g.cell_area)
+    assert y_weighted_seminorm(f) == pytest.approx(ref, rel=1e-13)

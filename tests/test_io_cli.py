@@ -284,6 +284,21 @@ def test_cli_sweep(tmp_path, cfg_file):
     assert float(rows[1]["d"]) == pytest.approx(2.0 * float(rows[0]["d"]), rel=1e-6)
 
 
+def test_cli_sweep_keeps_finished_rows(tmp_path):
+    """m = 3 converges in 26 iterations, the warm-started m = 2 needs 50: with max_iter 40
+    the sweep exits 3 and sweep.csv holds exactly the m = 3 row."""
+    cfg = dict(BASE_CONFIG, solver={"method": "petviashvili", "max_iter": 40})
+    p = tmp_path / "sweep.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "sw"
+    code = main(["sweep", "--param", "m", "--values", "3,2", "--config", str(p), "--out", str(out)])
+    assert code == 3
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["value"]) for r in rows] == [3.0]
+    assert rows[0]["converged"] == "1"
+
+
 def test_cli_lizorkin(tmp_path):
     out = tmp_path / "liz.csv"
     assert main(["lizorkin", "--out", str(out), "--n-samples", "64"]) == 0
@@ -339,13 +354,23 @@ def test_cli_verify_takes_signed_power_from_the_field(tmp_path, m):
     assert rep["spectral_residual"] <= 1e-10  # u^2 instead of |u|u would leave ~3e-2 at m = 2
 
 
-def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    """scipy.stats and scipy.integrate cost ~1 s of import; no command needs them at start-up."""
+def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
+    """scipy.stats and scipy.integrate cost ~1 s of import; no command needs them at start-up,
+    and the kernel command (quadrature and oracle) runs without importing any scipy module."""
     src = str(Path(shrira.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.5,0.5\n1.0,1.0\n")
+    kernel = ["kernel", "--nu", "0", "--points", str(pts), "--out", str(tmp_path / "k.csv"),
+              "--oracle-nx", "256", "--oracle-ny", "64", "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)]
     code = (
-        "import shrira.cli, sys; "
-        "sys.exit(' '.join(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules) or None)"
+        "import shrira.cli, sys\n"
+        "slow = [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules]\n"
+        "if slow: sys.exit('at import: ' + ' '.join(slow))\n"
+        f"assert shrira.cli.main({kernel!r}) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "sys.exit(f'after kernel: {len(loaded)} scipy modules, e.g. {loaded[:3]}' if loaded else None)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "k.csv").read_text().splitlines()) == 3

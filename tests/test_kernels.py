@@ -1,6 +1,7 @@
 """Kernel quadrature, the symbol-transform oracle, and multiplier sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +17,20 @@ from shrira import (
     kernel_decay_scan,
     lizorkin_sample,
 )
+from shrira import kernels
+from shrira import grid as sg
 from shrira.kernels import (
+    ABS_ERROR_FLOOR,
     K_SYM,
     MULTIPLIER_IDS,
+    QK15_GAUSS_WEIGHTS,
+    QK15_NODES,
+    QK15_WEIGHTS,
     SQRT_PI,
     _lizorkin_tables,
     oracle_node_value,
 )
-from shrira.errors import GridMismatchError, KernelSingularityError
+from shrira.errors import GridMismatchError, KernelSingularityError, QuadratureAccuracyError
 
 PI = math.pi
 
@@ -107,6 +114,85 @@ def test_quadrature_refinement_monotone():
         prev = cur
 
 
+def test_qk15_rule_is_the_gauss_kronrod_pair():
+    """The hard-coded 7-point Gauss nodes and weights are leggauss(7); the 15-point Kronrod
+    rule integrates t^k on [-1, 1] exactly for k <= 22, the Gauss rule for k <= 13."""
+    gauss = QK15_GAUSS_WEIGHTS != 0
+    assert np.count_nonzero(gauss) == 7
+    t7, w7 = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(QK15_NODES[gauss], t7, rtol=0, atol=1e-15)
+    assert np.allclose(QK15_GAUSS_WEIGHTS[gauss], w7, rtol=0, atol=1e-15)
+    assert np.all(np.diff(QK15_NODES) > 0) and np.all(QK15_NODES == -QK15_NODES[::-1])
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(QK15_WEIGHTS @ QK15_NODES**k - exact) <= 1e-14, k
+        if k <= 13:
+            assert abs(QK15_GAUSS_WEIGHTS @ QK15_NODES**k - exact) <= 1e-14, k
+
+
+def test_qk15_error_estimate_is_quadpacks():
+    """Per interval, value and error equal scipy's QUADPACK-style gk15 (the rule of quad_vec):
+    resasc * min(1, (200 |K15 - G7| / resasc)^1.5), floored at 50 eps resabs."""
+    quad_vec = pytest.importorskip("scipy.integrate._quad_vec")
+    if not hasattr(quad_vec, "_quadrature_gk15"):
+        pytest.skip("scipy has no _quadrature_gk15")
+    cases = [
+        (lambda t: t**20, (-1.0, 1.0)),  # 200 |K - G| > resasc: the error is resasc
+        (lambda t: t**-0.5, (1e-6, 2.0)),
+        (lambda t: np.cos(3.0 * t), (0.0, 2.0)),  # resasc (200 |K - G| / resasc)^1.5
+        (lambda t: 1.0 / (1.0 + t * t), (0.0, 1.0)),
+        (lambda t: np.exp(-t), (2.0, 2.5)),  # K = G to round-off: the 50 eps resabs floor
+        (lambda t: 1.0 + 0.0 * t, (2.0, 60.0)),
+    ]
+    for f, (a, b) in cases:
+        val, err = kernels._qk15(f, np.array([a]), np.array([b]))
+        ref_val, ref_err, _ = quad_vec._quadrature_gk15(a, b, f, abs)
+        assert val[0] == pytest.approx(ref_val, rel=1e-13, abs=1e-300), (a, b)
+        assert err[0] == pytest.approx(ref_err, rel=1e-6, abs=0), (a, b)
+
+
+def _quad_referee(monkeypatch, evaluate, points):
+    """(value, est_error) per point with the quadrature routed through scipy.integrate.quad
+    (the call shape is shared); where quad cannot certify, its best estimate and error."""
+    from scipy.integrate import quad
+
+    monkeypatch.setattr(kernels, "_gauss_kronrod", quad)
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad's IntegrationWarning near the t = 0 singularity
+        for (x, y) in points:
+            try:
+                s = evaluate(x, y)
+                out.append((s.value, s.est_error))
+            except QuadratureAccuracyError as exc:
+                out.append((exc.value, exc.est_error))
+    return out
+
+
+QUAD_SWAP_POINTS = [
+    (1.0, 0.0), (7.5, 0.0), (0.0, 1.0), (0.0, 12.0),  # on the axes
+    (0.5, 0.5), (1.2, 0.7), (3.0, 4.0), (5.0, 5.0), (10.0, 0.1),  # off the axes
+    (0.05, 0.02), (0.001, 0.001), (0.0, 0.001),  # near the origin
+]
+
+
+@pytest.mark.parametrize("nu", [-1.4, -0.5, 0.0, 0.5, 2.0])
+def test_gauss_kronrod_against_scipy_quad(nu, monkeypatch):
+    """Every point is certified, and scipy's quad agrees within the two error estimates."""
+    spec = KernelSpec(nu=nu)
+    ours = [h_nu_point(spec, x, y) for (x, y) in QUAD_SWAP_POINTS]
+    refs = _quad_referee(monkeypatch, lambda x, y: h_nu_point(spec, x, y), QUAD_SWAP_POINTS)
+    for a, (value, est_error) in zip(ours, refs):
+        assert abs(a.value - value) <= a.est_error + est_error + ABS_ERROR_FLOOR, (a, value, est_error)
+
+
+def test_hk_gauss_kronrod_against_scipy_quad(monkeypatch):
+    pts = [(0.5, 0.0), (1.0, 1.0), (2.0, 3.0), (3.0, 4.0), (0.05, 0.02)]
+    ours = [hk_point(x, y) for (x, y) in pts]
+    for a, (value, est_error) in zip(ours, _quad_referee(monkeypatch, hk_point, pts)):
+        assert abs(a.value - value) <= a.est_error + est_error + ABS_ERROR_FLOOR, (a, value, est_error)
+
+
 def test_hk_basics():
     assert hk_point(0.0, 2.0).value == 0.0
     assert hk_point(1.0, 1.0).value > 0.0
@@ -130,7 +216,7 @@ def test_oracle_symbol_values():
 
     g = Grid(32, 32, 2 * PI, 2 * PI)  # integer wavenumbers
     sym = _oracle_symbol(0.0, g, hilbert=False)
-    jx, jy = g.index_x(), g.index_y()
+    jx, jy = g.half(g.index_x()), g.half(g.index_y())  # the symbol's half-spectrum layout
     assert sym[(jx == 1) & (jy == 0)][0] == pytest.approx(0.5)
     assert sym[(jx == 1) & (jy == 1)][0] == pytest.approx(1.0 / 3.0)
     assert np.all(sym[jx == 0] == 0.0)
@@ -151,12 +237,33 @@ def test_oracle_zero_x_modes_vanish_for_negative_nu(nu):
     with pytest.warns(RuntimeWarning, match="xi = 0 modes set to 0"):
         sym = _oracle_symbol(nu, g, hilbert=False)
         K = kernel_spectral_oracle(nu, g)
-    jx, jy = g.index_x(), g.index_y()
+    jx, jy = g.half(g.index_x()), g.half(g.index_y())  # the symbol's half-spectrum layout
     assert np.all(sym[jx == 0] == 0.0)
     assert sym[(jx == 1) & (jy == 1)][0] == pytest.approx(1.0 / 3.0)  # |xi|^(1+nu) = 1
     assert np.all(np.isfinite(K.values))
     # no xi = 0 content: every row of the transform sums to zero
     assert np.max(np.abs(K.values.sum(axis=1))) <= 1e-12 * np.max(np.abs(K.values)) * g.nx
+
+
+def _full_spectrum_oracle(nu, grid, hilbert):
+    """The full-complex oracle: real(roll(ifft2(full symbol))) on the whole (ny, nx) layout."""
+    ax = np.abs(grid.xi)
+    with np.errstate(divide="ignore"):
+        num = -1j * grid.xi if hilbert else ax ** (1.0 + nu)
+    sym = sg.divide_off_xi0(grid, num, ax * (1.0 + sg.dispersion_table(grid)),
+                            np.complex128 if hilbert else np.float64)
+    raw = np.fft.ifft2(sym) * (grid.nx * grid.ny) * (2 * np.pi) ** 2 / (grid.lx * grid.ly)
+    return np.roll(np.real(raw), (grid.ny // 2, grid.nx // 2), axis=(0, 1))
+
+
+@pytest.mark.parametrize("nu, hilbert", [(0.0, False), (0.5, False), (-1.2, False), (0.0, True)])
+@pytest.mark.parametrize("grid", [Grid(64, 32, 8 * PI, 4 * PI), Grid(512, 128, 32 * PI, 8 * PI)])
+def test_half_spectrum_oracle_matches_full_complex(nu, hilbert, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the nu < 0 warning
+        ref = _full_spectrum_oracle(nu, grid, hilbert)
+        got = kernel_spectral_oracle(nu, grid, hilbert).values
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.fixture(scope="module")
