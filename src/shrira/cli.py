@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation/configuration error, 3 solver
+Exit codes: 0 success, 2 validation/configuration error or evolve blow-up
+(last_good.field and the partial conservation.csv are still written), 3 solver
 non-convergence (reports are still written).
 """
 
@@ -20,7 +21,7 @@ from . import evolution as evo
 from . import kernels as ker
 from . import solver as sol
 from .config import load_config
-from .errors import ConfigError, ConvergenceError, ShriraError
+from .errors import BlowUpError, ConfigError, ConvergenceError, ShriraError
 from .functionals import functional_report, nehari_scale
 from .grid import Field, Grid
 from .io import read_field, write_field
@@ -119,6 +120,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _conservation_csv(path: Path, report) -> None:
+    shapes = report.shape_error_series or [""] * len(report.times)
+    rows = [(f"{t:.17g}", f"{m:.17g}", f"{e:.17g}", shape) for t, m, e, shape
+            in zip(report.times, report.mass_series, report.energy_series, shapes)]
+    _write_csv(path, ("t", "mass", "energy", "shape_error"), rows)
+
+
 def _cmd_evolve(args) -> int:
     fld, header = read_field(args.field)
     cfg = load_config(args.config)
@@ -136,12 +144,13 @@ def _cmd_evolve(args) -> int:
             write_field(p, f, _meta(params))
             snapshots.append(str(p))
 
-    report = evo.evolve(fld, cfg.evolve, params, reference=reference, snapshot_cb=snap)
-    rows = []
-    for i, t in enumerate(report.times):
-        shape = report.shape_error_series[i] if report.shape_error_series else ""
-        rows.append((f"{t:.17g}", f"{report.mass_series[i]:.17g}", f"{report.energy_series[i]:.17g}", shape))
-    _write_csv(out / "conservation.csv", ("t", "mass", "energy", "shape_error"), rows)
+    try:
+        report = evo.evolve(fld, cfg.evolve, params, reference=reference, snapshot_cb=snap)
+    except BlowUpError as exc:
+        write_field(out / "last_good.field", exc.last_good, _meta(params))
+        _conservation_csv(out / "conservation.csv", exc.report)
+        raise
+    _conservation_csv(out / "conservation.csv", report)
     d = report.to_dict()
     d["snapshots"] = snapshots
     _write_json(out / "evolve_report.json", d)

@@ -57,12 +57,13 @@ class CollapseError(ConvergenceError):
 
 
 class BlowUpError(ShriraError):
-    """Time integration produced non-finite values; carries the last good state."""
+    """Time integration produced non-finite values; carries the last good state and the partial report."""
 
-    def __init__(self, message, last_good=None, t=None):
+    def __init__(self, message, last_good=None, t=None, report=None):
         super().__init__(message)
         self.last_good = last_good
         self.t = t
+        self.report = report
 
 
 class UnderflowWindowError(ShriraError, ValueError):

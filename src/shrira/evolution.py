@@ -4,9 +4,13 @@ Spectrally, u_hat_t = sigma_L * u_hat - i xi * f(u)_hat with the purely
 imaginary dispersive symbol sigma_L = i sgn(xi) (xi^2 + eta^2) (sgn(0) = 0, so
 all xi = 0 modes are frozen by both terms).  The integrator is
 integrating-factor RK4: the linear phase is applied exactly, classical RK4
-handles the dealiased nonlinear term.  Transforms are real-to-complex
-(numpy.fft.rfft2/irfft2): the loop carries the half spectrum of `shrira.grid`,
-and dealiasing and the x-derivative are one fused multiplier -i xi * keep.
+handles the dealiased nonlinear term.  Transforms are real-to-complex: the
+loop carries the half spectrum of `shrira.grid`, and dealiasing and the
+x-derivative are one fused multiplier -i xi * keep.  One stepper per run holds
+the phase tables and the work buffers; each stage runs in place (`out=`), the
+inverse transform is ifft along y then irfft along x, and the forward one is
+rfft along x then fft along y only on the columns -i xi * keep leaves nonzero.
+The step is bit-identical to the classical formula on fresh arrays.
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
 1/2 int u^2 and E(u) = 1/2 (||D_x^{1/2}u||^2 + ||D_x^{-1/2}u_y||^2) - int F(u)
@@ -24,6 +28,7 @@ rounded down so the steps tile t_end exactly.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Optional
@@ -76,6 +81,8 @@ class EvolveReport:
     energy_series: list
     shape_error_series: list  # empty when no reference supplied
     final: sg.Field = field(repr=False, default=None)
+    steps: int = 0
+    timings: dict = field(default_factory=dict)  # setup_s, steps_s, records_s
 
     @property
     def mass_drift(self) -> float:
@@ -88,51 +95,70 @@ class EvolveReport:
         return max(abs(e - e0) for e in self.energy_series) / abs(e0)
 
     def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "times": self.times,
-            "mass_series": self.mass_series,
-            "energy_series": self.energy_series,
-            "shape_error_series": self.shape_error_series,
-            "mass_drift": self.mass_drift,
-            "energy_drift": self.energy_drift,
-        }
+        d = {k: v for k, v in vars(self).items() if k != "final"}
+        return dict(d, mass_drift=self.mass_drift, energy_drift=self.energy_drift)
 
 
-def _stepper(grid, dt, rule):
-    """Half-spectrum tables of one step: the phases e^(sigma dt/2), e^(sigma dt) and -i xi keep."""
-    e_half = np.exp(grid.half(linear_symbol(grid)) * (dt / 2))
-    mult = -1j * grid.half(grid.xi2d) * grid.half(grid.dealias_mask(rule))
-    return e_half, e_half * e_half, mult
+class _Stepper:
+    """The IFRK4 step of one run on the half spectrum: phase tables and work buffers built once.
 
+    The stages write into the buffers in the operand order in which numpy
+    evaluates the classical formula (complex a * b and b * a round differently,
+    and from 256 KB on numpy forms e_half * (temporary) as temporary * e_half),
+    so a step is bit-identical to it and allocates nothing of field size.
+    """
 
-def _nonlinear(uh, grid, params, mult):
-    return mult * np.fft.rfft2(params.f(np.fft.irfft2(uh, s=(grid.ny, grid.nx))))
+    def __init__(self, grid, dt, rule, params):
+        self.grid, self.dt, self.params = grid, dt, params
+        e_half = np.exp(grid.half(linear_symbol(grid)) * (dt / 2))
+        self.e_half, self.e_full = e_half, e_half * e_half
+        keep = grid.half(grid.dealias_mask(rule))
+        self.kc = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1  # columns kc.. of keep are empty
+        self.mult = -1j * grid.half(grid.xi2d) * keep
+        self.k = np.empty((5,) + keep.shape, np.complex128)  # k1..k4 and a stage argument
+        self.u, self.fu = np.empty((2, grid.ny, grid.nx))
+
+    def nonlinear(self, v, out):
+        """out = -i xi keep * rfft2(f(irfft2(v))) by one-axis transforms; columns kc.. skip the column FFT."""
+        cols = out[:, : self.kc]
+        np.fft.ifft(v, axis=0, out=out)
+        np.fft.irfft(out, n=self.grid.nx, axis=1, out=self.u)
+        np.fft.rfft(self.params.f(self.u, out=self.fu), axis=1, out=out)
+        np.fft.fft(cols, axis=0, out=cols)
+        return np.multiply(self.mult, out, out=out)
+
+    def step(self, uh, out):
+        """out = e_full uh + dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4), out distinct from uh."""
+        dt, eh, ef, N = self.dt, self.e_half, self.e_full, self.nonlinear
+        k1, k2, k3, k4, a = self.k
+        # overflow here is legitimate blow-up; the caller checks finiteness
+        with np.errstate(over="ignore", invalid="ignore"):
+            N(uh, k1)  # k2 = N(e_half * (uh + (dt / 2) * k1)), the product taken as (...) * e_half
+            np.multiply(np.add(uh, np.multiply(dt / 2, k1, out=a), out=a), eh, out=a)
+            N(a, k2)  # k3 = N(e_half * uh + (dt / 2) * k2)
+            np.add(np.multiply(eh, uh, out=a), np.multiply(dt / 2, k2, out=k3), out=a)
+            N(a, k3)  # k4 = N(e_full * uh + dt * e_half * k3)
+            np.multiply(np.multiply(dt, eh, out=k4), k3, out=k4)
+            np.add(np.multiply(ef, uh, out=out), k4, out=a)
+            N(a, k4)
+            np.multiply(np.multiply(2, eh, out=a), np.add(k2, k3, out=k2), out=k2)
+            np.add(np.add(np.multiply(ef, k1, out=k1), k2, out=k1), k4, out=k1)
+            return np.add(out, np.multiply(dt / 6, k1, out=k1), out=out)
 
 
 def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams, rule: Optional[str] = None) -> sg.Spectrum:
     """One integrating-factor RK4 step; xi = 0 modes are exactly constant.
 
-    The step runs on the half spectrum (columns 0..nx/2) with the kernel of
+    The step runs on the half spectrum (columns 0..nx/2) with the stepper of
     `evolve`; the xi < 0 columns are rebuilt by conjugate symmetry.  This is
     exact when s is the spectrum of a real field, as every caller passes.
     """
     g = s.grid
-    e_half, e_full, mult = _stepper(g, dt, rule or default_dealias_rule(params.m))
-    uh = _rk4_kernel(g.half(s.coeffs), dt, e_half, e_full, g, params, mult)
+    half = g.half(s.coeffs)
+    uh = _Stepper(g, dt, rule or default_dealias_rule(params.m), params).step(half, np.empty_like(half))
     if not np.all(np.isfinite(uh)):
         raise BlowUpError("non-finite coefficients after one step", last_good=s)
     return sg.Spectrum(g, sg.full_from_half(g, uh))
-
-
-def _rk4_kernel(uh, dt, e_half, e_full, grid, params, mult):
-    # overflow here is legitimate blow-up; the caller checks finiteness
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _nonlinear(uh, grid, params, mult)
-        k2 = _nonlinear(e_half * (uh + (dt / 2) * k1), grid, params, mult)
-        k3 = _nonlinear(e_half * uh + (dt / 2) * k2, grid, params, mult)
-        k4 = _nonlinear(e_full * uh + dt * e_half * k3, grid, params, mult)
-        return e_full * uh + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
 
 
 def _mass_energy(uh, grid, params):
@@ -156,15 +182,18 @@ def evolve(
     reference = (Field phi, speed c) enables shape-error tracking against the
     exact spectral translate phi(. - c t, .).  snapshot_cb(step, t, Field) is
     invoked at each record time.  Raises BlowUpError (carrying the last good
-    state and its time) if the iterate turns non-finite.
+    state, its time and the report up to the last record) if the iterate turns
+    non-finite.
     """
+    clock = time.perf_counter
+    t_start = clock()  # timings: set-up (tables, transforms), steps, records
     g = initial.grid
     rule = config.dealias_rule or default_dealias_rule(params.m)
     dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, rule)
     nsteps = max(1, ceil(config.t_end / dt_req - 1e-12))
     dt = config.t_end / nsteps
 
-    e_half, e_full, mult = _stepper(g, dt, rule)
+    stepper = _Stepper(g, dt, rule, params)
 
     def real(h):
         return np.fft.irfft2(h, s=(g.ny, g.nx))
@@ -178,38 +207,37 @@ def evolve(
         ref_norm = np.linalg.norm(ref_field.values)
 
     uh = np.fft.rfft2(initial.values)
+    nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
     times, masses, energies, shapes = [], [], [], []
+    records_s = 0.0
 
     def record(step, t):
+        nonlocal records_s
+        t0 = clock()
         m, e = _mass_energy(uh, g, params)
         times.append(t)
         masses.append(m)
         energies.append(e)
         if ref_hat is not None:
-            tr = real(ref_hat * np.exp(-1j * g.half(g.xi2d) * ref_speed * t))
+            tr = real(ref_hat * np.exp(-1j * g.half(g.xi) * ref_speed * t))
             shapes.append(float(np.linalg.norm(real(uh) - tr) / ref_norm))
         if snapshot_cb is not None:
             snapshot_cb(step, t, sg.Field(g, real(uh)))
+        records_s += clock() - t0
 
+    def report(steps, final=None):
+        timings = {"setup_s": t_setup - t_start, "steps_s": clock() - t_setup - records_s,
+                   "records_s": records_s}
+        return EvolveReport(dt, times, masses, energies, shapes, final, steps, timings)
+
+    t_setup = clock()
     record(0, 0.0)
-    last_good = uh
     for k in range(1, nsteps + 1):
-        uh = _rk4_kernel(uh, dt, e_half, e_full, g, params, mult)
-        if not np.all(np.isfinite(uh)):
-            raise BlowUpError(
-                f"blow-up detected at t = {k * dt:.6g}",
-                last_good=sg.Field(g, real(last_good)),
-                t=(k - 1) * dt,
-            )
-        last_good = uh
+        stepper.step(uh, nxt)
+        if not np.all(np.isfinite(nxt)):
+            raise BlowUpError(f"blow-up detected at t = {k * dt:.6g}", last_good=sg.Field(g, real(uh)),
+                              t=(k - 1) * dt, report=report(k - 1))
+        uh, nxt = nxt, uh
         if k % config.record_every == 0 or k == nsteps:
             record(k, k * dt)
-
-    return EvolveReport(
-        dt=dt,
-        times=times,
-        mass_series=masses,
-        energy_series=energies,
-        shape_error_series=shapes,
-        final=sg.Field(g, real(uh)),
-    )
+    return report(nsteps, sg.Field(g, real(uh)))

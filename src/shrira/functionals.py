@@ -55,10 +55,13 @@ class PhysicsParams:
     def p(self) -> float:
         return self.m + 1.0
 
-    def f(self, u: np.ndarray) -> np.ndarray:
+    def f(self, u: np.ndarray, out=None) -> np.ndarray:
+        """f(u), written into `out` when given (same values either way)."""
         if self.signed_power:
-            return np.abs(u) ** (self.m - 1.0) * u
-        return _int_power(u, int(self.m))
+            out = np.abs(u, out=out)
+            out **= self.m - 1.0
+            return np.multiply(out, u, out=out)
+        return _int_power(u, int(self.m), out)
 
     def F(self, u: np.ndarray) -> np.ndarray:
         if self.signed_power:
@@ -66,10 +69,10 @@ class PhysicsParams:
         return _int_power(u, int(self.m) + 1) / (self.m + 1.0)
 
 
-def _int_power(u: np.ndarray, n: int) -> np.ndarray:
+def _int_power(u: np.ndarray, n: int, out=None) -> np.ndarray:
     """u^n (n >= 2) by repeated multiplication; n = 2 is u * u, as numpy computes u ** 2."""
     # u ** n with n > 2 calls libm pow on mixed-sign arrays: ~100x slower
-    out = u * u
+    out = np.multiply(u, u, out=out)
     for _ in range(n - 2):
         out *= u
     return out

@@ -120,6 +120,7 @@ class SolveReport:
     converged: bool
     residual_history: list
     m_factor_history: list
+    delta_history: list  # Petviashvili: ||phi_n - phi_{n-1}|| / ||phi_{n-1}|| at each check (inf first)
     functionals: FunctionalReport
     d: float
     symmetry_defects: dict
@@ -157,7 +158,7 @@ def _diagnostics(f: sg.Field) -> tuple:
     return {"even_x": even_x, "even_y": even_y}, row_defect, loc, amax
 
 
-def _report(method, phi, grid, params, res_hist, m_hist, converged) -> SolveReport:
+def _report(method, phi, grid, params, res_hist, m_hist, converged, delta_hist=()) -> SolveReport:
     f = sg.Field(grid, phi)
     fr = functional_report(f, params)
     sym, row_defect, loc, amax = _diagnostics(f)
@@ -167,6 +168,7 @@ def _report(method, phi, grid, params, res_hist, m_hist, converged) -> SolveRepo
         converged=converged,
         residual_history=[float(r) for r in res_hist],
         m_factor_history=[float(m) for m in m_hist],
+        delta_history=[float(d) for d in delta_hist],
         functionals=fr,
         d=fr.S,
         symmetry_defects=sym,
@@ -176,9 +178,9 @@ def _report(method, phi, grid, params, res_hist, m_hist, converged) -> SolveRepo
     )
 
 
-def _finish(method, phi, grid, params, res_hist, m_hist, converged):
+def _finish(method, phi, grid, params, res_hist, m_hist, converged, delta_hist=()):
     """(Field, SolveReport) of a finished loop; ConvergenceError carrying both if not converged."""
-    report = _report(method, phi, grid, params, res_hist, m_hist, converged)
+    report = _report(method, phi, grid, params, res_hist, m_hist, converged, delta_hist)
     if not converged:
         raise ConvergenceError(
             f"{method} did not converge in {len(res_hist)} iterations "
@@ -231,7 +233,7 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     shape = (grid.ny, grid.nx)
     ph = np.where(keep, np.fft.rfft2(_init_values(config, grid)), 0.0)
     phi = np.fft.irfft2(ph, s=shape)
-    res_hist, m_hist = [], []
+    res_hist, m_hist, delta_hist = [], [], []
     delta = np.inf
     converged = False
     for _ in range(config.max_iter):
@@ -241,19 +243,20 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         if den == 0.0 or num == 0.0:
             raise CollapseError(
                 "iterate lost all spectral content",
-                report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False),
+                report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False, delta_hist),
             )
         M = num / den
         resid = _residual(grid, s_keep * ph, fh)
         res_hist.append(resid)
         m_hist.append(M)
+        delta_hist.append(delta)
         if resid <= config.tol_residual and delta <= config.tol_delta:
             converged = True
             break
         if M <= 0:
             raise CollapseError(
                 f"Petviashvili factor M = {M:.3e} <= 0 (bad initial guess)",
-                report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False),
+                report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False, delta_hist),
             )
         ph = np.where(keep, M**gamma * fh / s_keep, 0.0)
         new = np.fft.irfft2(ph, s=shape)
@@ -261,7 +264,7 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         delta = float(np.linalg.norm(new - phi) / nrm) if nrm > 0 else np.inf
         phi = new
 
-    return _finish(PETVIASHVILI, phi, grid, params, res_hist, m_hist, converged)
+    return _finish(PETVIASHVILI, phi, grid, params, res_hist, m_hist, converged, delta_hist)
 
 
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):

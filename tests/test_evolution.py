@@ -1,6 +1,7 @@
 """Time integration: exact linear phases, conservation, order-4 signature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from shrira import (
     step_if_rk4,
     evolve,
 )
-from shrira.evolution import default_dt, _mass_energy
+from shrira.evolution import default_dt, _mass_energy, _Stepper
 from shrira.errors import BlowUpError, GridMismatchError
 
 from conftest import random_field
@@ -147,6 +148,33 @@ def test_blow_up_detection(g2pi):
     assert exc.value.last_good is not None
 
 
+def test_blow_up_carries_the_series_up_to_the_last_record():
+    """Amplitude 5, m = 3, dt = 0.1 on 32^2 turns non-finite at t = 0.3: the error carries
+    the records at 0, 0.1, 0.2 and, as last_good, exactly the state a run to t = 0.2 ends in."""
+    g = Grid(32, 32, 8 * PI, 8 * PI)
+    X, Y = g.meshgrid()
+    u0 = Field(g, 5.0 * np.exp(-(X**2 + Y**2) / 4))
+    p = PhysicsParams(c=1.0, m=3)
+    with pytest.raises(BlowUpError) as exc:
+        evolve(u0, EvolveConfig(t_end=20.0, dt=0.1, record_every=1), p)
+    rep = exc.value.report
+    assert rep.times == pytest.approx([0.0, 0.1, 0.2]) and rep.steps == 2 and rep.final is None
+    assert exc.value.t == pytest.approx(0.2)
+    clean = evolve(u0, EvolveConfig(t_end=0.2, dt=0.1, record_every=1), p)
+    assert np.array_equal(exc.value.last_good.values, clean.final.values)
+    assert rep.mass_series == clean.mass_series
+
+
+def test_evolve_report_counts_steps_and_times_phases(small_wave, params_m2):
+    fld, _ = small_wave
+    rep = evolve(fld, EvolveConfig(t_end=0.1, dt=0.02, record_every=2), params_m2)
+    assert rep.steps == 5
+    assert set(rep.timings) == {"setup_s", "steps_s", "records_s"}
+    assert min(rep.timings.values()) > 0
+    d = rep.to_dict()
+    assert d["steps"] == 5 and d["timings"] == rep.timings
+
+
 def test_evolve_config_validation():
     with pytest.raises(GridMismatchError):
         EvolveConfig(t_end=0.0)
@@ -222,3 +250,92 @@ def test_reference_from_another_box_is_rejected():
     with pytest.raises(GridMismatchError) as exc:
         evolve(Field(run, u0), EvolveConfig(t_end=0.1), PhysicsParams(c=1.0, m=2), reference=(ref, 1.0))
     assert str(run) in str(exc.value) and str(other) in str(exc.value)
+
+
+# --- the preallocated stepper against the classical IFRK4 formula -------------
+
+
+def _classical_step(uh, dt, params, grid, rule):
+    """One IF-RK4 step on the half spectrum as fresh-array expressions: the referee."""
+    e_half = np.exp(grid.half(linear_symbol(grid)) * (dt / 2))
+    e_full = e_half * e_half
+    mult = -1j * grid.half(grid.xi2d) * grid.half(grid.dealias_mask(rule))
+
+    def nonlinear(v):
+        return mult * np.fft.rfft2(params.f(np.fft.irfft2(v, s=(grid.ny, grid.nx))))
+
+    k1 = nonlinear(uh)
+    k2 = nonlinear(e_half * (uh + (dt / 2) * k1))
+    k3 = nonlinear(e_half * uh + (dt / 2) * k2)
+    k4 = nonlinear(e_full * uh + dt * e_half * k3)
+    return e_full * uh + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+
+
+def _random_half_spectrum(shape, seed, amplitude, band_limit):
+    nx, ny = shape
+    g = Grid(nx, ny, 2 * PI * nx / 16, 2 * PI * ny / 16)
+    u0 = amplitude * random_field(g, np.random.default_rng(seed), band_limit).values
+    return g, np.fft.rfft2(u0)
+
+
+# Half spectra of 256 KB and more: there numpy evaluates e_half * (temporary) in
+# place as temporary * e_half, the operand order the stepper uses.  On smaller
+# grids numpy keeps the written order and the step differs from the formula in
+# the last bit; the full-complex test above covers those grids to 1e-13.
+LARGE_SHAPES = [(256, 128), (128, 256)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([2, 3, 2.5]),
+    rule=st.sampled_from(["two_thirds", "half"]),
+    shape=st.sampled_from(LARGE_SHAPES),
+    amplitude=st.floats(0.1, 3.0),
+    dt=st.floats(1e-3, 0.05),
+    band_limit=st.booleans(),
+)
+def test_stepper_is_bit_identical_to_the_classical_formula(seed, m, rule, shape, amplitude, dt, band_limit):
+    """Integer powers and the signed power |u|^(m-1) u at m = 2.5."""
+    g, uh = _random_half_spectrum(shape, seed, amplitude, band_limit)
+    params = PhysicsParams(c=1.0, m=m, signed_power=m == 2.5)
+    ref = _classical_step(uh, dt, params, g, rule)
+    got = _Stepper(g, dt, rule, params).step(uh, np.empty_like(uh))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("m, rule, kc", [(2, "two_thirds", 86), (3, "half", 65)])
+def test_pruned_nonlinear_term(m, rule, kc):
+    """Column FFT only where -i xi keep is nonzero: the full product, exactly 0 from column kc on."""
+    g, v = _random_half_spectrum((256, 256), 3, 1.0, False)
+    params = PhysicsParams(c=1.0, m=m)
+    stepper = _Stepper(g, 0.01, rule, params)
+    mult = -1j * g.half(g.xi2d) * g.half(g.dealias_mask(rule))
+    want = mult * np.fft.rfft2(params.f(np.fft.irfft2(v, s=(g.ny, g.nx))))
+    got = stepper.nonlinear(v, np.full_like(v, np.nan))
+    assert stepper.kc == kc
+    assert np.array_equal(got, want)
+    assert np.all(got[:, kc:] == 0) and np.any(got[:, kc - 1] != 0)
+
+
+@pytest.mark.parametrize("params, rule", [
+    (PhysicsParams(c=1.0, m=2), "two_thirds"),
+    (PhysicsParams(c=1.0, m=3), "half"),
+    (PhysicsParams(c=1.0, m=2.5, signed_power=True), "half"),
+])
+def test_step_allocates_no_field_sized_arrays(params, rule):
+    """After one warm step at 256^2, ten more raise the traced peak by less than two real fields."""
+    g = Grid(256, 256, 64 * PI, 64 * PI)
+    X, Y = g.meshgrid()
+    uh = np.fft.rfft2(np.exp(-(X**2 + Y**2) / 4))
+    stepper, out = _Stepper(g, 0.003, rule, params), np.empty_like(uh)
+    stepper.step(uh, out)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            stepper.step(uh, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2 * g.nx * g.ny * 8

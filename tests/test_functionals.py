@@ -294,3 +294,14 @@ def test_integer_powers_by_multiplication_match_pow():
         for got, want in ((p.f(u), u**m), (p.F(u), u ** (m + 1) / (m + 1.0))):
             assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
     assert np.array_equal(PhysicsParams(c=1.0, m=2).f(u), u**2)
+
+
+@pytest.mark.parametrize("m, signed", [(2, False), (3, False), (2.5, True), (3, True)])
+def test_f_writes_into_out(m, signed):
+    """f(u, out=buf) fills buf with the values f(u) returns, and leaves u alone."""
+    u = np.random.default_rng(9).standard_normal((16, 24))
+    u0 = u.copy()
+    p = PhysicsParams(c=1.0, m=m, signed_power=signed)
+    buf = np.full_like(u, np.nan)
+    assert p.f(u, out=buf) is buf
+    assert np.array_equal(buf, p.f(u)) and np.array_equal(u, u0)

@@ -219,6 +219,30 @@ def test_cli_evolve(solved_dir, cfg_file, tmp_path):
     assert (out / "final.field").exists()
     rep = json.loads((out / "evolve_report.json").read_text())
     assert rep["mass_drift"] <= 1e-8
+    assert rep["steps"] == round(0.2 / rep["dt"])
+    assert set(rep["timings"]) == {"setup_s", "steps_s", "records_s"}
+
+
+def test_cli_evolve_blow_up_keeps_last_good_and_partial_series(tmp_path):
+    """m = 3, amplitude 5, dt = 0.1 on 32^2 turns non-finite at t = 0.3: exit 2, and the
+    state before that step and the series recorded up to then are on disk."""
+    g = Grid(32, 32, 8 * PI, 8 * PI)
+    X, Y = g.meshgrid()
+    field = tmp_path / "big.field"
+    write_field(field, Field(g, 5.0 * np.exp(-(X**2 + Y**2) / 4)), {"c": 1.0, "m": 3})
+    cfg = dict(BASE_CONFIG, grid={"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI},
+               physics={"c": 1.0, "m": 3}, evolve={"t_end": 20.0, "dt": 0.1, "record_every": 1})
+    p = tmp_path / "blow.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "evo"
+    assert main(["evolve", "--field", str(field), "--config", str(p), "--out", str(out)]) == 2
+    last_good, header = read_field(out / "last_good.field")  # finite, else read_field rejects it
+    assert last_good.grid == g and float(header["m"]) == 3.0
+    with open(out / "conservation.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "mass", "energy", "shape_error"]
+    assert [float(r[0]) for r in rows[1:]] == pytest.approx([0.0, 0.1, 0.2])
+    assert not (out / "final.field").exists()
 
 
 def test_cli_kernel(tmp_path):

@@ -108,6 +108,19 @@ def test_petviashvili_converges(small_solution, p12):
     assert fld.values.min() < 0 < fld.values.max()
 
 
+def test_petviashvili_records_the_delta_that_gates_convergence(small_solution, p12):
+    """One delta per iteration, inf before the first update; the loop stops at the first
+    iteration where both the residual and delta pass."""
+    fld, rep = small_solution
+    cfg = SolverConfig()
+    assert len(rep.delta_history) == rep.iterations and rep.delta_history[0] == math.inf
+    gate = [r <= cfg.tol_residual and d <= cfg.tol_delta
+            for r, d in zip(rep.residual_history, rep.delta_history)]
+    assert gate == [False] * (rep.iterations - 1) + [True]
+    _, nehari = nehari_descent(SolverConfig(method="nehari_descent", init=fld), p12, fld.grid)
+    assert nehari.delta_history == []
+
+
 def test_petviashvili_restart_is_immediate(small_solution, p12):
     fld, _ = small_solution
     cfg = SolverConfig(init=fld)
