@@ -20,9 +20,7 @@ from .grid import (
     dx_neg_half_dy,
     hilbert_x,
     project_zero_x,
-    dealias,
     lp_norm,
-    l2_inner,
 )
 from .functionals import (
     PhysicsParams,
@@ -47,7 +45,6 @@ from .solver import (
     solve,
     rescale_speed,
     sweep,
-    profile_symbol,
     default_dealias_rule,
 )
 from .kernels import (

@@ -181,13 +181,17 @@ def evolve(
 
     reference = (Field phi, speed c) enables shape-error tracking against the
     exact spectral translate phi(. - c t, .).  snapshot_cb(step, t, Field) is
-    invoked at each record time.  Raises BlowUpError (carrying the last good
-    state, its time and the report up to the last record) if the iterate turns
-    non-finite.
+    invoked at each record time.  Raises GridMismatchError for an initial field
+    that is zero or whose mass or energy overflows (its drifts are undefined),
+    and BlowUpError (carrying the last good state, its time and the report up
+    to the last record) if a step makes the coefficients, or a record the mass
+    or energy, non-finite.
     """
     clock = time.perf_counter
     t_start = clock()  # timings: set-up (tables, transforms), steps, records
     g = initial.grid
+    if not np.any(initial.values):
+        raise GridMismatchError("initial field is zero: its mass and energy drifts are undefined")
     rule = config.dealias_rule or default_dealias_rule(params.m)
     dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, rule)
     nsteps = max(1, ceil(config.t_end / dt_req - 1e-12))
@@ -211,19 +215,24 @@ def evolve(
     times, masses, energies, shapes = [], [], [], []
     records_s = 0.0
 
-    def record(step, t):
+    def record(step, t, h):
+        """Append the diagnostics of state h; False, appending nothing, if they are not finite."""
         nonlocal records_s
         t0 = clock()
-        m, e = _mass_energy(uh, g, params)
+        with np.errstate(over="ignore", invalid="ignore"):  # a state about to blow up
+            m, e = _mass_energy(h, g, params)
+        if not (np.isfinite(m) and np.isfinite(e)):
+            return False
         times.append(t)
         masses.append(m)
         energies.append(e)
         if ref_hat is not None:
             tr = real(ref_hat * np.exp(-1j * g.half(g.xi) * ref_speed * t))
-            shapes.append(float(np.linalg.norm(real(uh) - tr) / ref_norm))
+            shapes.append(float(np.linalg.norm(real(h) - tr) / ref_norm))
         if snapshot_cb is not None:
-            snapshot_cb(step, t, sg.Field(g, real(uh)))
+            snapshot_cb(step, t, sg.Field(g, real(h)))
         records_s += clock() - t0
+        return True
 
     def report(steps, final=None):
         timings = {"setup_s": t_setup - t_start, "steps_s": clock() - t_setup - records_s,
@@ -231,13 +240,13 @@ def evolve(
         return EvolveReport(dt, times, masses, energies, shapes, final, steps, timings)
 
     t_setup = clock()
-    record(0, 0.0)
+    if not record(0, 0.0, uh):
+        raise GridMismatchError("initial field: its mass or energy is not finite")
     for k in range(1, nsteps + 1):
         stepper.step(uh, nxt)
-        if not np.all(np.isfinite(nxt)):
+        at_record = k % config.record_every == 0 or k == nsteps
+        if not np.all(np.isfinite(nxt)) or at_record and not record(k, k * dt, nxt):
             raise BlowUpError(f"blow-up detected at t = {k * dt:.6g}", last_good=sg.Field(g, real(uh)),
                               t=(k - 1) * dt, report=report(k - 1))
         uh, nxt = nxt, uh
-        if k % config.record_every == 0 or k == nsteps:
-            record(k, k * dt)
     return report(nsteps, sg.Field(g, real(uh)))

@@ -39,8 +39,8 @@ class PhysicsParams:
     m requires signed_power, which switches f to |u|^(m-1) u.
     """
 
-    c: float
-    m: float
+    c: float = 1.0
+    m: float = 2.0
     signed_power: bool = False
 
     def __post_init__(self):
@@ -127,38 +127,16 @@ def G_functional(f: sg.Field, params: PhysicsParams) -> float:
     return 0.5 * uf - Fi
 
 
-def nehari_scale(f: sg.Field, params: PhysicsParams, method: str = "auto") -> float:
+def nehari_scale(f: sg.Field, params: PhysicsParams) -> float:
     """Unique t_u > 0 with I(t_u u) = 0, maximizing t -> S(t u).
 
-    For the homogeneous powers implemented here the closed form is
-    t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)).  method="golden" instead
-    maximizes S(t u) by bracketed golden-section to 1e-12 relative, the route
-    required for a general nonlinearity; both agree for homogeneous f.
+    For the homogeneous powers implemented here it has the closed form
+    t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)).
     """
     uf, _ = _f_integrals(f, params)
     if uf <= 0:
         raise NoScalingError("int u f(u) <= 0: no positive Nehari rescaling")
-    zsq = z_norm_sq(f, params)
-    t_closed = (zsq / uf) ** (1.0 / (params.m - 1.0))
-    if method in ("auto", "closed_form"):
-        return t_closed
-    if method != "golden":
-        raise GridMismatchError(f"unknown nehari_scale method {method!r}")
-
-    from scipy.optimize import minimize_scalar
-
-    dA = f.grid.cell_area
-
-    def neg_s(t):
-        return -(0.5 * t * t * zsq - float(np.sum(params.F(t * f.values)) * dA))
-
-    res = minimize_scalar(
-        neg_s,
-        bracket=(t_closed * 0.5, t_closed, t_closed * 2.0),
-        method="golden",
-        options={"xtol": 1e-12},
-    )
-    return float(res.x)
+    return (z_norm_sq(f, params) / uf) ** (1.0 / (params.m - 1.0))
 
 
 def pohozaev_residuals(f: sg.Field, params: PhysicsParams):

@@ -145,7 +145,9 @@ class Grid:
         """Boolean keep-mask for the given truncation rule (cached, read-only)."""
         masks = self.__dict__.setdefault("_dealias_masks", {})
         if rule not in masks:
-            frac = {TWO_THIRDS: 2.0 / 3.0, HALF: 0.5}[rule]
+            frac = {TWO_THIRDS: 2.0 / 3.0, HALF: 0.5}.get(rule)
+            if frac is None:
+                raise GridMismatchError(f"unknown dealias rule {rule!r}")
             masks[rule] = _read_only(
                 (np.abs(self.index_x()) <= frac * self.nx / 2)
                 & (np.abs(self.index_y()) <= frac * self.ny / 2)
@@ -301,13 +303,6 @@ def project_zero_x(f: Field) -> Field:
     return _spectral_op(f, f.grid.xi != 0)
 
 
-def dealias(s: Spectrum, rule: str = TWO_THIRDS) -> Spectrum:
-    """Zero all modes outside the rule's keep set (2/3 or 1/2 of Nyquist)."""
-    if rule not in (TWO_THIRDS, HALF):
-        raise GridMismatchError(f"unknown dealias rule {rule!r}")
-    return Spectrum(s.grid, np.where(s.grid.dealias_mask(rule), s.coeffs, 0.0))
-
-
 def check_dealias_rule(rule) -> None:
     """Reject a configured rule other than None (the default for m), 2/3 or 1/2."""
     if rule not in (None, TWO_THIRDS, HALF):
@@ -324,9 +319,3 @@ def lp_norm(f: Field, p: float) -> float:
         raise GridMismatchError("p must be positive")
     return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_area) ** (1.0 / p))
 
-
-def l2_inner(a: Field, b: Field) -> float:
-    """Rectangle-rule L^2 inner product."""
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
-    return float(np.sum(a.values * b.values) * a.grid.cell_area)

@@ -79,7 +79,6 @@ class KernelSpec:
 
     nu: float = 0.0
     quad_tol: float = 1e-10
-    t_cutoff: float = None  # None -> adaptive (tail bound below quad_tol)
 
     def __post_init__(self):
         if not self.nu > -1.5:
@@ -97,7 +96,7 @@ class KernelSample:
 
 
 def _tail_bound(T: float, power: float) -> float:
-    # |integrand| <= t^-power e^-t for t >= max(T, 1); decreasing in t
+    # |integrand| <= t^-power e^-t for t >= T >= 1; decreasing in t
     return T ** (-power) * math.exp(-T)
 
 
@@ -143,18 +142,18 @@ def _gauss_kronrod(g, a, b, epsabs, epsrel, limit):
     return float(val.sum()), float(err.sum())
 
 
-def _sample(x, y, pref, g, quad_tol, t_cutoff, tail_power) -> KernelSample:
+def _sample(x, y, pref, g, quad_tol, tail_power) -> KernelSample:
     """pref * int_0^inf g; QuadratureAccuracyError if the tolerance is not certified.
 
-    Quadrature on (0, T] (T = 60, grown by 40 up to three times unless t_cutoff
-    fixes it) plus the tail bound past T, both scaled by pref like the certificate.
+    Quadrature on (0, T] (T = 60, grown by 40 up to three times) plus the tail
+    bound past T, both scaled by pref like the certificate.
     """
-    T = t_cutoff if t_cutoff is not None else 60.0
+    T = 60.0
     for _ in range(4):
         val, err = _gauss_kronrod(lambda t: pref * g(t), 0.0, T,
                                   epsabs=ABS_ERROR_FLOOR / 2, epsrel=quad_tol / 2, limit=400)
-        est = err + pref * _tail_bound(max(T, 1.0), tail_power)
-        if est <= quad_tol * abs(val) + ABS_ERROR_FLOOR or t_cutoff is not None:
+        est = err + pref * _tail_bound(T, tail_power)
+        if est <= quad_tol * abs(val) + ABS_ERROR_FLOOR:
             break
         T += 40.0
     if est > quad_tol * abs(val) + ABS_ERROR_FLOOR:
@@ -181,10 +180,10 @@ def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
         return (t ** (nu + 1.0) * np.exp(-t) * (t * t * x * x + q * q) ** (-(2.0 * nu + 3.0) / 4.0)
                 * np.cos((nu + 1.5) * np.arctan2(t * ax, q)))
 
-    return _sample(x, y, pref, g, spec.quad_tol, spec.t_cutoff, nu + 2.0)
+    return _sample(x, y, pref, g, spec.quad_tol, nu + 2.0)
 
 
-def hk_point(x: float, y: float, quad_tol: float = 1e-10, t_cutoff: float = None) -> KernelSample:
+def hk_point(x: float, y: float, quad_tol: float = 1e-10) -> KernelSample:
     """Evaluate the odd companion kernel at x >= 0.
 
     hk(0, y) = 0 exactly; the x < 0 values follow by odd extension and are the
@@ -202,7 +201,7 @@ def hk_point(x: float, y: float, quad_tol: float = 1e-10, t_cutoff: float = None
         q = t * t + y2
         return t * np.exp(-t) * (t * t * x * x + q * q) ** -0.75 * np.sin(1.5 * np.arctan2(t * x, q))
 
-    return _sample(x, y, SQRT_PI, g, quad_tol, t_cutoff, 2.0)
+    return _sample(x, y, SQRT_PI, g, quad_tol, 2.0)
 
 
 def _oracle_symbol(nu: float, grid: sg.Grid, hilbert: bool) -> np.ndarray:

@@ -51,11 +51,6 @@ def default_dealias_rule(m: float) -> str:
     return sg.TWO_THIRDS if m <= 2 else sg.HALF
 
 
-def profile_symbol(grid: sg.Grid, c: float) -> np.ndarray:
-    """s = c + (xi^2+eta^2)/|xi| on xi != 0; +inf placeholder on xi = 0."""
-    return np.where(grid.xi_nonzero, c + grid.dispersion, np.inf)
-
-
 @dataclass(frozen=True)
 class GaussianInit:
     amplitude: float = 1.0

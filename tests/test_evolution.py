@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -149,20 +150,36 @@ def test_blow_up_detection(g2pi):
 
 
 def test_blow_up_carries_the_series_up_to_the_last_record():
-    """Amplitude 5, m = 3, dt = 0.1 on 32^2 turns non-finite at t = 0.3: the error carries
-    the records at 0, 0.1, 0.2 and, as last_good, exactly the state a run to t = 0.2 ends in."""
+    """Amplitude 5, m = 3, dt = 0.1 on 32^2: the state at t = 0.2 has finite coefficients
+    but its mass overflows, so the run ends there as a blow-up.  The error carries the
+    records at 0 and 0.1 and, as last_good, exactly the state a run to t = 0.1 ends in,
+    and no overflow warning escapes."""
     g = Grid(32, 32, 8 * PI, 8 * PI)
     X, Y = g.meshgrid()
     u0 = Field(g, 5.0 * np.exp(-(X**2 + Y**2) / 4))
     p = PhysicsParams(c=1.0, m=3)
-    with pytest.raises(BlowUpError) as exc:
-        evolve(u0, EvolveConfig(t_end=20.0, dt=0.1, record_every=1), p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as exc:
+            evolve(u0, EvolveConfig(t_end=20.0, dt=0.1, record_every=1), p)
     rep = exc.value.report
-    assert rep.times == pytest.approx([0.0, 0.1, 0.2]) and rep.steps == 2 and rep.final is None
-    assert exc.value.t == pytest.approx(0.2)
-    clean = evolve(u0, EvolveConfig(t_end=0.2, dt=0.1, record_every=1), p)
+    assert rep.times == pytest.approx([0.0, 0.1]) and rep.steps == 1 and rep.final is None
+    assert np.all(np.isfinite(rep.mass_series + rep.energy_series))
+    assert exc.value.t == pytest.approx(0.1)
+    clean = evolve(u0, EvolveConfig(t_end=0.1, dt=0.1, record_every=1), p)
     assert np.array_equal(exc.value.last_good.values, clean.final.values)
     assert rep.mass_series == clean.mass_series
+
+
+def test_initial_field_without_finite_nonzero_mass_is_rejected(g2pi):
+    """The drifts divide by the first record's mass and energy: a zero field, or one whose
+    mass overflows, is refused before any step."""
+    X, _ = g2pi.meshgrid()
+    p = PhysicsParams(c=1.0, m=2)
+    with pytest.raises(GridMismatchError, match="zero"):
+        evolve(Field(g2pi, np.zeros((32, 32))), EvolveConfig(t_end=0.1), p)
+    with pytest.raises(GridMismatchError, match="not finite"):
+        evolve(Field(g2pi, 1e200 * np.cos(X)), EvolveConfig(t_end=0.1, dt=0.01), p)
 
 
 def test_evolve_report_counts_steps_and_times_phases(small_wave, params_m2):

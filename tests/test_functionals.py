@@ -141,17 +141,6 @@ def test_nehari_scale_closed_form(g2pi, p12):
     assert nehari_scale(on_manifold, p12) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_nehari_scale_golden_matches_closed_form(g2pi, p12):
-    rng = np.random.default_rng(47)
-    f = random_field(g2pi, rng)
-    if np.sum(f.values**3) <= 0:
-        f = Field(g2pi, -f.values)
-    t_closed = nehari_scale(f, p12, method="closed_form")
-    t_golden = nehari_scale(f, p12, method="golden")
-    # golden section locates a quadratic max only to ~sqrt(machine eps) in t
-    assert t_golden == pytest.approx(t_closed, rel=1e-7)
-
-
 def test_nehari_scale_maximality(g2pi, p12):
     rng = np.random.default_rng(53)
     f = random_field(g2pi, rng)

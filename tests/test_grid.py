@@ -18,9 +18,7 @@ from shrira import (
     dx_neg_half_dy,
     hilbert_x,
     project_zero_x,
-    dealias,
     lp_norm,
-    l2_inner,
 )
 from shrira.errors import GridMismatchError, SymbolDomainError
 
@@ -197,23 +195,14 @@ def test_project_zero_x(g2pi):
     assert np.max(row_sums) <= 1e-12 * np.max(np.abs(out.values)) * g2pi.nx
 
 
-def test_dealias(g2pi):
-    # pure Nyquist mode is removed, low modes kept, energy never increases
-    c = np.zeros((32, 32), complex)
-    c[0, 16] = 1.0  # Nyquist in x
-    out = dealias(Spectrum(g2pi, c), "two_thirds")
-    assert np.all(out.coeffs == 0)
-    c2 = np.zeros((32, 32), complex)
-    c2[1, 2] = 1.0
-    out2 = dealias(Spectrum(g2pi, c2), "two_thirds")
-    assert out2.coeffs[1, 2] == 1.0
-    rng = np.random.default_rng(23)
-    c3 = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+def test_dealias_mask_keeps_low_modes_and_rejects_unknown_rules(g2pi):
+    jx, jy = g2pi.index_x(), g2pi.index_y()
     for rule in ("two_thirds", "half"):
-        out3 = dealias(Spectrum(g2pi, c3), rule)
-        assert np.sum(np.abs(out3.coeffs) ** 2) <= np.sum(np.abs(c3) ** 2)
-    with pytest.raises(GridMismatchError):
-        dealias(Spectrum(g2pi, c3), "third")
+        keep = g2pi.dealias_mask(rule)
+        assert not keep[:, 16].any()  # the x-Nyquist column
+        assert keep[(jx == 2) & (jy == 1)].all()
+    with pytest.raises(GridMismatchError, match="third"):
+        g2pi.dealias_mask("third")
 
 
 def test_lp_norm_examples(g2pi):
@@ -223,12 +212,6 @@ def test_lp_norm_examples(g2pi):
     cosx = Field(g2pi, np.cos(X))
     assert abs(lp_norm(cosx, 2) ** 2 - TWO_PI**2 / 2) < 1e-12 * TWO_PI**2
     assert lp_norm(cosx, np.inf) == pytest.approx(1.0)
-
-
-def test_l2_inner_grid_mismatch(g2pi):
-    other = Grid(32, 32, 1.0, 1.0)
-    with pytest.raises(GridMismatchError):
-        l2_inner(Field(g2pi, np.zeros((32, 32))), Field(other, np.zeros((32, 32))))
 
 
 def test_field_validation(g2pi):

@@ -21,7 +21,7 @@ from shrira import (
     lp_norm,
     write_field,
 )
-from shrira.solver import profile_symbol, default_dealias_rule
+from shrira.solver import default_dealias_rule
 from shrira.errors import (
     CollapseError,
     ConvergenceError,
@@ -57,15 +57,6 @@ def test_solver_config_validation():
             SolverConfig(**bad)
     with pytest.raises(GridMismatchError, match="sigma_x"):
         GaussianInit(sigma_x=0.0)
-
-
-def test_profile_symbol_values():
-    g = Grid(16, 16, 2 * PI, 2 * PI)
-    s = profile_symbol(g, 1.0)
-    jx, jy = g.index_x(), g.index_y()
-    assert s[(jx == 1) & (jy == 0)][0] == pytest.approx(2.0)  # 1 + 1/1
-    assert s[(jx == 1) & (jy == 1)][0] == pytest.approx(3.0)  # 1 + 2/1
-    assert np.all(np.isinf(s[jx == 0]))
 
 
 def test_residual_two_mode_hand_oracle(p12):
