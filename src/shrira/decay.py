@@ -113,7 +113,8 @@ def tail_exponent_fit(f: sg.Field, axis: str, window: tuple):
     vals, offs = _axis_samples(f, axis)
     r = np.abs(offs)
     sel = (r >= r_min) & (r <= r_max)
-    if np.unique(np.round(r[sel], 12)).size < 8:
+    radii = np.sort(np.round(r[sel], 12))  # np.unique would import numpy.ma (~12 ms)
+    if 1 + np.count_nonzero(np.diff(radii)) < 8:
         raise GridMismatchError("fit window contains fewer than 8 sample radii")
     sel &= np.abs(vals) > AMPLITUDE_FLOOR
     if np.count_nonzero(sel) < 3:

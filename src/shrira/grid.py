@@ -197,11 +197,6 @@ def weighted_sq_sum(grid: Grid, weight, coeffs) -> float:
     return float(np.sum(weight * grid.half_weight * (coeffs.real**2 + coeffs.imag**2)))
 
 
-def half_dot(grid: Grid, a, b) -> float:
-    """Re sum a * conj(b) over the full spectrum, from half-spectrum a and b."""
-    return float(np.sum(grid.half_weight * (a.real * b.real + a.imag * b.imag)))
-
-
 def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:
     """The full (ny, nx) spectrum of a real field from its half spectrum h.
 

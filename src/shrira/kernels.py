@@ -146,11 +146,14 @@ def _sample(x, y, pref, g, quad_tol, tail_power) -> KernelSample:
     """pref * int_0^inf g; QuadratureAccuracyError if the tolerance is not certified.
 
     Quadrature on (0, T] (T = 60, grown by 40 up to three times) plus the tail
-    bound past T, both scaled by pref like the certificate.
+    bound past T, both scaled by pref like the certificate.  The quadrature runs
+    in s = sqrt(t), on 2 s g(s^2) over (0, sqrt(T)]: the t^(-1/2) endpoint of
+    the y = 0 axis becomes smooth and t^(nu+1) becomes s^(2 nu + 3), so the
+    bisection need not chase an endpoint singularity.
     """
     T = 60.0
     for _ in range(4):
-        val, err = _gauss_kronrod(lambda t: pref * g(t), 0.0, T,
+        val, err = _gauss_kronrod(lambda s: 2.0 * pref * s * g(s * s), 0.0, math.sqrt(T),
                                   epsabs=ABS_ERROR_FLOOR / 2, epsrel=quad_tol / 2, limit=400)
         est = err + pref * _tail_bound(T, tail_power)
         if est <= quad_tol * abs(val) + ABS_ERROR_FLOOR:

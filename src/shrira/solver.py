@@ -19,11 +19,22 @@ routes are provided:
 
 Nonlinear products are dealiased (2/3 rule for m <= 2, 1/2 rule otherwise), so
 iterates solve the truncated Galerkin problem exactly at convergence.
+
+Compact-mode layout.  Both loops carry phi_hat as a 1-D vector of the dealiased
+xi != 0 modes only (`_Modes`), 25-44% of the half spectrum: M, the residual,
+the action and the update are sums and products over that vector.  Its
+transforms touch only the first kc columns of the half spectrum, where the
+kept modes lie: the forward one runs fft along y on those columns, the inverse
+one ifft along y on them, with rfft/irfft along x.  Reductions are pairwise
+np.sum or einsum, never a BLAS dot.  `spectral_residual`, which checks stored
+fields, keeps the whole half spectrum, so content outside the kept modes
+still counts there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+import time
+from dataclasses import dataclass, asdict, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,6 +133,7 @@ class SolveReport:
     zero_x_mean_defect: float
     max_location: tuple
     max_abs: float
+    timings: dict = field(default_factory=dict)  # setup_s, loop_s, report_s
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -173,9 +185,15 @@ def _report(method, phi, grid, params, res_hist, m_hist, converged, delta_hist=(
     )
 
 
-def _finish(method, phi, grid, params, res_hist, m_hist, converged, delta_hist=()):
-    """(Field, SolveReport) of a finished loop; ConvergenceError carrying both if not converged."""
+def _finish(method, phi, grid, params, res_hist, m_hist, converged, delta_hist, started):
+    """(Field, SolveReport) of a finished loop; ConvergenceError carrying both if not converged.
+
+    started = (call start, loop start) on time.perf_counter; they time the report's phases.
+    """
+    t_loop = time.perf_counter()
     report = _report(method, phi, grid, params, res_hist, m_hist, converged, delta_hist)
+    report.timings = {"setup_s": started[1] - started[0], "loop_s": t_loop - started[1],
+                      "report_s": time.perf_counter() - t_loop}
     if not converged:
         raise ConvergenceError(
             f"{method} did not converge in {len(res_hist)} iterations "
@@ -198,22 +216,60 @@ def spectral_residual(f: sg.Field, params: PhysicsParams, rule: Optional[str] = 
     modes = g.half(g.xi_nonzero)
     sph = np.where(modes, (params.c + g.half(g.dispersion)) * np.fft.rfft2(f.values), 0.0)
     fh = np.where(modes & g.half(g.dealias_mask(rule)), np.fft.rfft2(params.f(f.values)), 0.0)
-    return _residual(g, sph, fh)
+    return _residual(sg.weighted_sq_sum(g, 1.0, sph - fh), sg.weighted_sq_sum(g, 1.0, sph))
 
 
-def _residual(grid: sg.Grid, sph, fh) -> float:
-    """||sph - fh|| / ||sph|| over the full spectrum, from half spectra."""
-    den = sg.weighted_sq_sum(grid, 1.0, sph)
-    if den == 0.0:
+def _residual(num_sq: float, den_sq: float) -> float:
+    """sqrt(num_sq / den_sq): ||sph - fh|| / ||sph|| from the two squared norms."""
+    if den_sq == 0.0:
         raise UndefinedResidualError("spectral residual of a zero field is undefined")
-    return float(np.sqrt(sg.weighted_sq_sum(grid, 1.0, sph - fh) / den))
+    return float(np.sqrt(num_sq / den_sq))
 
 
-def _loop_setup(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
-    """(keep, s_keep) on the half spectrum: the dealiased xi != 0 modes, s there (1 elsewhere)."""
-    rule = config.dealias_rule or default_dealias_rule(params.m)
-    keep = grid.half(grid.dealias_mask(rule) & grid.xi_nonzero)
-    return keep, np.where(keep, params.c + grid.half(grid.dispersion), 1.0)
+class _Modes:
+    """The dealiased xi != 0 modes of one solver loop as a compact vector, and its transforms.
+
+    The kept modes of the half spectrum lie in its first kc columns.  `forward`
+    is rfft along x, fft along y on those columns only, then the gather of the
+    kept modes: the masked rfft2.  `inverse` scatters into zeroed columns, runs
+    ifft along y on them and irfft along x: irfft2 of the scattered half
+    spectrum, pruned exactly because a compact vector has nothing past kc.
+    Every kept mode has column weight 2 (the xi = 0 and Nyquist columns are
+    never kept), so a full-spectrum sum is twice the compact one; `dot` omits
+    the 2 and the loops use it in ratios or restore it.
+    """
+
+    def __init__(self, config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
+        rule = config.dealias_rule or default_dealias_rule(params.m)
+        keep = grid.half(grid.dealias_mask(rule) & grid.xi_nonzero)
+        kc = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1  # columns kc.. of keep are empty
+        self.keep, self.nx = keep[:, :kc], grid.nx
+        self.s = (params.c + grid.half(grid.dispersion))[:, :kc][self.keep]  # profile symbol
+        self._half = np.zeros(keep.shape, np.complex128)  # columns kc.. stay zero
+
+    def forward(self, u: np.ndarray) -> np.ndarray:
+        cols = np.fft.rfft(u, axis=1)[:, : self.keep.shape[1]]
+        return np.fft.fft(cols, axis=0, out=cols)[self.keep]
+
+    def inverse(self, v: np.ndarray) -> np.ndarray:
+        cols = self._half[:, : self.keep.shape[1]]
+        cols.fill(0.0)
+        cols[self.keep] = v
+        np.fft.ifft(cols, axis=0, out=cols)
+        return np.fft.irfft(self._half, n=self.nx, axis=1)
+
+    @staticmethod
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        """Re sum a * conj(b) over the compact modes: half the full-spectrum sum.
+
+        np.sum sums pairwise; einsum's running sum is noisy enough to flip Nehari's step tests.
+        """
+        return float(np.sum(a.view(np.float64) * b.view(np.float64)))
+
+
+def _sq_norm(u: np.ndarray) -> float:
+    """sum u^2 of a real field (einsum, not the BLAS dot of np.linalg.norm)."""
+    return float(np.einsum("ij,ij->", u, u))
 
 
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
@@ -222,26 +278,28 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     Raises ConvergenceError (with the partial report attached) when max_iter is
     exhausted, CollapseError when the normalization quotient turns non-positive.
     """
+    t0 = time.perf_counter()
     gamma = config.gamma if config.gamma is not None else params.m / (params.m - 1.0)
-    keep, s_keep = _loop_setup(config, params, grid)
-
-    shape = (grid.ny, grid.nx)
-    ph = np.where(keep, np.fft.rfft2(_init_values(config, grid)), 0.0)
-    phi = np.fft.irfft2(ph, s=shape)
+    modes = _Modes(config, params, grid)
+    ph = modes.forward(_init_values(config, grid))
+    phi = modes.inverse(ph)
+    started = (t0, time.perf_counter())
     res_hist, m_hist, delta_hist = [], [], []
     delta = np.inf
     converged = False
     for _ in range(config.max_iter):
-        fh = np.where(keep, np.fft.rfft2(params.f(phi)), 0.0)
-        num = sg.weighted_sq_sum(grid, s_keep, ph)
-        den = sg.half_dot(grid, fh, ph)
+        fh = modes.forward(params.f(phi))
+        sph = modes.s * ph
+        num = modes.dot(sph, ph)
+        den = modes.dot(fh, ph)
         if den == 0.0 or num == 0.0:
             raise CollapseError(
                 "iterate lost all spectral content",
                 report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False, delta_hist),
             )
         M = num / den
-        resid = _residual(grid, s_keep * ph, fh)
+        r = sph - fh
+        resid = _residual(modes.dot(r, r), modes.dot(sph, sph))
         res_hist.append(resid)
         m_hist.append(M)
         delta_hist.append(delta)
@@ -253,29 +311,29 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
                 f"Petviashvili factor M = {M:.3e} <= 0 (bad initial guess)",
                 report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False, delta_hist),
             )
-        ph = np.where(keep, M**gamma * fh / s_keep, 0.0)
-        new = np.fft.irfft2(ph, s=shape)
-        nrm = np.linalg.norm(phi)
-        delta = float(np.linalg.norm(new - phi) / nrm) if nrm > 0 else np.inf
+        ph = M**gamma * fh / modes.s
+        new = modes.inverse(ph)
+        nrm_sq = _sq_norm(phi)
+        delta = float(np.sqrt(_sq_norm(new - phi) / nrm_sq)) if nrm_sq > 0 else np.inf
         phi = new
 
-    return _finish(PETVIASHVILI, phi, grid, params, res_hist, m_hist, converged, delta_hist)
+    return _finish(PETVIASHVILI, phi, grid, params, res_hist, m_hist, converged, delta_hist, started)
 
 
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Preconditioned descent of S on the Nehari manifold; returns (Field, SolveReport)."""
-    keep, s_keep = _loop_setup(config, params, grid)
-    w = grid.spectral_weight
+    t0 = time.perf_counter()
+    modes = _Modes(config, params, grid)
+    w = 2.0 * grid.spectral_weight  # column weight of every kept mode, times Parseval's factor
     dA = grid.cell_area
     m = params.m
 
     def manifold_scale(zsq, uf):
         return (zsq / uf) ** (1.0 / (m - 1.0))
 
-    shape = (grid.ny, grid.nx)
-    ph = np.where(keep, np.fft.rfft2(_init_values(config, grid)), 0.0)
-    phi = np.fft.irfft2(ph, s=shape)
-    zsq = sg.weighted_sq_sum(grid, s_keep, ph) * w
+    ph = modes.forward(_init_values(config, grid))
+    phi = modes.inverse(ph)
+    zsq = modes.dot(modes.s * ph, ph) * w
     uf = float(np.sum(phi * params.f(phi)) * dA)
     if uf <= 0:
         raise CollapseError("initial guess has int u f(u) <= 0", report=None)
@@ -283,23 +341,26 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     phi, ph = t * phi, t * ph
     zsq *= t * t
     S_old = 0.5 * zsq - float(np.sum(params.F(phi)) * dA)
+    started = (t0, time.perf_counter())
 
     h = config.descent_step
     res_hist: list = []
     converged = False
     for _ in range(config.max_iter):
-        fh = np.where(keep, np.fft.rfft2(params.f(phi)), 0.0)
-        resid = _residual(grid, s_keep * ph, fh)
+        fh = modes.forward(params.f(phi))
+        sph = modes.s * ph
+        r = sph - fh
+        resid = _residual(modes.dot(r, r), modes.dot(sph, sph))
         res_hist.append(resid)
         if resid <= config.tol_residual:
             converged = True
             break
-        d = np.fft.irfft2(np.where(keep, ph - fh / s_keep, 0.0), s=shape)
+        d = modes.inverse(ph - fh / modes.s)
         accepted = False
         for _try in range(40):
             v = phi - h * d
-            vh = np.where(keep, np.fft.rfft2(v), 0.0)
-            zv = sg.weighted_sq_sum(grid, s_keep, vh) * w
+            vh = modes.forward(v)
+            zv = modes.dot(modes.s * vh, vh) * w
             ufv = float(np.sum(v * params.f(v)) * dA)
             if ufv <= 0 or zv == 0.0:
                 h *= 0.5
@@ -319,7 +380,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         phi, ph, S_old = tv * v, tv * vh, Sv
         h = min(h * 1.3, 0.9)
 
-    return _finish(NEHARI_DESCENT, phi, grid, params, res_hist, [], converged)
+    return _finish(NEHARI_DESCENT, phi, grid, params, res_hist, [], converged, (), started)
 
 
 def solve(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):

@@ -1,10 +1,15 @@
 """Decay diagnostics: synthetic-tail oracles, weighted norms, mixed norms."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shrira
 from shrira import (
     Grid,
     Field,
@@ -203,3 +208,20 @@ def test_tail_fit_matches_linregress(ground_state_256):
     fit = linregress(np.log(r[sel]), np.log(np.abs(vals[sel])))
     assert e == pytest.approx(-fit.slope, rel=1e-12)
     assert se == pytest.approx(fit.stderr, rel=1e-12)
+
+
+def test_decay_report_leaves_numpy_ma_unloaded():
+    """Counting the fit radii must not pull in numpy.ma (np.unique imports it, ~12 ms)."""
+    src = str(Path(shrira.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "from shrira import Field, Grid, PhysicsParams, decay_report\n"
+        "g = Grid(32, 32, 8 * math.pi, 8 * math.pi)\n"
+        "X, Y = g.meshgrid()\n"
+        "decay_report(Field(g, np.exp(-X**2 - Y**2) * np.cos(X)), PhysicsParams())\n"
+        "sys.exit('numpy.ma was imported' if 'numpy.ma' in sys.modules else None)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

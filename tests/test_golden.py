@@ -2,7 +2,9 @@
 
 The values below were recorded from the implementation that built each spectral
 symbol in its own module, before they were derived from the single operator
-table in `shrira.grid`.  The refactor must reproduce them: iteration counts and
+table in `shrira.grid`; the m = 3 case was recorded from the solver loops that
+ran on the whole half spectrum, before they moved to the compact dealiased
+modes.  The refactors must reproduce them: iteration counts and
 the time step exactly, every float to a relative tolerance of RTOL.  Two
 quantities are compared against the scale they are computed from instead of
 their own size, because they sit at the roundoff floor of that scale:
@@ -48,6 +50,9 @@ NEHARI = dict(
     pohozaev_r1=3.396813235509667e-14,
     pohozaev_r2=0.253821528048821,
 )
+# m = 3 takes the 1/2 dealias rule; the grid and the box are not square
+CUBIC_GRID = Grid(64, 48, 16 * PI, 12 * PI)
+PETVIASHVILI_CUBIC = dict(iterations=26, d=10.608631552524654, z_norm_sq=42.43452621009866)
 EVOLVE_DT = 0.0036231884057971015
 EVOLVE_MASS = [
     22.95000863057282, 22.950008630439488, 22.95000863030616, 22.950008630172817,
@@ -116,6 +121,13 @@ def petviashvili_wave():
 
 def test_golden_petviashvili(petviashvili_wave):
     _check_solve(petviashvili_wave[1], PETVIASHVILI)
+
+
+def test_golden_petviashvili_cubic():
+    _, rep = petviashvili(SolverConfig(), PhysicsParams(c=1.0, m=3), CUBIC_GRID)
+    assert rep.iterations == PETVIASHVILI_CUBIC["iterations"]
+    assert rep.d == pytest.approx(PETVIASHVILI_CUBIC["d"], rel=RTOL)
+    assert rep.functionals.z_norm_sq == pytest.approx(PETVIASHVILI_CUBIC["z_norm_sq"], rel=RTOL)
 
 
 def test_golden_nehari_descent():

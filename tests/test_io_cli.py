@@ -182,6 +182,7 @@ def test_cli_solve_outputs(solved_dir):
     assert (solved_dir / "phi.field").exists()
     rep = json.loads((solved_dir / "solve_report.json").read_text())
     assert rep["converged"] is True
+    assert set(rep["timings"]) == {"setup_s", "loop_s", "report_s"}
     fun = json.loads((solved_dir / "functionals.json").read_text())
     assert set(fun) >= {"S", "I", "G", "z_norm_sq"}
 
@@ -327,6 +328,20 @@ def test_cli_kernel_rows_in_input_order(tmp_path, monkeypatch):
     assert [(float(r["x"]), float(r["y"])) for r in rows] == points
     x, y = points[5]
     assert float(rows[5]["value"]) == h_nu_point(KernelSpec(nu=0.0), x, y).value
+
+
+def test_cli_kernel_on_axis_point_near_the_origin(tmp_path):
+    """nu = 2 at (0.001, 0) certifies, so the command writes its row and exits 0."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.001,0\n")
+    out = tmp_path / "kernel.csv"
+    code = main(["kernel", "--nu", "2", "--points", str(pts), "--out", str(out),
+                 "--oracle-nx", "256", "--oracle-ny", "64",
+                 "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)])
+    assert code == 0
+    with open(out) as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["value"]) == pytest.approx(1772446.667, rel=1e-9)
 
 
 def test_cli_kernel_bad_points(tmp_path):

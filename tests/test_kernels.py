@@ -62,6 +62,9 @@ HK_REFEREE = {
 
 GL_H0_AT_01 = 0.43494240479584123  # sqrt(pi) int t e^-t (t^2+1)^(-3/2) dt
 
+# h_2(0.001, 0) by mpmath.quad at 30 digits, split at t = 1e-4, 1e-3, 1e-2, 1, 10, 60
+H2_NEAR_ORIGIN = 1772446.6670703126
+
 
 def test_spec_validation():
     with pytest.raises(GridMismatchError):
@@ -102,6 +105,15 @@ def test_h_nu_symmetry():
     a = h_nu_point(spec, 1.2, 0.7).value
     assert h_nu_point(spec, -1.2, 0.7).value == pytest.approx(a, rel=1e-12)
     assert h_nu_point(spec, 1.2, -0.7).value == pytest.approx(a, rel=1e-12)
+
+
+def test_on_axis_point_near_the_origin_certifies():
+    """On y = 0 the integrand goes like t^(-1/2) as t -> 0.  Quadrature in s = sqrt(t) sees a
+    smooth integrand, so nu = 2 at (0.001, 0) certifies; bisection in t ran out of intervals."""
+    spec = KernelSpec(nu=2.0)
+    s = h_nu_point(spec, 0.001, 0.0)
+    assert s.est_error <= spec.quad_tol * abs(s.value)
+    assert s.value == pytest.approx(H2_NEAR_ORIGIN, rel=1e-10)
 
 
 def test_quadrature_refinement_monotone():

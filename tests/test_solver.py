@@ -1,6 +1,7 @@
 """Solver behavior on small grids: residual oracle, fixed points, rescaling."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from shrira import (
     lp_norm,
     write_field,
 )
-from shrira.solver import default_dealias_rule
+from shrira import grid as sg
+from shrira.solver import _Modes, default_dealias_rule, solve
 from shrira.errors import (
     CollapseError,
     ConvergenceError,
@@ -110,6 +112,46 @@ def test_petviashvili_records_the_delta_that_gates_convergence(small_solution, p
     assert gate == [False] * (rep.iterations - 1) + [True]
     _, nehari = nehari_descent(SolverConfig(method="nehari_descent", init=fld), p12, fld.grid)
     assert nehari.delta_history == []
+
+
+@pytest.mark.parametrize("rule", ["two_thirds", "half"])
+def test_compact_modes_are_the_masked_real_transforms(rule):
+    """The pruned forward transform is the masked rfft2 gathered on the kept modes, the
+    pruned inverse is irfft2 of the scattered vector, and twice the compact dot is the
+    full-spectrum sum (every kept mode has column weight 2)."""
+    g = Grid(48, 32, 10.0, 7.0)
+    modes = _Modes(SolverConfig(dealias_rule=rule), PhysicsParams(c=1.5, m=2), g)
+    keep = g.half(g.dealias_mask(rule) & g.xi_nonzero)
+    u = np.random.default_rng(7).standard_normal((g.ny, g.nx))
+    masked = np.where(keep, np.fft.rfft2(u), 0.0)
+    v = modes.forward(u)
+    assert np.max(np.abs(v - masked[keep])) <= 1e-13 * np.max(np.abs(masked))
+    back = np.fft.irfft2(masked, s=(g.ny, g.nx))
+    assert np.max(np.abs(modes.inverse(v) - back)) <= 1e-13 * np.max(np.abs(back))
+    assert np.array_equal(modes.s, (1.5 + g.half(g.dispersion))[keep])
+    assert 2 * modes.dot(v, v) == pytest.approx(sg.weighted_sq_sum(g, 1.0, masked), rel=1e-13)
+
+
+def test_solver_loops_call_no_blas(p12, monkeypatch):
+    """np.linalg.norm and np.dot wake the BLAS thread pool; neither loop may call them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call in a solver loop")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+    for method in ("petviashvili", "nehari_descent"):
+        _, rep = solve(SolverConfig(method=method), p12, Grid(32, 32, 8 * PI, 8 * PI))
+        assert rep.converged
+
+
+@pytest.mark.parametrize("method", ["petviashvili", "nehari_descent"])
+def test_report_times_its_phases(p12, method):
+    t0 = time.perf_counter()
+    _, rep = solve(SolverConfig(method=method), p12, Grid(32, 32, 8 * PI, 8 * PI))
+    wall = time.perf_counter() - t0
+    assert set(rep.timings) == {"setup_s", "loop_s", "report_s"}
+    assert all(t >= 0 for t in rep.timings.values())
+    assert sum(rep.timings.values()) <= wall
 
 
 def test_petviashvili_restart_is_immediate(small_solution, p12):
