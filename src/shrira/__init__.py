@@ -16,10 +16,6 @@ from .grid import (
     forward,
     inverse,
     apply_multiplier,
-    dx_half,
-    dx_neg_half_dy,
-    hilbert_x,
-    project_zero_x,
     lp_norm,
 )
 from .functionals import (

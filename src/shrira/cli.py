@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -102,16 +103,21 @@ def _cmd_verify(args) -> int:
     params = _params_for(args, header)
     out = Path(args.out or Path(args.field).parent)
     out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     residual = sol.spectral_residual(fld, params)
+    t1 = time.perf_counter()
     fr = functional_report(fld, params)
     t_u = nehari_scale(fld, params)
+    t2 = time.perf_counter()
     dr = dec.decay_report(fld, params)
+    timings = {"residual_s": t1 - t0, "functionals_s": t2 - t1, "decay_s": time.perf_counter() - t2}
     _write_json(
         out / "verify_report.json",
         {
             "spectral_residual": residual,
             "nehari_t_u": t_u,
             "functionals": fr.to_dict(),
+            "timings": timings,
         },
     )
     _write_json(out / "decay_report.json", dr.to_dict())

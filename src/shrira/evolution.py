@@ -208,7 +208,7 @@ def evolve(
         if ref_field.grid != g:
             raise GridMismatchError(f"reference field is on {ref_field.grid}, the run on {g}")
         ref_hat = np.fft.rfft2(ref_field.values)
-        ref_norm = np.linalg.norm(ref_field.values)
+        ref_norm = np.sqrt(sg.sq_sum(ref_field.values))
 
     uh = np.fft.rfft2(initial.values)
     nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
@@ -228,7 +228,7 @@ def evolve(
         energies.append(e)
         if ref_hat is not None:
             tr = real(ref_hat * np.exp(-1j * g.half(g.xi) * ref_speed * t))
-            shapes.append(float(np.linalg.norm(real(h) - tr) / ref_norm))
+            shapes.append(float(np.sqrt(sg.sq_sum(real(h) - tr)) / ref_norm))
         if snapshot_cb is not None:
             snapshot_cb(step, t, sg.Field(g, real(h)))
         records_s += clock() - t0

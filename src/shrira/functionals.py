@@ -10,11 +10,16 @@ objects computed here are
 
 together with the two Pohojaev residuals (testing the profile equation against
 u and y*u_y), the unique Nehari rescaling t_u with I(t_u u) = 0, and the
-anisotropic Gagliardo-Nirenberg ratio.  All integrals are rectangle-rule sums,
-spectrally accurate for the trigonometric polynomials represented on the grid.
+anisotropic Gagliardo-Nirenberg ratio.  The three parts of ||u||_Z^2 are
+weighted sums over one half spectrum (weights 1, |xi| and eta^2/|xi|, the
+xi = 0 modes counting only in the mass); int u f(u), int F(u) and the GN
+numerator are rectangle-rule sums in physical space.  Both are spectrally
+accurate for the trigonometric polynomials represented on the grid.
 
-r1 equals -I identically: the Hilbert-transform pairing int u * H u_x is the
-|xi|-weighted spectral sum, i.e. ||D_x^{1/2} u||_2^2.
+The eta^2/|xi| part counts every mode of the spectrum, the y-Nyquist row
+eta = -pi*ny/ly included, which the real field D_x^{-1/2} u_y cannot carry.
+Every functional reads the same three parts, so r1 = -I holds for every field,
+not only for band-limited ones.
 """
 
 from __future__ import annotations
@@ -94,15 +99,23 @@ class FunctionalReport:
         return asdict(self)
 
 
-def z_norm_sq(f: sg.Field, params: PhysicsParams) -> float:
-    """Squared energy-space norm, computed as one weighted spectral sum.
-
-    xi = 0 modes contribute only through the mass term (the D_x^{+-1/2}
-    operators map them to zero).
-    """
+def _energy_parts(f: sg.Field):
+    """(||u||^2, ||D_x^{1/2} u||^2, ||D_x^{-1/2} u_y||^2) from one rfft2 of the field."""
     g = f.grid
-    w = params.c + g.half(g.dispersion)
-    return sg.weighted_sq_sum(g, w, np.fft.rfft2(f.values)) * g.spectral_weight
+    uh = np.fft.rfft2(f.values)
+    abs_xi = np.abs(g.half(g.xi))
+    eta2_xi = sg.divide_off_xi0(g, g.eta[:, None] ** 2, abs_xi)
+    return tuple(sg.weighted_sq_sum(g, w, uh) * g.spectral_weight for w in (1.0, abs_xi, eta2_xi))
+
+
+def _z_sq(params: PhysicsParams, parts) -> float:
+    mass, dxh, dmy = parts
+    return params.c * mass + dxh + dmy
+
+
+def z_norm_sq(f: sg.Field, params: PhysicsParams) -> float:
+    """Squared energy-space norm from the three spectral parts."""
+    return _z_sq(params, _energy_parts(f))
 
 
 def _f_integrals(f: sg.Field, params: PhysicsParams):
@@ -139,25 +152,31 @@ def nehari_scale(f: sg.Field, params: PhysicsParams) -> float:
     return (z_norm_sq(f, params) / uf) ** (1.0 / (params.m - 1.0))
 
 
+def _pohozaev(params: PhysicsParams, parts, uf: float, Fi: float):
+    mass, dxh, dmy = parts
+    return uf - _z_sq(params, parts), params.c * mass + dxh - dmy - 2.0 * Fi
+
+
 def pohozaev_residuals(f: sg.Field, params: PhysicsParams):
     """Absolute residuals of the two integral identities.
 
     r1 = int [-c u^2 - u*H(u_x) - (D_x^{-1/2} u_y)^2 + u f(u)]
     r2 = int [ c u^2 + u*H(u_x) - (D_x^{-1/2} u_y)^2 - 2 F(u)]
 
-    Both vanish on an exact solitary wave; r1 = -I(u) for every field.
+    Both vanish on an exact solitary wave; r1 = -I(u) for every field.  The
+    pairing int u*H(u_x) is ||D_x^{1/2} u||^2.
     """
-    g = f.grid
-    hux = np.fft.irfft2(g.half(g.abs_xi) * np.fft.rfft2(f.values), s=(g.ny, g.nx))
-    dmhy = sg.dx_neg_half_dy(f).values
-    dA = g.cell_area
-    u = f.values
-    uf = u * params.f(u)
-    r1 = float(np.sum(-params.c * u * u - u * hux - dmhy * dmhy + uf) * dA)
-    r2 = float(
-        np.sum(params.c * u * u + u * hux - dmhy * dmhy - 2.0 * params.F(u)) * dA
-    )
-    return r1, r2
+    return _pohozaev(params, _energy_parts(f), *_f_integrals(f, params))
+
+
+def _gn(f: sg.Field, p_gn: float, parts) -> float:
+    if not 0.0 <= p_gn <= 2.0:
+        raise GridMismatchError("gn_ratio exponent must lie in [0, 2]")
+    l2, dxh, dmy = (math.sqrt(v) for v in parts)
+    if l2 == 0.0 or dxh == 0.0 or dmy == 0.0:
+        raise DegenerateFieldError("a denominator norm of the GN ratio vanishes")
+    num = sg.lp_norm(f, p_gn + 2.0) ** (p_gn + 2.0)
+    return num / (l2 ** (2.0 - p_gn) * dmy ** (p_gn / 2.0) * dxh ** (1.5 * p_gn))
 
 
 def gn_ratio(f: sg.Field, p_gn: float) -> float:
@@ -167,28 +186,21 @@ def gn_ratio(f: sg.Field, p_gn: float) -> float:
 
     Invariant under amplitude scaling (exponents balance: 2-p + p/2 + 3p/2 = p+2).
     """
-    if not 0.0 <= p_gn <= 2.0:
-        raise GridMismatchError("gn_ratio exponent must lie in [0, 2]")
-    num = sg.lp_norm(f, p_gn + 2.0) ** (p_gn + 2.0)
-    l2 = sg.lp_norm(f, 2.0)
-    dxh = sg.lp_norm(sg.dx_half(f), 2.0)
-    dmy = sg.lp_norm(sg.dx_neg_half_dy(f), 2.0)
-    if l2 == 0.0 or dxh == 0.0 or dmy == 0.0:
-        raise DegenerateFieldError("a denominator norm of the GN ratio vanishes")
-    return num / (l2 ** (2.0 - p_gn) * dmy ** (p_gn / 2.0) * dxh ** (1.5 * p_gn))
+    return _gn(f, p_gn, _energy_parts(f))
 
 
 def functional_report(f: sg.Field, params: PhysicsParams) -> FunctionalReport:
-    """All variational diagnostics in one pass.
+    """All variational diagnostics from one rfft2 and one pass over u f(u) and F(u).
 
     The GN ratio is evaluated at p_gn = m - 1 (clipped to the lemma's [0, 2]
     range), so its numerator is the nonlinearity's own Lebesgue norm.
     """
-    zsq = z_norm_sq(f, params)
+    parts = _energy_parts(f)
+    zsq = _z_sq(params, parts)
     uf, Fi = _f_integrals(f, params)
-    r1, r2 = pohozaev_residuals(f, params)
+    r1, r2 = _pohozaev(params, parts, uf, Fi)
     try:
-        q = gn_ratio(f, min(2.0, max(0.0, params.m - 1.0)))
+        q = _gn(f, min(2.0, max(0.0, params.m - 1.0)), parts)
     except DegenerateFieldError:
         q = float("nan")
     return FunctionalReport(

@@ -10,10 +10,7 @@ so Parseval reads
 
     sum |f|^2 * dx*dy  ==  sum |f_hat|^2 * (lx*ly) / (nx*ny)^2
 
-exactly for any discrete field.  The x-directional Hilbert transform is the
-multiplier -i*sgn(xi); half-order derivatives are |xi|^(1/2) and |xi|^(-1/2),
-the latter with all xi = 0 modes mapped to zero (membership in the energy space
-requires finite D_x^{-1/2} u_y content, so the zero-x-mean convention is built in).
+exactly for any discrete field.
 
 This module is the one place that knows the dispersion relation: every symbol
 of the equation (profile operator, energy weights, dispersive phase, kernel
@@ -197,6 +194,11 @@ def weighted_sq_sum(grid: Grid, weight, coeffs) -> float:
     return float(np.sum(weight * grid.half_weight * (coeffs.real**2 + coeffs.imag**2)))
 
 
+def sq_sum(u: np.ndarray) -> float:
+    """sum u^2 of a real field (einsum, not the BLAS dot of np.linalg.norm)."""
+    return float(np.einsum("ij,ij->", u, u))
+
+
 def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:
     """The full (ny, nx) spectrum of a real field from its half spectrum h.
 
@@ -268,34 +270,6 @@ def apply_multiplier(s: Spectrum, symbol) -> Spectrum:
     else:
         out = sym * s.coeffs
     return Spectrum(g, out)
-
-
-def _spectral_op(f: Field, symbol) -> Field:
-    """real(ifft2(symbol * fft2(f))) of a Hermitian symbol (full or half layout), by rfft2/irfft2."""
-    g = f.grid
-    return Field(g, np.fft.irfft2(g.half(symbol) * np.fft.rfft2(f.values), s=(g.ny, g.nx)))
-
-
-def dx_half(f: Field) -> Field:
-    """Half-order x-derivative, symbol |xi|^(1/2)."""
-    return _spectral_op(f, np.sqrt(np.abs(f.grid.xi)))
-
-
-def dx_neg_half_dy(f: Field) -> Field:
-    """Symbol |xi|^(-1/2) * (i eta), with xi = 0 modes set to zero."""
-    g = f.grid
-    sym = divide_off_xi0(g, 1j * g.eta_odd[:, None], np.sqrt(np.abs(g.half(g.xi))), np.complex128)
-    return _spectral_op(f, sym)
-
-
-def hilbert_x(f: Field) -> Field:
-    """x-directional Hilbert transform, symbol -i*sgn(xi)."""
-    return _spectral_op(f, -1j * np.sign(f.grid.xi))
-
-
-def project_zero_x(f: Field) -> Field:
-    """Zero every coefficient with xi = 0; output rows have zero mean."""
-    return _spectral_op(f, f.grid.xi != 0)
 
 
 def check_dealias_rule(rule) -> None:

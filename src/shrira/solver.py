@@ -267,11 +267,6 @@ class _Modes:
         return float(np.sum(a.view(np.float64) * b.view(np.float64)))
 
 
-def _sq_norm(u: np.ndarray) -> float:
-    """sum u^2 of a real field (einsum, not the BLAS dot of np.linalg.norm)."""
-    return float(np.einsum("ij,ij->", u, u))
-
-
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Stabilized fixed-point iteration; returns (Field, SolveReport).
 
@@ -313,8 +308,8 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             )
         ph = M**gamma * fh / modes.s
         new = modes.inverse(ph)
-        nrm_sq = _sq_norm(phi)
-        delta = float(np.sqrt(_sq_norm(new - phi) / nrm_sq)) if nrm_sq > 0 else np.inf
+        nrm_sq = sg.sq_sum(phi)
+        delta = float(np.sqrt(sg.sq_sum(new - phi) / nrm_sq)) if nrm_sq > 0 else np.inf
         phi = new
 
     return _finish(PETVIASHVILI, phi, grid, params, res_hist, m_hist, converged, delta_hist, started)

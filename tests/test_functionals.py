@@ -68,14 +68,19 @@ def test_z_norm_pure_y_mode_uses_projection(g2pi, p12):
 
 
 def test_z_norm_matches_composed_ops(g2pi, p12):
-    from shrira import dx_half, dx_neg_half_dy, lp_norm
+    """Reference: D_x^{1/2} u and D_x^{-1/2} u_y composed from full-layout symbols."""
+    from shrira import forward, inverse, apply_multiplier, lp_norm
 
     rng = np.random.default_rng(31)
     f = random_field(g2pi, rng)
+    s = forward(f)
+    xi, eta = g2pi.xi2d, g2pi.eta2d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg_half_dy = np.where(xi != 0, 1j * eta / np.sqrt(np.abs(xi)), 0.0)
     composed = (
         p12.c * lp_norm(f, 2) ** 2
-        + lp_norm(dx_half(f), 2) ** 2
-        + lp_norm(dx_neg_half_dy(f), 2) ** 2
+        + lp_norm(inverse(apply_multiplier(s, np.sqrt(np.abs(xi)))), 2) ** 2
+        + lp_norm(inverse(apply_multiplier(s, neg_half_dy)), 2) ** 2
     )
     assert z_norm_sq(f, p12) == pytest.approx(composed, rel=1e-12)
 
@@ -189,13 +194,35 @@ def test_nehari_scale_error(g2pi, p12):
 
 def test_pohozaev_r1_equals_minus_I(g2pi, p12):
     rng = np.random.default_rng(61)
-    for _ in range(20):
-        f = random_field(g2pi, rng)
+    for k in range(40):
+        f = random_field(g2pi, rng, band_limit=k % 2 == 0)  # odd k: content on the Nyquist row
         r1, _ = pohozaev_residuals(f, p12)
         I = nehari_I(f, p12)
         assert abs(r1 + I) <= 1e-12 * (abs(r1) + abs(I) + 1.0)
     z = Field(g2pi, np.zeros((32, 32)))
     assert pohozaev_residuals(z, p12) == (0.0, 0.0)
+
+
+def test_functionals_take_one_forward_transform(g2pi, p12, monkeypatch):
+    """functional_report takes one rfft2 and no inverse transform; so does each functional."""
+    f = random_field(g2pi, np.random.default_rng(3))
+    rfft2, calls = np.fft.rfft2, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft2(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inverse transform in a functional")
+
+    monkeypatch.setattr(np.fft, "rfft2", counted)
+    for name in ("irfft2", "ifft2", "irfft", "ifft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    for fn, arg in ((functional_report, p12), (pohozaev_residuals, p12), (gn_ratio, 1.0),
+                    (z_norm_sq, p12)):
+        calls.clear()
+        fn(f, arg)
+        assert len(calls) == 1, fn.__name__
 
 
 def test_gn_ratio_scale_invariance(g2pi):

@@ -14,15 +14,12 @@ from shrira import (
     forward,
     inverse,
     apply_multiplier,
-    dx_half,
-    dx_neg_half_dy,
-    hilbert_x,
-    project_zero_x,
     lp_norm,
 )
 from shrira.errors import GridMismatchError, SymbolDomainError
 
 from shrira.decay import y_weighted_seminorm
+from shrira.functionals import _energy_parts
 
 from conftest import random_field
 
@@ -151,50 +148,6 @@ def test_dx_half_examples(g2pi):
     assert np.allclose(inverse(h2).values, -np.sin(X), atol=1e-12)
 
 
-def test_dx_half_twice_is_abs_xi(g2pi):
-    rng = np.random.default_rng(13)
-    f = random_field(g2pi, rng)
-    twice = dx_half(dx_half(f))
-    direct = inverse(apply_multiplier(forward(f), lambda xi, eta: np.abs(xi)))
-    assert np.allclose(twice.values, direct.values, atol=1e-11)
-    # and equals H(d/dx f)
-    dfx = inverse(apply_multiplier(forward(f), lambda xi, eta: 1j * xi))
-    assert np.allclose(hilbert_x(dfx).values, twice.values, atol=1e-11)
-
-
-def test_dx_half_composition_on_cos(g2pi):
-    X, _ = g2pi.meshgrid()
-    f = Field(g2pi, np.cos(X))
-    assert np.allclose(dx_half(dx_half(f)).values, np.cos(X), atol=1e-12)
-
-
-def test_dx_neg_half_dy_single_mode(g2pi):
-    X, Y = g2pi.meshgrid()
-    f = Field(g2pi, np.sin(X) * np.sin(Y))
-    assert np.allclose(dx_neg_half_dy(f).values, np.sin(X) * np.cos(Y), atol=1e-12)
-
-
-def test_dx_neg_half_dy_kills_zero_x_modes(g2pi):
-    _, Y = g2pi.meshgrid()
-    f = Field(g2pi, np.sin(Y))  # pure xi = 0 content
-    assert np.max(np.abs(dx_neg_half_dy(f).values)) < 1e-13
-
-
-def test_project_zero_x(g2pi):
-    X, _ = g2pi.meshgrid()
-    f = Field(g2pi, 1.0 + np.cos(X))
-    out = project_zero_x(f)
-    assert np.allclose(out.values, np.cos(X), atol=1e-12)
-    again = project_zero_x(out)
-    assert np.allclose(again.values, out.values, atol=1e-14)
-    # row sums vanish
-    rng = np.random.default_rng(17)
-    f = random_field(g2pi, rng)
-    out = project_zero_x(f)
-    row_sums = np.abs(out.values.sum(axis=1))
-    assert np.max(row_sums) <= 1e-12 * np.max(np.abs(out.values)) * g2pi.nx
-
-
 def test_dealias_mask_keeps_low_modes_and_rejects_unknown_rules(g2pi):
     jx, jy = g2pi.index_x(), g2pi.index_y()
     for rule in ("two_thirds", "half"):
@@ -278,9 +231,13 @@ def _full_complex_op(u, g, symbol):
     band_limit=st.booleans(),
 )
 def test_verify_operators_on_half_spectrum_match_full_complex(seed, shape, box, band_limit):
-    """D_x^(1/2), D_x^(-1/2) d_y, H_x, the zero-x projection and the y-weighted seminorm:
-    random real fields, band-limited or with Nyquist content, agree with the full-complex
-    formulas to 1e-13."""
+    """The three parts of ||u||_Z^2 (one half spectrum) and the y-weighted seminorm: random
+    real fields, band-limited or with Nyquist content, agree with full-complex physical sums
+    to 1e-13.
+
+    The eta^2/|xi| part counts the y-Nyquist row eta = -pi*ny/ly by design.  real(ifft2) of
+    i*eta/|xi|^(1/2) drops that row, so its reference adds the row's spectral sum back; on a
+    band-limited field the row is empty and the reference is the physical sum alone."""
     nx, ny = shape
     g = Grid(nx, ny, *box)
     u = random_field(g, np.random.default_rng(seed), band_limit).values
@@ -289,16 +246,14 @@ def test_verify_operators_on_half_spectrum_match_full_complex(seed, shape, box, 
     ax = np.abs(xi)
     with np.errstate(divide="ignore", invalid="ignore"):
         neg_half_dy = np.where(xi != 0, 1j * eta / np.sqrt(ax), 0.0)
-    cases = (
-        (dx_half, np.sqrt(ax)),
-        (dx_neg_half_dy, neg_half_dy),
-        (hilbert_x, -1j * np.sign(xi)),
-        (project_zero_x, (xi != 0).astype(float)),
+    nyquist_row = np.sum(np.abs(neg_half_dy * np.fft.fft2(u))[ny // 2] ** 2) * g.spectral_weight
+    refs = (
+        np.sum(u * u) * g.cell_area,
+        np.sum(_full_complex_op(u, g, np.sqrt(ax)) ** 2) * g.cell_area,
+        np.sum(_full_complex_op(u, g, neg_half_dy) ** 2) * g.cell_area + nyquist_row,
     )
-    for op, symbol in cases:
-        ref = _full_complex_op(u, g, symbol)
-        got = op(f).values
-        assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1e-300), op.__name__
+    for got, ref in zip(_energy_parts(f), refs):
+        assert got == pytest.approx(ref, rel=1e-13)
     dxh, px, py = (_full_complex_op(u, g, sym) for sym in (np.sqrt(ax), 1j * xi, 1j * eta))
     Y = g.meshgrid()[1]
     ref = float(np.sum(Y**2 * (dxh**2 + px**2 + py**2)) * g.cell_area)

@@ -202,6 +202,14 @@ def test_cli_verify_matches_solve(solved_dir, tmp_path):
         assert len(rows) > 10
 
 
+def test_cli_verify_report_times_its_phases(solved_dir, tmp_path):
+    out = tmp_path / "verify"
+    assert main(["verify", "--field", str(solved_dir / "phi.field"), "--out", str(out)]) == 0
+    timings = json.loads((out / "verify_report.json").read_text())["timings"]
+    assert set(timings) == {"residual_s", "functionals_s", "decay_s"}
+    assert all(t >= 0 for t in timings.values())
+
+
 def test_cli_verify_zero_field_exits_2(tmp_path):
     g = Grid(16, 16, 2 * PI, 2 * PI)
     p = tmp_path / "zero.field"

@@ -21,6 +21,8 @@ from shrira import (
     z_norm_sq,
     lp_norm,
     write_field,
+    EvolveConfig,
+    evolve,
 )
 from shrira import grid as sg
 from shrira.solver import _Modes, default_dealias_rule, solve
@@ -133,15 +135,18 @@ def test_compact_modes_are_the_masked_real_transforms(rule):
 
 
 def test_solver_loops_call_no_blas(p12, monkeypatch):
-    """np.linalg.norm and np.dot wake the BLAS thread pool; neither loop may call them."""
+    """np.linalg.norm and np.dot wake the BLAS thread pool; neither the solver loops nor the
+    records of evolve, shape error included, may call them."""
     def refuse(*args, **kwargs):
-        raise AssertionError("BLAS call in a solver loop")
+        raise AssertionError("BLAS call in a solver loop or an evolve record")
 
     monkeypatch.setattr(np.linalg, "norm", refuse)
     monkeypatch.setattr(np, "dot", refuse)
     for method in ("petviashvili", "nehari_descent"):
-        _, rep = solve(SolverConfig(method=method), p12, Grid(32, 32, 8 * PI, 8 * PI))
+        fld, rep = solve(SolverConfig(method=method), p12, Grid(32, 32, 8 * PI, 8 * PI))
         assert rep.converged
+    ev = evolve(fld, EvolveConfig(t_end=0.1, dt=0.02, record_every=2), p12, reference=(fld, p12.c))
+    assert len(ev.shape_error_series) == len(ev.times) and max(ev.shape_error_series) < 1e-3
 
 
 @pytest.mark.parametrize("method", ["petviashvili", "nehari_descent"])
