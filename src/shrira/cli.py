@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation/configuration error or evolve blow-up
 (last_good.field and the partial conservation.csv are still written), 3 solver
-non-convergence (reports are still written).
+non-convergence, a collapse included (solve still writes phi.field,
+solve_report.json with converged false and its timings, and functionals.json).
 """
 
 from __future__ import annotations
@@ -78,9 +79,7 @@ def _cmd_solve(args) -> int:
     code = EXIT_OK
     try:
         fld, report = sol.solve(cfg.solver, cfg.physics, grid)
-    except ConvergenceError as exc:
-        if exc.field is None or exc.report is None:
-            raise
+    except ConvergenceError as exc:  # a collapse included: every stop carries field and report
         fld, report = exc.field, exc.report
         code = EXIT_NO_CONVERGENCE
         print(f"solver did not converge: {exc}", file=sys.stderr)

@@ -136,21 +136,22 @@ def weighted_sup(f: sg.Field, weight, window: Optional[tuple] = None) -> float:
 
     weight: "y3" (|y|^3), "x3/2" (|x|^{3/2}) or ("y_kappa", kappa) with kappa
     in [0, 3].  A window (r_min, r_max) restricts the weighted coordinate's
-    magnitude, for box-to-box comparisons.
+    magnitude, for box-to-box comparisons.  The weight depends on one
+    coordinate, so the sup runs over the profile of max |phi| along the other.
     """
-    X, Y = f.grid.meshgrid()
+    g = f.grid
     if weight == "y3":
-        wgt, coord = np.abs(Y) ** 3, Y
+        coord, wgt = g.y, np.abs(g.y) ** 3
     elif weight == "x3/2":
-        wgt, coord = np.abs(X) ** 1.5, X
+        coord, wgt = g.x, np.abs(g.x) ** 1.5
     elif isinstance(weight, tuple) and weight[0] == "y_kappa":
         kappa = float(weight[1])
         if not 0.0 <= kappa <= 3.0:
             raise GridMismatchError("kappa must lie in [0, 3]")
-        wgt, coord = np.abs(Y) ** kappa, Y
+        coord, wgt = g.y, np.abs(g.y) ** kappa
     else:
         raise GridMismatchError(f"unknown weight {weight!r}")
-    a = wgt * np.abs(f.values)
+    a = wgt * np.max(np.abs(f.values), axis=1 if coord is g.y else 0)
     if window is not None:
         r = np.abs(coord)
         sel = (r >= window[0]) & (r <= window[1])
@@ -177,14 +178,18 @@ def two_box_sup_drift(small: sg.Field, big: sg.Field, weight, window: Optional[t
 
 
 def y_weighted_seminorm(f: sg.Field) -> float:
-    """int y^2 (|D_x^{1/2} phi|^2 + |grad phi|^2) by spectral derivatives."""
+    """int y^2 (|D_x^{1/2} phi|^2 + |grad phi|^2), each row's x-integral by Parseval.
+
+    Row spectra are weighted |xi| + xi^2 (xi^2 is 0 on the Nyquist column,
+    where a real phi_x has no content); phi_y's are taken along y with eta_odd.
+    """
     g = f.grid
-    ch = np.fft.rfft2(f.values)
+    rows = np.fft.rfft(f.values, axis=1)
+    d_y = np.fft.ifft(1j * g.eta_odd[:, None] * np.fft.fft(rows, axis=0), axis=0)
     xi = g.half(g.xi)
-    dxh, px, py = (np.fft.irfft2(sym * ch, s=(g.ny, g.nx))
-                   for sym in (np.sqrt(np.abs(xi)), 1j * xi, 1j * g.eta_odd[:, None]))
-    _, Y = g.meshgrid()
-    return float(np.sum(Y**2 * (dxh**2 + px**2 + py**2)) * g.cell_area)
+    y2 = g.y[:, None] ** 2
+    sq = sg.weighted_sq_sum(g, y2 * (np.abs(xi) + np.append(xi[:-1] ** 2, 0.0)), rows)
+    return (sq + sg.weighted_sq_sum(g, y2, d_y)) * g.cell_area / g.nx
 
 
 def zero_x_mean_and_sign(f: sg.Field):

@@ -42,18 +42,15 @@ class UndefinedResidualError(ShriraError, ValueError):
 
 
 class ConvergenceError(ShriraError):
-    """Iteration failed to converge; carries the partial report (a sweep's: its finished rows)."""
+    """Iteration stopped short of convergence; a solver's carries its last iterate (`field`) and
+    report (`report`), set as it leaves the solver, a sweep's the rows finished before it."""
 
+    report = field = None
     rows = ()
-
-    def __init__(self, message, report=None, field=None):
-        super().__init__(message)
-        self.report = report
-        self.field = field
 
 
 class CollapseError(ConvergenceError):
-    """Petviashvili normalization factor became non-positive (bad initial guess)."""
+    """The iterate collapsed: M <= 0 or a zero Petviashvili iterate, int u f(u) <= 0 for Nehari."""
 
 
 class BlowUpError(ShriraError):

@@ -9,7 +9,8 @@ loop carries the half spectrum of `shrira.grid`, and dealiasing and the
 x-derivative are one fused multiplier -i xi * keep.  One stepper per run holds
 the phase tables and the work buffers; each stage runs in place (`out=`), the
 inverse transform is ifft along y then irfft along x, and the forward one is
-rfft along x then fft along y only on the columns -i xi * keep leaves nonzero.
+the solver's pruned `_Modes.forward_half`: rfft along x, then fft along y only
+on the columns -i xi * keep leaves nonzero.
 The step is bit-identical to the classical formula on fresh arrays.
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
@@ -38,7 +39,7 @@ import numpy as np
 from . import grid as sg
 from .errors import BlowUpError, GridMismatchError
 from .functionals import PhysicsParams
-from .solver import default_dealias_rule
+from .solver import _Modes, default_dealias_rule
 
 DISPERSIVE_STEP_FRACTION = 0.05
 
@@ -113,18 +114,16 @@ class _Stepper:
         e_half = np.exp(grid.half(linear_symbol(grid)) * (dt / 2))
         self.e_half, self.e_full = e_half, e_half * e_half
         keep = grid.half(grid.dealias_mask(rule))
-        self.kc = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1  # columns kc.. of keep are empty
+        self.modes = _Modes(grid, rule, params.c)  # its forward_half prunes the column FFT
         self.mult = -1j * grid.half(grid.xi2d) * keep
         self.k = np.empty((5,) + keep.shape, np.complex128)  # k1..k4 and a stage argument
         self.u, self.fu = np.empty((2, grid.ny, grid.nx))
 
     def nonlinear(self, v, out):
-        """out = -i xi keep * rfft2(f(irfft2(v))) by one-axis transforms; columns kc.. skip the column FFT."""
-        cols = out[:, : self.kc]
+        """out = -i xi keep * rfft2(f(irfft2(v))) by one-axis transforms, the forward one pruned."""
         np.fft.ifft(v, axis=0, out=out)
         np.fft.irfft(out, n=self.grid.nx, axis=1, out=self.u)
-        np.fft.rfft(self.params.f(self.u, out=self.fu), axis=1, out=out)
-        np.fft.fft(cols, axis=0, out=cols)
+        self.modes.forward_half(self.params.f(self.u, out=self.fu), out=out)
         return np.multiply(self.mult, out, out=out)
 
     def step(self, uh, out):

@@ -25,16 +25,22 @@ xi != 0 modes only (`_Modes`), 25-44% of the half spectrum: M, the residual,
 the action and the update are sums and products over that vector.  Its
 transforms touch only the first kc columns of the half spectrum, where the
 kept modes lie: the forward one runs fft along y on those columns, the inverse
-one ifft along y on them, with rfft/irfft along x.  Reductions are pairwise
-np.sum or einsum, never a BLAS dot.  `spectral_residual`, which checks stored
-fields, keeps the whole half spectrum, so content outside the kept modes
-still counts there.
+one ifft along y on them, with rfft/irfft along x; the time stepper of
+`shrira.evolution` reuses the forward one.  Reductions are pairwise np.sum or
+einsum, never a BLAS dot.  `spectral_residual`, which checks stored fields,
+keeps the whole half spectrum, so content outside the kept modes still counts.
+
+Every stop leaves through `_finish`, which builds the one SolveReport.  Short
+of convergence it raises ConvergenceError (max_iter ran out, Nehari stalled)
+or CollapseError (a zero iterate, M <= 0, int u f(u) <= 0 at Nehari's start),
+carrying the last iterate as `field` and its report as `report`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -133,7 +139,7 @@ class SolveReport:
     zero_x_mean_defect: float
     max_location: tuple
     max_abs: float
-    timings: dict = field(default_factory=dict)  # setup_s, loop_s, report_s
+    timings: dict  # setup_s, loop_s, report_s
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -153,23 +159,21 @@ def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
     return init.build(grid)
 
 
-def _diagnostics(f: sg.Field) -> tuple:
-    phi, grid = f.values, f.grid
-    amax = float(np.max(np.abs(phi)))
-    jy, jx = np.unravel_index(int(np.argmax(np.abs(phi))), phi.shape)
-    loc = (float(grid.x[jx]), float(grid.y[jy]))
-    scale = amax if amax > 0 else 1.0
-    even_x = float(np.max(np.abs(phi - phi[:, (-np.arange(grid.nx)) % grid.nx])) / scale)
-    even_y = float(np.max(np.abs(phi - phi[(-np.arange(grid.ny)) % grid.ny, :])) / scale)
-    row_defect, _ = zero_x_mean_and_sign(f)
-    return {"even_x": even_x, "even_y": even_y}, row_defect, loc, amax
+def _finish(method, phi, grid, params, hists, started, converged, stop=None):
+    """(Field, SolveReport) of a converged loop; any other stop raises `stop` (a
+    ConvergenceError if none: max_iter ran out) carrying the field and the report.
 
-
-def _report(method, phi, grid, params, res_hist, m_hist, converged, delta_hist=()) -> SolveReport:
+    hists = (residual, M, delta) histories; started = (call start, loop start)
+    on time.perf_counter, which time the report's phases.
+    """
+    t_loop = time.perf_counter()
+    res_hist, m_hist, delta_hist = hists
     f = sg.Field(grid, phi)
     fr = functional_report(f, params)
-    sym, row_defect, loc, amax = _diagnostics(f)
-    return SolveReport(
+    amax = float(np.max(np.abs(phi)))
+    jy, jx = np.unravel_index(int(np.argmax(np.abs(phi))), phi.shape)
+    scale = amax if amax > 0 else 1.0
+    report = SolveReport(
         method=method,
         iterations=len(res_hist),
         converged=converged,
@@ -178,30 +182,23 @@ def _report(method, phi, grid, params, res_hist, m_hist, converged, delta_hist=(
         delta_history=[float(d) for d in delta_hist],
         functionals=fr,
         d=fr.S,
-        symmetry_defects=sym,
-        zero_x_mean_defect=row_defect,
-        max_location=loc,
+        symmetry_defects={
+            "even_x": float(np.max(np.abs(phi - phi[:, (-np.arange(grid.nx)) % grid.nx])) / scale),
+            "even_y": float(np.max(np.abs(phi - phi[(-np.arange(grid.ny)) % grid.ny, :])) / scale),
+        },
+        zero_x_mean_defect=zero_x_mean_and_sign(f)[0],
+        max_location=(float(grid.x[jx]), float(grid.y[jy])),
         max_abs=amax,
+        timings={"setup_s": started[1] - started[0], "loop_s": t_loop - started[1],
+                 "report_s": time.perf_counter() - t_loop},
     )
-
-
-def _finish(method, phi, grid, params, res_hist, m_hist, converged, delta_hist, started):
-    """(Field, SolveReport) of a finished loop; ConvergenceError carrying both if not converged.
-
-    started = (call start, loop start) on time.perf_counter; they time the report's phases.
-    """
-    t_loop = time.perf_counter()
-    report = _report(method, phi, grid, params, res_hist, m_hist, converged, delta_hist)
-    report.timings = {"setup_s": started[1] - started[0], "loop_s": t_loop - started[1],
-                      "report_s": time.perf_counter() - t_loop}
-    if not converged:
-        raise ConvergenceError(
-            f"{method} did not converge in {len(res_hist)} iterations "
-            f"(last residual {res_hist[-1]:.3e})",
-            report=report,
-            field=sg.Field(grid, phi),
-        )
-    return sg.Field(grid, phi), report
+    if converged:
+        return f, report
+    if stop is None:
+        stop = ConvergenceError(f"{method} did not converge in {len(res_hist)} iterations "
+                                f"(last residual {res_hist[-1]:.3e})")
+    stop.report, stop.field = report, f
+    raise stop
 
 
 def spectral_residual(f: sg.Field, params: PhysicsParams, rule: Optional[str] = None) -> float:
@@ -227,36 +224,51 @@ def _residual(num_sq: float, den_sq: float) -> float:
 
 
 class _Modes:
-    """The dealiased xi != 0 modes of one solver loop as a compact vector, and its transforms.
+    """The dealiased xi != 0 modes of a grid as a compact vector, and its transforms.
 
-    The kept modes of the half spectrum lie in its first kc columns.  `forward`
-    is rfft along x, fft along y on those columns only, then the gather of the
-    kept modes: the masked rfft2.  `inverse` scatters into zeroed columns, runs
-    ifft along y on them and irfft along x: irfft2 of the scattered half
-    spectrum, pruned exactly because a compact vector has nothing past kc.
-    Every kept mode has column weight 2 (the xi = 0 and Nyquist columns are
-    never kept), so a full-spectrum sum is twice the compact one; `dot` omits
-    the 2 and the loops use it in ratios or restore it.
+    The kept modes of the half spectrum lie in its first kc columns.
+    `forward_half` is rfft along x, then fft along y on those columns only;
+    `forward` gathers the kept modes from it: the masked rfft2.  `inverse`
+    scatters into zeroed columns, runs ifft along y on them and irfft along x:
+    irfft2 of the scattered half spectrum, pruned exactly because a compact
+    vector has nothing past kc.  Every kept mode has column weight 2 (the
+    xi = 0 and Nyquist columns are never kept), so a full-spectrum sum is twice
+    the compact one; `dot` omits the 2 and the loops use it in ratios or
+    restore it.  `s` is the profile symbol c + dispersion on the kept modes.
+    The time stepper reads only kc and `forward_half`, so `s` and the buffer of
+    `inverse` are built on first use (built up front, s alone raised the peak
+    RSS of a 256^2 evolve by 0.5 MB).
     """
 
-    def __init__(self, config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
-        rule = config.dealias_rule or default_dealias_rule(params.m)
-        keep = grid.half(grid.dealias_mask(rule) & grid.xi_nonzero)
-        kc = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1  # columns kc.. of keep are empty
-        self.keep, self.nx = keep[:, :kc], grid.nx
-        self.s = (params.c + grid.half(grid.dispersion))[:, :kc][self.keep]  # profile symbol
-        self._half = np.zeros(keep.shape, np.complex128)  # columns kc.. stay zero
+    def __init__(self, grid: sg.Grid, rule: str, c: float):
+        keep = grid.half(grid.dealias_mask(rule)) & grid.half(grid.xi_nonzero)
+        self.kc = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1  # columns kc.. of keep are empty
+        self.keep, self.grid, self.c = keep[:, : self.kc], grid, c
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return self.c + self.grid.half(self.grid.dispersion)[:, : self.kc][self.keep]
+
+    @cached_property
+    def _half(self) -> np.ndarray:  # the work buffer of `inverse`; columns kc.. stay zero
+        return np.zeros((self.grid.ny, self.grid.nx // 2 + 1), np.complex128)
+
+    def forward_half(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The half spectrum of u, exact in columns 0..kc-1; columns kc.. skip the fft along y."""
+        out = np.fft.rfft(u, axis=1, out=out)
+        cols = out[:, : self.kc]
+        np.fft.fft(cols, axis=0, out=cols)
+        return out
 
     def forward(self, u: np.ndarray) -> np.ndarray:
-        cols = np.fft.rfft(u, axis=1)[:, : self.keep.shape[1]]
-        return np.fft.fft(cols, axis=0, out=cols)[self.keep]
+        return self.forward_half(u)[:, : self.kc][self.keep]
 
     def inverse(self, v: np.ndarray) -> np.ndarray:
-        cols = self._half[:, : self.keep.shape[1]]
+        cols = self._half[:, : self.kc]
         cols.fill(0.0)
         cols[self.keep] = v
         np.fft.ifft(cols, axis=0, out=cols)
-        return np.fft.irfft(self._half, n=self.nx, axis=1)
+        return np.fft.irfft(self._half, n=self.grid.nx, axis=1)
 
     @staticmethod
     def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -268,30 +280,24 @@ class _Modes:
 
 
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
-    """Stabilized fixed-point iteration; returns (Field, SolveReport).
-
-    Raises ConvergenceError (with the partial report attached) when max_iter is
-    exhausted, CollapseError when the normalization quotient turns non-positive.
-    """
+    """Stabilized fixed-point iteration; returns (Field, SolveReport), raises as `_finish` does."""
     t0 = time.perf_counter()
     gamma = config.gamma if config.gamma is not None else params.m / (params.m - 1.0)
-    modes = _Modes(config, params, grid)
+    modes = _Modes(grid, config.dealias_rule or default_dealias_rule(params.m), params.c)
     ph = modes.forward(_init_values(config, grid))
     phi = modes.inverse(ph)
     started = (t0, time.perf_counter())
-    res_hist, m_hist, delta_hist = [], [], []
+    hists = res_hist, m_hist, delta_hist = [], [], []
     delta = np.inf
-    converged = False
+    converged, stop = False, None
     for _ in range(config.max_iter):
         fh = modes.forward(params.f(phi))
         sph = modes.s * ph
         num = modes.dot(sph, ph)
         den = modes.dot(fh, ph)
         if den == 0.0 or num == 0.0:
-            raise CollapseError(
-                "iterate lost all spectral content",
-                report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False, delta_hist),
-            )
+            stop = CollapseError("iterate lost all spectral content")
+            break
         M = num / den
         r = sph - fh
         resid = _residual(modes.dot(r, r), modes.dot(sph, sph))
@@ -302,26 +308,25 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             converged = True
             break
         if M <= 0:
-            raise CollapseError(
-                f"Petviashvili factor M = {M:.3e} <= 0 (bad initial guess)",
-                report=_report(PETVIASHVILI, phi, grid, params, res_hist, m_hist, False, delta_hist),
-            )
+            stop = CollapseError(f"Petviashvili factor M = {M:.3e} <= 0 (bad initial guess)")
+            break
         ph = M**gamma * fh / modes.s
         new = modes.inverse(ph)
         nrm_sq = sg.sq_sum(phi)
         delta = float(np.sqrt(sg.sq_sum(new - phi) / nrm_sq)) if nrm_sq > 0 else np.inf
         phi = new
 
-    return _finish(PETVIASHVILI, phi, grid, params, res_hist, m_hist, converged, delta_hist, started)
+    return _finish(PETVIASHVILI, phi, grid, params, hists, started, converged, stop)
 
 
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Preconditioned descent of S on the Nehari manifold; returns (Field, SolveReport)."""
     t0 = time.perf_counter()
-    modes = _Modes(config, params, grid)
+    modes = _Modes(grid, config.dealias_rule or default_dealias_rule(params.m), params.c)
     w = 2.0 * grid.spectral_weight  # column weight of every kept mode, times Parseval's factor
     dA = grid.cell_area
     m = params.m
+    res_hist: list = []
 
     def manifold_scale(zsq, uf):
         return (zsq / uf) ** (1.0 / (m - 1.0))
@@ -331,7 +336,8 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     zsq = modes.dot(modes.s * ph, ph) * w
     uf = float(np.sum(phi * params.f(phi)) * dA)
     if uf <= 0:
-        raise CollapseError("initial guess has int u f(u) <= 0", report=None)
+        return _finish(NEHARI_DESCENT, phi, grid, params, ([], [], []), (t0, time.perf_counter()), False,
+                       CollapseError("initial guess has int u f(u) <= 0"))
     t = manifold_scale(zsq, uf)
     phi, ph = t * phi, t * ph
     zsq *= t * t
@@ -339,8 +345,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     started = (t0, time.perf_counter())
 
     h = config.descent_step
-    res_hist: list = []
-    converged = False
+    converged, stop = False, None
     for _ in range(config.max_iter):
         fh = modes.forward(params.f(phi))
         sph = modes.s * ph
@@ -351,7 +356,6 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             converged = True
             break
         d = modes.inverse(ph - fh / modes.s)
-        accepted = False
         for _try in range(40):
             v = phi - h * d
             vh = modes.forward(v)
@@ -363,19 +367,15 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             tv = manifold_scale(zv, ufv)
             Sv = 0.5 * tv * tv * zv - float(np.sum(params.F(tv * v)) * dA)
             if Sv <= S_old + 1e-14 * abs(S_old):
-                accepted = True
                 break
             h *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                "Nehari descent stalled: no step decreases the action",
-                report=_report(NEHARI_DESCENT, phi, grid, params, res_hist, [], False),
-                field=sg.Field(grid, phi),
-            )
+        else:  # no step accepted
+            stop = ConvergenceError("Nehari descent stalled: no step decreases the action")
+            break
         phi, ph, S_old = tv * v, tv * vh, Sv
         h = min(h * 1.3, 0.9)
 
-    return _finish(NEHARI_DESCENT, phi, grid, params, res_hist, [], converged, (), started)
+    return _finish(NEHARI_DESCENT, phi, grid, params, (res_hist, [], []), started, converged, stop)
 
 
 def solve(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):

@@ -80,6 +80,15 @@ def test_weighted_sup():
         weighted_sup(f, ("y_kappa", 3.5))
     with pytest.raises(GridMismatchError):
         weighted_sup(f, "z2")
+    # the profile sup is the sup of the weighted field, bit for bit
+    u = random_field(g, np.random.default_rng(5))
+    X, Y = g.meshgrid()
+    for weight, w, coord in (("y3", np.abs(Y) ** 3, Y), ("x3/2", np.abs(X) ** 1.5, X),
+                             (("y_kappa", 1.7), np.abs(Y) ** 1.7, Y)):
+        a = w * np.abs(u.values)
+        assert weighted_sup(u, weight) == float(np.max(a))
+        sel = (np.abs(coord) >= 2.0) & (np.abs(coord) <= 9.0)
+        assert weighted_sup(u, weight, window=(2.0, 9.0)) == float(np.max(a[sel]))
 
 
 def test_two_box_sup_drift_synthetic():
@@ -165,6 +174,20 @@ def test_decay_report_fields(ground_state_256, params_m2):
     lo, hi = default_fit_window(fld.grid.ly / 2)
     assert rep.fit_window_y[0] == lo
     assert hi <= rep.fit_window_y[1] <= 0.8 * fld.grid.ly / 2
+
+
+def test_decay_report_builds_no_physical_field(ground_state_256, params_m2, monkeypatch):
+    """The seminorm sums row spectra and the sups run over 1-D profiles: decay_report
+    calls neither irfft2 nor Grid.meshgrid."""
+    fld, _, _ = ground_state_256
+    want = decay_report(fld, params_m2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a physical-space derivative or coordinate field was built")
+
+    monkeypatch.setattr(np.fft, "irfft2", refuse)
+    monkeypatch.setattr(Grid, "meshgrid", refuse)
+    assert decay_report(fld, params_m2) == want
 
 
 def test_two_box_invariants_on_computed_wave(ground_state_256, ground_state_big):

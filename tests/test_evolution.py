@@ -330,7 +330,7 @@ def test_pruned_nonlinear_term(m, rule, kc):
     mult = -1j * g.half(g.xi2d) * g.half(g.dealias_mask(rule))
     want = mult * np.fft.rfft2(params.f(np.fft.irfft2(v, s=(g.ny, g.nx))))
     got = stepper.nonlinear(v, np.full_like(v, np.nan))
-    assert stepper.kc == kc
+    assert stepper.modes.kc == kc
     assert np.array_equal(got, want)
     assert np.all(got[:, kc:] == 0) and np.any(got[:, kc - 1] != 0)
 

@@ -230,6 +230,25 @@ def test_cli_solve_nonconvergence_exit_3(tmp_path, cfg_file):
     assert rep["converged"] is False
 
 
+@pytest.mark.parametrize("method", ["petviashvili", "nehari_descent"])
+def test_cli_solve_collapse_exits_3_and_keeps_its_outputs(tmp_path, method):
+    """A negative-amplitude Gaussian at m = 2 collapses (M <= 0, or int u f(u) <= 0 for
+    Nehari descent); the command still writes the field and both reports."""
+    cfg = dict(BASE_CONFIG, grid={"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI},
+               solver={"method": method, "init": {"kind": "gaussian", "amplitude": -1.0}})
+    p = tmp_path / "collapse.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 3
+    fld, _ = read_field(out / "phi.field")
+    assert fld.grid == Grid(32, 32, 8 * PI, 8 * PI)
+    rep = json.loads((out / "solve_report.json").read_text())
+    assert rep["method"] == method and rep["converged"] is False
+    assert set(rep["timings"]) == {"setup_s", "loop_s", "report_s"}
+    fun = json.loads((out / "functionals.json").read_text())
+    assert set(fun) >= {"S", "I", "G", "z_norm_sq"}
+
+
 def test_cli_malformed_config_exit_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{ nope")
@@ -259,6 +278,26 @@ def test_cli_evolve(solved_dir, cfg_file, tmp_path):
     assert rep["mass_drift"] <= 1e-8
     assert rep["steps"] == round(0.2 / rep["dt"])
     assert set(rep["timings"]) == {"setup_s", "steps_s", "records_s"}
+
+
+def test_cli_evolve_writes_snapshots(tmp_path):
+    """output.snapshots: one field per record time, 13 steps recorded every 5, all listed in
+    evolve_report.json."""
+    cfg = dict(BASE_CONFIG, grid={"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI},
+               evolve={"t_end": 0.05, "record_every": 5}, output={"dir": ".", "snapshots": True})
+    p = tmp_path / "snap.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "solve")]) == 0
+    out = tmp_path / "evo"
+    assert main(["evolve", "--field", str(tmp_path / "solve" / "phi.field"), "--config", str(p),
+                 "--out", str(out)]) == 0
+    names = [f"snap_{k:06d}.field" for k in (0, 5, 10, 13)]
+    assert sorted(q.name for q in out.glob("snap_*.field")) == names
+    rep = json.loads((out / "evolve_report.json").read_text())
+    assert rep["steps"] == 13 and rep["snapshots"] == [str(out / n) for n in names]
+    snap, _ = read_field(out / names[-1])
+    final, _ = read_field(out / "final.field")
+    assert np.array_equal(snap.values, final.values)
 
 
 def test_cli_evolve_zero_field_exits_2(tmp_path, cfg_file):
@@ -350,6 +389,17 @@ def test_cli_kernel_on_axis_point_near_the_origin(tmp_path):
     with open(out) as fh:
         row = next(csv.DictReader(fh))
     assert float(row["value"]) == pytest.approx(1772446.667, rel=1e-9)
+
+
+def test_cli_kernel_uncertified_point_exits_2(tmp_path, capsys):
+    """nu = 0 at (0.001, 0) cannot be certified to 1e-12: the command stops with exit 2."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.001,0\n")
+    code = main(["kernel", "--nu", "0", "--quad-tol", "1e-12", "--points", str(pts),
+                 "--out", str(tmp_path / "kernel.csv"), "--oracle-nx", "256", "--oracle-ny", "128",
+                 "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)])
+    assert code == 2
+    assert "exceeds tolerance at (0.001, 0.0)" in capsys.readouterr().err
 
 
 def test_cli_kernel_bad_points(tmp_path):

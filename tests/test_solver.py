@@ -1,6 +1,7 @@
 """Solver behavior on small grids: residual oracle, fixed points, rescaling."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_compact_modes_are_the_masked_real_transforms(rule):
     pruned inverse is irfft2 of the scattered vector, and twice the compact dot is the
     full-spectrum sum (every kept mode has column weight 2)."""
     g = Grid(48, 32, 10.0, 7.0)
-    modes = _Modes(SolverConfig(dealias_rule=rule), PhysicsParams(c=1.5, m=2), g)
+    modes = _Modes(g, rule, 1.5)
     keep = g.half(g.dealias_mask(rule) & g.xi_nonzero)
     u = np.random.default_rng(7).standard_normal((g.ny, g.nx))
     masked = np.where(keep, np.fft.rfft2(u), 0.0)
@@ -187,6 +188,29 @@ def test_petviashvili_collapse(p12):
     cfg = SolverConfig(init=GaussianInit(amplitude=-1.0))
     with pytest.raises(CollapseError):
         petviashvili(cfg, p12, grid)
+
+
+@pytest.mark.parametrize("method, init, error, message, iterations", [
+    ("petviashvili", GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3),
+    ("nehari_descent", GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3),
+    ("petviashvili", np.zeros((32, 32)), CollapseError, "lost all spectral content", 0),
+    ("petviashvili", GaussianInit(amplitude=-1.0), CollapseError, "<= 0 (bad initial guess)", 1),
+    ("nehari_descent", GaussianInit(amplitude=-1.0), CollapseError, "int u f(u) <= 0", 0),
+], ids=["max_iter", "nehari_max_iter", "zero_init", "negative_M", "nehari_initial_collapse"])
+def test_every_stop_carries_field_and_report(p12, method, init, error, message, iterations):
+    """max_iter exhausted, a zero initial field, M <= 0 and the Nehari initial collapse all
+    raise their error class with the last iterate and a timed, unconverged report."""
+    grid = Grid(32, 32, 8 * PI, 8 * PI)
+    with pytest.raises(error, match=re.escape(message)) as exc:
+        solve(SolverConfig(method=method, init=init, max_iter=3), p12, grid)
+    assert type(exc.value) is error
+    fld, rep = exc.value.field, exc.value.report
+    assert fld.grid == grid and np.all(np.isfinite(fld.values))
+    assert rep.method == method and rep.converged is False and rep.iterations == iterations
+    assert len(rep.residual_history) == iterations
+    assert set(rep.timings) == {"setup_s", "loop_s", "report_s"}
+    assert all(t >= 0 for t in rep.timings.values())
+    assert rep.max_abs == float(np.max(np.abs(fld.values)))
 
 
 def test_descent_agrees_with_petviashvili(small_solution, p12):
@@ -273,6 +297,17 @@ def test_report_serializes(small_solution):
     _, rep = small_solution
     text = json.dumps(rep.to_dict())
     assert "residual_history" in text and "functionals" in text
+
+
+def test_file_warm_start_restarts_a_converged_solve(p12, tmp_path):
+    """Solving again from a stored converged 32^2 field converges at once (49 iterations cold)."""
+    grid = Grid(32, 32, 8 * PI, 8 * PI)
+    fld, cold = petviashvili(SolverConfig(), p12, grid)
+    path = tmp_path / "warm.field"
+    write_field(path, fld, {"c": 1.0, "m": 2})
+    _, warm = petviashvili(SolverConfig(init=FileInit(str(path))), p12, grid)
+    assert (cold.iterations, warm.iterations) == (49, 2) and warm.converged
+    assert warm.d == pytest.approx(cold.d, rel=1e-15)
 
 
 def test_warm_start_from_another_box_is_rejected(small_solution, p12, tmp_path):
