@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation/configuration error or evolve blow-up
-(last_good.field and the partial conservation.csv are still written), 3 solver
+Exit codes: 0 success, 2 validation/configuration error, evolve blow-up
+(last_good.field and the partial conservation.csv are still written) or an
+uncertified kernel point (the rows before it are still written), 3 solver
 non-convergence, a collapse included (solve still writes phi.field,
 solve_report.json with converged false and its timings, and functionals.json).
 """
@@ -180,15 +181,17 @@ def _cmd_kernel(args) -> int:
     oracle_grid = Grid(nx=args.oracle_nx, ny=args.oracle_ny, lx=args.oracle_lx, ly=args.oracle_ly)
     oracle = ker.kernel_spectral_oracle(args.nu, oracle_grid)
     rows = []
-    for (x, y) in points:
-        s = ker.h_nu_point(spec, x, y)
-        _, _, kv = ker.oracle_node_value(oracle, x, 2.0 * y)
-        rel = abs(ker.SQRT_PI * s.value - kv) / max(abs(kv), 1e-300)
-        rows.append(
-            (f"{x:.17g}", f"{y:.17g}", f"{s.value:.17g}", f"{s.est_error:.3g}",
-             f"{kv:.17g}", f"{rel:.6g}")
-        )
-    _write_csv(Path(args.out), ("x", "y", "value", "est_error", "oracle", "rel_diff"), rows)
+    try:  # an uncertified point stops the loop; the rows before it are still written
+        for (x, y) in points:
+            s = ker.h_nu_point(spec, x, y)
+            _, _, kv = ker.oracle_node_value(oracle, x, 2.0 * y)
+            rel = abs(ker.SQRT_PI * s.value - kv) / max(abs(kv), 1e-300)
+            rows.append(
+                (f"{x:.17g}", f"{y:.17g}", f"{s.value:.17g}", f"{s.est_error:.3g}",
+                 f"{kv:.17g}", f"{rel:.6g}")
+            )
+    finally:
+        _write_csv(Path(args.out), ("x", "y", "value", "est_error", "oracle", "rel_diff"), rows)
     return EXIT_OK
 
 

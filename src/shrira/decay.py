@@ -35,7 +35,7 @@ from .functionals import PhysicsParams, P_DECAY_THRESHOLD
 
 AMPLITUDE_FLOOR = 1e-13
 
-DEFAULT_MIXED_PAIRS = ((2.0, 2.0), (1.5, 1.5), (1.0, 4.0), (2.0, 1.2), (np.inf, 1.5))
+MIXED_PAIRS = ((2.0, 2.0), (1.5, 1.5), (1.0, 4.0), (2.0, 1.2), (np.inf, 1.5))
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,6 @@ def decay_report(
     params: PhysicsParams,
     window_x: Optional[tuple] = None,
     window_y: Optional[tuple] = None,
-    mixed_pairs=DEFAULT_MIXED_PAIRS,
 ) -> DecayReport:
     window_x = window_x or _auto_window(f.grid.lx / 2, f.grid.dx)
     window_y = window_y or _auto_window(f.grid.ly / 2, f.grid.dy)
@@ -244,7 +243,7 @@ def decay_report(
     defect, sign_change = zero_x_mean_and_sign(f)
     mixed = [
         (q, r, mixed_norm(f, q, r, "y_outer"), mixed_norm(f, q, r, "x_outer"), mixed_pair_admissible(q, r))
-        for (q, r) in mixed_pairs
+        for (q, r) in MIXED_PAIRS
     ]
     return DecayReport(
         exponent_y=ey,

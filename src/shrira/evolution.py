@@ -61,7 +61,6 @@ def default_dt(grid: sg.Grid, u0: np.ndarray, rule: str) -> float:
 class EvolveConfig:
     t_end: float
     dt: Optional[float] = None  # None -> default_dt
-    dealias_rule: Optional[str] = None  # None -> default for m
     record_every: int = 20
 
     def __post_init__(self):
@@ -71,7 +70,6 @@ class EvolveConfig:
             raise GridMismatchError(f"t_end: must be positive, got {self.t_end}")
         if not self.record_every >= 1:
             raise GridMismatchError(f"record_every: must be >= 1, got {self.record_every}")
-        sg.check_dealias_rule(self.dealias_rule)
 
 
 @dataclass
@@ -145,16 +143,17 @@ class _Stepper:
             return np.add(out, np.multiply(dt / 6, k1, out=k1), out=out)
 
 
-def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams, rule: Optional[str] = None) -> sg.Spectrum:
+def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams) -> sg.Spectrum:
     """One integrating-factor RK4 step; xi = 0 modes are exactly constant.
 
     The step runs on the half spectrum (columns 0..nx/2) with the stepper of
-    `evolve`; the xi < 0 columns are rebuilt by conjugate symmetry.  This is
-    exact when s is the spectrum of a real field, as every caller passes.
+    `evolve` and the dealias rule of m; the xi < 0 columns are rebuilt by
+    conjugate symmetry.  This is exact when s is the spectrum of a real field,
+    as every caller passes.
     """
     g = s.grid
     half = g.half(s.coeffs)
-    uh = _Stepper(g, dt, rule or default_dealias_rule(params.m), params).step(half, np.empty_like(half))
+    uh = _Stepper(g, dt, default_dealias_rule(params.m), params).step(half, np.empty_like(half))
     if not np.all(np.isfinite(uh)):
         raise BlowUpError("non-finite coefficients after one step", last_good=s)
     return sg.Spectrum(g, sg.full_from_half(g, uh))
@@ -191,7 +190,7 @@ def evolve(
     g = initial.grid
     if not np.any(initial.values):
         raise GridMismatchError("initial field is zero: its mass and energy drifts are undefined")
-    rule = config.dealias_rule or default_dealias_rule(params.m)
+    rule = default_dealias_rule(params.m)
     dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, rule)
     nsteps = max(1, ceil(config.t_end / dt_req - 1e-12))
     dt = config.t_end / nsteps

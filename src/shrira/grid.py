@@ -272,14 +272,6 @@ def apply_multiplier(s: Spectrum, symbol) -> Spectrum:
     return Spectrum(g, out)
 
 
-def check_dealias_rule(rule) -> None:
-    """Reject a configured rule other than None (the default for m), 2/3 or 1/2."""
-    if rule not in (None, TWO_THIRDS, HALF):
-        raise GridMismatchError(
-            f"dealias_rule: expected '{TWO_THIRDS}', '{HALF}' or None, got {rule!r}"
-        )
-
-
 def lp_norm(f: Field, p: float) -> float:
     """Rectangle-rule L^p norm; p = inf gives the sample max."""
     if np.isinf(p):

@@ -71,6 +71,7 @@ K_SYM = "k_sym"
 X_DERIV_SYM = "x_deriv_sym"
 Y_DERIV_SYM = "y_deriv_sym"
 MULTIPLIER_IDS = (K_SYM, X_DERIV_SYM, Y_DERIV_SYM)
+LIZORKIN_RANGE = (1e-6, 1e6)  # |xi| and |eta| sampled by lizorkin_sample
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,8 @@ def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
     return _sample(x, y, pref, g, spec.quad_tol, nu + 2.0)
 
 
-def hk_point(x: float, y: float, quad_tol: float = 1e-10) -> KernelSample:
-    """Evaluate the odd companion kernel at x >= 0.
+def hk_point(x: float, y: float) -> KernelSample:
+    """Evaluate the odd companion kernel at x >= 0, certified to the default KernelSpec.quad_tol.
 
     hk(0, y) = 0 exactly; the x < 0 values follow by odd extension and are the
     caller's to take.
@@ -202,7 +203,7 @@ def hk_point(x: float, y: float, quad_tol: float = 1e-10) -> KernelSample:
         q = t * t + y2
         return t * np.exp(-t) * (t * t * x * x + q * q) ** -0.75 * np.sin(1.5 * np.arctan2(t * x, q))
 
-    return _sample(x, y, SQRT_PI, g, quad_tol, 2.0)
+    return _sample(x, y, SQRT_PI, g, KernelSpec.quad_tol, 2.0)
 
 
 def _oracle_symbol(nu: float, grid: sg.Grid, hilbert: bool) -> np.ndarray:
@@ -327,7 +328,6 @@ def _lizorkin_tables(xi, eta):
 class LizorkinReport:
     multiplier: str
     n_samples: int
-    ranges: tuple
     maxima: dict  # (k1, k2) -> sup |xi^k1 eta^k2 d^(k1,k2) Lambda|
 
     def rows(self):
@@ -335,29 +335,23 @@ class LizorkinReport:
             yield (self.multiplier, k1, k2, v)
 
 
-def lizorkin_sample(
-    multiplier_id: str,
-    ranges: tuple = ((1e-6, 1e6), (1e-6, 1e6)),
-    n_samples: int = 256,
-) -> LizorkinReport:
+def lizorkin_sample(multiplier_id: str, n_samples: int = 256) -> LizorkinReport:
     """Empirical sup of the weighted derivative magnitudes on a dyadic grid.
 
-    Samples |xi|, |eta| log-spaced over the given ranges (axes excluded by
+    Samples |xi| and |eta| log-spaced over LIZORKIN_RANGE (axes excluded by
     construction).  Derivatives come from the closed forms above.
     """
     if multiplier_id not in MULTIPLIER_IDS:
         raise GridMismatchError(f"unknown multiplier {multiplier_id!r}")
-    (x0, x1), (y0, y1) = ranges
-    xi = np.geomspace(x0, x1, n_samples)
-    eta = np.geomspace(y0, y1, n_samples)
-    XI, ETA = np.meshgrid(xi, eta, indexing="xy")
+    axis = np.geomspace(*LIZORKIN_RANGE, n_samples)
+    XI, ETA = np.meshgrid(axis, axis, indexing="xy")
     tab = _lizorkin_tables(XI, ETA)[multiplier_id]
     maxima = {}
     for (k1, k2), der in tab.items():
         weighted = np.abs(XI**k1 * ETA**k2 * der)
         maxima[(k1, k2)] = float(np.max(weighted))
-    return LizorkinReport(multiplier_id, n_samples, ranges, maxima)
+    return LizorkinReport(multiplier_id, n_samples, maxima)
 
 
-def lizorkin_report_all(ranges=((1e-6, 1e6), (1e-6, 1e6)), n_samples: int = 256) -> list:
-    return [lizorkin_sample(mid, ranges, n_samples) for mid in MULTIPLIER_IDS]
+def lizorkin_report_all(n_samples: int = 256) -> list:
+    return [lizorkin_sample(mid, n_samples) for mid in MULTIPLIER_IDS]

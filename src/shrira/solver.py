@@ -8,7 +8,9 @@ routes are provided:
 * `petviashvili`: the stabilized fixed point
       phi_{n+1} = M_n^gamma * f(phi_n)_hat / s,
       M_n = <s phi_hat, phi_hat> / <f_hat, phi_hat>,
-  with gamma defaulting to m/(m-1).  M = 1 exactly at any fixed point.
+  with gamma = m/(m-1) (Pelinovsky & Stepanyants 2004).  M = 1 exactly at any
+  fixed point.  It stops once the residual is at most tol_residual and the
+  relative change of the iterate at most TOL_DELTA.
 
 * `nehari_descent`: gradient descent of the action S restricted to the Nehari
   manifold {I = 0}.  The descent direction is the energy-metric gradient
@@ -17,8 +19,8 @@ routes are provided:
   diverges or crawls).  Each step is followed by the exact Nehari rescaling;
   the step size backtracks on action increase and grows otherwise.
 
-Nonlinear products are dealiased (2/3 rule for m <= 2, 1/2 rule otherwise), so
-iterates solve the truncated Galerkin problem exactly at convergence.
+Nonlinear products are dealiased with the rule of m (2/3 for m <= 2, 1/2
+otherwise), so iterates solve the truncated Galerkin problem exactly at convergence.
 
 Compact-mode layout.  Both loops carry phi_hat as a 1-D vector of the dealiased
 xi != 0 modes only (`_Modes`), 25-44% of the half spectrum: M, the residual,
@@ -57,6 +59,8 @@ from .functionals import PhysicsParams, FunctionalReport, functional_report
 
 PETVIASHVILI = "petviashvili"
 NEHARI_DESCENT = "nehari_descent"
+TOL_DELTA = 1e-11  # Petviashvili's gate on ||phi_n - phi_{n-1}|| / ||phi_{n-1}||
+DESCENT_STEP = 1e-2  # Nehari's first step size
 
 
 def default_dealias_rule(m: float) -> str:
@@ -103,26 +107,18 @@ class FileInit:
 class SolverConfig:
     method: str = PETVIASHVILI
     tol_residual: float = 1e-10
-    tol_delta: float = 1e-11
     max_iter: int = 2000
-    gamma: Optional[float] = None  # None -> m/(m-1)
     init: object = GaussianInit()
-    descent_step: float = 1e-2
-    dealias_rule: Optional[str] = None  # None -> default for m
 
     def __post_init__(self):
         if self.method not in (PETVIASHVILI, NEHARI_DESCENT):
             raise GridMismatchError(
                 f"method: expected '{PETVIASHVILI}' or '{NEHARI_DESCENT}', got {self.method!r}"
             )
-        for name in ("tol_residual", "tol_delta", "descent_step"):
-            if not getattr(self, name) > 0:
-                raise GridMismatchError(f"{name}: must be positive, got {getattr(self, name)}")
+        if not self.tol_residual > 0:
+            raise GridMismatchError(f"tol_residual: must be positive, got {self.tol_residual}")
         if not self.max_iter >= 1:
             raise GridMismatchError(f"max_iter: must be >= 1, got {self.max_iter}")
-        if self.gamma is not None and not 1.0 < self.gamma <= 3.0:
-            raise GridMismatchError(f"gamma: must lie in (1, 3], got {self.gamma}")
-        sg.check_dealias_rule(self.dealias_rule)
 
 
 @dataclass
@@ -150,8 +146,8 @@ class SolveReport:
 
 def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
     init = config.init
-    if isinstance(init, np.ndarray):
-        return np.array(init, dtype=float)
+    if isinstance(init, np.ndarray):  # checked like a field: shape and finiteness
+        init = sg.Field(grid, init)
     if isinstance(init, sg.Field):
         if init.grid != grid:  # same samples and same box
             raise GridMismatchError(f"warm-start field is on {init.grid}, the solve on {grid}")
@@ -201,15 +197,16 @@ def _finish(method, phi, grid, params, hists, started, converged, stop=None):
     raise stop
 
 
-def spectral_residual(f: sg.Field, params: PhysicsParams, rule: Optional[str] = None) -> float:
+def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     """Relative residual ||s*phi_hat - f_hat|| / ||s*phi_hat|| over xi != 0 modes.
 
-    The nonlinear term is dealiased with the rule belonging to m.  The field is
+    The nonlinear term is dealiased with `default_dealias_rule(params.m)`, the
+    rule the solvers use.  The field is
     expected to carry no xi = 0 content (project first); those modes do not
     enter either norm.
     """
     g = f.grid
-    rule = rule or default_dealias_rule(params.m)
+    rule = default_dealias_rule(params.m)
     modes = g.half(g.xi_nonzero)
     sph = np.where(modes, (params.c + g.half(g.dispersion)) * np.fft.rfft2(f.values), 0.0)
     fh = np.where(modes & g.half(g.dealias_mask(rule)), np.fft.rfft2(params.f(f.values)), 0.0)
@@ -282,8 +279,8 @@ class _Modes:
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Stabilized fixed-point iteration; returns (Field, SolveReport), raises as `_finish` does."""
     t0 = time.perf_counter()
-    gamma = config.gamma if config.gamma is not None else params.m / (params.m - 1.0)
-    modes = _Modes(grid, config.dealias_rule or default_dealias_rule(params.m), params.c)
+    gamma = params.m / (params.m - 1.0)
+    modes = _Modes(grid, default_dealias_rule(params.m), params.c)
     ph = modes.forward(_init_values(config, grid))
     phi = modes.inverse(ph)
     started = (t0, time.perf_counter())
@@ -304,7 +301,7 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         res_hist.append(resid)
         m_hist.append(M)
         delta_hist.append(delta)
-        if resid <= config.tol_residual and delta <= config.tol_delta:
+        if resid <= config.tol_residual and delta <= TOL_DELTA:
             converged = True
             break
         if M <= 0:
@@ -322,7 +319,7 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Preconditioned descent of S on the Nehari manifold; returns (Field, SolveReport)."""
     t0 = time.perf_counter()
-    modes = _Modes(grid, config.dealias_rule or default_dealias_rule(params.m), params.c)
+    modes = _Modes(grid, default_dealias_rule(params.m), params.c)
     w = 2.0 * grid.spectral_weight  # column weight of every kept mode, times Parseval's factor
     dA = grid.cell_area
     m = params.m
@@ -344,7 +341,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     S_old = 0.5 * zsq - float(np.sum(params.F(phi)) * dA)
     started = (t0, time.perf_counter())
 
-    h = config.descent_step
+    h = DESCENT_STEP
     converged, stop = False, None
     for _ in range(config.max_iter):
         fh = modes.forward(params.f(phi))
@@ -421,7 +418,8 @@ def sweep(
 
     For a c-sweep the warm start is the exact speed rescaling (the grid shrinks
     by c_new/c_old alongside); for an m-sweep the previous profile is reused on
-    the same grid.  Rows carry d = S(phi), ||phi||_2^2 and the fitted tail
+    the same grid, and each solve takes gamma and the dealias rule from its own
+    m.  Rows carry d = S(phi), ||phi||_2^2 and the fitted tail
     exponents along both axes.  A ConvergenceError carries the rows finished
     before it (`rows`).
     """
@@ -450,9 +448,7 @@ def sweep(
                 cur_grid = warm.grid
             else:
                 warm = prev_field
-            # an m-sweep re-derives gamma and the dealias rule from each m
-            reset = {"gamma": None, "dealias_rule": None} if param == "m" else {}
-            cfg = replace(config, init=warm, **reset)
+            cfg = replace(config, init=warm)
         try:
             fld, rep = solve(cfg, p, cur_grid)
         except ConvergenceError as exc:

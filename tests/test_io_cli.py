@@ -1,6 +1,7 @@
 """Field persistence, configuration parsing, and CLI end-to-end runs."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import shrira
 from shrira import Grid, Field, read_field, write_field
 from shrira.cli import main
 from shrira.kernels import KernelSpec, h_nu_point
-from shrira.config import parse_config, serialize_config
+from shrira.config import OutputConfig, parse_config, serialize_config
 from shrira.errors import ConfigError, CorruptFieldFileError
 
 PI = math.pi
@@ -95,14 +96,13 @@ def test_config_round_trip_idempotent():
 
 def test_config_serialization_is_frozen():
     """Defaults come from the dataclasses; these are the bytes the hand-written parsers gave."""
-    solver = {"method": "petviashvili", "tol_residual": 1e-10, "tol_delta": 1e-11, "max_iter": 2000,
-              "gamma": None, "init": {"amplitude": 1.0, "sigma_x": 2.0, "sigma_y": 2.0, "kind": "gaussian"},
-              "descent_step": 0.01, "dealias_rule": None}
+    solver = {"method": "petviashvili", "tol_residual": 1e-10, "max_iter": 2000,
+              "init": {"amplitude": 1.0, "sigma_x": 2.0, "sigma_y": 2.0, "kind": "gaussian"}}
     physics = {"c": 1.0, "m": 2.0, "signed_power": False}
     output = {"dir": ".", "snapshots": False}
     assert serialize_config(parse_config("{}")) == json.dumps(
         {"physics": physics, "solver": solver, "output": output}, indent=2)
-    evolve = {"t_end": 0.2, "dt": None, "dealias_rule": None, "record_every": 5}
+    evolve = {"t_end": 0.2, "dt": None, "record_every": 5}
     assert serialize_config(parse_config(json.dumps(BASE_CONFIG))) == json.dumps(
         {"grid": BASE_CONFIG["grid"], "physics": physics, "solver": dict(solver, max_iter=500),
          "evolve": evolve, "output": output}, indent=2)
@@ -115,6 +115,29 @@ def test_config_unknown_keys_rejected():
         parse_config(json.dumps(bad))
     with pytest.raises(ConfigError, match="top level: unknown key"):
         parse_config(json.dumps({**BASE_CONFIG, "extra": {}}))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "gamma", 2.0), ("solver", "tol_delta", 1e-11), ("solver", "descent_step", 0.01),
+    ("solver", "dealias_rule", "half"), ("evolve", "dealias_rule", "half"),
+])
+def test_settings_fixed_by_m_or_constant_are_unknown_keys(section, key, value):
+    """gamma and the dealias rule follow from m; the delta gate and Nehari's first step are constants."""
+    body = {**BASE_CONFIG[section], key: value}
+    with pytest.raises(ConfigError, match=re.escape(f"{section}: unknown key(s) {key}")):
+        parse_config(json.dumps({**BASE_CONFIG, section: body}))
+
+
+def test_run_configuration_docs_name_every_config_field():
+    """The key block under "## Run configuration" in docs/formats.md lists every field of the
+    section dataclasses, and every `name (default)` entry in it is such a field."""
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Run configuration.*?^```\n(.*?)^```", doc, re.S | re.M).group(1)
+    classes = (Grid, shrira.PhysicsParams, shrira.SolverConfig, shrira.GaussianInit, shrira.FileInit,
+               shrira.EvolveConfig, OutputConfig)
+    names = {f.name for cls in classes for f in dataclasses.fields(cls)}
+    assert [n for n in sorted(names) if not re.search(rf"\b{n}\b", block)] == []
+    assert set(re.findall(r"(\w+) \(", block)) <= names
 
 
 def test_config_key_precise_messages():
@@ -145,9 +168,6 @@ def test_config_range_errors_name_the_key():
         ("grid", {"nx": 6, "ny": 64, "lx": 1.0, "ly": 1.0}, "grid.nx"),
         ("physics", {"m": 2.5}, "physics.m"),
         ("solver", {"max_iter": 0}, "solver.max_iter"),
-        ("solver", {"descent_step": 0.0}, "solver.descent_step"),
-        ("solver", {"gamma": 4.0}, "solver.gamma"),
-        ("solver", {"dealias_rule": "thirds"}, "solver.dealias_rule"),
         ("solver", {"init": {"kind": "gaussian", "sigma_y": -1.0}}, "solver.init.sigma_y"),
         ("evolve", {"t_end": 1.0, "record_every": 0}, "evolve.record_every"),
         # json accepts NaN and Infinity (json.dumps writes them for these floats)
@@ -392,14 +412,20 @@ def test_cli_kernel_on_axis_point_near_the_origin(tmp_path):
 
 
 def test_cli_kernel_uncertified_point_exits_2(tmp_path, capsys):
-    """nu = 0 at (0.001, 0) cannot be certified to 1e-12: the command stops with exit 2."""
+    """nu = 0 at (0.001, 0) cannot be certified to 1e-12: the command stops with exit 2
+    and still writes the row of the point before it."""
     pts = tmp_path / "pts.csv"
-    pts.write_text("x,y\n0.001,0\n")
+    pts.write_text("x,y\n0.5,0.75\n0.001,0\n")
+    out = tmp_path / "kernel.csv"
     code = main(["kernel", "--nu", "0", "--quad-tol", "1e-12", "--points", str(pts),
-                 "--out", str(tmp_path / "kernel.csv"), "--oracle-nx", "256", "--oracle-ny", "128",
+                 "--out", str(out), "--oracle-nx", "256", "--oracle-ny", "128",
                  "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)])
     assert code == 2
     assert "exceeds tolerance at (0.001, 0.0)" in capsys.readouterr().err
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["x"]), float(r["y"])) for r in rows] == [(0.5, 0.75)]
+    assert float(rows[0]["value"]) == h_nu_point(KernelSpec(nu=0.0, quad_tol=1e-12), 0.5, 0.75).value
 
 
 def test_cli_kernel_bad_points(tmp_path):

@@ -218,7 +218,7 @@ def test_hk_basics():
 
 def test_hk_against_frozen_referee():
     for (x, y), val in HK_REFEREE.items():
-        s = hk_point(x, y, quad_tol=1e-12)
+        s = hk_point(x, y)
         assert s.value == pytest.approx(val, rel=1e-10), (x, y)
 
 
@@ -298,7 +298,7 @@ def test_hk_vs_spectral_oracle():
     g = Grid(4096, 1024, 128 * PI, 32 * PI)
     K = kernel_spectral_oracle(0.0, g, hilbert=True)
     xs, y2s, kv = oracle_node_value(K, 2.0, 6.0)
-    s = hk_point(xs, y2s / 2.0, quad_tol=1e-11)
+    s = hk_point(xs, y2s / 2.0)
     assert abs(SQRT_PI * s.value - kv) / abs(kv) <= 1e-2
     # odd in x: the transform itself
     _, _, kneg = oracle_node_value(K, -xs, y2s)
