@@ -8,8 +8,8 @@ objects computed here are
     I(u)      = <S'(u), u> = ||u||_Z^2 - int u f(u)
     G(u)      = int (1/2 u f(u) - F(u))
 
-together with the two Pohojaev residuals (testing the profile equation against
-u and y*u_y), the unique Nehari rescaling t_u with I(t_u u) = 0, and the
+together with the three Pohojaev residuals (testing the profile equation against
+u, y*u_y and x*u_x), the unique Nehari rescaling t_u with I(t_u u) = 0, and the
 anisotropic Gagliardo-Nirenberg ratio.  The three parts of ||u||_Z^2 are
 weighted sums over one half spectrum (weights 1, |xi| and eta^2/|xi|, the
 xi = 0 modes counting only in the mass); int u f(u), int F(u) and the GN
@@ -93,6 +93,7 @@ class FunctionalReport:
     uf_int: float
     pohozaev_r1: float
     pohozaev_r2: float
+    pohozaev_r3: float
     gn_ratio: float
 
     def to_dict(self) -> dict:
@@ -153,20 +154,23 @@ def nehari_scale(f: sg.Field, params: PhysicsParams) -> float:
 
 
 def _pohozaev(params: PhysicsParams, parts, uf: float, Fi: float):
+    """(r1, r2, r3) of `pohozaev_residuals`."""
     mass, dxh, dmy = parts
-    return uf - _z_sq(params, parts), params.c * mass + dxh - dmy - 2.0 * Fi
+    cm = params.c * mass
+    return uf - _z_sq(params, parts), cm + dxh - dmy - 2.0 * Fi, cm + 2.0 * dmy - 2.0 * Fi
 
 
 def pohozaev_residuals(f: sg.Field, params: PhysicsParams):
-    """Absolute residuals of the two integral identities.
+    """Absolute residuals (r1, r2) of the Nehari and y-dilation identities.
 
     r1 = int [-c u^2 - u*H(u_x) - (D_x^{-1/2} u_y)^2 + u f(u)]
     r2 = int [ c u^2 + u*H(u_x) - (D_x^{-1/2} u_y)^2 - 2 F(u)]
+    r3 = int [ c u^2 + 2 (D_x^{-1/2} u_y)^2 - 2 F(u)]  (x-dilation; in functional_report only)
 
-    Both vanish on an exact solitary wave; r1 = -I(u) for every field.  The
-    pairing int u*H(u_x) is ||D_x^{1/2} u||^2.
+    All vanish on an exact solitary wave; for every field r1 = -I(u) and
+    r1 + r2 + r3 = c ||u||^2 - (3 - m) int F(u).  int u*H(u_x) is ||D_x^{1/2} u||^2.
     """
-    return _pohozaev(params, _energy_parts(f), *_f_integrals(f, params))
+    return _pohozaev(params, _energy_parts(f), *_f_integrals(f, params))[:2]
 
 
 def _gn(f: sg.Field, p_gn: float, parts) -> float:
@@ -198,7 +202,7 @@ def functional_report(f: sg.Field, params: PhysicsParams) -> FunctionalReport:
     parts = _energy_parts(f)
     zsq = _z_sq(params, parts)
     uf, Fi = _f_integrals(f, params)
-    r1, r2 = _pohozaev(params, parts, uf, Fi)
+    r1, r2, r3 = _pohozaev(params, parts, uf, Fi)
     try:
         q = _gn(f, min(2.0, max(0.0, params.m - 1.0)), parts)
     except DegenerateFieldError:
@@ -212,5 +216,6 @@ def functional_report(f: sg.Field, params: PhysicsParams) -> FunctionalReport:
         uf_int=uf,
         pohozaev_r1=r1,
         pohozaev_r2=r2,
+        pohozaev_r3=r3,
         gn_ratio=q,
     )

@@ -10,7 +10,13 @@ routes are provided:
       M_n = <s phi_hat, phi_hat> / <f_hat, phi_hat>,
   with gamma = m/(m-1) (Pelinovsky & Stepanyants 2004).  M = 1 exactly at any
   fixed point.  It stops once the residual is at most tol_residual and the
-  relative change of the iterate at most TOL_DELTA.
+  relative change of the iterate at most TOL_DELTA.  Late iterates move along
+  one slow mode, which Aitken extrapolation removes (Lakoba & Yang 2007): once
+  AITKEN_EVERY plain steps follow the start or the last extrapolation, a step
+  d = phi_{n+1} - phi_n parallel to the one before, d' (cos > 0.999), with
+  lam = ||d||/||d'|| in (0.3, 0.99) also adds lam/(1 - lam) d; its change is
+  recorded as inf, so no stop follows it.  Norms are compact-mode sums, equal
+  to the physical ones by Parseval (an iterate holds only kept modes).
 
 * `nehari_descent`: gradient descent of the action S restricted to the Nehari
   manifold {I = 0}.  The descent direction is the energy-metric gradient
@@ -40,6 +46,7 @@ carrying the last iterate as `field` and its report as `report`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, asdict, replace
 from functools import cached_property
@@ -60,6 +67,7 @@ from .functionals import PhysicsParams, FunctionalReport, functional_report
 PETVIASHVILI = "petviashvili"
 NEHARI_DESCENT = "nehari_descent"
 TOL_DELTA = 1e-11  # Petviashvili's gate on ||phi_n - phi_{n-1}|| / ||phi_{n-1}||
+AITKEN_EVERY = 5  # Petviashvili's plain steps after the start or an Aitken step before it tries one
 DESCENT_STEP = 1e-2  # Nehari's first step size
 
 
@@ -79,6 +87,8 @@ class GaussianInit:
     sigma_y: float = 2.0
 
     def __post_init__(self):
+        if not math.isfinite(self.amplitude):
+            raise GridMismatchError(f"amplitude: must be finite, got {self.amplitude}")
         for name in ("sigma_x", "sigma_y"):
             if not getattr(self, name) > 0:
                 raise GridMismatchError(f"{name}: must be positive, got {getattr(self, name)}")
@@ -126,6 +136,7 @@ class SolveReport:
     method: str
     iterations: int
     converged: bool
+    extrapolations: int  # Petviashvili's Aitken steps; 0 for Nehari descent
     residual_history: list
     m_factor_history: list
     delta_history: list  # Petviashvili: ||phi_n - phi_{n-1}|| / ||phi_{n-1}|| at each check (inf first)
@@ -155,7 +166,7 @@ def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
     return init.build(grid)
 
 
-def _finish(method, phi, grid, params, hists, started, converged, stop=None):
+def _finish(method, grid, params, phi, hists, started, converged, stop=None, extrapolations=0):
     """(Field, SolveReport) of a converged loop; any other stop raises `stop` (a
     ConvergenceError if none: max_iter ran out) carrying the field and the report.
 
@@ -173,6 +184,7 @@ def _finish(method, phi, grid, params, hists, started, converged, stop=None):
         method=method,
         iterations=len(res_hist),
         converged=converged,
+        extrapolations=extrapolations,
         residual_history=[float(r) for r in res_hist],
         m_factor_history=[float(m) for m in m_hist],
         delta_history=[float(d) for d in delta_hist],
@@ -278,6 +290,12 @@ class _Modes:
 
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Stabilized fixed-point iteration; returns (Field, SolveReport), raises as `_finish` does."""
+    return _finish(PETVIASHVILI, grid, params, *_petviashvili_loop(config, params, grid))
+
+
+def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
+    """(phi, hists, started, converged, stop, extrapolations) of `petviashvili`.  A call of its
+    own, so its compact vectors and mode tables are freed before `_finish`, where a solve peaks."""
     t0 = time.perf_counter()
     gamma = params.m / (params.m - 1.0)
     modes = _Modes(grid, default_dealias_rule(params.m), params.c)
@@ -286,6 +304,7 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     started = (t0, time.perf_counter())
     hists = res_hist, m_hist, delta_hist = [], [], []
     delta = np.inf
+    d_prev, plain, extrapolations = None, 0, 0
     converged, stop = False, None
     for _ in range(config.max_iter):
         fh = modes.forward(params.f(phi))
@@ -296,8 +315,9 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             stop = CollapseError("iterate lost all spectral content")
             break
         M = num / den
-        r = sph - fh
-        resid = _residual(modes.dot(r, r), modes.dot(sph, sph))
+        sph_sq = modes.dot(sph, sph)
+        sph -= fh  # the residual s phi_hat - f_hat
+        resid = _residual(modes.dot(sph, sph), sph_sq)
         res_hist.append(resid)
         m_hist.append(M)
         delta_hist.append(delta)
@@ -307,13 +327,23 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         if M <= 0:
             stop = CollapseError(f"Petviashvili factor M = {M:.3e} <= 0 (bad initial guess)")
             break
-        ph = M**gamma * fh / modes.s
-        new = modes.inverse(ph)
-        nrm_sq = sg.sq_sum(phi)
-        delta = float(np.sqrt(sg.sq_sum(new - phi) / nrm_sq)) if nrm_sq > 0 else np.inf
-        phi = new
-
-    return _finish(PETVIASHVILI, phi, grid, params, hists, started, converged, stop)
+        fh *= M**gamma
+        fh /= modes.s  # the plain update
+        ph_sq = modes.dot(ph, ph)
+        d = np.subtract(fh, ph, out=ph)
+        d_sq = modes.dot(d, d)
+        delta = math.sqrt(d_sq / ph_sq) if ph_sq > 0 else np.inf
+        plain += 1
+        if d_prev is not None and plain >= AITKEN_EVERY:
+            prev_sq = modes.dot(d_prev, d_prev)
+            lam = math.sqrt(d_sq / prev_sq) if prev_sq > 0 else 0.0
+            if 0.3 < lam < 0.99 and modes.dot(d, d_prev) > 0.999 * lam * prev_sq:  # cos > 0.999
+                fh += lam / (1.0 - lam) * d
+                delta, d, plain = np.inf, None, 0
+                extrapolations += 1
+        ph, d_prev = fh, d
+        phi = modes.inverse(ph)
+    return phi, hists, started, converged, stop, extrapolations
 
 
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
@@ -333,7 +363,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     zsq = modes.dot(modes.s * ph, ph) * w
     uf = float(np.sum(phi * params.f(phi)) * dA)
     if uf <= 0:
-        return _finish(NEHARI_DESCENT, phi, grid, params, ([], [], []), (t0, time.perf_counter()), False,
+        return _finish(NEHARI_DESCENT, grid, params, phi, ([], [], []), (t0, time.perf_counter()), False,
                        CollapseError("initial guess has int u f(u) <= 0"))
     t = manifold_scale(zsq, uf)
     phi, ph = t * phi, t * ph
@@ -372,7 +402,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         phi, ph, S_old = tv * v, tv * vh, Sv
         h = min(h * 1.3, 0.9)
 
-    return _finish(NEHARI_DESCENT, phi, grid, params, (res_hist, [], []), started, converged, stop)
+    return _finish(NEHARI_DESCENT, grid, params, phi, (res_hist, [], []), started, converged, stop)
 
 
 def solve(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):

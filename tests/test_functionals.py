@@ -203,6 +203,21 @@ def test_pohozaev_r1_equals_minus_I(g2pi, p12):
     assert pohozaev_residuals(z, p12) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("m, signed", [(2, False), (2.5, True), (3, False)])
+def test_pohozaev_residuals_sum_to_mass_and_potential(g2pi, m, signed):
+    """r1 + r2 + r3 = c M - (3 - m) N for every field: the A and B parts cancel."""
+    p = PhysicsParams(c=0.7, m=m, signed_power=signed)
+    rng = np.random.default_rng(73)
+    for _ in range(10):
+        f = random_field(g2pi, rng)
+        rep = functional_report(f, p)
+        mass = float(np.sum(f.values**2)) * g2pi.cell_area
+        expect = p.c * mass - (3.0 - m) * rep.F_int
+        got = rep.pohozaev_r1 + rep.pohozaev_r2 + rep.pohozaev_r3
+        assert abs(got - expect) <= 1e-12 * rep.z_norm_sq
+        assert pohozaev_residuals(f, p) == (rep.pohozaev_r1, rep.pohozaev_r2)
+
+
 def test_functionals_take_one_forward_transform(g2pi, p12, monkeypatch):
     """functional_report takes one rfft2 and no inverse transform; so does each functional."""
     f = random_field(g2pi, np.random.default_rng(3))
@@ -275,7 +290,7 @@ def test_functional_report_consistency(g2pi, p12):
     d = rep.to_dict()
     assert set(d) == {
         "z_norm_sq", "S", "I", "G", "F_int", "uf_int",
-        "pohozaev_r1", "pohozaev_r2", "gn_ratio",
+        "pohozaev_r1", "pohozaev_r2", "pohozaev_r3", "gn_ratio",
     }
 
 

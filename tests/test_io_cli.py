@@ -446,9 +446,9 @@ def test_cli_sweep(tmp_path, cfg_file):
 
 
 def test_cli_sweep_keeps_finished_rows(tmp_path):
-    """m = 3 converges in 26 iterations, the warm-started m = 2 needs 50: with max_iter 40
+    """m = 3 converges in 17 iterations, the warm-started m = 2 needs 25: with max_iter 20
     the sweep exits 3 and sweep.csv holds exactly the m = 3 row."""
-    cfg = dict(BASE_CONFIG, solver={"method": "petviashvili", "max_iter": 40})
+    cfg = dict(BASE_CONFIG, solver={"method": "petviashvili", "max_iter": 20})
     p = tmp_path / "sweep.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "sw"

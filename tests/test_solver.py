@@ -26,6 +26,7 @@ from shrira import (
     evolve,
 )
 from shrira import grid as sg
+from shrira import solver
 from shrira.solver import TOL_DELTA, _Modes, default_dealias_rule, solve
 from shrira.errors import (
     CollapseError,
@@ -58,6 +59,15 @@ def test_solver_config_validation():
             SolverConfig(**bad)
     with pytest.raises(GridMismatchError, match="sigma_x"):
         GaussianInit(sigma_x=0.0)
+
+
+@pytest.mark.parametrize("method", ["petviashvili", "nehari_descent"])
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+def test_gaussian_init_rejects_a_non_finite_amplitude(p12, method, amplitude):
+    """A NaN or infinite amplitude is rejected where the guess is built, not after max_iter."""
+    with pytest.raises(GridMismatchError, match="^amplitude:"):
+        solve(SolverConfig(method=method, init=GaussianInit(amplitude=amplitude)), p12,
+              Grid(32, 32, 8 * PI, 8 * PI))
 
 
 def test_residual_two_mode_hand_oracle(p12):
@@ -110,7 +120,48 @@ def test_petviashvili_records_the_delta_that_gates_convergence(small_solution, p
             for r, d in zip(rep.residual_history, rep.delta_history)]
     assert gate == [False] * (rep.iterations - 1) + [True]
     _, nehari = nehari_descent(SolverConfig(method="nehari_descent", init=fld), p12, fld.grid)
-    assert nehari.delta_history == []
+    assert nehari.delta_history == [] and nehari.extrapolations == 0
+
+
+def test_extrapolated_steps_record_no_delta(small_solution):
+    """delta is inf at the first entry and after each extrapolated step, finite elsewhere; the
+    converged entry passes the gate."""
+    _, rep = small_solution
+    assert rep.extrapolations > 0
+    assert sum(not math.isfinite(d) for d in rep.delta_history) == rep.extrapolations + 1
+    assert rep.delta_history[-1] <= TOL_DELTA
+
+
+def test_extrapolation_cuts_the_iterations_of_a_resolved_wave(p12, monkeypatch):
+    """On the 512^2, 24pi grid of criterion 2 the extrapolated solve takes at most 0.6x the
+    iterations of the plain one (59 against 120) and lands on the same wave."""
+    grid = Grid(512, 512, 24 * PI, 24 * PI)
+    fld, rep = petviashvili(SolverConfig(), p12, grid)
+    monkeypatch.setattr(solver, "AITKEN_EVERY", SolverConfig().max_iter + 1)
+    plain_fld, plain = petviashvili(SolverConfig(), p12, grid)
+    assert rep.converged and plain.converged and plain.extrapolations == 0
+    assert rep.iterations <= 0.6 * plain.iterations
+    scale = np.max(np.abs(plain_fld.values))
+    assert np.max(np.abs(fld.values - plain_fld.values)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n, m", [(64, 2), (64, 3), (128, 2), (128, 3)])
+def test_compact_delta_is_the_physical_relative_change(n, m):
+    """delta, summed over the compact modes, is ||phi_k - phi_{k-1}|| / ||phi_{k-1}|| summed over
+    the grid (Parseval: an iterate holds only kept modes), under both dealias rules."""
+    grid = Grid(n, n, 16 * PI, 16 * PI)
+    params = PhysicsParams(c=1.0, m=m)
+
+    def stopped_after(k):
+        with pytest.raises(ConvergenceError) as exc:
+            petviashvili(SolverConfig(max_iter=k), params, grid)
+        return exc.value.field.values, exc.value.report
+
+    for k in (2, 3, 4):
+        prev, cur = stopped_after(k - 1)[0], stopped_after(k)[0]
+        delta = stopped_after(k + 1)[1].delta_history[-1]  # the change that made phi_k
+        expect = math.sqrt(np.sum((cur - prev) ** 2) / np.sum(prev**2))
+        assert delta == pytest.approx(expect, rel=1e-12), k
 
 
 @pytest.mark.parametrize("rule", ["two_thirds", "half"])
@@ -305,13 +356,13 @@ def test_report_serializes(small_solution):
 
 
 def test_file_warm_start_restarts_a_converged_solve(p12, tmp_path):
-    """Solving again from a stored converged 32^2 field converges at once (49 iterations cold)."""
+    """Solving again from a stored converged 32^2 field converges at once (25 iterations cold)."""
     grid = Grid(32, 32, 8 * PI, 8 * PI)
     fld, cold = petviashvili(SolverConfig(), p12, grid)
     path = tmp_path / "warm.field"
     write_field(path, fld, {"c": 1.0, "m": 2})
     _, warm = petviashvili(SolverConfig(init=FileInit(str(path))), p12, grid)
-    assert (cold.iterations, warm.iterations) == (49, 2) and warm.converged
+    assert (cold.iterations, warm.iterations) == (25, 2) and warm.converged
     assert warm.d == pytest.approx(cold.d, rel=1e-15)
 
 
