@@ -41,7 +41,6 @@ from .solver import (
     solve,
     rescale_speed,
     sweep,
-    default_dealias_rule,
 )
 from .kernels import (
     KernelSpec,

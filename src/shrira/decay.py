@@ -186,7 +186,7 @@ def y_weighted_seminorm(f: sg.Field) -> float:
     g = f.grid
     rows = np.fft.rfft(f.values, axis=1)
     d_y = np.fft.ifft(1j * g.eta_odd[:, None] * np.fft.fft(rows, axis=0), axis=0)
-    xi = g.half(g.xi)
+    xi = g.xi_half
     y2 = g.y[:, None] ** 2
     sq = sg.weighted_sq_sum(g, y2 * (np.abs(xi) + np.append(xi[:-1] ** 2, 0.0)), rows)
     return (sq + sg.weighted_sq_sum(g, y2, d_y)) * g.cell_area / g.nx

@@ -39,20 +39,19 @@ import numpy as np
 from . import grid as sg
 from .errors import BlowUpError, GridMismatchError
 from .functionals import PhysicsParams
-from .solver import _Modes, default_dealias_rule
+from .solver import _Modes
 
 DISPERSIVE_STEP_FRACTION = 0.05
 
 
 def linear_symbol(grid: sg.Grid) -> np.ndarray:
-    """i * sgn(xi) * (xi^2 + eta^2) = i * xi * dispersion; purely imaginary, zero on xi = 0."""
-    return 1j * grid.xi2d * grid.dispersion
+    """i * sgn(xi) * (xi^2 + eta^2) = i * xi * dispersion, half layout; purely imaginary, 0 on xi = 0."""
+    return 1j * grid.xi_half * grid.dispersion
 
 
-def default_dt(grid: sg.Grid, u0: np.ndarray, rule: str) -> float:
+def default_dt(grid: sg.Grid, u0: np.ndarray, m: float) -> float:
     adv = 0.25 * grid.dx / max(1.0, float(np.max(np.abs(u0))))
-    keep = grid.dealias_mask(rule)
-    sig_max = float(np.max(np.abs(linear_symbol(grid).imag[keep])))
+    sig_max = float(np.max(np.abs(linear_symbol(grid).imag[grid.keep(m)])))
     disp = DISPERSIVE_STEP_FRACTION / sig_max if sig_max > 0 else np.inf
     return min(adv, disp)
 
@@ -107,14 +106,13 @@ class _Stepper:
     so a step is bit-identical to it and allocates nothing of field size.
     """
 
-    def __init__(self, grid, dt, rule, params):
+    def __init__(self, grid, dt, params):
         self.grid, self.dt, self.params = grid, dt, params
-        e_half = np.exp(grid.half(linear_symbol(grid)) * (dt / 2))
+        e_half = np.exp(linear_symbol(grid) * (dt / 2))
         self.e_half, self.e_full = e_half, e_half * e_half
-        keep = grid.half(grid.dealias_mask(rule))
-        self.modes = _Modes(grid, rule, params.c)  # its forward_half prunes the column FFT
-        self.mult = -1j * grid.half(grid.xi2d) * keep
-        self.k = np.empty((5,) + keep.shape, np.complex128)  # k1..k4 and a stage argument
+        self.modes = _Modes(grid, params)  # its forward_half prunes the column FFT
+        self.mult = -1j * grid.xi_half * grid.keep(params.m)
+        self.k = np.empty((5,) + e_half.shape, np.complex128)  # k1..k4 and a stage argument
         self.u, self.fu = np.empty((2, grid.ny, grid.nx))
 
     def nonlinear(self, v, out):
@@ -147,13 +145,13 @@ def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams) -> sg.Spectrum
     """One integrating-factor RK4 step; xi = 0 modes are exactly constant.
 
     The step runs on the half spectrum (columns 0..nx/2) with the stepper of
-    `evolve` and the dealias rule of m; the xi < 0 columns are rebuilt by
+    `evolve` and the kept modes of m; the xi < 0 columns are rebuilt by
     conjugate symmetry.  This is exact when s is the spectrum of a real field,
     as every caller passes.
     """
     g = s.grid
-    half = g.half(s.coeffs)
-    uh = _Stepper(g, dt, default_dealias_rule(params.m), params).step(half, np.empty_like(half))
+    half = s.coeffs[:, : g.nx // 2 + 1]
+    uh = _Stepper(g, dt, params).step(half, np.empty_like(half))
     if not np.all(np.isfinite(uh)):
         raise BlowUpError("non-finite coefficients after one step", last_good=s)
     return sg.Spectrum(g, sg.full_from_half(g, uh))
@@ -163,7 +161,7 @@ def _mass_energy(uh, grid, params):
     """(1/2 ||u||^2, E(u)) of the real field with half spectrum uh."""
     u = np.fft.irfft2(uh, s=(grid.ny, grid.nx))
     mass = 0.5 * float(np.sum(u * u)) * grid.cell_area
-    quad = 0.5 * sg.weighted_sq_sum(grid, grid.half(grid.dispersion), uh) * grid.spectral_weight
+    quad = 0.5 * sg.weighted_sq_sum(grid, grid.dispersion, uh) * grid.spectral_weight
     energy = quad - float(np.sum(params.F(u))) * grid.cell_area
     return mass, energy
 
@@ -190,12 +188,11 @@ def evolve(
     g = initial.grid
     if not np.any(initial.values):
         raise GridMismatchError("initial field is zero: its mass and energy drifts are undefined")
-    rule = default_dealias_rule(params.m)
-    dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, rule)
+    dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, params.m)
     nsteps = max(1, ceil(config.t_end / dt_req - 1e-12))
     dt = config.t_end / nsteps
 
-    stepper = _Stepper(g, dt, rule, params)
+    stepper = _Stepper(g, dt, params)
 
     def real(h):
         return np.fft.irfft2(h, s=(g.ny, g.nx))
@@ -225,7 +222,7 @@ def evolve(
         masses.append(m)
         energies.append(e)
         if ref_hat is not None:
-            tr = real(ref_hat * np.exp(-1j * g.half(g.xi) * ref_speed * t))
+            tr = real(ref_hat * np.exp(-1j * g.xi_half * ref_speed * t))
             shapes.append(float(np.sqrt(sg.sq_sum(real(h) - tr)) / ref_norm))
         if snapshot_cb is not None:
             snapshot_cb(step, t, sg.Field(g, real(h)))

@@ -17,13 +17,15 @@ of the equation (profile operator, energy weights, dispersive phase, kernel
 denominator) is derived from `dispersion_table`, (xi^2 + eta^2)/|xi| on
 xi != 0 and 0 on every xi = 0 mode.
 
-Half-spectrum layout.  The hot loops (solvers, time stepping, functionals) run
-on numpy.fft.rfft2 output, shape (ny, nx/2 + 1): columns 0..nx/2 of the full
-layout, whose xi < 0 columns are the conjugates of their partners.  A half
-table is the slice `Grid.half(table)` of the full one, so the Nyquist column
-keeps fftfreq's xi = -pi*nx/lx and its symbols and phases.  Full-spectrum sums
-are half-spectrum sums with column weights `Grid.half_weight`: 1 on the xi = 0
-and Nyquist columns, 2 on the others.  The public `forward`, `inverse` and
+Half-spectrum layout.  Every symbol of the equation takes conjugate values at
+(xi, eta) and -(xi, eta) and acts on real fields, so every table is built on
+the layout of numpy.fft.rfft2 output, shape (ny, nx/2 + 1): columns 0..nx/2
+of the full layout, whose xi < 0 columns are the conjugates of their partners.  `Grid.xi_half` holds xi on those columns;
+the Nyquist column keeps fftfreq's xi = -pi*nx/lx and its symbols and phases.
+`Grid.keep(m)` marks the xi != 0 modes that the truncation of u^m keeps: the
+2/3 rule for m <= 2, the 1/2 rule beyond.  Full-spectrum sums are
+half-spectrum sums with column weights `Grid.half_weight`: 1 on the xi = 0 and
+Nyquist columns, 2 on the others.  The public `forward`, `inverse` and
 `apply_multiplier` stay full-complex: their symbols need not be Hermitian.
 """
 
@@ -35,9 +37,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, SymbolDomainError
-
-TWO_THIRDS = "two_thirds"
-HALF = "half"
 
 
 @dataclass(frozen=True)
@@ -99,21 +98,13 @@ class Grid:
         return _read_only(np.where(np.arange(self.ny) == self.ny // 2, 0.0, self.eta))
 
     @cached_property
-    def xi2d(self) -> np.ndarray:
-        return np.broadcast_to(self.xi[None, :], (self.ny, self.nx))
-
-    @cached_property
-    def eta2d(self) -> np.ndarray:
-        return np.broadcast_to(self.eta[:, None], (self.ny, self.nx))
+    def xi_half(self) -> np.ndarray:
+        """xi on the half-spectrum columns 0..nx/2 (read-only)."""
+        return _read_only(self.xi[: self.nx // 2 + 1])
 
     @cached_property
     def abs_xi(self) -> np.ndarray:
         return np.broadcast_to(np.abs(self.xi)[None, :], (self.ny, self.nx))
-
-    @cached_property
-    def xi_nonzero(self) -> np.ndarray:
-        """Boolean mask of modes with xi != 0 (shape (ny, nx))."""
-        return np.broadcast_to(self.xi[None, :] != 0, (self.ny, self.nx))
 
     @cached_property
     def half_weight(self) -> np.ndarray:
@@ -122,57 +113,49 @@ class Grid:
         w[[0, -1]] = 1.0
         return _read_only(w)
 
-    def half(self, table: np.ndarray) -> np.ndarray:
-        """Columns 0..nx/2 of a full-layout (ny, nx) table: its half-spectrum view."""
-        return table[..., : self.nx // 2 + 1]
-
     @cached_property
     def dispersion(self) -> np.ndarray:
         """Cached, read-only `dispersion_table` of this grid."""
         return _read_only(dispersion_table(self))
 
-    def index_x(self) -> np.ndarray:
-        """Signed integer x-indices j~ per spectral entry."""
-        return np.rint(self.xi2d / (2 * np.pi / self.lx)).astype(int)
+    def keep(self, m: float) -> np.ndarray:
+        """Half-layout mask of the xi != 0 modes kept for u^m (cached, read-only).
 
-    def index_y(self) -> np.ndarray:
-        return np.rint(self.eta2d / (2 * np.pi / self.ly)).astype(int)
-
-    def dealias_mask(self, rule: str = TWO_THIRDS) -> np.ndarray:
-        """Boolean keep-mask for the given truncation rule (cached, read-only)."""
-        masks = self.__dict__.setdefault("_dealias_masks", {})
-        if rule not in masks:
-            frac = {TWO_THIRDS: 2.0 / 3.0, HALF: 0.5}.get(rule)
-            if frac is None:
-                raise GridMismatchError(f"unknown dealias rule {rule!r}")
-            masks[rule] = _read_only(
-                (np.abs(self.index_x()) <= frac * self.nx / 2)
-                & (np.abs(self.index_y()) <= frac * self.ny / 2)
+        |j| <= frac * n/2 on each axis, frac = 2/3 for m <= 2 and 1/2 beyond (for
+        non-integer m, u^m is not band-limited at all; 1/2 is the conservative
+        choice).  The Nyquist column is never kept.
+        """
+        frac = 2.0 / 3.0 if m <= 2 else 0.5
+        masks = self.__dict__.setdefault("_keep", {})
+        if frac not in masks:
+            jx = np.arange(self.nx // 2 + 1)  # |j| per column; Nyquist is j = -nx/2
+            jy = np.minimum(np.arange(self.ny), self.ny - np.arange(self.ny))
+            masks[frac] = _read_only(
+                (jx != 0) & (jx <= frac * self.nx / 2) & (jy[:, None] <= frac * self.ny / 2)
             )
-        return masks[rule]
+        return masks[frac]
 
     def meshgrid(self):
         """Physical coordinate arrays X, Y of shape (ny, nx)."""
         return np.meshgrid(self.x, self.y, indexing="xy")
 
 
-def dispersion_table(grid: Grid, half: bool = False) -> np.ndarray:
-    """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new (ny, nx) array.
+def dispersion_table(grid: Grid) -> np.ndarray:
+    """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new half-layout array.
 
     The profile symbol is c + table, the energy weight is the table itself, the
     dispersive symbol is i*xi*table and the kernel denominator |xi|(1 + table).
     Callers that must not keep the array alive (the large kernel oracle grids)
     use this function; everything else reads the cached `Grid.dispersion`.
-    half=True builds only the half-spectrum columns 0..nx/2.
     """
-    xi = grid.half(grid.xi) if half else grid.xi
+    xi = grid.xi_half
     return divide_off_xi0(grid, xi**2 + grid.eta[:, None] ** 2, np.abs(xi))
 
 
 def divide_off_xi0(grid: Grid, num, den, dtype=np.float64) -> np.ndarray:
     """num/den on the xi != 0 modes and 0 on every xi = 0 mode.
 
-    num and den broadcast to the full (ny, nx) or the half (ny, nx/2 + 1)
+    num and den broadcast to the half (ny, nx/2 + 1) or the full (ny, nx)
     layout and are never divided on xi = 0, so a symbol singular there
     (|xi|^-1/2, 1/|xi|) needs no special casing.
     """
@@ -255,12 +238,13 @@ def inverse(s: Spectrum) -> Field:
 def apply_multiplier(s: Spectrum, symbol) -> Spectrum:
     """Pointwise multiply coefficients by symbol(xi, eta).
 
-    `symbol` is a callable acting on broadcastable wavenumber arrays, or a
-    precomputed (ny, nx) array.  Non-finite symbol values are allowed only on
-    modes whose coefficient is exactly zero; those modes map to zero.
+    `symbol` is a callable, called on xi as a (1, nx) row and eta as a (ny, 1)
+    column, or a precomputed (ny, nx) array.  Non-finite symbol values are
+    allowed only on modes whose coefficient is exactly zero; those modes map to
+    zero.
     """
     g = s.grid
-    sym = symbol(g.xi2d, g.eta2d) if callable(symbol) else np.asarray(symbol)
+    sym = symbol(g.xi[None, :], g.eta[:, None]) if callable(symbol) else np.asarray(symbol)
     sym = np.broadcast_to(sym, s.coeffs.shape)
     bad = ~np.isfinite(sym)
     if bad.any():

@@ -159,9 +159,9 @@ def _sample(x, y, pref, g, quad_tol, tail_power) -> KernelSample:
                               epsabs=ABS_ERROR_FLOOR / 2, epsrel=quad_tol / 2, limit=400)
     est = err + pref * _tail_bound(T, tail_power)
     if est > quad_tol * abs(val) + ABS_ERROR_FLOOR:
-        raise QuadratureAccuracyError(
-            f"quadrature error {est:.2e} exceeds tolerance at ({x}, {y})", value=val, est_error=est
-        )
+        rel = est / abs(val) if val else math.inf
+        raise QuadratureAccuracyError(f"quadrature error {est:.2e} exceeds tolerance at ({x}, {y}): "
+                                      f"achieved relative error {rel:.2e}", value=val, est_error=est)
     return KernelSample(x=x, y=y, value=val, est_error=est)
 
 
@@ -215,12 +215,12 @@ def _oracle_symbol(nu: float, grid: sg.Grid, hilbert: bool) -> np.ndarray:
             RuntimeWarning,
             stacklevel=3,
         )
-    xi = grid.half(grid.xi)
+    xi = grid.xi_half
     ax = np.abs(xi)
     with np.errstate(divide="ignore"):  # |0|^(1+nu) for nu < -1: a xi = 0 mode, left 0
         num = -1j * xi if hilbert else ax ** (1.0 + nu)
     # a fresh table, not Grid.dispersion: the oracle grids are too large to cache it on
-    den = ax * (1.0 + sg.dispersion_table(grid, half=True))
+    den = ax * (1.0 + sg.dispersion_table(grid))
     return sg.divide_off_xi0(grid, num, den, np.complex128 if hilbert else np.float64)
 
 

@@ -23,10 +23,13 @@ routes are provided:
   u_hat - f_hat/s (the raw L2 gradient s*u_hat - f_hat is hopelessly stiff:
   s reaches ~1e2-1e3 on small-|xi|/large-eta modes, so any fixed L2 step either
   diverges or crawls).  Each step is followed by the exact Nehari rescaling;
-  the step size backtracks on action increase and grows otherwise.
+  the step size backtracks on action increase and grows otherwise.  At the
+  round-off floor the residual stops falling: NEHARI_STALL iterations without
+  a new residual minimum stop the descent as stalled.
 
-Nonlinear products are dealiased with the rule of m (2/3 for m <= 2, 1/2
-otherwise), so iterates solve the truncated Galerkin problem exactly at convergence.
+Nonlinear products keep the modes `Grid.keep(m)` of m (the 2/3 rule for m <= 2,
+the 1/2 rule otherwise), so iterates solve the truncated Galerkin problem
+exactly at convergence.
 
 Compact-mode layout.  Both loops carry phi_hat as a 1-D vector of the dealiased
 xi != 0 modes only (`_Modes`), 25-44% of the half spectrum: M, the residual,
@@ -61,7 +64,7 @@ from .errors import (
     GridMismatchError,
     UndefinedResidualError,
 )
-from .decay import tail_exponent_fit, zero_x_mean_and_sign
+from .decay import _auto_window, tail_exponent_fit, zero_x_mean_and_sign
 from .functionals import PhysicsParams, FunctionalReport, functional_report
 
 PETVIASHVILI = "petviashvili"
@@ -69,15 +72,7 @@ NEHARI_DESCENT = "nehari_descent"
 TOL_DELTA = 1e-11  # Petviashvili's gate on ||phi_n - phi_{n-1}|| / ||phi_{n-1}||
 AITKEN_EVERY = 5  # Petviashvili's plain steps after the start or an Aitken step before it tries one
 DESCENT_STEP = 1e-2  # Nehari's first step size
-
-
-def default_dealias_rule(m: float) -> str:
-    """2/3 rule for quadratic nonlinearities, 1/2 rule beyond.
-
-    u^m with m > 2 is treated with the stricter rule (for non-integer m the
-    product is not band-limited at all; 1/2 is the conservative choice).
-    """
-    return sg.TWO_THIRDS if m <= 2 else sg.HALF
+NEHARI_STALL = 50  # Nehari's iterations without a new residual minimum before it stops as stalled
 
 
 @dataclass(frozen=True)
@@ -212,16 +207,14 @@ def _finish(method, grid, params, phi, hists, started, converged, stop=None, ext
 def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     """Relative residual ||s*phi_hat - f_hat|| / ||s*phi_hat|| over xi != 0 modes.
 
-    The nonlinear term is dealiased with `default_dealias_rule(params.m)`, the
-    rule the solvers use.  The field is
-    expected to carry no xi = 0 content (project first); those modes do not
-    enter either norm.
+    The nonlinear term keeps the modes `Grid.keep(params.m)`, as the solvers
+    do.  The field is expected to carry no xi = 0 content (project first); those
+    modes do not enter either norm.
     """
     g = f.grid
-    rule = default_dealias_rule(params.m)
-    modes = g.half(g.xi_nonzero)
-    sph = np.where(modes, (params.c + g.half(g.dispersion)) * np.fft.rfft2(f.values), 0.0)
-    fh = np.where(modes & g.half(g.dealias_mask(rule)), np.fft.rfft2(params.f(f.values)), 0.0)
+    sph = (params.c + g.dispersion) * np.fft.rfft2(f.values)
+    sph[:, 0] = 0.0  # the xi = 0 column
+    fh = np.where(g.keep(params.m), np.fft.rfft2(params.f(f.values)), 0.0)
     return _residual(sg.weighted_sq_sum(g, 1.0, sph - fh), sg.weighted_sq_sum(g, 1.0, sph))
 
 
@@ -233,7 +226,7 @@ def _residual(num_sq: float, den_sq: float) -> float:
 
 
 class _Modes:
-    """The dealiased xi != 0 modes of a grid as a compact vector, and its transforms.
+    """The kept modes `Grid.keep(m)` of a grid as a compact vector, and its transforms.
 
     The kept modes of the half spectrum lie in its first kc columns.
     `forward_half` is rfft along x, then fft along y on those columns only;
@@ -249,14 +242,14 @@ class _Modes:
     RSS of a 256^2 evolve by 0.5 MB).
     """
 
-    def __init__(self, grid: sg.Grid, rule: str, c: float):
-        keep = grid.half(grid.dealias_mask(rule)) & grid.half(grid.xi_nonzero)
+    def __init__(self, grid: sg.Grid, params: PhysicsParams):
+        keep = grid.keep(params.m)
         self.kc = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1  # columns kc.. of keep are empty
-        self.keep, self.grid, self.c = keep[:, : self.kc], grid, c
+        self.keep, self.grid, self.c = keep[:, : self.kc], grid, params.c
 
     @cached_property
     def s(self) -> np.ndarray:
-        return self.c + self.grid.half(self.grid.dispersion)[:, : self.kc][self.keep]
+        return self.c + self.grid.dispersion[:, : self.kc][self.keep]
 
     @cached_property
     def _half(self) -> np.ndarray:  # the work buffer of `inverse`; columns kc.. stay zero
@@ -298,7 +291,7 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
     own, so its compact vectors and mode tables are freed before `_finish`, where a solve peaks."""
     t0 = time.perf_counter()
     gamma = params.m / (params.m - 1.0)
-    modes = _Modes(grid, default_dealias_rule(params.m), params.c)
+    modes = _Modes(grid, params)
     ph = modes.forward(_init_values(config, grid))
     phi = modes.inverse(ph)
     started = (t0, time.perf_counter())
@@ -349,7 +342,7 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Preconditioned descent of S on the Nehari manifold; returns (Field, SolveReport)."""
     t0 = time.perf_counter()
-    modes = _Modes(grid, default_dealias_rule(params.m), params.c)
+    modes = _Modes(grid, params)
     w = 2.0 * grid.spectral_weight  # column weight of every kept mode, times Parseval's factor
     dA = grid.cell_area
     m = params.m
@@ -372,6 +365,7 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     started = (t0, time.perf_counter())
 
     h = DESCENT_STEP
+    best, best_at = np.inf, 0
     converged, stop = False, None
     for _ in range(config.max_iter):
         fh = modes.forward(params.f(phi))
@@ -381,6 +375,12 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         res_hist.append(resid)
         if resid <= config.tol_residual:
             converged = True
+            break
+        if resid < best:
+            best, best_at = resid, len(res_hist)
+        elif len(res_hist) - best_at >= NEHARI_STALL:
+            stop = ConvergenceError(f"Nehari descent stalled: no new residual minimum in {NEHARI_STALL} "
+                                    f"iterations (best {best:.3e} at iteration {best_at})")
             break
         d = modes.inverse(ph - fh / modes.s)
         for _try in range(40):
@@ -448,20 +448,19 @@ def sweep(
 
     For a c-sweep the warm start is the exact speed rescaling (the grid shrinks
     by c_new/c_old alongside); for an m-sweep the previous profile is reused on
-    the same grid, and each solve takes gamma and the dealias rule from its own
-    m.  Rows carry d = S(phi), ||phi||_2^2 and the fitted tail
-    exponents along both axes.  A ConvergenceError carries the rows finished
-    before it (`rows`).
+    the same grid, and each solve takes gamma and the kept modes from its own
+    m.  Rows carry d = S(phi), ||phi||_2^2 and the tail exponents along both
+    axes, fitted in the windows `decay_report` uses (nan where a window holds
+    fewer than 8 radii).  A ConvergenceError carries the rows finished before
+    it (`rows`).
     """
     def fit_exponent(fld, axis):
-        half = fld.grid.lx / 2 if axis == "x" else fld.grid.ly / 2
-        for hi in (0.11, 0.25, 0.8):
-            try:
-                e, _ = tail_exponent_fit(fld, axis, (0.04 * half, hi * half))
-                return e
-            except GridMismatchError:
-                continue  # too few radii on coarse grids: widen
-        return float("nan")
+        g = fld.grid
+        window = _auto_window(g.lx / 2, g.dx) if axis == "x" else _auto_window(g.ly / 2, g.dy)
+        try:
+            return tail_exponent_fit(fld, axis, window)[0]
+        except GridMismatchError:
+            return float("nan")
 
     if param not in ("c", "m"):
         raise GridMismatchError("sweep parameter must be 'c' or 'm'")

@@ -57,16 +57,34 @@ def small_wave(params_m2):
     return field, report
 
 
+def spectral_indices(grid):
+    """Signed integer indices (jx, jy) of every entry of the full (ny, nx) DFT layout."""
+    jx = np.rint(np.fft.fftfreq(grid.nx) * grid.nx).astype(int)
+    jy = np.rint(np.fft.fftfreq(grid.ny) * grid.ny).astype(int)
+    return np.meshgrid(jx, jy, indexing="xy")
+
+
+def kept_modes(grid, m):
+    """Full-layout mask of the modes kept for u^m, by definition: jx != 0 and
+    |j| <= frac * n/2 on each axis, frac = 2/3 for m <= 2 and 1/2 beyond."""
+    frac = 2.0 / 3.0 if m <= 2 else 0.5
+    jx, jy = spectral_indices(grid)
+    return (jx != 0) & (np.abs(jx) <= frac * grid.nx / 2) & (np.abs(jy) <= frac * grid.ny / 2)
+
+
 def random_field(grid, rng, band_limit=True):
-    """Smooth random band-limited field with zero mean, unit-ish amplitude."""
+    """Smooth random band-limited field with zero mean, unit-ish amplitude.
+
+    band_limit keeps |j| <= (2/3) n/2 on each axis, the xi = 0 column included."""
     coeffs = rng.standard_normal((grid.ny, grid.nx)) + 1j * rng.standard_normal(
         (grid.ny, grid.nx)
     )
-    jx, jy = grid.index_x(), grid.index_y()
+    jx, jy = spectral_indices(grid)
     damp = np.exp(-0.3 * (np.abs(jx) + np.abs(jy)))
     coeffs *= damp
     if band_limit:
-        coeffs[grid.dealias_mask("two_thirds") == False] = 0.0  # noqa: E712
+        frac = 2.0 / 3.0
+        coeffs[(np.abs(jx) > frac * grid.nx / 2) | (np.abs(jy) > frac * grid.ny / 2)] = 0.0
     vals = np.real(np.fft.ifft2(coeffs))
     scale = np.max(np.abs(vals))
     from shrira import Field

@@ -19,10 +19,9 @@ from shrira import (
     evolve,
 )
 from shrira.evolution import default_dt, _mass_energy, _Stepper
-from shrira.solver import default_dealias_rule
 from shrira.errors import BlowUpError, GridMismatchError
 
-from conftest import random_field
+from conftest import kept_modes, random_field, spectral_indices
 
 PI = math.pi
 
@@ -34,8 +33,10 @@ def g2pi():
 
 def test_linear_symbol_values(g2pi):
     sym = linear_symbol(g2pi)
-    jx, jy = g2pi.index_x(), g2pi.index_y()
+    jx, jy = (j[:, :17] for j in spectral_indices(g2pi))  # the symbol's half-spectrum layout
+    assert sym.shape == (32, 17)
     assert sym[(jx == 1) & (jy == 0)][0] == pytest.approx(1j)
+    assert sym[(jx == -16) & (jy == 2)][0] == pytest.approx(-260j)  # Nyquist: xi = -16
     assert np.all(sym[jx == 0] == 0.0)  # sgn(0) = 0 freezes xi = 0
     assert np.all(np.real(sym) == 0.0)  # purely dispersive
 
@@ -85,9 +86,9 @@ def test_translation_commutes_with_linear_flow(g2pi):
     rng = np.random.default_rng(33)
     f = random_field(g2pi, rng)
     sym = linear_symbol(g2pi)
-    shift = np.exp(-1j * g2pi.xi2d * 0.37)
+    shift = np.exp(-1j * g2pi.xi_half * 0.37)
     t = 0.9
-    ch = np.fft.fft2(f.values)
+    ch = np.fft.rfft2(f.values)
     a = np.exp(sym * t) * (shift * ch)
     b = shift * (np.exp(sym * t) * ch)
     assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
@@ -96,9 +97,9 @@ def test_translation_commutes_with_linear_flow(g2pi):
 def test_default_dt_has_dispersive_cap():
     g = Grid(256, 256, 64 * PI, 64 * PI)
     u0 = 3.5 * np.ones((256, 256))
-    dt = default_dt(g, u0, "two_thirds")
-    keep = g.dealias_mask("two_thirds")
-    sig_max = np.max(np.abs(linear_symbol(g).imag[keep]))
+    dt = default_dt(g, u0, 2)
+    xi, eta = g.xi[None, :], g.eta[:, None]
+    sig_max = np.max(np.where(kept_modes(g, 2), xi**2 + eta**2, 0.0))  # |sigma_L| on the kept modes
     assert dt == pytest.approx(0.05 / sig_max)
     assert dt < 0.25 * g.dx / 3.5
 
@@ -218,16 +219,17 @@ def test_snapshot_callback(small_wave, params_m2):
 # --- half-spectrum stepping against the full-complex step ---------------------
 
 
-def _full_complex_step(coeffs, dt, params, grid, rule):
+def _full_complex_step(coeffs, dt, params, grid):
     """One IF-RK4 step on the full complex spectrum: the reference loop body."""
-    keep = grid.dealias_mask(rule)
-    e_half = np.exp(linear_symbol(grid) * (dt / 2))
+    keep = kept_modes(grid, params.m)
+    xi, eta = grid.xi[None, :], grid.eta[:, None]
+    e_half = np.exp(1j * np.sign(xi) * (xi**2 + eta**2) * (dt / 2))
     e_full = e_half * e_half
 
     def nonlinear(uh):
         u = np.real(np.fft.ifft2(uh))
         fh = np.where(keep, np.fft.fft2(params.f(u)), 0.0)
-        return -1j * grid.xi2d * fh
+        return -1j * xi * fh
 
     uh = coeffs
     k1 = nonlinear(uh)
@@ -240,7 +242,7 @@ def _full_complex_step(coeffs, dt, params, grid, rule):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    m=st.sampled_from([2, 3]),  # the two_thirds and the half rule
+    m=st.sampled_from([2, 3]),  # the 2/3 and the 1/2 rule
     shape=st.sampled_from([(16, 16), (32, 16), (16, 24)]),
     amplitude=st.floats(0.1, 3.0),
     dt=st.floats(1e-3, 0.05),
@@ -253,7 +255,7 @@ def test_half_spectrum_step_matches_full_complex_step(seed, m, shape, amplitude,
     u0 = amplitude * random_field(g, np.random.default_rng(seed), band_limit).values
     params = PhysicsParams(c=1.0, m=m)
     ch = np.fft.fft2(u0)
-    ref = _full_complex_step(ch, dt, params, g, default_dealias_rule(m))
+    ref = _full_complex_step(ch, dt, params, g)
     got = step_if_rk4(Spectrum(g, ch), dt, params).coeffs
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -272,11 +274,11 @@ def test_reference_from_another_box_is_rejected():
 # --- the preallocated stepper against the classical IFRK4 formula -------------
 
 
-def _classical_step(uh, dt, params, grid, rule):
+def _classical_step(uh, dt, params, grid):
     """One IF-RK4 step on the half spectrum as fresh-array expressions: the referee."""
-    e_half = np.exp(grid.half(linear_symbol(grid)) * (dt / 2))
+    e_half = np.exp(linear_symbol(grid) * (dt / 2))
     e_full = e_half * e_half
-    mult = -1j * grid.half(grid.xi2d) * grid.half(grid.dealias_mask(rule))
+    mult = _half_multiplier(grid, params.m)
 
     def nonlinear(v):
         return mult * np.fft.rfft2(params.f(np.fft.irfft2(v, s=(grid.ny, grid.nx))))
@@ -286,6 +288,12 @@ def _classical_step(uh, dt, params, grid, rule):
     k3 = nonlinear(e_half * uh + (dt / 2) * k2)
     k4 = nonlinear(e_full * uh + dt * e_half * k3)
     return e_full * uh + (dt / 6) * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+
+
+def _half_multiplier(grid, m):
+    """-i xi on the kept modes of m, 0 elsewhere, on the half spectrum."""
+    half = grid.nx // 2 + 1
+    return -1j * grid.xi[:half] * kept_modes(grid, m)[:, :half]
 
 
 def _random_half_spectrum(shape, seed, amplitude, band_limit):
@@ -300,34 +308,36 @@ def _random_half_spectrum(shape, seed, amplitude, band_limit):
 # grids numpy keeps the written order and the step differs from the formula in
 # the last bit; the full-complex test above covers those grids to 1e-13.
 LARGE_SHAPES = [(256, 128), (128, 256)]
+BAND = {"two_thirds": 2.0 / 3.0, "half": 0.5}  # the kept fraction of each axis's half-band
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.sampled_from([2, 3, 2.5]),
-    rule=st.sampled_from(["two_thirds", "half"]),
     shape=st.sampled_from(LARGE_SHAPES),
     amplitude=st.floats(0.1, 3.0),
     dt=st.floats(1e-3, 0.05),
     band_limit=st.booleans(),
 )
-def test_stepper_is_bit_identical_to_the_classical_formula(seed, m, rule, shape, amplitude, dt, band_limit):
+def test_stepper_is_bit_identical_to_the_classical_formula(seed, m, shape, amplitude, dt, band_limit):
     """Integer powers and the signed power |u|^(m-1) u at m = 2.5."""
     g, uh = _random_half_spectrum(shape, seed, amplitude, band_limit)
     params = PhysicsParams(c=1.0, m=m, signed_power=m == 2.5)
-    ref = _classical_step(uh, dt, params, g, rule)
-    got = _Stepper(g, dt, rule, params).step(uh, np.empty_like(uh))
+    ref = _classical_step(uh, dt, params, g)
+    got = _Stepper(g, dt, params).step(uh, np.empty_like(uh))
     assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("m, rule, kc", [(2, "two_thirds", 86), (3, "half", 65)])
 def test_pruned_nonlinear_term(m, rule, kc):
-    """Column FFT only where -i xi keep is nonzero: the full product, exactly 0 from column kc on."""
+    """Column FFT only where -i xi keep is nonzero: the full product, exactly 0 from column kc on.
+    kc - 1 = 85 = floor((2/3) 128) under the 2/3 rule of m = 2, 64 = (1/2) 128 under the 1/2 rule."""
     g, v = _random_half_spectrum((256, 256), 3, 1.0, False)
     params = PhysicsParams(c=1.0, m=m)
-    stepper = _Stepper(g, 0.01, rule, params)
-    mult = -1j * g.half(g.xi2d) * g.half(g.dealias_mask(rule))
+    stepper = _Stepper(g, 0.01, params)
+    assert kc - 1 == int(BAND[rule] * g.nx / 2)
+    mult = _half_multiplier(g, m)
     want = mult * np.fft.rfft2(params.f(np.fft.irfft2(v, s=(g.ny, g.nx))))
     got = stepper.nonlinear(v, np.full_like(v, np.nan))
     assert stepper.modes.kc == kc
@@ -345,7 +355,8 @@ def test_step_allocates_no_field_sized_arrays(params, rule):
     g = Grid(256, 256, 64 * PI, 64 * PI)
     X, Y = g.meshgrid()
     uh = np.fft.rfft2(np.exp(-(X**2 + Y**2) / 4))
-    stepper, out = _Stepper(g, 0.003, rule, params), np.empty_like(uh)
+    stepper, out = _Stepper(g, 0.003, params), np.empty_like(uh)
+    assert stepper.modes.kc - 1 == int(BAND[rule] * g.nx / 2)
     stepper.step(uh, out)
     tracemalloc.start()
     try:

@@ -74,7 +74,7 @@ def test_z_norm_matches_composed_ops(g2pi, p12):
     rng = np.random.default_rng(31)
     f = random_field(g2pi, rng)
     s = forward(f)
-    xi, eta = g2pi.xi2d, g2pi.eta2d
+    xi, eta = g2pi.xi[None, :], g2pi.eta[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         neg_half_dy = np.where(xi != 0, 1j * eta / np.sqrt(np.abs(xi)), 0.0)
     composed = (

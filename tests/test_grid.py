@@ -21,7 +21,7 @@ from shrira.errors import GridMismatchError, SymbolDomainError
 from shrira.decay import y_weighted_seminorm
 from shrira.functionals import _energy_parts
 
-from conftest import random_field
+from conftest import kept_modes, random_field, spectral_indices
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -46,27 +46,45 @@ def test_wavenumber_tables(g2pi):
     assert g2pi.xi[0] == 0.0
     for j in range(1, g2pi.nx // 2):
         assert g2pi.xi[j] == -g2pi.xi[-j]
-    assert int(np.sum(~g2pi.xi_nonzero)) == g2pi.ny
+    assert np.array_equal(g2pi.xi_half, g2pi.xi[:17]) and not g2pi.xi_half.flags.writeable
+    assert g2pi.xi_half[-1] == -16.0  # the Nyquist column keeps fftfreq's xi = -pi nx/lx
 
 
 def test_dispersion_table(g2pi):
-    """(xi^2 + eta^2)/|xi| on xi != 0, 0 on xi = 0; cached read-only on the grid."""
+    """(xi^2 + eta^2)/|xi| on xi != 0, 0 on xi = 0, half layout; cached read-only on the grid."""
     from shrira.grid import dispersion_table
 
     tab = g2pi.dispersion
-    jx, jy = g2pi.index_x(), g2pi.index_y()
+    jx, jy = (j[:, :17] for j in spectral_indices(g2pi))
+    assert tab.shape == (32, 17)
     assert tab[(jx == 1) & (jy == 0)][0] == 1.0
-    assert tab[(jx == -2) & (jy == 3)][0] == pytest.approx(13.0 / 2.0, rel=1e-15)
+    assert tab[(jx == 2) & (jy == -3)][0] == pytest.approx(13.0 / 2.0, rel=1e-15)
+    assert tab[(jx == -16) & (jy == 3)][0] == pytest.approx(265.0 / 16.0, rel=1e-15)  # Nyquist
     assert np.all(tab[jx == 0] == 0.0)
     assert np.array_equal(tab, dispersion_table(g2pi))
     assert g2pi.dispersion is tab and not tab.flags.writeable
 
 
-def test_dealias_mask_cached_per_rule(g2pi):
-    two_thirds, half = g2pi.dealias_mask("two_thirds"), g2pi.dealias_mask("half")
-    assert g2pi.dealias_mask("two_thirds") is two_thirds
-    assert not two_thirds.flags.writeable
+@pytest.mark.parametrize("shape", [(8, 8), (48, 32), (64, 48)])
+@pytest.mark.parametrize("m", [2, 2.5, 3])
+def test_keep_matches_its_definition(shape, m):
+    """keep(m) is the half layout of jx != 0, |j| <= frac n/2 (frac 2/3 for m <= 2, 1/2
+    beyond); the x-Nyquist column is never kept."""
+    g = Grid(*shape, 5.0, 3.0)
+    keep = g.keep(m)
+    assert keep.shape == (g.ny, g.nx // 2 + 1)
+    assert np.array_equal(keep, kept_modes(g, m)[:, : g.nx // 2 + 1])
+    assert keep.any() and not keep[:, 0].any() and not keep[:, -1].any()
+
+
+def test_keep_is_cached_and_read_only(g2pi):
+    two_thirds, half = g2pi.keep(2), g2pi.keep(3)
+    assert g2pi.keep(2) is two_thirds and g2pi.keep(1.5) is two_thirds
+    assert g2pi.keep(2.5) is half and g2pi.keep(4) is half
+    assert not two_thirds.flags.writeable and not half.flags.writeable
     assert half.sum() < two_thirds.sum()
+    with pytest.raises(ValueError):
+        two_thirds[1, 1] = False
 
 
 def test_dc_mode(g2pi):
@@ -78,7 +96,7 @@ def test_dc_mode(g2pi):
 def test_single_mode_cos4x(g2pi):
     X, _ = g2pi.meshgrid()
     s = forward(Field(g2pi, np.cos(4 * X)))
-    jx = g2pi.index_x()
+    jx, _ = spectral_indices(g2pi)
     big = np.abs(s.coeffs) > 1e-9 * np.abs(s.coeffs).max()
     assert set(np.unique(jx[big])) == {-4, 4}
 
@@ -148,16 +166,6 @@ def test_dx_half_examples(g2pi):
     assert np.allclose(inverse(h2).values, -np.sin(X), atol=1e-12)
 
 
-def test_dealias_mask_keeps_low_modes_and_rejects_unknown_rules(g2pi):
-    jx, jy = g2pi.index_x(), g2pi.index_y()
-    for rule in ("two_thirds", "half"):
-        keep = g2pi.dealias_mask(rule)
-        assert not keep[:, 16].any()  # the x-Nyquist column
-        assert keep[(jx == 2) & (jy == 1)].all()
-    with pytest.raises(GridMismatchError, match="third"):
-        g2pi.dealias_mask("third")
-
-
 def test_lp_norm_examples(g2pi):
     one = Field(g2pi, np.ones((32, 32)))
     assert abs(lp_norm(one, 2) ** 2 - TWO_PI**2) < 1e-12 * TWO_PI**2
@@ -209,10 +217,13 @@ def test_half_spectrum_weighted_sums_equal_full_sums():
     a = rng.standard_normal((24, 16))
     fa, ha = np.fft.fft2(a), np.fft.rfft2(a)
     assert list(g.half_weight) == [1.0] + [2.0] * 7 + [1.0]
-    assert np.array_equal(g.half(g.xi2d)[0], g.xi[:9])  # Nyquist keeps xi = -pi nx/lx
-    for w in (np.ones(fa.shape), 1.0 + g.dispersion):
+    assert np.array_equal(g.xi_half, g.xi[:9])  # Nyquist keeps xi = -pi nx/lx
+    xi, eta = np.abs(g.xi)[None, :], g.eta[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full_dispersion = np.where(xi != 0, (xi**2 + eta**2) / xi, 0.0)
+    for w, half_w in ((np.ones(fa.shape), 1.0), (1.0 + full_dispersion, 1.0 + g.dispersion)):
         full = np.sum(w * np.abs(fa) ** 2)
-        assert weighted_sq_sum(g, g.half(w), ha) == pytest.approx(full, rel=1e-13)
+        assert weighted_sq_sum(g, half_w, ha) == pytest.approx(full, rel=1e-13)
     phys = np.sum(a * a) * g.cell_area
     assert weighted_sq_sum(g, 1.0, ha) * g.spectral_weight == pytest.approx(phys, rel=1e-13)
     assert np.max(np.abs(full_from_half(g, ha) - fa)) <= 1e-13 * np.max(np.abs(fa))

@@ -18,7 +18,7 @@ from shrira import Grid, Field, read_field, write_field
 from shrira.cli import main
 from shrira.kernels import KernelSpec, h_nu_point
 from shrira.config import OutputConfig, parse_config, serialize_config
-from shrira.errors import ConfigError, CorruptFieldFileError
+from shrira.errors import ConfigError, CorruptFieldFileError, QuadratureAccuracyError
 
 PI = math.pi
 
@@ -412,8 +412,8 @@ def test_cli_kernel_on_axis_point_near_the_origin(tmp_path):
 
 
 def test_cli_kernel_uncertified_point_exits_2(tmp_path, capsys):
-    """nu = 0 at (0.001, 0) cannot be certified to 1e-12: the command stops with exit 2
-    and still writes the row of the point before it."""
+    """nu = 0 at (0.001, 0) cannot be certified to 1e-12: the command stops with exit 2,
+    states the relative error it reached and still writes the row of the point before it."""
     pts = tmp_path / "pts.csv"
     pts.write_text("x,y\n0.5,0.75\n0.001,0\n")
     out = tmp_path / "kernel.csv"
@@ -421,7 +421,13 @@ def test_cli_kernel_uncertified_point_exits_2(tmp_path, capsys):
                  "--out", str(out), "--oracle-nx", "256", "--oracle-ny", "128",
                  "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)])
     assert code == 2
-    assert "exceeds tolerance at (0.001, 0.0)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "exceeds tolerance at (0.001, 0.0)" in err
+    with pytest.raises(QuadratureAccuracyError) as exc:
+        h_nu_point(KernelSpec(nu=0.0, quad_tol=1e-12), 0.001, 0.0)
+    achieved = exc.value.est_error / abs(exc.value.value)
+    assert 1e-12 < achieved < 1e-11
+    assert f"achieved relative error {achieved:.2e}" in err
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [(float(r["x"]), float(r["y"])) for r in rows] == [(0.5, 0.75)]

@@ -32,6 +32,8 @@ from shrira.kernels import (
 )
 from shrira.errors import GridMismatchError, KernelSingularityError, QuadratureAccuracyError
 
+from conftest import spectral_indices
+
 PI = math.pi
 
 # Frozen referee values of the plain symbol transform
@@ -228,7 +230,7 @@ def test_oracle_symbol_values():
 
     g = Grid(32, 32, 2 * PI, 2 * PI)  # integer wavenumbers
     sym = _oracle_symbol(0.0, g, hilbert=False)
-    jx, jy = g.half(g.index_x()), g.half(g.index_y())  # the symbol's half-spectrum layout
+    jx, jy = (j[:, : g.nx // 2 + 1] for j in spectral_indices(g))  # the symbol's half layout
     assert sym[(jx == 1) & (jy == 0)][0] == pytest.approx(0.5)
     assert sym[(jx == 1) & (jy == 1)][0] == pytest.approx(1.0 / 3.0)
     assert np.all(sym[jx == 0] == 0.0)
@@ -249,7 +251,7 @@ def test_oracle_zero_x_modes_vanish_for_negative_nu(nu):
     with pytest.warns(RuntimeWarning, match="xi = 0 modes set to 0"):
         sym = _oracle_symbol(nu, g, hilbert=False)
         K = kernel_spectral_oracle(nu, g)
-    jx, jy = g.half(g.index_x()), g.half(g.index_y())  # the symbol's half-spectrum layout
+    jx, jy = (j[:, : g.nx // 2 + 1] for j in spectral_indices(g))  # the symbol's half layout
     assert np.all(sym[jx == 0] == 0.0)
     assert sym[(jx == 1) & (jy == 1)][0] == pytest.approx(1.0 / 3.0)  # |xi|^(1+nu) = 1
     assert np.all(np.isfinite(K.values))
@@ -262,8 +264,8 @@ def _full_spectrum_oracle(nu, grid, hilbert):
     ax = np.abs(grid.xi)
     with np.errstate(divide="ignore"):
         num = -1j * grid.xi if hilbert else ax ** (1.0 + nu)
-    sym = sg.divide_off_xi0(grid, num, ax * (1.0 + sg.dispersion_table(grid)),
-                            np.complex128 if hilbert else np.float64)
+    dispersion = sg.divide_off_xi0(grid, grid.xi**2 + grid.eta[:, None] ** 2, ax)
+    sym = sg.divide_off_xi0(grid, num, ax * (1.0 + dispersion), np.complex128 if hilbert else np.float64)
     raw = np.fft.ifft2(sym) * (grid.nx * grid.ny) * (2 * np.pi) ** 2 / (grid.lx * grid.ly)
     return np.roll(np.real(raw), (grid.ny // 2, grid.nx // 2), axis=(0, 1))
 

@@ -27,7 +27,8 @@ from shrira import (
 )
 from shrira import grid as sg
 from shrira import solver
-from shrira.solver import TOL_DELTA, _Modes, default_dealias_rule, solve
+from shrira.decay import decay_report
+from shrira.solver import TOL_DELTA, _Modes, solve
 from shrira.errors import (
     CollapseError,
     ConvergenceError,
@@ -35,18 +36,14 @@ from shrira.errors import (
     UndefinedResidualError,
 )
 
+from conftest import kept_modes
+
 PI = math.pi
 
 
 @pytest.fixture(scope="module")
 def p12():
     return PhysicsParams(c=1.0, m=2)
-
-
-def test_default_dealias_rule():
-    assert default_dealias_rule(2) == "two_thirds"
-    assert default_dealias_rule(3) == "half"
-    assert default_dealias_rule(2.5) == "half"
 
 
 def test_solver_config_validation():
@@ -168,17 +165,20 @@ def test_compact_delta_is_the_physical_relative_change(n, m):
 def test_compact_modes_are_the_masked_real_transforms(rule):
     """The pruned forward transform is the masked rfft2 gathered on the kept modes, the
     pruned inverse is irfft2 of the scattered vector, and twice the compact dot is the
-    full-spectrum sum (every kept mode has column weight 2)."""
+    full-spectrum sum (every kept mode has column weight 2).  m = 2 keeps the 2/3 band,
+    m = 3 the 1/2 band."""
     g = Grid(48, 32, 10.0, 7.0)
-    modes = _Modes(g, rule, 1.5)
-    keep = g.half(g.dealias_mask(rule) & g.xi_nonzero)
+    m = {"two_thirds": 2, "half": 3}[rule]
+    modes = _Modes(g, PhysicsParams(c=1.5, m=m))
+    keep = kept_modes(g, m)[:, : g.nx // 2 + 1]
     u = np.random.default_rng(7).standard_normal((g.ny, g.nx))
     masked = np.where(keep, np.fft.rfft2(u), 0.0)
     v = modes.forward(u)
     assert np.max(np.abs(v - masked[keep])) <= 1e-13 * np.max(np.abs(masked))
     back = np.fft.irfft2(masked, s=(g.ny, g.nx))
     assert np.max(np.abs(modes.inverse(v) - back)) <= 1e-13 * np.max(np.abs(back))
-    assert np.array_equal(modes.s, (1.5 + g.half(g.dispersion))[keep])
+    xi, eta = (np.broadcast_to(a, keep.shape)[keep] for a in (np.abs(g.xi_half), g.eta[:, None]))
+    assert np.array_equal(modes.s, 1.5 + (xi**2 + eta**2) / xi)
     assert 2 * modes.dot(v, v) == pytest.approx(sg.weighted_sq_sum(g, 1.0, masked), rel=1e-13)
 
 
@@ -334,6 +334,29 @@ def test_sweep_single_value_is_one_solve(small_solution, p12):
     assert rows[0].l2_norm_sq == pytest.approx(lp_norm(fld, 2) ** 2, rel=1e-10)
 
 
+def test_sweep_exponents_are_the_decay_report_ones(small_solution, p12):
+    """A sweep row fits the tails in the windows `decay_report` uses: the same exponents."""
+    fld, _ = small_solution
+    (row,) = sweep("c", [1.0], SolverConfig(), p12, fld.grid)
+    dr = decay_report(fld, p12)
+    assert (row.exponent_x, row.exponent_y) == (dr.exponent_x, dr.exponent_y)
+
+
+def test_nehari_stops_as_stalled_at_the_round_off_floor(p12):
+    """Below the round-off floor the residual sets no new minimum: NEHARI_STALL iterations
+    after its last one the descent stops as stalled, long before max_iter, and the error
+    carries the field and the report."""
+    grid = Grid(32, 32, 8 * PI, 8 * PI)
+    cfg = SolverConfig(method="nehari_descent", tol_residual=1e-300, max_iter=4000)
+    with pytest.raises(ConvergenceError, match="stalled: no new residual minimum") as exc:
+        nehari_descent(cfg, p12, grid)
+    hist = exc.value.report.residual_history
+    best_at = int(np.argmin(hist)) + 1
+    assert len(hist) == best_at + solver.NEHARI_STALL < cfg.max_iter
+    assert hist[best_at - 1] < 1e-14 and not exc.value.report.converged
+    assert exc.value.field.grid == grid
+
+
 def test_cubic_and_signed_power_nonlinearities():
     g = Grid(128, 128, 16 * PI, 16 * PI)
     for m, signed, amp in ((3, False, 1.5), (2.5, True, 1.2)):
@@ -343,8 +366,6 @@ def test_cubic_and_signed_power_nonlinearities():
         assert rep.converged
         assert rep.residual_history[-1] <= 1e-10
         assert fld.values.min() < 0 < fld.values.max()
-        if m == 3:
-            assert default_dealias_rule(m) == "half"
 
 
 def test_report_serializes(small_solution):
