@@ -25,7 +25,7 @@ from . import kernels as ker
 from . import solver as sol
 from .config import load_config
 from .errors import BlowUpError, ConfigError, ConvergenceError, ShriraError
-from .functionals import functional_report, nehari_scale
+from .functionals import PhysicsParams, _nehari_t, functional_report
 from .grid import Field, Grid
 from .io import read_field, write_field
 
@@ -93,8 +93,6 @@ def _cmd_solve(args) -> int:
 def _params_for(args, header):
     if args.config:
         return load_config(args.config).physics
-    from .functionals import PhysicsParams
-
     return PhysicsParams(float(header["c"]), float(header["m"]), bool(header["signed_power"]))
 
 
@@ -107,7 +105,7 @@ def _cmd_verify(args) -> int:
     residual = sol.spectral_residual(fld, params)
     t1 = time.perf_counter()
     fr = functional_report(fld, params)
-    t_u = nehari_scale(fld, params)
+    t_u = _nehari_t(fr.z_norm_sq, fr.uf_int, params.m)
     t2 = time.perf_counter()
     dr = dec.decay_report(fld, params)
     timings = {"residual_s": t1 - t0, "functionals_s": t2 - t1, "decay_s": time.perf_counter() - t2}
@@ -225,11 +223,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lizorkin(args) -> int:
-    reports = ker.lizorkin_report_all(n_samples=args.n_samples)
-    rows = []
-    for rep in reports:
-        for mult, k1, k2, v in rep.rows():
-            rows.append((mult, k1, k2, f"{v:.17g}", rep.n_samples))
+    rows = [(mult, k1, k2, f"{v:.17g}", rep.n_samples)
+            for rep in ker.lizorkin_report_all(n_samples=args.n_samples) for mult, k1, k2, v in rep.rows()]
     _write_csv(Path(args.out), ("multiplier", "k1", "k2", "sup_abs", "n_samples"), rows)
     return EXIT_OK
 
@@ -261,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--points", required=True, help="CSV with columns x,y")
     p.add_argument("--out", required=True)
-    p.add_argument("--quad-tol", type=float, default=1e-10)
+    p.add_argument("--quad-tol", type=float, default=ker.KernelSpec.quad_tol)
     p.add_argument("--oracle-nx", type=int, default=4096)
     p.add_argument("--oracle-ny", type=int, default=1024)
     p.add_argument("--oracle-lx", type=float, default=float(128 * np.pi))
@@ -277,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lizorkin", help="multiplier-condition sampling report")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-samples", type=int, default=256)
+    p.add_argument("--n-samples", type=int, default=ker.LIZORKIN_SAMPLES)
     p.set_defaults(fn=_cmd_lizorkin)
 
     return ap

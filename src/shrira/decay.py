@@ -131,6 +131,20 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     return float(sxy / sxx), float(np.sqrt((1.0 - r * r) * syy / sxx / (x.size - 2)))
 
 
+def _weight_axis_power(weight):
+    """(axis, power) of a `weighted_sup` weight |axis|^power."""
+    if weight == "y3":
+        return "y", 3
+    if weight == "x3/2":
+        return "x", 1.5
+    if isinstance(weight, tuple) and weight[0] == "y_kappa":
+        kappa = float(weight[1])
+        if not 0.0 <= kappa <= 3.0:
+            raise GridMismatchError("kappa must lie in [0, 3]")
+        return "y", kappa
+    raise GridMismatchError(f"unknown weight {weight!r}")
+
+
 def weighted_sup(f: sg.Field, weight, window: Optional[tuple] = None) -> float:
     """Sup over the grid of weight * |phi|.
 
@@ -139,19 +153,9 @@ def weighted_sup(f: sg.Field, weight, window: Optional[tuple] = None) -> float:
     magnitude, for box-to-box comparisons.  The weight depends on one
     coordinate, so the sup runs over the profile of max |phi| along the other.
     """
-    g = f.grid
-    if weight == "y3":
-        coord, wgt = g.y, np.abs(g.y) ** 3
-    elif weight == "x3/2":
-        coord, wgt = g.x, np.abs(g.x) ** 1.5
-    elif isinstance(weight, tuple) and weight[0] == "y_kappa":
-        kappa = float(weight[1])
-        if not 0.0 <= kappa <= 3.0:
-            raise GridMismatchError("kappa must lie in [0, 3]")
-        coord, wgt = g.y, np.abs(g.y) ** kappa
-    else:
-        raise GridMismatchError(f"unknown weight {weight!r}")
-    a = wgt * np.max(np.abs(f.values), axis=1 if coord is g.y else 0)
+    axis, power = _weight_axis_power(weight)
+    coord = f.grid.y if axis == "y" else f.grid.x
+    a = np.abs(coord) ** power * np.max(np.abs(f.values), axis=1 if axis == "y" else 0)
     if window is not None:
         r = np.abs(coord)
         sel = (r >= window[0]) & (r <= window[1])
@@ -165,12 +169,13 @@ def two_box_sup_drift(small: sg.Field, big: sg.Field, weight, window: Optional[t
     """Relative drift of the windowed weighted sup between two boxes.
 
     The window defaults to the smaller box's trusted tail range
-    [0.04, 0.10] * half-length, an absolute range both boxes contain; a
-    box-stable tail makes this drift small regardless of how much truncation
-    noise lives further out on either box.
+    [0.04, 0.10] * half-length along the weight's axis, an absolute range both
+    boxes contain; a box-stable tail makes this drift small regardless of how
+    much truncation noise lives further out on either box.
     """
     if window is None:
-        half = min(small.grid.ly, big.grid.ly) / 2 if weight == "y3" else min(small.grid.lx, big.grid.lx) / 2
+        length = "l" + _weight_axis_power(weight)[0]
+        half = min(getattr(small.grid, length), getattr(big.grid, length)) / 2
         window = (0.04 * half, 0.10 * half)
     a = weighted_sup(small, weight, window)
     b = weighted_sup(big, weight, window)

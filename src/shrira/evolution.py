@@ -38,7 +38,7 @@ import numpy as np
 
 from . import grid as sg
 from .errors import BlowUpError, GridMismatchError
-from .functionals import PhysicsParams
+from .functionals import PhysicsParams, _f_integrals
 from .solver import _Modes
 
 DISPERSIVE_STEP_FRACTION = 0.05
@@ -157,13 +157,11 @@ def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams) -> sg.Spectrum
     return sg.Spectrum(g, sg.full_from_half(g, uh))
 
 
-def _mass_energy(uh, grid, params):
-    """(1/2 ||u||^2, E(u)) of the real field with half spectrum uh."""
-    u = np.fft.irfft2(uh, s=(grid.ny, grid.nx))
+def _mass_energy(u, uh, grid, params):
+    """(1/2 ||u||^2, E(u)) of the real field u with half spectrum uh."""
     mass = 0.5 * float(np.sum(u * u)) * grid.cell_area
     quad = 0.5 * sg.weighted_sq_sum(grid, grid.dispersion, uh) * grid.spectral_weight
-    energy = quad - float(np.sum(params.F(u))) * grid.cell_area
-    return mass, energy
+    return mass, quad - _f_integrals(u, grid.cell_area, params)[1]
 
 
 def evolve(
@@ -176,8 +174,8 @@ def evolve(
     """Integrate to t_end, recording diagnostics every record_every steps.
 
     reference = (Field phi, speed c) enables shape-error tracking against the
-    exact spectral translate phi(. - c t, .).  snapshot_cb(step, t, Field) is
-    invoked at each record time.  Raises GridMismatchError for an initial field
+    exact spectral translate phi(. - c t, .), by Parseval on the half spectrum.
+    snapshot_cb(step, t, Field) is invoked at each record time.  Raises GridMismatchError for an initial field
     that is zero or whose mass or energy overflows (its drifts are undefined),
     and BlowUpError (carrying the last good state, its time and the report up
     to the last record) if a step makes the coefficients, or a record the mass
@@ -197,13 +195,13 @@ def evolve(
     def real(h):
         return np.fft.irfft2(h, s=(g.ny, g.nx))
 
-    ref_hat = ref_norm = None
+    ref_hat = None
     if reference is not None:
         ref_field, ref_speed = reference
         if ref_field.grid != g:
             raise GridMismatchError(f"reference field is on {ref_field.grid}, the run on {g}")
         ref_hat = np.fft.rfft2(ref_field.values)
-        ref_norm = np.sqrt(sg.sq_sum(ref_field.values))
+        ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
 
     uh = np.fft.rfft2(initial.values)
     nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
@@ -215,17 +213,20 @@ def evolve(
         nonlocal records_s
         t0 = clock()
         with np.errstate(over="ignore", invalid="ignore"):  # a state about to blow up
-            m, e = _mass_energy(h, g, params)
+            if ref_hat is not None:  # ||u - translate|| / ||phi|| by Parseval, before u is made
+                diff_sq = sg.weighted_sq_sum(g, 1.0, h - ref_hat * np.exp(-1j * g.xi_half * ref_speed * t))
+                shape = np.sqrt(diff_sq / ref_sq)
+            u = real(h)
+            m, e = _mass_energy(u, h, g, params)
         if not (np.isfinite(m) and np.isfinite(e)):
             return False
         times.append(t)
         masses.append(m)
         energies.append(e)
         if ref_hat is not None:
-            tr = real(ref_hat * np.exp(-1j * g.xi_half * ref_speed * t))
-            shapes.append(float(np.sqrt(sg.sq_sum(real(h) - tr)) / ref_norm))
+            shapes.append(float(shape))
         if snapshot_cb is not None:
-            snapshot_cb(step, t, sg.Field(g, real(h)))
+            snapshot_cb(step, t, sg.Field(g, u))
         records_s += clock() - t0
         return True
 

@@ -12,9 +12,14 @@ together with the three Pohojaev residuals (testing the profile equation against
 u, y*u_y and x*u_x), the unique Nehari rescaling t_u with I(t_u u) = 0, and the
 anisotropic Gagliardo-Nirenberg ratio.  The three parts of ||u||_Z^2 are
 weighted sums over one half spectrum (weights 1, |xi| and eta^2/|xi|, the
-xi = 0 modes counting only in the mass); int u f(u), int F(u) and the GN
-numerator are rectangle-rule sums in physical space.  Both are spectrally
-accurate for the trigonometric polynomials represented on the grid.
+xi = 0 modes counting only in the mass); int u f(u) and the GN numerator are
+rectangle-rule sums in physical space.  Both are spectrally accurate for the
+trigonometric polynomials represented on the grid.
+
+f is homogeneous of degree m, so u f(u) = (m+1) F(u) pointwise: int F(u) is
+int u f(u) / (m+1), from the one pass `_f_integrals`.  The same homogeneity
+gives t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)) (`_nehari_t`, which the Nehari
+descent and `verify` share) and S = (1/2 - 1/(m+1)) ||u||_Z^2 on {I = 0}.
 
 The eta^2/|xi| part counts every mode of the spectrum, the y-Nyquist row
 eta = -pi*ny/ly included, which the real field D_x^{-1/2} u_y cannot carry.
@@ -68,11 +73,6 @@ class PhysicsParams:
             return np.multiply(out, u, out=out)
         return _int_power(u, int(self.m), out)
 
-    def F(self, u: np.ndarray) -> np.ndarray:
-        if self.signed_power:
-            return np.abs(u) ** (self.m + 1.0) / (self.m + 1.0)
-        return _int_power(u, int(self.m) + 1) / (self.m + 1.0)
-
 
 def _int_power(u: np.ndarray, n: int, out=None) -> np.ndarray:
     """u^n (n >= 2) by repeated multiplication; n = 2 is u * u, as numpy computes u ** 2."""
@@ -119,38 +119,38 @@ def z_norm_sq(f: sg.Field, params: PhysicsParams) -> float:
     return _z_sq(params, _energy_parts(f))
 
 
-def _f_integrals(f: sg.Field, params: PhysicsParams):
-    dA = f.grid.cell_area
-    uf = float(np.sum(f.values * params.f(f.values)) * dA)
-    Fi = float(np.sum(params.F(f.values)) * dA)
-    return uf, Fi
+def _f_integrals(u: np.ndarray, cell_area: float, params: PhysicsParams):
+    """(int u f(u), int F(u)) of the samples u: one pass, int F = int u f(u) / (m+1)."""
+    uf = float(np.sum(u * params.f(u)) * cell_area)
+    return uf, uf / params.p
 
 
 def action_S(f: sg.Field, params: PhysicsParams) -> float:
-    _, Fi = _f_integrals(f, params)
+    _, Fi = _f_integrals(f.values, f.grid.cell_area, params)
     return 0.5 * z_norm_sq(f, params) - Fi
 
 
 def nehari_I(f: sg.Field, params: PhysicsParams) -> float:
-    uf, _ = _f_integrals(f, params)
+    uf, _ = _f_integrals(f.values, f.grid.cell_area, params)
     return z_norm_sq(f, params) - uf
 
 
 def G_functional(f: sg.Field, params: PhysicsParams) -> float:
-    uf, Fi = _f_integrals(f, params)
+    uf, Fi = _f_integrals(f.values, f.grid.cell_area, params)
     return 0.5 * uf - Fi
 
 
-def nehari_scale(f: sg.Field, params: PhysicsParams) -> float:
-    """Unique t_u > 0 with I(t_u u) = 0, maximizing t -> S(t u).
-
-    For the homogeneous powers implemented here it has the closed form
-    t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)).
-    """
-    uf, _ = _f_integrals(f, params)
+def _nehari_t(zsq: float, uf: float, m: float) -> float:
+    """t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)) from the two integrals."""
     if uf <= 0:
         raise NoScalingError("int u f(u) <= 0: no positive Nehari rescaling")
-    return (z_norm_sq(f, params) / uf) ** (1.0 / (params.m - 1.0))
+    return (zsq / uf) ** (1.0 / (m - 1.0))
+
+
+def nehari_scale(f: sg.Field, params: PhysicsParams) -> float:
+    """Unique t_u > 0 with I(t_u u) = 0, maximizing t -> S(t u), in closed form (`_nehari_t`)."""
+    uf, _ = _f_integrals(f.values, f.grid.cell_area, params)
+    return _nehari_t(z_norm_sq(f, params), uf, params.m)
 
 
 def _pohozaev(params: PhysicsParams, parts, uf: float, Fi: float):
@@ -170,7 +170,7 @@ def pohozaev_residuals(f: sg.Field, params: PhysicsParams):
     All vanish on an exact solitary wave; for every field r1 = -I(u) and
     r1 + r2 + r3 = c ||u||^2 - (3 - m) int F(u).  int u*H(u_x) is ||D_x^{1/2} u||^2.
     """
-    return _pohozaev(params, _energy_parts(f), *_f_integrals(f, params))[:2]
+    return _pohozaev(params, _energy_parts(f), *_f_integrals(f.values, f.grid.cell_area, params))[:2]
 
 
 def _gn(f: sg.Field, p_gn: float, parts) -> float:
@@ -194,14 +194,14 @@ def gn_ratio(f: sg.Field, p_gn: float) -> float:
 
 
 def functional_report(f: sg.Field, params: PhysicsParams) -> FunctionalReport:
-    """All variational diagnostics from one rfft2 and one pass over u f(u) and F(u).
+    """All variational diagnostics from one rfft2 and one pass over u f(u).
 
     The GN ratio is evaluated at p_gn = m - 1 (clipped to the lemma's [0, 2]
     range), so its numerator is the nonlinearity's own Lebesgue norm.
     """
     parts = _energy_parts(f)
     zsq = _z_sq(params, parts)
-    uf, Fi = _f_integrals(f, params)
+    uf, Fi = _f_integrals(f.values, f.grid.cell_area, params)
     r1, r2, r3 = _pohozaev(params, parts, uf, Fi)
     try:
         q = _gn(f, min(2.0, max(0.0, params.m - 1.0)), parts)

@@ -56,8 +56,8 @@ class Grid:
             if n < 8 or n % 2 != 0:
                 raise GridMismatchError(f"{name}: must be even and >= 8, got {n}")
         for name, length in (("lx", self.lx), ("ly", self.ly)):
-            if not length > 0:
-                raise GridMismatchError(f"{name}: box length must be positive, got {length}")
+            if not 0 < length < np.inf:
+                raise GridMismatchError(f"{name}: box length must be positive and finite, got {length}")
 
     @property
     def dx(self) -> float:
@@ -175,11 +175,6 @@ def weighted_sq_sum(grid: Grid, weight, coeffs) -> float:
     weight broadcasts to the half layout; times `Grid.spectral_weight` the sum is an integral.
     """
     return float(np.sum(weight * grid.half_weight * (coeffs.real**2 + coeffs.imag**2)))
-
-
-def sq_sum(u: np.ndarray) -> float:
-    """sum u^2 of a real field (einsum, not the BLAS dot of np.linalg.norm)."""
-    return float(np.einsum("ij,ij->", u, u))
 
 
 def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:

@@ -70,8 +70,10 @@ ABS_ERROR_FLOOR = 1e-14
 K_SYM = "k_sym"
 X_DERIV_SYM = "x_deriv_sym"
 Y_DERIV_SYM = "y_deriv_sym"
-MULTIPLIER_IDS = (K_SYM, X_DERIV_SYM, Y_DERIV_SYM)
+_LIZORKIN_EXPONENTS = {K_SYM: (1, 0), X_DERIV_SYM: (2, 0), Y_DERIV_SYM: (1, 1)}  # (a, b) of xi^a eta^b / D
+MULTIPLIER_IDS = tuple(_LIZORKIN_EXPONENTS)
 LIZORKIN_RANGE = (1e-6, 1e6)  # |xi| and |eta| sampled by lizorkin_sample
+LIZORKIN_SAMPLES = 256  # lizorkin_sample's points per axis
 
 
 @dataclass(frozen=True)
@@ -291,37 +293,29 @@ def kernel_decay_scan(spec: KernelSpec, axis: str, points) -> list:
 #
 # The three multipliers from the regularity bootstrap, on the positive
 # quadrant (each has definite parity in xi and eta, so magnitudes of the
-# weighted derivatives are quadrant-symmetric):
+# weighted derivatives are quadrant-symmetric), are one family
 #
-#   L1 = xi / D,   L2 = xi^2 / D,   L3 = xi eta / D,   D = xi + xi^2 + eta^2.
+#   L = xi^a eta^b / D,   D = xi + xi^2 + eta^2,
 #
-# Sufficient multiplier condition: sup |xi^k1 eta^k2 d^(k1,k2) L| < inf over
-# k1, k2 in {0, 1}.  Derivatives are closed forms, not finite differences.
+# with (a, b) = (1, 0), (2, 0), (1, 1) (`_LIZORKIN_EXPONENTS`).  Sufficient
+# multiplier condition: sup |xi^k1 eta^k2 d^(k1,k2) L| < inf over k1, k2 in
+# {0, 1}.  Derivatives are closed forms, not finite differences, all from the
+# logarithmic derivatives lx = a/xi - D_xi/D and ly = b/eta - D_eta/D:
+#
+#   d_xi L = L lx,   d_eta L = L ly,   d_xi d_eta L = L (lx ly + D_xi D_eta / D^2),
+#
+# the last because D_xi = 1 + 2 xi and D_eta = 2 eta give D_xi,eta = 0.
 
 
 def _lizorkin_tables(xi, eta):
     D = xi + xi * xi + eta * eta
-    D2, D3 = D * D, D * D * D
-    return {
-        K_SYM: {
-            (0, 0): xi / D,
-            (1, 0): (eta * eta - xi * xi) / D2,
-            (0, 1): -2.0 * xi * eta / D2,
-            (1, 1): 2.0 * eta * (xi + 3.0 * xi * xi - eta * eta) / D3,
-        },
-        X_DERIV_SYM: {
-            (0, 0): xi * xi / D,
-            (1, 0): xi * (xi + 2.0 * eta * eta) / D2,
-            (0, 1): -2.0 * xi * xi * eta / D2,
-            (1, 1): 4.0 * xi * eta * (xi * xi - eta * eta) / D3,
-        },
-        Y_DERIV_SYM: {
-            (0, 0): xi * eta / D,
-            (1, 0): eta * (eta * eta - xi * xi) / D2,
-            (0, 1): xi * (xi + xi * xi - eta * eta) / D2,
-            (1, 1): ((3.0 * eta * eta - xi * xi) * D - 4.0 * eta * eta * (eta * eta - xi * xi)) / D3,
-        },
-    }
+    dx, dy = (1.0 + 2.0 * xi) / D, 2.0 * eta / D  # D_xi / D, D_eta / D
+    tables = {}
+    for mult, (a, b) in _LIZORKIN_EXPONENTS.items():
+        L = xi**a * eta**b / D
+        lx, ly = a / xi - dx, b / eta - dy
+        tables[mult] = {(0, 0): L, (1, 0): L * lx, (0, 1): L * ly, (1, 1): L * (lx * ly + dx * dy)}
+    return tables
 
 
 @dataclass(frozen=True)
@@ -335,7 +329,7 @@ class LizorkinReport:
             yield (self.multiplier, k1, k2, v)
 
 
-def lizorkin_sample(multiplier_id: str, n_samples: int = 256) -> LizorkinReport:
+def lizorkin_sample(multiplier_id: str, n_samples: int = LIZORKIN_SAMPLES) -> LizorkinReport:
     """Empirical sup of the weighted derivative magnitudes on a dyadic grid.
 
     Samples |xi| and |eta| log-spaced over LIZORKIN_RANGE (axes excluded by
@@ -346,12 +340,9 @@ def lizorkin_sample(multiplier_id: str, n_samples: int = 256) -> LizorkinReport:
     axis = np.geomspace(*LIZORKIN_RANGE, n_samples)
     XI, ETA = np.meshgrid(axis, axis, indexing="xy")
     tab = _lizorkin_tables(XI, ETA)[multiplier_id]
-    maxima = {}
-    for (k1, k2), der in tab.items():
-        weighted = np.abs(XI**k1 * ETA**k2 * der)
-        maxima[(k1, k2)] = float(np.max(weighted))
+    maxima = {(k1, k2): float(np.max(np.abs(XI**k1 * ETA**k2 * der))) for (k1, k2), der in tab.items()}
     return LizorkinReport(multiplier_id, n_samples, maxima)
 
 
-def lizorkin_report_all(n_samples: int = 256) -> list:
+def lizorkin_report_all(n_samples: int = LIZORKIN_SAMPLES) -> list:
     return [lizorkin_sample(mid, n_samples) for mid in MULTIPLIER_IDS]

@@ -22,8 +22,9 @@ routes are provided:
   manifold {I = 0}.  The descent direction is the energy-metric gradient
   u_hat - f_hat/s (the raw L2 gradient s*u_hat - f_hat is hopelessly stiff:
   s reaches ~1e2-1e3 on small-|xi|/large-eta modes, so any fixed L2 step either
-  diverges or crawls).  Each step is followed by the exact Nehari rescaling;
-  the step size backtracks on action increase and grows otherwise.  At the
+  diverges or crawls).  Each step is followed by the exact Nehari rescaling t_u,
+  on which the action is S = (m-1)/(2(m+1)) ||u||_Z^2 (f is homogeneous); the
+  step size backtracks on action increase and grows otherwise.  At the
   round-off floor the residual stops falling: NEHARI_STALL iterations without
   a new residual minimum stop the descent as stalled.
 
@@ -65,7 +66,7 @@ from .errors import (
     UndefinedResidualError,
 )
 from .decay import _auto_window, tail_exponent_fit, zero_x_mean_and_sign
-from .functionals import PhysicsParams, FunctionalReport, functional_report
+from .functionals import PhysicsParams, FunctionalReport, _f_integrals, _nehari_t, functional_report
 
 PETVIASHVILI = "petviashvili"
 NEHARI_DESCENT = "nehari_descent"
@@ -345,23 +346,19 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     modes = _Modes(grid, params)
     w = 2.0 * grid.spectral_weight  # column weight of every kept mode, times Parseval's factor
     dA = grid.cell_area
-    m = params.m
+    k = (params.m - 1.0) / (2.0 * params.p)  # S = k ||u||_Z^2 on the manifold
     res_hist: list = []
-
-    def manifold_scale(zsq, uf):
-        return (zsq / uf) ** (1.0 / (m - 1.0))
 
     ph = modes.forward(_init_values(config, grid))
     phi = modes.inverse(ph)
     zsq = modes.dot(modes.s * ph, ph) * w
-    uf = float(np.sum(phi * params.f(phi)) * dA)
+    uf, _ = _f_integrals(phi, dA, params)
     if uf <= 0:
         return _finish(NEHARI_DESCENT, grid, params, phi, ([], [], []), (t0, time.perf_counter()), False,
                        CollapseError("initial guess has int u f(u) <= 0"))
-    t = manifold_scale(zsq, uf)
+    t = _nehari_t(zsq, uf, params.m)
     phi, ph = t * phi, t * ph
-    zsq *= t * t
-    S_old = 0.5 * zsq - float(np.sum(params.F(phi)) * dA)
+    S_old = k * t * t * zsq
     started = (t0, time.perf_counter())
 
     h = DESCENT_STEP
@@ -387,12 +384,12 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             v = phi - h * d
             vh = modes.forward(v)
             zv = modes.dot(modes.s * vh, vh) * w
-            ufv = float(np.sum(v * params.f(v)) * dA)
+            ufv, _ = _f_integrals(v, dA, params)
             if ufv <= 0 or zv == 0.0:
                 h *= 0.5
                 continue
-            tv = manifold_scale(zv, ufv)
-            Sv = 0.5 * tv * tv * zv - float(np.sum(params.F(tv * v)) * dA)
+            tv = _nehari_t(zv, ufv, params.m)
+            Sv = k * tv * tv * zv
             if Sv <= S_old + 1e-14 * abs(S_old):
                 break
             h *= 0.5

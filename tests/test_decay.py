@@ -100,6 +100,18 @@ def test_two_box_sup_drift_synthetic():
     assert two_box_sup_drift(small, big, "y3") <= 1e-12
 
 
+def test_two_box_sup_drift_windows_a_y_weight_on_the_y_box():
+    """("y_kappa", 3) is the weight "y3" and gets its default window from ly, not lx."""
+    def field(g):
+        X, Y = g.meshgrid()
+        return Field(g, np.exp(-(X**2) / 50.0) * (1 + Y**2) ** -1.5 + 1e-3 * np.cos(3 * Y))
+
+    small, big = field(Grid(64, 32, 80.0, 20.0)), field(Grid(96, 48, 150.0, 36.0))
+    drift = two_box_sup_drift(small, big, "y3")
+    assert drift > 0.1
+    assert two_box_sup_drift(small, big, ("y_kappa", 3.0)) == drift
+
+
 def test_y_weighted_seminorm_single_mode_closed_form():
     """u = cos(x) sin(y) on [-pi, pi)^2: integral = pi^4 - pi^2/2."""
     g = Grid(256, 256, 2 * PI, 2 * PI)

@@ -131,12 +131,28 @@ def test_conservation_small_wave(small_wave, params_m2):
     assert d["mass_drift"] == rep.mass_drift
 
 
+def test_shape_error_by_parseval_is_the_physical_one(small_wave, params_m2):
+    """The recorded shape error equals ||u - phi(. - c t, .)|| / ||phi|| on the samples."""
+    fld, _ = small_wave
+    g = fld.grid
+    snaps = []
+    rep = evolve(fld, EvolveConfig(t_end=1.0, record_every=5), params_m2, reference=(fld, 1.0),
+                 snapshot_cb=lambda step, t, f: snaps.append((t, f.values.copy())))
+    ref_hat = np.fft.rfft2(fld.values)
+    assert len(snaps) == len(rep.shape_error_series) > 2
+    for (t, u), shape in zip(snaps, rep.shape_error_series):
+        tr = np.fft.irfft2(ref_hat * np.exp(-1j * g.xi_half * t), s=(g.ny, g.nx))
+        physical = np.sqrt(np.sum((u - tr) ** 2)) / np.sqrt(np.sum(fld.values**2))
+        assert abs(shape - physical) <= 1e-15
+    assert rep.shape_error_series[-1] > 1e-10  # the comparison is not between zeros
+
+
 def test_action_energy_mass_relation(small_wave, params_m2):
     """S(u) = E(u) + (c/2)||u||_2^2 ties the conserved pair to the action."""
     from shrira import action_S, lp_norm
 
     fld, _ = small_wave
-    mass, energy = _mass_energy(np.fft.rfft2(fld.values), fld.grid, params_m2)
+    mass, energy = _mass_energy(fld.values, np.fft.rfft2(fld.values), fld.grid, params_m2)
     S = action_S(fld, params_m2)
     assert S == pytest.approx(energy + params_m2.c * mass, rel=1e-12)
     assert mass == pytest.approx(0.5 * lp_norm(fld, 2) ** 2, rel=1e-12)

@@ -317,14 +317,27 @@ def test_invariant_suite_randomized():
 
 
 def test_integer_powers_by_multiplication_match_pow():
-    """f and F multiply instead of calling pow: within 4 ulp of u**n, f bit-identical at m = 2."""
+    """f multiplies instead of calling pow: within 4 ulp of u**m, bit-identical at m = 2."""
     rng = np.random.default_rng(5)
     u = rng.standard_normal(100_000) * np.exp(rng.uniform(-3.0, 3.0, 100_000))
     for m in (2, 3, 4, 5):
-        p = PhysicsParams(c=1.0, m=m)
-        for got, want in ((p.f(u), u**m), (p.F(u), u ** (m + 1) / (m + 1.0))):
-            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        got, want = PhysicsParams(c=1.0, m=m).f(u), u**m
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
     assert np.array_equal(PhysicsParams(c=1.0, m=2).f(u), u**2)
+
+
+@pytest.mark.parametrize("m, signed, F", [
+    (2, False, lambda u: u**3 / 3), (3, False, lambda u: u**4 / 4),
+    (2, True, lambda u: np.abs(u) ** 3 / 3), (2.5, True, lambda u: np.abs(u) ** 3.5 / 3.5),
+], ids=["m2", "m3", "m2-signed", "m2.5-signed"])
+def test_F_int_is_the_sum_of_the_primitive(m, signed, F):
+    """F_int = int u f(u) / (m+1) equals the rectangle-rule sum of F(u) on mixed-sign fields."""
+    g = Grid(32, 24, 7.0, 9.0)
+    p = PhysicsParams(c=1.0, m=m, signed_power=signed)
+    for seed in range(4):
+        f = random_field(g, np.random.default_rng(seed))
+        want = float(np.sum(F(f.values)) * g.cell_area)
+        assert functional_report(f, p).F_int == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("m, signed", [(2, False), (3, False), (2.5, True), (3, True)])

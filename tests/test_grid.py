@@ -41,6 +41,12 @@ def test_grid_validation():
         Grid(32, 32, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("lx, ly, name", [(math.inf, 1.0, "lx"), (1.0, math.inf, "ly"), (math.nan, 1.0, "lx")])
+def test_grid_rejects_non_finite_box_lengths(lx, ly, name):
+    with pytest.raises(GridMismatchError, match=f"^{name}: box length must be positive and finite"):
+        Grid(8, 8, lx, ly)
+
+
 def test_wavenumber_tables(g2pi):
     # xi[0] = 0; antisymmetric up to Nyquist; exactly ny entries with xi = 0
     assert g2pi.xi[0] == 0.0

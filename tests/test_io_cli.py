@@ -222,6 +222,28 @@ def test_cli_verify_matches_solve(solved_dir, tmp_path):
         assert len(rows) > 10
 
 
+def test_cli_verify_t_u_is_nehari_scale(solved_dir, tmp_path):
+    """verify reads t_u off its functional report: the value nehari_scale gives, bit for bit."""
+    out = tmp_path / "verify"
+    assert main(["verify", "--field", str(solved_dir / "phi.field"), "--out", str(out)]) == 0
+    fld, header = read_field(solved_dir / "phi.field")
+    params = shrira.PhysicsParams(header["c"], header["m"], header["signed_power"])
+    assert json.loads((out / "verify_report.json").read_text())["nehari_t_u"] == shrira.nehari_scale(fld, params)
+
+
+def test_cli_verify_infinite_box_exits_2(tmp_path, capsys):
+    """A header with "lx": Infinity is rejected when the grid is built, naming the key."""
+    p = tmp_path / "inf.field"
+    write_field(p, Field(Grid(16, 16, 2 * PI, 2 * PI), np.ones((16, 16))), {"c": 1.0, "m": 2})
+    header, payload = p.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["lx"] = math.inf
+    p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    assert b'"lx": Infinity' in p.read_bytes()
+    assert main(["verify", "--field", str(p), "--out", str(tmp_path / "v")]) == 2
+    assert "lx: box length must be positive and finite" in capsys.readouterr().err
+
+
 def test_cli_verify_report_times_its_phases(solved_dir, tmp_path):
     out = tmp_path / "verify"
     assert main(["verify", "--field", str(solved_dir / "phi.field"), "--out", str(out)]) == 0

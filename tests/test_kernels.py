@@ -348,6 +348,47 @@ def test_lizorkin_closed_forms_against_finite_differences():
             assert abs(tab[(1, 1)] - fd_xy) <= 5e-3 * scale
 
 
+def _hand_written_lizorkin_tables(xi, eta):
+    """Each multiplier's derivatives differentiated by hand: a referee for the derived tables."""
+    D = xi + xi * xi + eta * eta
+    D2, D3 = D * D, D * D * D
+    return {
+        K_SYM: {
+            (0, 0): xi / D,
+            (1, 0): (eta * eta - xi * xi) / D2,
+            (0, 1): -2.0 * xi * eta / D2,
+            (1, 1): 2.0 * eta * (xi + 3.0 * xi * xi - eta * eta) / D3,
+        },
+        kernels.X_DERIV_SYM: {
+            (0, 0): xi * xi / D,
+            (1, 0): xi * (xi + 2.0 * eta * eta) / D2,
+            (0, 1): -2.0 * xi * xi * eta / D2,
+            (1, 1): 4.0 * xi * eta * (xi * xi - eta * eta) / D3,
+        },
+        kernels.Y_DERIV_SYM: {
+            (0, 0): xi * eta / D,
+            (1, 0): eta * (eta * eta - xi * xi) / D2,
+            (0, 1): xi * (xi + xi * xi - eta * eta) / D2,
+            (1, 1): ((3.0 * eta * eta - xi * xi) * D - 4.0 * eta * eta * (eta * eta - xi * xi)) / D3,
+        },
+    }
+
+
+def test_lizorkin_tables_match_the_hand_written_forms():
+    """At 200 log-uniform points of LIZORKIN_RANGE the sampled quantities xi^k1 eta^k2 d^(k1,k2) L
+    (each of size O(1)) agree to 1e-13; the (0, 0) entries are bit-identical.  A relative
+    comparison would fail only where a derivative crosses zero and either form's rounding rules."""
+    rng = np.random.default_rng(11)
+    xi, eta = 10.0 ** rng.uniform(*np.log10(kernels.LIZORKIN_RANGE), (2, 200))
+    got, want = _lizorkin_tables(xi, eta), _hand_written_lizorkin_tables(xi, eta)
+    assert set(got) == set(want) == set(MULTIPLIER_IDS)
+    for mult in MULTIPLIER_IDS:
+        assert set(got[mult]) == set(want[mult])
+        assert np.array_equal(got[mult][(0, 0)], want[mult][(0, 0)])
+        for (k1, k2), w in want[mult].items():
+            assert np.max(np.abs(xi**k1 * eta**k2 * (got[mult][(k1, k2)] - w))) <= 1e-13, (mult, k1, k2)
+
+
 def test_lizorkin_report():
     reps = {m: lizorkin_sample(m, n_samples=128) for m in MULTIPLIER_IDS}
     # k = 0 maxima bounded by 1 termwise
