@@ -1,5 +1,9 @@
 """Command-line interface.
 
+A stored field's physics (c, m, signed_power) comes from its header: `verify`
+reads it there, and `evolve` exits 2 when its config's physics (the defaults
+if the section is absent) differs from it.
+
 Exit codes: 0 success, 2 validation/configuration error, evolve blow-up
 (last_good.field and the partial conservation.csv are still written) or an
 uncertified kernel point (the rows before it are still written), 3 solver
@@ -36,7 +40,7 @@ EXIT_NO_CONVERGENCE = 3
 
 def _write_json(path: Path, obj) -> None:
     def clean(v):
-        if isinstance(v, float) and not np.isfinite(v):
+        if isinstance(v, float) and not -np.inf < v < np.inf:
             return None
         if isinstance(v, dict):
             return {k: clean(x) for k, x in v.items()}
@@ -90,15 +94,14 @@ def _cmd_solve(args) -> int:
     return code
 
 
-def _params_for(args, header):
-    if args.config:
-        return load_config(args.config).physics
-    return PhysicsParams(float(header["c"]), float(header["m"]), bool(header["signed_power"]))
+def _read_stored(path):
+    """(Field, PhysicsParams) of a field file: its header is the one source of its physics."""
+    fld, header = read_field(path)
+    return fld, PhysicsParams(float(header["c"]), float(header["m"]), bool(header["signed_power"]))
 
 
 def _cmd_verify(args) -> int:
-    fld, header = read_field(args.field)
-    params = _params_for(args, header)
+    fld, params = _read_stored(args.field)
     out = Path(args.out or Path(args.field).parent)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -132,11 +135,13 @@ def _conservation_csv(path: Path, report) -> None:
 
 
 def _cmd_evolve(args) -> int:
-    fld, header = read_field(args.field)
+    fld, params = _read_stored(args.field)
     cfg = load_config(args.config)
     if cfg.evolve is None:
         raise ConfigError("evolve: section is required for this command")
-    params = _params_for(args, header)
+    if cfg.physics != params:
+        raise ConfigError(f"physics: the config's {cfg.physics} differs from the header's {params} "
+                          f"in {args.field}")
     out = Path(args.out or cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     reference = (fld, args.reference_speed) if args.reference_speed is not None else None
@@ -177,19 +182,11 @@ def _cmd_kernel(args) -> int:
     spec = ker.KernelSpec(nu=args.nu, quad_tol=args.quad_tol)
     points = _read_points_csv(args.points)
     oracle_grid = Grid(nx=args.oracle_nx, ny=args.oracle_ny, lx=args.oracle_lx, ly=args.oracle_ly)
-    oracle = ker.kernel_spectral_oracle(args.nu, oracle_grid)
-    rows = []
-    try:  # an uncertified point stops the loop; the rows before it are still written
-        for (x, y) in points:
-            s = ker.h_nu_point(spec, x, y)
-            _, _, kv = ker.oracle_node_value(oracle, x, 2.0 * y)
-            rel = abs(ker.SQRT_PI * s.value - kv) / max(abs(kv), 1e-300)
-            rows.append(
-                (f"{x:.17g}", f"{y:.17g}", f"{s.value:.17g}", f"{s.est_error:.3g}",
-                 f"{kv:.17g}", f"{rel:.6g}")
-            )
-    finally:
-        _write_csv(Path(args.out), ("x", "y", "value", "est_error", "oracle", "rel_diff"), rows)
+    oracle = ker.kernel_spectral_oracle(spec.nu, oracle_grid)
+    # rows are written as they come: an uncertified point stops them, the rows before it stay on disk
+    rows = ((f"{x:.17g}", f"{y:.17g}", f"{v:.17g}", f"{err:.3g}", f"{kv:.17g}", f"{rel:.6g}")
+            for x, y, v, err, kv, rel in ker.oracle_rows(spec, points, oracle))
+    _write_csv(Path(args.out), ("x", "y", "value", "est_error", "oracle", "rel_diff"), rows)
     return EXIT_OK
 
 
@@ -241,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recompute identities and decay for a stored field")
     p.add_argument("--field", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify)
 
@@ -282,9 +278,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -2,8 +2,9 @@
 
 Each section is parsed from the fields of its dataclass: a present value is
 checked against the field's annotation, and a missing key takes the
-dataclass default (a field without one is required).  The defaults live on
-the dataclasses only.  Unknown keys and non-object sections are rejected at
+dataclass default (a field without one is required).  The defaults and the
+range checks, finiteness included, live on the dataclasses only; the parser
+checks JSON types.  Unknown keys and non-object sections are rejected at
 every level; JSON syntax errors report line and column.  All sections are
 optional except where a command requires them (solve needs grid, evolve
 needs evolve).
@@ -12,8 +13,7 @@ needs evolve).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .errors import ConfigError
@@ -62,11 +62,10 @@ def _value(ann: str, v, where: str):
         return None if v is None else _value(ann[len("Optional["):-1], v, where)
     if ann == "object":  # solver.init
         return _parse_init(v, where)
-    if ann == "float":
-        # json.loads accepts NaN and Infinity; neither is a usable setting
-        if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
+    if ann == "float":  # NaN and Infinity, which json.loads accepts, fail the range checks
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
             return float(v)
-        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
+        raise ConfigError(f"{where}: expected a number, got {v!r}")
     typ, expected = _EXACT_TYPES[ann]
     if type(v) is not typ:  # bool is a subclass of int, and not an integer here
         raise ConfigError(f"{where}: expected {expected}, got {v!r}")
@@ -119,11 +118,3 @@ def load_config(path) -> RunConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config (parse . serialize . parse is idempotent)."""
-    obj = {key: value for key, value in asdict(cfg).items() if value is not None}
-    init = obj["solver"]["init"]
-    init["kind"] = "gaussian" if isinstance(cfg.solver.init, GaussianInit) else "file"
-    return json.dumps(obj, indent=2)

@@ -58,8 +58,6 @@ class DecayReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["fit_window_x"] = list(self.fit_window_x)
-        out["fit_window_y"] = list(self.fit_window_y)
         out["mixed_norms"] = [
             {
                 "q": None if np.isinf(q) else q,
@@ -78,8 +76,9 @@ def default_fit_window(half_length: float) -> tuple:
     return (0.04 * half_length, 0.11 * half_length)
 
 
-def _auto_window(half_length: float, spacing: float) -> tuple:
-    """Default window, widened on coarse grids to hold >= 8 sample radii."""
+def _auto_window(grid: sg.Grid, axis: str) -> tuple:
+    """Default window on the axis, widened on coarse grids to hold >= 8 sample radii."""
+    half_length, spacing = (grid.lx / 2, grid.dx) if axis == "x" else (grid.ly / 2, grid.dy)
     lo, hi = default_fit_window(half_length)
     hi = min(max(hi, lo + 11.5 * spacing), 0.8 * half_length)
     return (lo, hi)
@@ -241,8 +240,8 @@ def decay_report(
     window_x: Optional[tuple] = None,
     window_y: Optional[tuple] = None,
 ) -> DecayReport:
-    window_x = window_x or _auto_window(f.grid.lx / 2, f.grid.dx)
-    window_y = window_y or _auto_window(f.grid.ly / 2, f.grid.dy)
+    window_x = window_x or _auto_window(f.grid, "x")
+    window_y = window_y or _auto_window(f.grid, "y")
     ey, sy = tail_exponent_fit(f, "y", window_y)
     ex, sx = tail_exponent_fit(f, "x", window_x)
     defect, sign_change = zero_x_mean_and_sign(f)

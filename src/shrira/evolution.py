@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, inf
 from typing import Optional
 
 import numpy as np
@@ -63,10 +63,10 @@ class EvolveConfig:
     record_every: int = 20
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0:
-            raise GridMismatchError(f"dt: must be positive, got {self.dt}")
-        if not self.t_end > 0:
-            raise GridMismatchError(f"t_end: must be positive, got {self.t_end}")
+        if self.dt is not None and not 0 < self.dt < inf:
+            raise GridMismatchError(f"dt: must be positive and finite, got {self.dt}")
+        if not 0 < self.t_end < inf:
+            raise GridMismatchError(f"t_end: must be positive and finite, got {self.t_end}")
         if not self.record_every >= 1:
             raise GridMismatchError(f"record_every: must be >= 1, got {self.record_every}")
 
@@ -175,7 +175,8 @@ def evolve(
 
     reference = (Field phi, speed c) enables shape-error tracking against the
     exact spectral translate phi(. - c t, .), by Parseval on the half spectrum.
-    snapshot_cb(step, t, Field) is invoked at each record time.  Raises GridMismatchError for an initial field
+    snapshot_cb(step, t, Field) is invoked at each record time.  Raises
+    GridMismatchError for a non-finite reference speed and for an initial field
     that is zero or whose mass or energy overflows (its drifts are undefined),
     and BlowUpError (carrying the last good state, its time and the report up
     to the last record) if a step makes the coefficients, or a record the mass
@@ -198,6 +199,8 @@ def evolve(
     ref_hat = None
     if reference is not None:
         ref_field, ref_speed = reference
+        if not -inf < ref_speed < inf:
+            raise GridMismatchError(f"reference_speed: must be finite, got {ref_speed}")
         if ref_field.grid != g:
             raise GridMismatchError(f"reference field is on {ref_field.grid}, the run on {g}")
         ref_hat = np.fft.rfft2(ref_field.values)

@@ -54,10 +54,10 @@ class PhysicsParams:
     signed_power: bool = False
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise GridMismatchError(f"c: wave speed must be positive, got {self.c}")
-        if not self.m > 1:
-            raise GridMismatchError(f"m: nonlinearity exponent must exceed 1, got {self.m}")
+        if not 0 < self.c < math.inf:
+            raise GridMismatchError(f"c: wave speed must be positive and finite, got {self.c}")
+        if not 1 < self.m < math.inf:
+            raise GridMismatchError(f"m: nonlinearity exponent must exceed 1 and be finite, got {self.m}")
         if not self.signed_power and not float(self.m).is_integer():
             raise GridMismatchError(f"m: non-integer m = {self.m} requires signed_power=True")
 

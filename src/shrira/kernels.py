@@ -84,10 +84,10 @@ class KernelSpec:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.nu > -1.5:
-            raise GridMismatchError("kernel order nu must exceed -3/2")
+        if not -1.5 < self.nu < math.inf:
+            raise GridMismatchError(f"nu: kernel order must exceed -3/2 and be finite, got {self.nu}")
         if not 0.0 < self.quad_tol <= 1e-4:
-            raise GridMismatchError("quad_tol must lie in (0, 1e-4]")
+            raise GridMismatchError(f"quad_tol: must lie in (0, 1e-4], got {self.quad_tol}")
 
 
 @dataclass(frozen=True)
@@ -252,22 +252,23 @@ def oracle_node_value(field: sg.Field, x: float, y: float):
     return float(g.x[i]), float(g.y[j]), float(field.values[j, i])
 
 
-def quadrature_vs_oracle(spec: KernelSpec, points, oracle: sg.Field) -> list:
-    """Cross-check rows: quadrature h_nu vs the symbol transform.
+def oracle_rows(spec: KernelSpec, points, oracle: sg.Field):
+    """Cross-check rows (x, y, value, est_error, oracle, rel_diff), yielded one point at a time.
 
-    For each requested (x, y) the oracle is read at the node nearest (x, 2y)
-    and the quadrature evaluated at the snapped coordinates, using the exact
-    dictionary K_nu(x, 2y) = sqrt(pi) h_nu(x, y).  Rows are
-    (x, y, quad_value, est_error, oracle_value, rel_diff).
+    value is the quadrature h_nu(x, y); the symbol transform `oracle` is read
+    at the node nearest (x, 2y), using the exact dictionary
+    K_nu(x, 2y) = sqrt(pi) h_nu(x, y), and rel_diff = |sqrt(pi) value - oracle| / |oracle|.
     """
-    rows = []
     for (x, y) in points:
-        xs, y2s, kv = oracle_node_value(oracle, x, 2.0 * y)
-        s = h_nu_point(spec, xs, y2s / 2.0)
-        mapped = SQRT_PI * s.value
-        rel = abs(mapped - kv) / max(abs(kv), 1e-300)
-        rows.append((xs, y2s / 2.0, s.value, s.est_error, kv, rel))
-    return rows
+        s = h_nu_point(spec, x, y)
+        kv = oracle_node_value(oracle, x, 2.0 * y)[2]
+        yield x, y, s.value, s.est_error, kv, abs(SQRT_PI * s.value - kv) / max(abs(kv), 1e-300)
+
+
+def quadrature_vs_oracle(spec: KernelSpec, points, oracle: sg.Field) -> list:
+    """`oracle_rows` at the snapped points: (xs, y2s / 2) for the node (xs, y2s) nearest (x, 2y)."""
+    nodes = [oracle_node_value(oracle, x, 2.0 * y)[:2] for (x, y) in points]
+    return list(oracle_rows(spec, [(xs, y2s / 2.0) for xs, y2s in nodes], oracle))
 
 
 def kernel_decay_scan(spec: KernelSpec, axis: str, points) -> list:

@@ -86,8 +86,8 @@ class GaussianInit:
         if not math.isfinite(self.amplitude):
             raise GridMismatchError(f"amplitude: must be finite, got {self.amplitude}")
         for name in ("sigma_x", "sigma_y"):
-            if not getattr(self, name) > 0:
-                raise GridMismatchError(f"{name}: must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise GridMismatchError(f"{name}: must be positive and finite, got {getattr(self, name)}")
 
     def build(self, grid: sg.Grid) -> np.ndarray:
         X, Y = grid.meshgrid()
@@ -121,8 +121,8 @@ class SolverConfig:
             raise GridMismatchError(
                 f"method: expected '{PETVIASHVILI}' or '{NEHARI_DESCENT}', got {self.method!r}"
             )
-        if not self.tol_residual > 0:
-            raise GridMismatchError(f"tol_residual: must be positive, got {self.tol_residual}")
+        if not 0 < self.tol_residual < math.inf:
+            raise GridMismatchError(f"tol_residual: must be positive and finite, got {self.tol_residual}")
         if not self.max_iter >= 1:
             raise GridMismatchError(f"max_iter: must be >= 1, got {self.max_iter}")
 
@@ -145,10 +145,7 @@ class SolveReport:
     timings: dict  # setup_s, loop_s, report_s
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["functionals"] = self.functionals.to_dict()
-        out["max_location"] = list(self.max_location)
-        return out
+        return asdict(self)
 
 
 def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
@@ -452,31 +449,22 @@ def sweep(
     it (`rows`).
     """
     def fit_exponent(fld, axis):
-        g = fld.grid
-        window = _auto_window(g.lx / 2, g.dx) if axis == "x" else _auto_window(g.ly / 2, g.dy)
         try:
-            return tail_exponent_fit(fld, axis, window)[0]
+            return tail_exponent_fit(fld, axis, _auto_window(fld.grid, axis))[0]
         except GridMismatchError:
             return float("nan")
 
     if param not in ("c", "m"):
         raise GridMismatchError("sweep parameter must be 'c' or 'm'")
-    rows = []
-    prev_field = None
-    prev_value = None
-    cur_grid = grid
-    for v in values:
-        p = replace(params, **{param: float(v)})
-        cfg = config
+    physics = [replace(params, **{param: float(v)}) for v in values]  # every value checked up front
+    rows, prev_field, prev_c = [], None, None
+    for v, p in zip(values, physics):
+        cfg, g = config, grid
         if prev_field is not None:
-            if param == "c":
-                warm = rescale_speed(prev_field, prev_value, float(v), p.m)
-                cur_grid = warm.grid
-            else:
-                warm = prev_field
-            cfg = replace(config, init=warm)
+            warm = rescale_speed(prev_field, prev_c, p.c, p.m) if param == "c" else prev_field
+            cfg, g = replace(config, init=warm), warm.grid
         try:
-            fld, rep = solve(cfg, p, cur_grid)
+            fld, rep = solve(cfg, p, g)
         except ConvergenceError as exc:
             exc.rows = rows
             raise
@@ -493,5 +481,5 @@ def sweep(
                 converged=rep.converged,
             )
         )
-        prev_field, prev_value = fld, float(v)
+        prev_field, prev_c = fld, p.c
     return rows

@@ -16,9 +16,9 @@ import pytest
 import shrira
 from shrira import Grid, Field, read_field, write_field
 from shrira.cli import main
-from shrira.kernels import KernelSpec, h_nu_point
-from shrira.config import OutputConfig, parse_config, serialize_config
-from shrira.errors import ConfigError, CorruptFieldFileError, QuadratureAccuracyError
+from shrira.kernels import KernelSpec, h_nu_point, kernel_spectral_oracle, oracle_rows
+from shrira.config import OutputConfig, parse_config
+from shrira.errors import ConfigError, CorruptFieldFileError, GridMismatchError, QuadratureAccuracyError
 
 PI = math.pi
 
@@ -84,28 +84,18 @@ BASE_CONFIG = {
 }
 
 
-def test_config_round_trip_idempotent():
-    cfg1 = parse_config(json.dumps(BASE_CONFIG))
-    text = serialize_config(cfg1)
-    cfg2 = parse_config(text)
-    assert serialize_config(cfg2) == text
-    assert cfg2.grid == cfg1.grid
-    assert cfg2.physics == cfg1.physics
-    assert cfg2.solver == cfg1.solver
-
-
-def test_config_serialization_is_frozen():
-    """Defaults come from the dataclasses; these are the bytes the hand-written parsers gave."""
-    solver = {"method": "petviashvili", "tol_residual": 1e-10, "max_iter": 2000,
-              "init": {"amplitude": 1.0, "sigma_x": 2.0, "sigma_y": 2.0, "kind": "gaussian"}}
-    physics = {"c": 1.0, "m": 2.0, "signed_power": False}
-    output = {"dir": ".", "snapshots": False}
-    assert serialize_config(parse_config("{}")) == json.dumps(
-        {"physics": physics, "solver": solver, "output": output}, indent=2)
-    evolve = {"t_end": 0.2, "dt": None, "record_every": 5}
-    assert serialize_config(parse_config(json.dumps(BASE_CONFIG))) == json.dumps(
-        {"grid": BASE_CONFIG["grid"], "physics": physics, "solver": dict(solver, max_iter=500),
-         "evolve": evolve, "output": output}, indent=2)
+def test_empty_config_takes_the_dataclass_defaults():
+    """Missing sections and keys take the dataclass defaults; these are the values the
+    hand-written parsers gave."""
+    cfg = parse_config("{}")
+    assert cfg.grid is None and cfg.evolve is None
+    assert cfg.physics == shrira.PhysicsParams(c=1.0, m=2.0, signed_power=False)
+    assert cfg.solver == shrira.SolverConfig(
+        method="petviashvili", tol_residual=1e-10, max_iter=2000,
+        init=shrira.GaussianInit(amplitude=1.0, sigma_x=2.0, sigma_y=2.0))
+    assert cfg.output == OutputConfig(dir=".", snapshots=False)
+    evolve = parse_config(json.dumps(BASE_CONFIG)).evolve
+    assert evolve == shrira.EvolveConfig(t_end=0.2, dt=None, record_every=5)
 
 
 def test_config_unknown_keys_rejected():
@@ -172,11 +162,30 @@ def test_config_range_errors_name_the_key():
         ("evolve", {"t_end": 1.0, "record_every": 0}, "evolve.record_every"),
         # json accepts NaN and Infinity (json.dumps writes them for these floats)
         ("physics", {"m": math.inf}, "physics.m"),
+        ("physics", {"c": math.inf}, "physics.c: wave speed must be positive and finite, got inf"),
         ("grid", {"nx": 16, "ny": 16, "lx": math.inf, "ly": 1.0}, "grid.lx"),
         ("solver", {"tol_residual": math.nan}, "solver.tol_residual"),
     ):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(json.dumps({**BASE_CONFIG, section: body}))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("cls, name, kwargs", [
+    (shrira.PhysicsParams, "c", {}),
+    (shrira.PhysicsParams, "m", {"signed_power": True}),
+    (shrira.SolverConfig, "tol_residual", {}),
+    (shrira.GaussianInit, "sigma_x", {}),
+    (shrira.GaussianInit, "sigma_y", {}),
+    (shrira.EvolveConfig, "dt", {"t_end": 1.0}),
+    (shrira.EvolveConfig, "t_end", {}),
+    (KernelSpec, "nu", {}),
+])
+def test_dataclasses_reject_non_finite_settings(cls, name, kwargs, value):
+    """Each setting is range-checked, finiteness included, by its dataclass alone; the
+    message starts with the field name."""
+    with pytest.raises(GridMismatchError, match=f"^{name}: "):
+        cls(**kwargs, **{name: value})
 
 
 # --- CLI end-to-end -----------------------------------------------------------
@@ -371,6 +380,95 @@ def test_cli_evolve_blow_up_keeps_last_good_and_partial_series(tmp_path):
     assert [float(r[0]) for r in rows[1:]] == pytest.approx([0.0, 0.1])
     assert all(math.isfinite(float(v)) for r in rows[1:] for v in r[:3])
     assert not (out / "final.field").exists()
+
+
+@pytest.fixture()
+def cubic_field(tmp_path):
+    """A Gaussian stored as an m = 3 field on 32^2."""
+    g = Grid(32, 32, 8 * PI, 8 * PI)
+    X, Y = g.meshgrid()
+    p = tmp_path / "cubic.field"
+    write_field(p, Field(g, np.exp(-(X**2 + Y**2) / 4)), {"c": 1.0, "m": 3})
+    return p
+
+
+def test_cli_evolve_rejects_a_config_whose_physics_differs_from_the_header(cubic_field, tmp_path, capsys):
+    """An evolve-only config means the default physics (m = 2); the field says m = 3."""
+    p = tmp_path / "ev.json"
+    p.write_text(json.dumps({"evolve": {"t_end": 0.05}}))
+    out = tmp_path / "evo"
+    assert main(["evolve", "--field", str(cubic_field), "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "physics:" in err and "m=2.0" in err and "m=3.0" in err
+    assert not (out / "final.field").exists()
+
+
+def test_cli_evolve_with_the_header_physics_keeps_it(cubic_field, tmp_path):
+    p = tmp_path / "ev3.json"
+    p.write_text(json.dumps({"physics": {"m": 3}, "evolve": {"t_end": 0.05}}))
+    out = tmp_path / "evo"
+    assert main(["evolve", "--field", str(cubic_field), "--config", str(p), "--out", str(out)]) == 0
+    _, header = read_field(out / "final.field")
+    assert (header["c"], header["m"], header["signed_power"]) == (1.0, 3.0, False)
+
+
+@pytest.mark.parametrize("speed", ["inf", "nan"])
+def test_cli_evolve_rejects_a_non_finite_reference_speed(cubic_field, tmp_path, capsys, speed):
+    p = tmp_path / "ev3.json"
+    p.write_text(json.dumps({"physics": {"m": 3}, "evolve": {"t_end": 0.05}}))
+    out = tmp_path / "evo"
+    assert main(["evolve", "--field", str(cubic_field), "--config", str(p), "--out", str(out),
+                 "--reference-speed", speed]) == 2
+    assert "reference_speed: must be finite" in capsys.readouterr().err
+    assert not (out / "final.field").exists()
+
+
+def test_cli_verify_has_no_config_option(solved_dir, cfg_file, capsys):
+    """verify takes the physics from the field header only."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--field", str(solved_dir / "phi.field"), "--config", str(cfg_file)])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--config" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("values", ["inf", "1,inf"])
+def test_cli_sweep_rejects_a_non_finite_value_before_solving(tmp_path, cfg_file, capsys, monkeypatch, values):
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(shrira.solver, "solve", no_solve)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "c", "--values", values, "--config", str(cfg_file),
+                 "--out", str(out)]) == 2
+    assert "c: wave speed must be positive and finite, got inf" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_cli_kernel_rejects_a_non_finite_order(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.5,0.5\n")
+    assert main(["kernel", "--nu", "inf", "--points", str(pts), "--out", str(tmp_path / "k.csv")]) == 2
+    assert "nu: kernel order must exceed -3/2 and be finite, got inf" in capsys.readouterr().err
+
+
+def test_cli_kernel_rows_are_oracle_rows(tmp_path):
+    """On oracle nodes the CLI writes oracle_rows, bit for bit."""
+    node = PI / 32
+    points = [(i * node, j * node / 2) for i, j in ((4, 30), (7, 21), (12, 12), (9, 17))]
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in points))
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", "--nu", "0.5", "--points", str(pts), "--out", str(out),
+                 "--oracle-nx", "256", "--oracle-ny", "64",
+                 "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)]) == 0
+    with open(out) as fh:
+        got = list(csv.reader(fh))[1:]
+    oracle = kernel_spectral_oracle(0.5, Grid(256, 64, 8 * PI, 2 * PI))
+    want = oracle_rows(KernelSpec(nu=0.5), points, oracle)  # %.17g strings round-trip every float
+    assert got == [[f"{x:.17g}", f"{y:.17g}", f"{v:.17g}", f"{e:.3g}", f"{kv:.17g}", f"{r:.6g}"]
+                   for x, y, v, e, kv, r in want]
 
 
 def test_cli_kernel(tmp_path):
