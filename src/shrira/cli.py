@@ -1,10 +1,11 @@
 """Command-line interface.
 
-A stored field's physics (c, m, signed_power) comes from its header: `verify`
-reads it there, and `evolve` exits 2 when its config's physics (the defaults
-if the section is absent) differs from it.
+A stored field's physics (c, m, signed_power) and grid come from its header:
+`verify` reads them there, and `evolve` exits 2 when its config's physics (the
+defaults if the section is absent) or its grid section (if present) differs.
 
-Exit codes: 0 success, 2 validation/configuration error, evolve blow-up
+Exit codes: 0 success, 2 rejected input (InputError, or a ValueError or
+missing file from outside the package), evolve blow-up
 (last_good.field and the partial conservation.csv are still written) or an
 uncertified kernel point (the rows before it are still written), 3 solver
 non-convergence, a collapse included (solve still writes phi.field,
@@ -28,7 +29,7 @@ from . import evolution as evo
 from . import kernels as ker
 from . import solver as sol
 from .config import load_config
-from .errors import BlowUpError, ConfigError, ConvergenceError, ShriraError
+from .errors import BlowUpError, ConvergenceError, InputError, ShriraError
 from .functionals import PhysicsParams, _nehari_t, functional_report
 from .grid import Field, Grid
 from .io import read_field, write_field
@@ -138,10 +139,12 @@ def _cmd_evolve(args) -> int:
     fld, params = _read_stored(args.field)
     cfg = load_config(args.config)
     if cfg.evolve is None:
-        raise ConfigError("evolve: section is required for this command")
+        raise InputError("evolve: section is required for this command")
     if cfg.physics != params:
-        raise ConfigError(f"physics: the config's {cfg.physics} differs from the header's {params} "
-                          f"in {args.field}")
+        raise InputError(f"physics: the config's {cfg.physics} differs from the header's {params} "
+                         f"in {args.field}")
+    if cfg.grid is not None and cfg.grid != fld.grid:
+        raise InputError(f"grid: the config's {cfg.grid} differs from the header's {fld.grid} in {args.field}")
     out = Path(args.out or cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     reference = (fld, args.reference_speed) if args.reference_speed is not None else None
@@ -171,11 +174,11 @@ def _read_points_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rd = csv.DictReader(fh)
         if rd.fieldnames is None or not {"x", "y"} <= set(rd.fieldnames):
-            raise ConfigError(f"{path}: expected CSV with columns x,y")
+            raise InputError(f"{path}: expected CSV with columns x,y")
         try:
             return [(float(row["x"]), float(row["y"])) for row in rd]
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{path}: malformed point row ({exc})") from exc
+            raise InputError(f"{path}: malformed point row ({exc})") from exc
 
 
 def _cmd_kernel(args) -> int:
@@ -196,9 +199,9 @@ def _cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError as exc:
-        raise ConfigError(f"--values: {exc}") from exc
+        raise InputError(f"--values: {exc}") from exc
     if not values:
-        raise ConfigError("--values: expected a comma-separated list of numbers")
+        raise InputError("--values: expected a comma-separated list of numbers")
     out = Path(args.out or cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK

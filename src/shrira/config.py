@@ -16,7 +16,7 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import InputError
 from .grid import Grid
 from .functionals import PhysicsParams
 from .solver import SolverConfig, GaussianInit, FileInit
@@ -39,7 +39,7 @@ class RunConfig:
 
     def require_grid(self) -> Grid:
         if self.grid is None:
-            raise ConfigError("grid: section is required for this command")
+            raise InputError("grid: section is required for this command")
         return self.grid
 
 
@@ -53,7 +53,7 @@ def _check_keys(obj: dict, cls, where: str, extra=()):
     """Reject keys that name neither a field of the dataclass `cls` nor one of `extra`."""
     unknown = sorted(set(obj) - {f.name for f in fields(cls)} - set(extra))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+        raise InputError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
 def _value(ann: str, v, where: str):
@@ -65,39 +65,39 @@ def _value(ann: str, v, where: str):
     if ann == "float":  # NaN and Infinity, which json.loads accepts, fail the range checks
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             return float(v)
-        raise ConfigError(f"{where}: expected a number, got {v!r}")
+        raise InputError(f"{where}: expected a number, got {v!r}")
     typ, expected = _EXACT_TYPES[ann]
     if type(v) is not typ:  # bool is a subclass of int, and not an integer here
-        raise ConfigError(f"{where}: expected {expected}, got {v!r}")
+        raise InputError(f"{where}: expected {expected}, got {v!r}")
     return v
 
 
 def _parse(cls, obj, where: str, extra=()):
     """The dataclass cls from the JSON object obj; missing keys take the dataclass defaults."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
+        raise InputError(f"{where}: expected a JSON object")
     _check_keys(obj, cls, where, extra)
     kwargs = {}
     for f in fields(cls):
         if f.name in obj:
             kwargs[f.name] = _value(f.type, obj[f.name], f"{where}.{f.name}")
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where}.{f.name}: required key is missing")
+            raise InputError(f"{where}.{f.name}: required key is missing")
     try:
         return cls(**kwargs)
     except ValueError as exc:  # the dataclasses' range errors name the field
-        raise ConfigError(f"{where}.{exc}") from exc
+        raise InputError(f"{where}.{exc}") from exc
 
 
 def _parse_init(obj, where: str):
     """solver.init: the dataclass named by its "kind" key."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
+        raise InputError(f"{where}: expected a JSON object")
     if "kind" not in obj:
-        raise ConfigError(f"{where}.kind: required key is missing")
+        raise InputError(f"{where}.kind: required key is missing")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _INIT_KINDS:
-        raise ConfigError(f"{where}.kind: expected 'gaussian' or 'file', got {kind!r}")
+        raise InputError(f"{where}.kind: expected 'gaussian' or 'file', got {kind!r}")
     return _parse(_INIT_KINDS[kind], obj, where, extra=("kind",))
 
 
@@ -105,9 +105,9 @@ def parse_config(text: str) -> RunConfig:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError("top level: expected a JSON object")
+        raise InputError("top level: expected a JSON object")
     _check_keys(obj, RunConfig, "top level")
     return RunConfig(**{key: _parse(_SECTIONS[key], value, key) for key, value in obj.items()})
 
@@ -117,4 +117,4 @@ def load_config(path) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config(fh.read())
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import grid as sg
-from .errors import GridMismatchError, UnderflowWindowError
+from .errors import InputError
 from .functionals import PhysicsParams, P_DECAY_THRESHOLD
 
 AMPLITUDE_FLOOR = 1e-13
@@ -91,33 +91,30 @@ def _axis_samples(f: sg.Field, axis: str):
         return f.values[:, jx], f.grid.y - f.grid.y[jy]
     if axis == "x":
         return f.values[jy, :], f.grid.x - f.grid.x[jx]
-    raise GridMismatchError("axis must be 'x' or 'y'")
+    raise InputError("axis must be 'x' or 'y'")
 
 
 def tail_exponent_fit(f: sg.Field, axis: str, window: tuple):
     """Least-squares slope of log|phi| vs log r along an axis through the peak.
 
     Returns (exponent, stderr) with exponent = -slope.  Both sides of the peak
-    contribute.  Raises UnderflowWindowError when fewer than 3 samples in the
-    window sit above the roundoff floor (a fit needs 3 for its standard error),
-    GridMismatchError for a window outside the trusted (0, 0.8*half] range or
-    with fewer than 8 radii.
+    contribute.  Raises InputError for a window outside the trusted
+    (0, 0.8*half] range, with fewer than 8 radii, or with fewer than 3 samples
+    above the roundoff floor (a fit needs 3 for its standard error).
     """
     r_min, r_max = window
     half = f.grid.ly / 2 if axis == "y" else f.grid.lx / 2
     if not (0 < r_min < r_max <= 0.8 * half + 1e-12):
-        raise GridMismatchError(
-            f"fit window {window} outside the trusted range (0, {0.8 * half:.3g}]"
-        )
+        raise InputError(f"fit window {window} outside the trusted range (0, {0.8 * half:.3g}]")
     vals, offs = _axis_samples(f, axis)
     r = np.abs(offs)
     sel = (r >= r_min) & (r <= r_max)
     radii = np.sort(np.round(r[sel], 12))  # np.unique would import numpy.ma (~12 ms)
     if 1 + np.count_nonzero(np.diff(radii)) < 8:
-        raise GridMismatchError("fit window contains fewer than 8 sample radii")
+        raise InputError("fit window contains fewer than 8 sample radii")
     sel &= np.abs(vals) > AMPLITUDE_FLOOR
     if np.count_nonzero(sel) < 3:
-        raise UnderflowWindowError("fewer than 3 samples in the window are above 1e-13")
+        raise InputError("fewer than 3 samples in the window are above 1e-13")
     slope, stderr = _linear_fit(np.log(r[sel]), np.log(np.abs(vals[sel])))
     return -slope, stderr
 
@@ -139,9 +136,9 @@ def _weight_axis_power(weight):
     if isinstance(weight, tuple) and weight[0] == "y_kappa":
         kappa = float(weight[1])
         if not 0.0 <= kappa <= 3.0:
-            raise GridMismatchError("kappa must lie in [0, 3]")
+            raise InputError("kappa must lie in [0, 3]")
         return "y", kappa
-    raise GridMismatchError(f"unknown weight {weight!r}")
+    raise InputError(f"unknown weight {weight!r}")
 
 
 def weighted_sup(f: sg.Field, weight, window: Optional[tuple] = None) -> float:
@@ -159,7 +156,7 @@ def weighted_sup(f: sg.Field, weight, window: Optional[tuple] = None) -> float:
         r = np.abs(coord)
         sel = (r >= window[0]) & (r <= window[1])
         if not np.any(sel):
-            raise GridMismatchError("weight window contains no grid points")
+            raise InputError("weight window contains no grid points")
         return float(np.max(a[sel]))
     return float(np.max(a))
 
@@ -215,7 +212,7 @@ def mixed_norm(f: sg.Field, q: float, r: float, order: str = "y_outer") -> float
     (inner norm in x), order="x_outer" the transpose.
     """
     if order not in ("y_outer", "x_outer"):
-        raise GridMismatchError("order must be 'y_outer' or 'x_outer'")
+        raise InputError("order must be 'y_outer' or 'x_outer'")
     a, g = np.abs(f.values), f.grid
     inner, d_in, d_out = (a, g.dx, g.dy) if order == "y_outer" else (a.T, g.dy, g.dx)
     if np.isinf(q):

@@ -1,20 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One type says the input was rejected (`InputError`); the others carry a
+partial result a caller can use.  The CLI exits 2 on `InputError`,
+`BlowUpError` and `QuadratureAccuracyError`, and 3 on `ConvergenceError`.
+"""
 
 
 class ShriraError(Exception):
     """Base class for all package-specific errors."""
 
 
-class GridMismatchError(ShriraError, ValueError):
-    """Array sizes or grids do not match the operation's requirements."""
-
-
-class SymbolDomainError(ShriraError, ArithmeticError):
-    """A Fourier multiplier evaluated to a non-finite value on a used mode."""
-
-
-class KernelSingularityError(ShriraError, ValueError):
-    """Kernel evaluation requested at the singular point (0, 0)."""
+class InputError(ShriraError, ValueError):
+    """The input was rejected; the message names the key or the value."""
 
 
 class QuadratureAccuracyError(ShriraError):
@@ -27,18 +24,6 @@ class QuadratureAccuracyError(ShriraError):
         super().__init__(message)
         self.value = value
         self.est_error = est_error
-
-
-class NoScalingError(ShriraError, ValueError):
-    """No positive Nehari rescaling exists (int u f(u) <= 0)."""
-
-
-class DegenerateFieldError(ShriraError, ValueError):
-    """A norm in a denominator vanished (zero or otherwise degenerate field)."""
-
-
-class UndefinedResidualError(ShriraError, ValueError):
-    """Spectral residual requested for a (numerically) zero field."""
 
 
 class ConvergenceError(ShriraError):
@@ -61,15 +46,3 @@ class BlowUpError(ShriraError):
         self.last_good = last_good
         self.t = t
         self.report = report
-
-
-class UnderflowWindowError(ShriraError, ValueError):
-    """Tail-fit window holds fewer than 3 samples above the roundoff floor."""
-
-
-class CorruptFieldFileError(ShriraError):
-    """Field file header and payload are inconsistent."""
-
-
-class ConfigError(ShriraError, ValueError):
-    """Configuration failed validation; message pinpoints the key or line."""

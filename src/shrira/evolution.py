@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import grid as sg
-from .errors import BlowUpError, GridMismatchError
+from .errors import BlowUpError, InputError
 from .functionals import PhysicsParams, _f_integrals
 from .solver import _Modes
 
@@ -64,11 +64,11 @@ class EvolveConfig:
 
     def __post_init__(self):
         if self.dt is not None and not 0 < self.dt < inf:
-            raise GridMismatchError(f"dt: must be positive and finite, got {self.dt}")
+            raise InputError(f"dt: must be positive and finite, got {self.dt}")
         if not 0 < self.t_end < inf:
-            raise GridMismatchError(f"t_end: must be positive and finite, got {self.t_end}")
+            raise InputError(f"t_end: must be positive and finite, got {self.t_end}")
         if not self.record_every >= 1:
-            raise GridMismatchError(f"record_every: must be >= 1, got {self.record_every}")
+            raise InputError(f"record_every: must be >= 1, got {self.record_every}")
 
 
 @dataclass
@@ -176,7 +176,7 @@ def evolve(
     reference = (Field phi, speed c) enables shape-error tracking against the
     exact spectral translate phi(. - c t, .), by Parseval on the half spectrum.
     snapshot_cb(step, t, Field) is invoked at each record time.  Raises
-    GridMismatchError for a non-finite reference speed and for an initial field
+    InputError for a non-finite reference speed and for an initial field
     that is zero or whose mass or energy overflows (its drifts are undefined),
     and BlowUpError (carrying the last good state, its time and the report up
     to the last record) if a step makes the coefficients, or a record the mass
@@ -186,7 +186,7 @@ def evolve(
     t_start = clock()  # timings: set-up (tables, transforms), steps, records
     g = initial.grid
     if not np.any(initial.values):
-        raise GridMismatchError("initial field is zero: its mass and energy drifts are undefined")
+        raise InputError("initial field is zero: its mass and energy drifts are undefined")
     dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, params.m)
     nsteps = max(1, ceil(config.t_end / dt_req - 1e-12))
     dt = config.t_end / nsteps
@@ -200,9 +200,9 @@ def evolve(
     if reference is not None:
         ref_field, ref_speed = reference
         if not -inf < ref_speed < inf:
-            raise GridMismatchError(f"reference_speed: must be finite, got {ref_speed}")
+            raise InputError(f"reference_speed: must be finite, got {ref_speed}")
         if ref_field.grid != g:
-            raise GridMismatchError(f"reference field is on {ref_field.grid}, the run on {g}")
+            raise InputError(f"reference field is on {ref_field.grid}, the run on {g}")
         ref_hat = np.fft.rfft2(ref_field.values)
         ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
 
@@ -240,7 +240,7 @@ def evolve(
 
     t_setup = clock()
     if not record(0, 0.0, uh):
-        raise GridMismatchError("initial field: its mass or energy is not finite")
+        raise InputError("initial field: its mass or energy is not finite")
     for k in range(1, nsteps + 1):
         stepper.step(uh, nxt)
         at_record = k % config.record_every == 0 or k == nsteps

@@ -35,7 +35,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import grid as sg
-from .errors import DegenerateFieldError, GridMismatchError, NoScalingError
+from .errors import InputError
 
 P_DECAY_THRESHOLD = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -55,11 +55,11 @@ class PhysicsParams:
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
-            raise GridMismatchError(f"c: wave speed must be positive and finite, got {self.c}")
+            raise InputError(f"c: wave speed must be positive and finite, got {self.c}")
         if not 1 < self.m < math.inf:
-            raise GridMismatchError(f"m: nonlinearity exponent must exceed 1 and be finite, got {self.m}")
+            raise InputError(f"m: nonlinearity exponent must exceed 1 and be finite, got {self.m}")
         if not self.signed_power and not float(self.m).is_integer():
-            raise GridMismatchError(f"m: non-integer m = {self.m} requires signed_power=True")
+            raise InputError(f"m: non-integer m = {self.m} requires signed_power=True")
 
     @property
     def p(self) -> float:
@@ -143,7 +143,7 @@ def G_functional(f: sg.Field, params: PhysicsParams) -> float:
 def _nehari_t(zsq: float, uf: float, m: float) -> float:
     """t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)) from the two integrals."""
     if uf <= 0:
-        raise NoScalingError("int u f(u) <= 0: no positive Nehari rescaling")
+        raise InputError("int u f(u) <= 0: no positive Nehari rescaling")
     return (zsq / uf) ** (1.0 / (m - 1.0))
 
 
@@ -175,10 +175,10 @@ def pohozaev_residuals(f: sg.Field, params: PhysicsParams):
 
 def _gn(f: sg.Field, p_gn: float, parts) -> float:
     if not 0.0 <= p_gn <= 2.0:
-        raise GridMismatchError("gn_ratio exponent must lie in [0, 2]")
+        raise InputError("gn_ratio exponent must lie in [0, 2]")
     l2, dxh, dmy = (math.sqrt(v) for v in parts)
     if l2 == 0.0 or dxh == 0.0 or dmy == 0.0:
-        raise DegenerateFieldError("a denominator norm of the GN ratio vanishes")
+        raise InputError("a denominator norm of the GN ratio vanishes")
     num = sg.lp_norm(f, p_gn + 2.0) ** (p_gn + 2.0)
     return num / (l2 ** (2.0 - p_gn) * dmy ** (p_gn / 2.0) * dxh ** (1.5 * p_gn))
 
@@ -205,7 +205,7 @@ def functional_report(f: sg.Field, params: PhysicsParams) -> FunctionalReport:
     r1, r2, r3 = _pohozaev(params, parts, uf, Fi)
     try:
         q = _gn(f, min(2.0, max(0.0, params.m - 1.0)), parts)
-    except DegenerateFieldError:
+    except InputError:  # p_gn is clipped, so only a vanishing denominator norm lands here
         q = float("nan")
     return FunctionalReport(
         z_norm_sq=zsq,

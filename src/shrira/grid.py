@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, SymbolDomainError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,10 @@ class Grid:
     def __post_init__(self):
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if n < 8 or n % 2 != 0:
-                raise GridMismatchError(f"{name}: must be even and >= 8, got {n}")
+                raise InputError(f"{name}: must be even and >= 8, got {n}")
         for name, length in (("lx", self.lx), ("ly", self.ly)):
             if not 0 < length < np.inf:
-                raise GridMismatchError(f"{name}: box length must be positive and finite, got {length}")
+                raise InputError(f"{name}: box length must be positive and finite, got {length}")
 
     @property
     def dx(self) -> float:
@@ -196,11 +196,9 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (self.grid.ny, self.grid.nx):
-            raise GridMismatchError(
-                f"field shape {v.shape} does not match grid ({self.grid.ny}, {self.grid.nx})"
-            )
+            raise InputError(f"field shape {v.shape} does not match grid ({self.grid.ny}, {self.grid.nx})")
         if not np.all(np.isfinite(v)):
-            raise GridMismatchError("field contains non-finite entries")
+            raise InputError("field contains non-finite entries")
         object.__setattr__(self, "values", v)
 
 
@@ -214,9 +212,7 @@ class Spectrum:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != (self.grid.ny, self.grid.nx):
-            raise GridMismatchError(
-                f"spectrum shape {c.shape} does not match grid ({self.grid.ny}, {self.grid.nx})"
-            )
+            raise InputError(f"spectrum shape {c.shape} does not match grid ({self.grid.ny}, {self.grid.nx})")
         object.__setattr__(self, "coeffs", c)
 
 
@@ -244,7 +240,7 @@ def apply_multiplier(s: Spectrum, symbol) -> Spectrum:
     bad = ~np.isfinite(sym)
     if bad.any():
         if np.any(bad & (s.coeffs != 0)):
-            raise SymbolDomainError("non-finite symbol value on a used mode")
+            raise InputError("non-finite symbol value on a used mode")
         out = np.where(bad, 0.0, sym) * s.coeffs
     else:
         out = sym * s.coeffs
@@ -256,6 +252,6 @@ def lp_norm(f: Field, p: float) -> float:
     if np.isinf(p):
         return float(np.max(np.abs(f.values)))
     if p <= 0:
-        raise GridMismatchError("p must be positive")
+        raise InputError("p must be positive")
     return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_area) ** (1.0 / p))
 

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .grid import Field, Grid
-from .errors import CorruptFieldFileError
+from .errors import InputError
 
 FORMAT_VERSION = 2
 _HEADER_KEYS = ("format_version", "nx", "ny", "lx", "ly", "c", "m", "signed_power", "created",
@@ -51,25 +51,23 @@ def read_field(path):
         raw = fh.read()
     nl = raw.find(b"\n")
     if nl < 0:
-        raise CorruptFieldFileError(f"{path}: missing header line")
+        raise InputError(f"{path}: missing header line")
     try:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptFieldFileError(f"{path}: unreadable header ({exc})") from exc
+        raise InputError(f"{path}: unreadable header ({exc})") from exc
     version = header.get("format_version")
     if version not in (1, FORMAT_VERSION):
-        raise CorruptFieldFileError(f"{path}: unsupported format_version {version}")
+        raise InputError(f"{path}: unsupported format_version {version}")
     if version == 1:
         header["signed_power"] = False  # version 1 predates signed powers
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
-        raise CorruptFieldFileError(f"{path}: header lacks keys {missing}")
+        raise InputError(f"{path}: header lacks keys {missing}")
     nx, ny = int(header["nx"]), int(header["ny"])
     payload = raw[nl + 1 :]
     if len(payload) != 8 * nx * ny:
-        raise CorruptFieldFileError(
-            f"{path}: payload is {len(payload)} bytes, header implies {8 * nx * ny}"
-        )
+        raise InputError(f"{path}: payload is {len(payload)} bytes, header implies {8 * nx * ny}")
     values = np.frombuffer(payload, dtype="<f8").reshape(ny, nx).astype(np.float64)
     grid = Grid(nx=nx, ny=ny, lx=float(header["lx"]), ly=float(header["ly"]))
     return Field(grid, values), header

@@ -58,11 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as sg
-from .errors import (
-    GridMismatchError,
-    KernelSingularityError,
-    QuadratureAccuracyError,
-)
+from .errors import InputError, QuadratureAccuracyError
 
 SQRT_PI = math.sqrt(math.pi)
 ABS_ERROR_FLOOR = 1e-14
@@ -85,9 +81,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if not -1.5 < self.nu < math.inf:
-            raise GridMismatchError(f"nu: kernel order must exceed -3/2 and be finite, got {self.nu}")
+            raise InputError(f"nu: kernel order must exceed -3/2 and be finite, got {self.nu}")
         if not 0.0 < self.quad_tol <= 1e-4:
-            raise GridMismatchError(f"quad_tol: must lie in (0, 1e-4], got {self.quad_tol}")
+            raise InputError(f"quad_tol: must lie in (0, 1e-4], got {self.quad_tol}")
 
 
 @dataclass(frozen=True)
@@ -170,11 +166,11 @@ def _sample(x, y, pref, g, quad_tol, tail_power) -> KernelSample:
 def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
     """Evaluate h_nu at one point by adaptive quadrature.
 
-    Raises KernelSingularityError at (0, 0) and QuadratureAccuracyError
+    Raises InputError at (0, 0) and QuadratureAccuracyError
     (carrying the best estimate) if the tolerance cannot be certified.
     """
     if x == 0.0 and y == 0.0:
-        raise KernelSingularityError("kernel is singular at the origin")
+        raise InputError("kernel is singular at the origin")
     nu = spec.nu
     pref = 2.0 * math.gamma(nu + 1.5)
     ax, y2 = abs(x), y * y
@@ -194,9 +190,9 @@ def hk_point(x: float, y: float) -> KernelSample:
     caller's to take.
     """
     if x < 0:
-        raise GridMismatchError("hk_point requires x >= 0 (kernel is odd in x)")
+        raise InputError("hk_point requires x >= 0 (kernel is odd in x)")
     if x == 0.0 and y == 0.0:
-        raise KernelSingularityError("kernel is singular at the origin")
+        raise InputError("kernel is singular at the origin")
     if x == 0.0:
         return KernelSample(x=x, y=y, value=0.0, est_error=0.0)
     y2 = y * y
@@ -239,7 +235,8 @@ def kernel_spectral_oracle(nu: float, grid: sg.Grid, hilbert: bool = False) -> s
     sym[1::2] *= -1.0
     sym[:, 1::2] *= -1.0
     vals = np.fft.irfft2(sym, s=(grid.ny, grid.nx))
-    return sg.Field(grid, vals * ((grid.nx * grid.ny) * (2 * np.pi) ** 2 / (grid.lx * grid.ly)))
+    vals *= (grid.nx * grid.ny) * (2 * np.pi) ** 2 / (grid.lx * grid.ly)
+    return sg.Field(grid, vals)
 
 
 def oracle_node_value(field: sg.Field, x: float, y: float):
@@ -248,7 +245,7 @@ def oracle_node_value(field: sg.Field, x: float, y: float):
     i = int(round((x + g.lx / 2) / g.dx))
     j = int(round((y + g.ly / 2) / g.dy))
     if not (0 <= i < g.nx and 0 <= j < g.ny):
-        raise GridMismatchError(f"point ({x}, {y}) lies outside the oracle box")
+        raise InputError(f"point ({x}, {y}) lies outside the oracle box")
     return float(g.x[i]), float(g.y[j]), float(field.values[j, i])
 
 
@@ -278,12 +275,12 @@ def kernel_decay_scan(spec: KernelSpec, axis: str, points) -> list:
     bounded and approach a finite limit along the scan.
     """
     if axis not in ("x", "y"):
-        raise GridMismatchError("axis must be 'x' or 'y'")
+        raise InputError("axis must be 'x' or 'y'")
     alpha = 1.5 if axis == "x" else 2.0 * spec.nu + 3.0
     rows = []
     for r in points:
         if r == 0:
-            raise KernelSingularityError("scan radius 0 is the singular point")
+            raise InputError("scan radius 0 is the singular point")
         x, y = (float(r), 0.0) if axis == "x" else (0.0, float(r))
         s = h_nu_point(spec, x, y)
         rows.append((float(r), s.value, s.est_error, abs(r) ** alpha * s.value))
@@ -337,7 +334,7 @@ def lizorkin_sample(multiplier_id: str, n_samples: int = LIZORKIN_SAMPLES) -> Li
     construction).  Derivatives come from the closed forms above.
     """
     if multiplier_id not in MULTIPLIER_IDS:
-        raise GridMismatchError(f"unknown multiplier {multiplier_id!r}")
+        raise InputError(f"unknown multiplier {multiplier_id!r}")
     axis = np.geomspace(*LIZORKIN_RANGE, n_samples)
     XI, ETA = np.meshgrid(axis, axis, indexing="xy")
     tab = _lizorkin_tables(XI, ETA)[multiplier_id]

@@ -59,12 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import grid as sg
-from .errors import (
-    CollapseError,
-    ConvergenceError,
-    GridMismatchError,
-    UndefinedResidualError,
-)
+from .errors import CollapseError, ConvergenceError, InputError
 from .decay import _auto_window, tail_exponent_fit, zero_x_mean_and_sign
 from .functionals import PhysicsParams, FunctionalReport, _f_integrals, _nehari_t, functional_report
 
@@ -84,10 +79,10 @@ class GaussianInit:
 
     def __post_init__(self):
         if not math.isfinite(self.amplitude):
-            raise GridMismatchError(f"amplitude: must be finite, got {self.amplitude}")
+            raise InputError(f"amplitude: must be finite, got {self.amplitude}")
         for name in ("sigma_x", "sigma_y"):
             if not 0 < getattr(self, name) < math.inf:
-                raise GridMismatchError(f"{name}: must be positive and finite, got {getattr(self, name)}")
+                raise InputError(f"{name}: must be positive and finite, got {getattr(self, name)}")
 
     def build(self, grid: sg.Grid) -> np.ndarray:
         X, Y = grid.meshgrid()
@@ -105,7 +100,7 @@ class FileInit:
 
         f, _ = read_field(self.path)
         if f.grid != grid:
-            raise GridMismatchError(f"initial guess {self.path} is on {f.grid}, the solve on {grid}")
+            raise InputError(f"initial guess {self.path} is on {f.grid}, the solve on {grid}")
         return f.values
 
 
@@ -118,13 +113,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.method not in (PETVIASHVILI, NEHARI_DESCENT):
-            raise GridMismatchError(
-                f"method: expected '{PETVIASHVILI}' or '{NEHARI_DESCENT}', got {self.method!r}"
-            )
+            raise InputError(f"method: expected '{PETVIASHVILI}' or '{NEHARI_DESCENT}', got {self.method!r}")
         if not 0 < self.tol_residual < math.inf:
-            raise GridMismatchError(f"tol_residual: must be positive and finite, got {self.tol_residual}")
+            raise InputError(f"tol_residual: must be positive and finite, got {self.tol_residual}")
         if not self.max_iter >= 1:
-            raise GridMismatchError(f"max_iter: must be >= 1, got {self.max_iter}")
+            raise InputError(f"max_iter: must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -154,7 +147,7 @@ def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
         init = sg.Field(grid, init)
     if isinstance(init, sg.Field):
         if init.grid != grid:  # same samples and same box
-            raise GridMismatchError(f"warm-start field is on {init.grid}, the solve on {grid}")
+            raise InputError(f"warm-start field is on {init.grid}, the solve on {grid}")
         return init.values.copy()
     return init.build(grid)
 
@@ -219,7 +212,7 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
 def _residual(num_sq: float, den_sq: float) -> float:
     """sqrt(num_sq / den_sq): ||sph - fh|| / ||sph|| from the two squared norms."""
     if den_sq == 0.0:
-        raise UndefinedResidualError("spectral residual of a zero field is undefined")
+        raise InputError("spectral residual of a zero field is undefined")
     return float(np.sqrt(num_sq / den_sq))
 
 
@@ -413,7 +406,7 @@ def rescale_speed(f: sg.Field, c_from: float, c_to: float, m: float) -> sg.Field
     (sample (i, j) keeps its indices), so there is no interpolation error.
     """
     if not (c_from > 0 and c_to > 0):
-        raise GridMismatchError("speeds must be positive")
+        raise InputError("speeds must be positive")
     lam = c_to / c_from
     g = f.grid
     new_grid = sg.Grid(g.nx, g.ny, g.lx / lam, g.ly / lam)
@@ -445,17 +438,17 @@ def sweep(
     the same grid, and each solve takes gamma and the kept modes from its own
     m.  Rows carry d = S(phi), ||phi||_2^2 and the tail exponents along both
     axes, fitted in the windows `decay_report` uses (nan where a window holds
-    fewer than 8 radii).  A ConvergenceError carries the rows finished before
+    fewer than 8 radii or fewer than 3 samples above 1e-13).  A ConvergenceError carries the rows finished before
     it (`rows`).
     """
     def fit_exponent(fld, axis):
         try:
             return tail_exponent_fit(fld, axis, _auto_window(fld.grid, axis))[0]
-        except GridMismatchError:
+        except InputError:  # too few radii, or too few samples above the floor
             return float("nan")
 
     if param not in ("c", "m"):
-        raise GridMismatchError("sweep parameter must be 'c' or 'm'")
+        raise InputError("sweep parameter must be 'c' or 'm'")
     physics = [replace(params, **{param: float(v)}) for v in values]  # every value checked up front
     rows, prev_field, prev_c = [], None, None
     for v, p in zip(values, physics):

@@ -24,7 +24,7 @@ from shrira import (
     lp_norm,
 )
 from shrira.decay import mixed_pair_admissible, default_fit_window
-from shrira.errors import GridMismatchError, UnderflowWindowError
+from shrira.errors import InputError
 
 from conftest import random_field
 
@@ -57,11 +57,11 @@ def test_tail_fit_synthetic_x():
 def test_tail_fit_window_validation():
     g = Grid(64, 64, 32.0, 32.0)
     f = synthetic(g, lambda x: np.exp(-(x**2)), lambda y: (1 + y**2) ** -1.5)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError, match="outside the trusted range"):
         tail_exponent_fit(f, "y", (2.0, 15.0))  # beyond 0.8 * half = 12.8
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError, match="fewer than 8 sample radii"):
         tail_exponent_fit(f, "y", (10.0, 11.0))  # < 8 radii
-    with pytest.raises(UnderflowWindowError):
+    with pytest.raises(InputError, match="fewer than 3 samples"):
         # gaussian tail along x underflows past |x| ~ 6
         tail_exponent_fit(f, "x", (8.0, 12.0))
 
@@ -76,9 +76,9 @@ def test_weighted_sup():
         cur = weighted_sup(f, ("y_kappa", kappa), window=(1.0, 16.0))
         assert cur >= prev - 1e-15
         prev = cur
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError, match=r"kappa must lie in \[0, 3\]"):
         weighted_sup(f, ("y_kappa", 3.5))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InputError, match="unknown weight 'z2'"):
         weighted_sup(f, "z2")
     # the profile sup is the sup of the weighted field, bit for bit
     u = random_field(g, np.random.default_rng(5))

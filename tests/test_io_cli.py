@@ -18,7 +18,7 @@ from shrira import Grid, Field, read_field, write_field
 from shrira.cli import main
 from shrira.kernels import KernelSpec, h_nu_point, kernel_spectral_oracle, oracle_rows
 from shrira.config import OutputConfig, parse_config
-from shrira.errors import ConfigError, CorruptFieldFileError, GridMismatchError, QuadratureAccuracyError
+from shrira.errors import InputError, QuadratureAccuracyError
 
 PI = math.pi
 
@@ -50,15 +50,15 @@ def test_field_file_errors(tmp_path):
     raw = p.read_bytes()
     # truncated payload
     (tmp_path / "trunc.field").write_bytes(raw[:-8])
-    with pytest.raises(CorruptFieldFileError):
+    with pytest.raises(InputError, match="payload is"):
         read_field(tmp_path / "trunc.field")
     # mangled header
     (tmp_path / "bad.field").write_bytes(b"not json\n" + raw.split(b"\n", 1)[1])
-    with pytest.raises(CorruptFieldFileError):
+    with pytest.raises(InputError, match="unreadable header"):
         read_field(tmp_path / "bad.field")
     # no newline at all
     (tmp_path / "nonl.field").write_bytes(b"x" * 10)
-    with pytest.raises(CorruptFieldFileError):
+    with pytest.raises(InputError, match="missing header line"):
         read_field(tmp_path / "nonl.field")
 
 
@@ -101,9 +101,9 @@ def test_empty_config_takes_the_dataclass_defaults():
 def test_config_unknown_keys_rejected():
     bad = dict(BASE_CONFIG)
     bad["grid"] = {**BASE_CONFIG["grid"], "nz": 4}
-    with pytest.raises(ConfigError, match="grid: unknown key"):
+    with pytest.raises(InputError, match="grid: unknown key"):
         parse_config(json.dumps(bad))
-    with pytest.raises(ConfigError, match="top level: unknown key"):
+    with pytest.raises(InputError, match="top level: unknown key"):
         parse_config(json.dumps({**BASE_CONFIG, "extra": {}}))
 
 
@@ -114,7 +114,7 @@ def test_config_unknown_keys_rejected():
 def test_settings_fixed_by_m_or_constant_are_unknown_keys(section, key, value):
     """gamma and the dealias rule follow from m; the delta gate and Nehari's first step are constants."""
     body = {**BASE_CONFIG[section], key: value}
-    with pytest.raises(ConfigError, match=re.escape(f"{section}: unknown key(s) {key}")):
+    with pytest.raises(InputError, match=re.escape(f"{section}: unknown key(s) {key}")):
         parse_config(json.dumps({**BASE_CONFIG, section: body}))
 
 
@@ -133,22 +133,22 @@ def test_run_configuration_docs_name_every_config_field():
 def test_config_key_precise_messages():
     bad = dict(BASE_CONFIG)
     bad["solver"] = {"tol_residual": -1.0}
-    with pytest.raises(ConfigError, match="solver.tol_residual"):
+    with pytest.raises(InputError, match="solver.tol_residual"):
         parse_config(json.dumps(bad))
     bad["solver"] = {"init": {"kind": "squircle"}}
-    with pytest.raises(ConfigError, match="solver.init.kind"):
+    with pytest.raises(InputError, match="solver.init.kind"):
         parse_config(json.dumps(bad))
     bad["solver"] = {"init": 5}
-    with pytest.raises(ConfigError, match="solver.init: expected a JSON object"):
+    with pytest.raises(InputError, match="solver.init: expected a JSON object"):
         parse_config(json.dumps(bad))
     for section, body, key in (("grid", {"nx": 64, "lx": 1.0, "ly": 1.0}, "grid.ny"),
                                ("evolve", {"dt": 0.1}, "evolve.t_end")):
-        with pytest.raises(ConfigError, match=re.escape(f"{key}: required key is missing")):
+        with pytest.raises(InputError, match=re.escape(f"{key}: required key is missing")):
             parse_config(json.dumps({**BASE_CONFIG, section: body}))
 
 
 def test_config_syntax_error_has_line_and_column():
-    with pytest.raises(ConfigError, match=r"line 2, column"):
+    with pytest.raises(InputError, match=r"line 2, column"):
         parse_config('{\n  "grid": ,\n}')
 
 
@@ -166,7 +166,7 @@ def test_config_range_errors_name_the_key():
         ("grid", {"nx": 16, "ny": 16, "lx": math.inf, "ly": 1.0}, "grid.lx"),
         ("solver", {"tol_residual": math.nan}, "solver.tol_residual"),
     ):
-        with pytest.raises(ConfigError, match=re.escape(key)):
+        with pytest.raises(InputError, match=re.escape(key)):
             parse_config(json.dumps({**BASE_CONFIG, section: body}))
 
 
@@ -184,7 +184,7 @@ def test_config_range_errors_name_the_key():
 def test_dataclasses_reject_non_finite_settings(cls, name, kwargs, value):
     """Each setting is range-checked, finiteness included, by its dataclass alone; the
     message starts with the field name."""
-    with pytest.raises(GridMismatchError, match=f"^{name}: "):
+    with pytest.raises(InputError, match=f"^{name}: "):
         cls(**kwargs, **{name: value})
 
 
@@ -423,6 +423,24 @@ def test_cli_evolve_rejects_a_non_finite_reference_speed(cubic_field, tmp_path, 
     assert not (out / "final.field").exists()
 
 
+@pytest.mark.parametrize("grid, code", [
+    ({"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI}, 0),
+    ({"nx": 512, "ny": 512, "lx": 100.0, "ly": 100.0}, 2),
+    ({"nx": 32, "ny": 32, "lx": 16 * PI, "ly": 8 * PI}, 2),
+])
+def test_cli_evolve_rejects_a_config_grid_that_differs_from_the_header(cubic_field, tmp_path, capsys, grid, code):
+    """The header fixes the grid as it fixes the physics: a config grid section must match it."""
+    p = tmp_path / "ev.json"
+    p.write_text(json.dumps({"grid": grid, "physics": {"m": 3}, "evolve": {"t_end": 0.05}}))
+    out = tmp_path / "evo"
+    assert main(["evolve", "--field", str(cubic_field), "--config", str(p), "--out", str(out)]) == code
+    assert (out / "final.field").exists() == (code == 0)
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: the config's ") and str(Grid(**grid)) in err
+        assert str(Grid(32, 32, 8 * PI, 8 * PI)) in err
+
+
 def test_cli_verify_has_no_config_option(solved_dir, cfg_file, capsys):
     """verify takes the physics from the field header only."""
     with pytest.raises(SystemExit) as exc:
@@ -619,7 +637,7 @@ def test_field_format_v1_reads_as_unsigned_power(tmp_path):
     assert np.array_equal(back.values, f.values)
     header["format_version"] = 3
     (tmp_path / "v3.field").write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(CorruptFieldFileError, match="format_version 3"):
+    with pytest.raises(InputError, match="format_version 3"):
         read_field(tmp_path / "v3.field")
 
 

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,12 +30,7 @@ from shrira import grid as sg
 from shrira import solver
 from shrira.decay import decay_report
 from shrira.solver import TOL_DELTA, _Modes, solve
-from shrira.errors import (
-    CollapseError,
-    ConvergenceError,
-    GridMismatchError,
-    UndefinedResidualError,
-)
+from shrira.errors import CollapseError, ConvergenceError, InputError
 
 from conftest import kept_modes
 
@@ -52,9 +48,9 @@ def test_solver_config_validation():
         dict(max_iter=0),
         dict(method="newton"),
     ):
-        with pytest.raises(GridMismatchError, match=next(iter(bad))):
+        with pytest.raises(InputError, match=next(iter(bad))):
             SolverConfig(**bad)
-    with pytest.raises(GridMismatchError, match="sigma_x"):
+    with pytest.raises(InputError, match="sigma_x"):
         GaussianInit(sigma_x=0.0)
 
 
@@ -62,7 +58,7 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
 def test_gaussian_init_rejects_a_non_finite_amplitude(p12, method, amplitude):
     """A NaN or infinite amplitude is rejected where the guess is built, not after max_iter."""
-    with pytest.raises(GridMismatchError, match="^amplitude:"):
+    with pytest.raises(InputError, match="^amplitude:"):
         solve(SolverConfig(method=method, init=GaussianInit(amplitude=amplitude)), p12,
               Grid(32, 32, 8 * PI, 8 * PI))
 
@@ -84,7 +80,7 @@ def test_residual_two_mode_hand_oracle(p12):
 
 def test_residual_zero_field(p12):
     g = Grid(16, 16, 2 * PI, 2 * PI)
-    with pytest.raises(UndefinedResidualError):
+    with pytest.raises(InputError, match="residual of a zero field is undefined"):
         spectral_residual(Field(g, np.zeros((16, 16))), p12)
 
 
@@ -265,7 +261,7 @@ def test_array_initial_guess_is_checked_like_a_field(p12, method):
     """A wrong-shape or non-finite array is rejected before the first iteration."""
     grid = Grid(32, 32, 8 * PI, 8 * PI)
     for init, message in ((np.ones((16, 16)), "does not match grid"), (np.full((32, 32), np.nan), "non-finite")):
-        with pytest.raises(GridMismatchError, match=message):
+        with pytest.raises(InputError, match=message):
             solve(SolverConfig(method=method, init=init), p12, grid)
 
 
@@ -342,6 +338,19 @@ def test_sweep_exponents_are_the_decay_report_ones(small_solution, p12):
     assert (row.exponent_x, row.exponent_y) == (dr.exponent_x, dr.exponent_y)
 
 
+def test_sweep_gives_nan_for_a_window_that_underflows(p12, monkeypatch):
+    """A tail that falls below 1e-13 inside the x window leaves fewer than 3 samples to fit:
+    the row's x exponent is nan, like a window with too few radii, and the y one is fitted."""
+    grid = Grid(64, 64, 32.0, 32.0)
+    X, Y = grid.meshgrid()
+    fld = Field(grid, np.exp(-40 * X**2) * (1 + Y**2) ** -1.5)
+    rep = SimpleNamespace(d=1.0, iterations=1, converged=True)  # the fields a sweep row reads
+    monkeypatch.setattr(solver, "solve", lambda *args: (fld, rep))
+    (row,) = sweep("c", [1.0], SolverConfig(), p12, grid)
+    assert math.isnan(row.exponent_x)
+    assert row.exponent_y == pytest.approx(3.0, abs=0.5)
+
+
 def test_nehari_stops_as_stalled_at_the_round_off_floor(p12):
     """Below the round-off floor the residual sets no new minimum: NEHARI_STALL iterations
     after its last one the descent stops as stalled, long before max_iter, and the error
@@ -395,6 +404,6 @@ def test_warm_start_from_another_box_is_rejected(small_solution, p12, tmp_path):
     path = tmp_path / "warm.field"
     write_field(path, fld, {"c": 1.0, "m": 2})
     for init in (fld, FileInit(str(path))):
-        with pytest.raises(GridMismatchError) as exc:
+        with pytest.raises(InputError, match="^(warm-start field|initial guess .*) is on ") as exc:
             petviashvili(SolverConfig(init=init), p12, other)
         assert str(g) in str(exc.value) and str(other) in str(exc.value)
