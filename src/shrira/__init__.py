@@ -24,7 +24,6 @@ from .functionals import (
     z_norm_sq,
     action_S,
     nehari_I,
-    G_functional,
     nehari_scale,
     pohozaev_residuals,
     gn_ratio,
@@ -46,10 +45,9 @@ from .kernels import (
     KernelSpec,
     KernelSample,
     h_nu_point,
-    hk_point,
     kernel_spectral_oracle,
+    oracle_nodes,
     quadrature_vs_oracle,
-    kernel_decay_scan,
     lizorkin_sample,
 )
 from .decay import (

@@ -185,10 +185,11 @@ def _cmd_kernel(args) -> int:
     spec = ker.KernelSpec(nu=args.nu, quad_tol=args.quad_tol)
     points = _read_points_csv(args.points)
     oracle_grid = Grid(nx=args.oracle_nx, ny=args.oracle_ny, lx=args.oracle_lx, ly=args.oracle_ly)
-    oracle = ker.kernel_spectral_oracle(spec.nu, oracle_grid)
+    # every point is checked against the oracle box here, before any row is written
+    oracle = [kv for _, _, kv in ker.oracle_nodes(spec.nu, oracle_grid, [(x, 2.0 * y) for x, y in points])]
     # rows are written as they come: an uncertified point stops them, the rows before it stay on disk
     rows = ((f"{x:.17g}", f"{y:.17g}", f"{v:.17g}", f"{err:.3g}", f"{kv:.17g}", f"{rel:.6g}")
-            for x, y, v, err, kv, rel in ker.oracle_rows(spec, points, oracle))
+            for x, y, v, err, kv, rel in ker.kernel_rows(spec, points, oracle))
     _write_csv(Path(args.out), ("x", "y", "value", "est_error", "oracle", "rel_diff"), rows)
     return EXIT_OK
 

@@ -135,11 +135,6 @@ def nehari_I(f: sg.Field, params: PhysicsParams) -> float:
     return z_norm_sq(f, params) - uf
 
 
-def G_functional(f: sg.Field, params: PhysicsParams) -> float:
-    uf, Fi = _f_integrals(f.values, f.grid.cell_area, params)
-    return 0.5 * uf - Fi
-
-
 def _nehari_t(zsq: float, uf: float, m: float) -> float:
     """t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)) from the two integrals."""
     if uf <= 0:

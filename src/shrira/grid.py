@@ -140,8 +140,8 @@ class Grid:
         return np.meshgrid(self.x, self.y, indexing="xy")
 
 
-def dispersion_table(grid: Grid) -> np.ndarray:
-    """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new half-layout array.
+def dispersion_table(grid: Grid, rows=slice(None)) -> np.ndarray:
+    """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new half-layout array of eta rows `rows`.
 
     The profile symbol is c + table, the energy weight is the table itself, the
     dispersive symbol is i*xi*table and the kernel denominator |xi|(1 + table).
@@ -149,7 +149,7 @@ def dispersion_table(grid: Grid) -> np.ndarray:
     use this function; everything else reads the cached `Grid.dispersion`.
     """
     xi = grid.xi_half
-    return divide_off_xi0(grid, xi**2 + grid.eta[:, None] ** 2, np.abs(xi))
+    return divide_off_xi0(grid, xi**2 + grid.eta[rows, None] ** 2, np.abs(xi))
 
 
 def divide_off_xi0(grid: Grid, num, den, dtype=np.float64) -> np.ndarray:

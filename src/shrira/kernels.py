@@ -7,15 +7,7 @@ The kernel family h_nu is defined by the single-integral representation
                  * cos((nu + 3/2) arctan(t|x| / (t^2 + y^2))) dt,
 
 smooth away from the origin, even in x and in y, with algebraic tails
-|y|^(2nu+3) h_nu and |x|^(3/2) h_nu bounded.  Its companion for the odd
-symbol (the x-Hilbert transform of the nu = 0 kernel) is
-
-    hk(x, y)  = sqrt(pi) * int_0^inf t e^-t
-                * (t^2 x^2 + (t^2 + y^2)^2)^(-3/4)
-                * sin((3/2) arctan(t x / (t^2 + y^2))) dt,   x >= 0,
-
-extended to x < 0 as an odd function; it vanishes on x = 0 and is positive for
-x > 0.
+|y|^(2nu+3) h_nu and |x|^(3/2) h_nu bounded.
 
 Relation to the plain symbol transform: with
 
@@ -23,14 +15,10 @@ Relation to the plain symbol transform: with
                  * e^(i(x xi + y eta)) dxi deta
 
 (the object `kernel_spectral_oracle` approximates on a grid), the exact
-identities
-
-    K_nu(x, y) = sqrt(pi) * h_nu(x, y/2)
-    K_hk(x, y) = sqrt(pi) * hk(x, y/2),   K_hk from the symbol -i xi / (...),
-
-hold; both were verified to machine precision against an independent iterated
-1D reduction (the eta integral of the symbol is elementary).  Quadrature vs
-grid-transform cross checks go through this dictionary.
+identity K_nu(x, y) = sqrt(pi) * h_nu(x, y/2) holds; it was verified to
+machine precision against an independent iterated 1D reduction (the eta
+integral of the symbol is elementary).  Quadrature vs grid-transform cross
+checks go through this dictionary.
 
 Quadrature (numpy only, no scipy): QUADPACK's 15-point Gauss-Kronrod rule
 (qk15), globally adaptive by bisection on (0, T], every interval's 15 nodes in
@@ -42,7 +30,8 @@ nu > -3/2 and handled by the bisection.
 
 Oracle: the symbol is built on the half spectrum (columns 0..nx/2) and
 inverted by irfft2; it is Hermitian, so this is the real part of the full
-complex inverse, at half the transform work.
+complex inverse, at half the transform work.  `oracle_nodes` sums the same
+transform at a few nodes only, so a cross check need not hold the whole field.
 
 Everything here fixes the wave speed to 1 (the denominator |xi| + xi^2 + eta^2
 is the unit-speed profile symbol times |xi|); other speeds are reached through
@@ -70,6 +59,7 @@ _LIZORKIN_EXPONENTS = {K_SYM: (1, 0), X_DERIV_SYM: (2, 0), Y_DERIV_SYM: (1, 1)} 
 MULTIPLIER_IDS = tuple(_LIZORKIN_EXPONENTS)
 LIZORKIN_RANGE = (1e-6, 1e6)  # |xi| and |eta| sampled by lizorkin_sample
 LIZORKIN_SAMPLES = 256  # lizorkin_sample's points per axis
+ORACLE_BLOCK = 64  # eta rows of the symbol that `oracle_nodes` holds at a time
 
 
 @dataclass(frozen=True)
@@ -183,46 +173,26 @@ def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
     return _sample(x, y, pref, g, spec.quad_tol, nu + 2.0)
 
 
-def hk_point(x: float, y: float) -> KernelSample:
-    """Evaluate the odd companion kernel at x >= 0, certified to the default KernelSpec.quad_tol.
-
-    hk(0, y) = 0 exactly; the x < 0 values follow by odd extension and are the
-    caller's to take.
-    """
-    if x < 0:
-        raise InputError("hk_point requires x >= 0 (kernel is odd in x)")
-    if x == 0.0 and y == 0.0:
-        raise InputError("kernel is singular at the origin")
-    if x == 0.0:
-        return KernelSample(x=x, y=y, value=0.0, est_error=0.0)
-    y2 = y * y
-
-    def g(t):
-        q = t * t + y2
-        return t * np.exp(-t) * (t * t * x * x + q * q) ** -0.75 * np.sin(1.5 * np.arctan2(t * x, q))
-
-    return _sample(x, y, SQRT_PI, g, KernelSpec.quad_tol, 2.0)
-
-
-def _oracle_symbol(nu: float, grid: sg.Grid, hilbert: bool) -> np.ndarray:
-    """Half-spectrum (columns 0..nx/2) numerator over |xi|(1 + dispersion), 0 on every xi = 0 mode."""
-    if not hilbert and nu < 0:
+def _warn_negative_nu(nu: float) -> None:
+    if nu < 0:
         warnings.warn(
             "nu < 0: the symbol's xi -> 0 limit is direction-dependent; "
             "xi = 0 modes set to 0",
             RuntimeWarning,
             stacklevel=3,
         )
-    xi = grid.xi_half
-    ax = np.abs(xi)
+
+
+def _oracle_symbol(nu: float, grid: sg.Grid, rows=slice(None)) -> np.ndarray:
+    """Eta rows `rows` of the half-spectrum |xi|^(1+nu) / (|xi|(1 + dispersion)), 0 on xi = 0."""
+    ax = np.abs(grid.xi_half)
     with np.errstate(divide="ignore"):  # |0|^(1+nu) for nu < -1: a xi = 0 mode, left 0
-        num = -1j * xi if hilbert else ax ** (1.0 + nu)
+        num = ax ** (1.0 + nu)
     # a fresh table, not Grid.dispersion: the oracle grids are too large to cache it on
-    den = ax * (1.0 + sg.dispersion_table(grid))
-    return sg.divide_off_xi0(grid, num, den, np.complex128 if hilbert else np.float64)
+    return sg.divide_off_xi0(grid, num, ax * (1.0 + sg.dispersion_table(grid, rows)))
 
 
-def kernel_spectral_oracle(nu: float, grid: sg.Grid, hilbert: bool = False) -> sg.Field:
+def kernel_spectral_oracle(nu: float, grid: sg.Grid) -> sg.Field:
     """Grid transform K(x,y) = int symbol e^(i(x xi + y eta)) dxi deta.
 
     The half-spectrum symbol (xi = 0 entries are 0) times (-1)^(jx + jy), which
@@ -231,7 +201,8 @@ def kernel_spectral_oracle(nu: float, grid: sg.Grid, hilbert: bool = False) -> s
     wavenumber cutoff; the caller picks a grid that truncates consciously.  A
     long-x anisotropic grid suppresses the dominant image error.
     """
-    sym = _oracle_symbol(nu, grid, hilbert)
+    _warn_negative_nu(nu)
+    sym = _oracle_symbol(nu, grid)
     sym[1::2] *= -1.0
     sym[:, 1::2] *= -1.0
     vals = np.fft.irfft2(sym, s=(grid.ny, grid.nx))
@@ -239,52 +210,77 @@ def kernel_spectral_oracle(nu: float, grid: sg.Grid, hilbert: bool = False) -> s
     return sg.Field(grid, vals)
 
 
+def _node(grid: sg.Grid, x: float, y: float):
+    """Indices (i, j) of the grid node nearest (x, y); InputError outside the box."""
+    i = int(round((x + grid.lx / 2) / grid.dx))
+    j = int(round((y + grid.ly / 2) / grid.dy))
+    if not (0 <= i < grid.nx and 0 <= j < grid.ny):
+        raise InputError(f"point ({x}, {y}) lies outside the oracle box")
+    return i, j
+
+
 def oracle_node_value(field: sg.Field, x: float, y: float):
     """(snapped x, snapped y, field value) at the grid node nearest (x, y)."""
     g = field.grid
-    i = int(round((x + g.lx / 2) / g.dx))
-    j = int(round((y + g.ly / 2) / g.dy))
-    if not (0 <= i < g.nx and 0 <= j < g.ny):
-        raise InputError(f"point ({x}, {y}) lies outside the oracle box")
+    i, j = _node(g, x, y)
     return float(g.x[i]), float(g.y[j]), float(field.values[j, i])
 
 
-def oracle_rows(spec: KernelSpec, points, oracle: sg.Field):
+def _phases(n: int, a, b) -> np.ndarray:
+    """e^(2 pi i a b / n) on the outer product of the integer vectors a and b, reduced mod n first."""
+    return np.exp(2j * np.pi * (np.outer(a, b) % n) / n)
+
+
+def oracle_nodes(nu: float, grid: sg.Grid, points) -> list:
+    """`oracle_node_value` of `kernel_spectral_oracle(nu, grid)` at each point, without the field.
+
+    Every point is checked against the box first.  With X and Y the distinct
+    node columns and rows, the |Y| x |X| node values are the sum irfft2 takes,
+
+        (2 pi)^2/(lx ly) Re sum_eta e^(i eta y_j) sum_xi w_xi S(xi, eta) e^(i xi x_i),
+
+    S the half-spectrum symbol and w `Grid.half_weight`.  The phases come from
+    integer index products mod n, k (i - n/2), which also carry the centring
+    sign (-1)^k.  S is built ORACLE_BLOCK eta-rows at a time, and both sums
+    are BLAS matmuls; the values agree with the full transform to ~1e-14.
+    """
+    _warn_negative_nu(nu)
+    idx = np.array([_node(grid, x, y) for x, y in points], dtype=np.int64).reshape(-1, 2)
+    cols, ci = np.unique(idx[:, 0], return_inverse=True)
+    rows, ri = np.unique(idx[:, 1], return_inverse=True)
+    ex = grid.half_weight[:, None] * _phases(grid.nx, np.arange(grid.nx // 2 + 1), cols - grid.nx // 2)
+    ey = _phases(grid.ny, rows - grid.ny // 2, np.arange(grid.ny))
+    table = np.zeros((rows.size, cols.size), np.complex128)
+    for b in range(0, grid.ny, ORACLE_BLOCK):
+        blk = slice(b, b + ORACLE_BLOCK)
+        # real S times complex ex as one real matmul on ex's interleaved (re, im) pairs
+        table += ey[:, blk] @ (_oracle_symbol(nu, grid, blk) @ ex.view(np.float64)).view(np.complex128)
+    vals = table.real[ri, ci] * ((2 * np.pi) ** 2 / (grid.lx * grid.ly))
+    return [(float(grid.x[i]), float(grid.y[j]), float(v)) for (i, j), v in zip(idx, vals)]
+
+
+def kernel_rows(spec: KernelSpec, points, oracle_values):
     """Cross-check rows (x, y, value, est_error, oracle, rel_diff), yielded one point at a time.
 
-    value is the quadrature h_nu(x, y); the symbol transform `oracle` is read
-    at the node nearest (x, 2y), using the exact dictionary
-    K_nu(x, 2y) = sqrt(pi) h_nu(x, y), and rel_diff = |sqrt(pi) value - oracle| / |oracle|.
+    value is the quadrature h_nu(x, y); oracle_values holds, point by point,
+    the symbol transform at the node nearest (x, 2y), using the exact
+    dictionary K_nu(x, 2y) = sqrt(pi) h_nu(x, y), and
+    rel_diff = |sqrt(pi) value - oracle| / |oracle|.
     """
-    for (x, y) in points:
+    for (x, y), kv in zip(points, oracle_values):
         s = h_nu_point(spec, x, y)
-        kv = oracle_node_value(oracle, x, 2.0 * y)[2]
         yield x, y, s.value, s.est_error, kv, abs(SQRT_PI * s.value - kv) / max(abs(kv), 1e-300)
+
+
+def oracle_rows(spec: KernelSpec, points, oracle: sg.Field):
+    """`kernel_rows` with the oracle read from the field `oracle`, one point at a time."""
+    return kernel_rows(spec, points, (oracle_node_value(oracle, x, 2.0 * y)[2] for (x, y) in points))
 
 
 def quadrature_vs_oracle(spec: KernelSpec, points, oracle: sg.Field) -> list:
     """`oracle_rows` at the snapped points: (xs, y2s / 2) for the node (xs, y2s) nearest (x, 2y)."""
     nodes = [oracle_node_value(oracle, x, 2.0 * y)[:2] for (x, y) in points]
     return list(oracle_rows(spec, [(xs, y2s / 2.0) for xs, y2s in nodes], oracle))
-
-
-def kernel_decay_scan(spec: KernelSpec, axis: str, points) -> list:
-    """Rows (r, value, est_error, weighted) with weight |r|^alpha.
-
-    alpha = 3/2 on the x-axis, 2 nu + 3 on the y-axis: the weighted values stay
-    bounded and approach a finite limit along the scan.
-    """
-    if axis not in ("x", "y"):
-        raise InputError("axis must be 'x' or 'y'")
-    alpha = 1.5 if axis == "x" else 2.0 * spec.nu + 3.0
-    rows = []
-    for r in points:
-        if r == 0:
-            raise InputError("scan radius 0 is the singular point")
-        x, y = (float(r), 0.0) if axis == "x" else (0.0, float(r))
-        s = h_nu_point(spec, x, y)
-        rows.append((float(r), s.value, s.est_error, abs(r) ** alpha * s.value))
-    return rows
 
 
 # --- Lizorkin multiplier sampling -------------------------------------------
@@ -335,6 +331,8 @@ def lizorkin_sample(multiplier_id: str, n_samples: int = LIZORKIN_SAMPLES) -> Li
     """
     if multiplier_id not in MULTIPLIER_IDS:
         raise InputError(f"unknown multiplier {multiplier_id!r}")
+    if n_samples < 2:
+        raise InputError(f"n_samples: must be at least 2, got {n_samples}")
     axis = np.geomspace(*LIZORKIN_RANGE, n_samples)
     XI, ETA = np.meshgrid(axis, axis, indexing="xy")
     tab = _lizorkin_tables(XI, ETA)[multiplier_id]

@@ -311,7 +311,11 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
         if M <= 0:
             stop = CollapseError(f"Petviashvili factor M = {M:.3e} <= 0 (bad initial guess)")
             break
-        fh *= M**gamma
+        try:
+            fh *= M**gamma
+        except OverflowError:  # a float power past the double range, at a huge box or speed
+            stop = CollapseError(f"Petviashvili factor M = {M:.3e}: M^{gamma:g} overflows")
+            break
         fh /= modes.s  # the plain update
         ph_sq = modes.dot(ph, ph)
         d = np.subtract(fh, ph, out=ph)

@@ -12,7 +12,6 @@ from shrira import (
     z_norm_sq,
     action_S,
     nehari_I,
-    G_functional,
     nehari_scale,
     pohozaev_residuals,
     gn_ratio,
@@ -117,7 +116,7 @@ def test_G_for_quadratic_nonlinearity(g2pi, p12):
     rng = np.random.default_rng(41)
     f = random_field(g2pi, rng)
     direct = np.sum(f.values**3) / 6.0 * g2pi.cell_area
-    assert G_functional(f, p12) == pytest.approx(direct, rel=1e-12)
+    assert functional_report(f, p12).G == pytest.approx(direct, rel=1e-12)
     assert nehari_I(Field(g2pi, np.zeros((32, 32))), p12) == 0.0
 
 
@@ -281,7 +280,6 @@ def test_functional_report_consistency(g2pi, p12):
     rep = functional_report(f, p12)
     assert rep.S == pytest.approx(action_S(f, p12), rel=1e-13)
     assert rep.I == pytest.approx(nehari_I(f, p12), rel=1e-13)
-    assert rep.G == pytest.approx(G_functional(f, p12), rel=1e-13)
     assert rep.S - rep.G == pytest.approx(rep.I / 2.0, rel=1e-10)
     d = rep.to_dict()
     assert set(d) == {

@@ -16,7 +16,8 @@ import pytest
 import shrira
 from shrira import Grid, Field, read_field, write_field
 from shrira.cli import main
-from shrira.kernels import KernelSpec, h_nu_point, kernel_spectral_oracle, oracle_rows
+from shrira.kernels import (KernelSpec, h_nu_point, kernel_rows, kernel_spectral_oracle, oracle_nodes,
+                            oracle_rows)
 from shrira.config import OutputConfig, parse_config
 from shrira.errors import InputError, QuadratureAccuracyError
 
@@ -300,6 +301,23 @@ def test_cli_solve_collapse_exits_3_and_keeps_its_outputs(tmp_path, method):
     assert set(fun) >= {"S", "I", "G", "z_norm_sq"}
 
 
+@pytest.mark.parametrize("section", [{"grid": {"nx": 32, "ny": 32, "lx": 1e300, "ly": 25.0}},
+                                     {"physics": {"c": 1e300}}], ids=["huge_box", "huge_speed"])
+def test_cli_solve_overflowing_factor_exits_3_and_keeps_its_outputs(tmp_path, capsys, section):
+    """M^gamma past the double range is a collapse, not an OverflowError traceback."""
+    cfg = {**BASE_CONFIG, "grid": {"nx": 32, "ny": 32, "lx": 25.0, "ly": 25.0}, **section}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):  # the products before the stop
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 3
+    assert "M^2 overflows" in capsys.readouterr().err
+    fld, _ = read_field(out / "phi.field")
+    assert np.all(np.isfinite(fld.values))
+    rep = json.loads((out / "solve_report.json").read_text())
+    assert rep["converged"] is False and rep["iterations"] == 1
+
+
 def test_cli_malformed_config_exit_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{ nope")
@@ -472,21 +490,40 @@ def test_cli_kernel_rejects_a_non_finite_order(tmp_path, capsys):
 
 
 def test_cli_kernel_rows_are_oracle_rows(tmp_path):
-    """On oracle nodes the CLI writes oracle_rows, bit for bit."""
+    """The CLI writes kernel_rows on oracle_nodes bit for bit; its oracle column is that of
+    oracle_rows on the full field to 1e-12 and every other column is the same."""
     node = PI / 32
     points = [(i * node, j * node / 2) for i, j in ((4, 30), (7, 21), (12, 12), (9, 17))]
     pts = tmp_path / "pts.csv"
     pts.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in points))
     out = tmp_path / "kernel.csv"
+    grid = Grid(256, 64, 8 * PI, 2 * PI)
     assert main(["kernel", "--nu", "0.5", "--points", str(pts), "--out", str(out),
                  "--oracle-nx", "256", "--oracle-ny", "64",
                  "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)]) == 0
     with open(out) as fh:
         got = list(csv.reader(fh))[1:]
-    oracle = kernel_spectral_oracle(0.5, Grid(256, 64, 8 * PI, 2 * PI))
-    want = oracle_rows(KernelSpec(nu=0.5), points, oracle)  # %.17g strings round-trip every float
+    spec = KernelSpec(nu=0.5)
+    nodes = [kv for _, _, kv in oracle_nodes(0.5, grid, [(x, 2.0 * y) for x, y in points])]
+    want = list(kernel_rows(spec, points, nodes))  # %.17g strings round-trip every float
     assert got == [[f"{x:.17g}", f"{y:.17g}", f"{v:.17g}", f"{e:.3g}", f"{kv:.17g}", f"{r:.6g}"]
                    for x, y, v, e, kv, r in want]
+    full = list(oracle_rows(spec, points, kernel_spectral_oracle(0.5, grid)))
+    for row, ref in zip(want, full):
+        assert row[:4] == ref[:4]
+        assert row[4] == pytest.approx(ref[4], rel=1e-12, abs=0.0)
+
+
+def test_cli_kernel_checks_every_point_before_writing(tmp_path, capsys):
+    """A point outside the oracle box exits 2 before any row is written, the rows before it included."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.5,0.75\n1.0,1.0\n0.5,40.0\n")
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", "--nu", "0", "--points", str(pts), "--out", str(out),
+                 "--oracle-nx", "256", "--oracle-ny", "64",
+                 "--oracle-lx", str(8 * PI), "--oracle-ly", str(2 * PI)]) == 2
+    assert "error: point (0.5, 80.0) lies outside the oracle box" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_kernel(tmp_path):

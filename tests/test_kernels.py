@@ -1,6 +1,7 @@
 """Kernel quadrature, the symbol-transform oracle, and multiplier sampling."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,10 +12,9 @@ from shrira import (
     Grid,
     KernelSpec,
     h_nu_point,
-    hk_point,
     kernel_spectral_oracle,
+    oracle_nodes,
     quadrature_vs_oracle,
-    kernel_decay_scan,
     lizorkin_sample,
 )
 from shrira import kernels
@@ -53,13 +53,6 @@ K_REFEREE = {
     (2.0, 2.0): 0.1448944986494609,
     (3.0, 1.0): 0.13620541462550087,
     (0.5, 3.0): 0.07231679194589669,
-}
-
-# Same referee for the odd kernel: K_hk(x, 2y) / sqrt(pi) = hk(x, y)
-HK_REFEREE = {
-    (2.0, 3.0): 0.012267075154884986,
-    (1.0, 1.0): 0.20277047191442843,
-    (3.0, 0.5): 0.3611699773480528,
 }
 
 GL_H0_AT_01 = 0.43494240479584123  # sqrt(pi) int t e^-t (t^2+1)^(-3/2) dt
@@ -200,36 +193,12 @@ def test_gauss_kronrod_against_scipy_quad(nu, monkeypatch):
         assert abs(a.value - value) <= a.est_error + est_error + ABS_ERROR_FLOOR, (a, value, est_error)
 
 
-def test_hk_gauss_kronrod_against_scipy_quad(monkeypatch):
-    pts = [(0.5, 0.0), (1.0, 1.0), (2.0, 3.0), (3.0, 4.0), (0.05, 0.02)]
-    ours = [hk_point(x, y) for (x, y) in pts]
-    for a, (value, est_error) in zip(ours, _quad_referee(monkeypatch, hk_point, pts)):
-        assert abs(a.value - value) <= a.est_error + est_error + ABS_ERROR_FLOOR, (a, value, est_error)
-
-
-def test_hk_basics():
-    assert hk_point(0.0, 2.0).value == 0.0
-    assert hk_point(1.0, 1.0).value > 0.0
-    for x, y in ((0.5, 0.0), (2.0, 1.0), (3.0, 4.0)):
-        assert hk_point(x, y).value > 0.0  # sign-definite for x > 0
-    with pytest.raises(InputError, match="requires x >= 0"):
-        hk_point(-1.0, 0.0)
-    with pytest.raises(InputError, match="singular at the origin"):
-        hk_point(0.0, 0.0)
-
-
-def test_hk_against_frozen_referee():
-    for (x, y), val in HK_REFEREE.items():
-        s = hk_point(x, y)
-        assert s.value == pytest.approx(val, rel=1e-10), (x, y)
-
-
 def test_oracle_symbol_values():
     """Symbol samples on the grid: 1/2 at (1,0), 1/3 at (1,1), 0 on xi = 0."""
     from shrira.kernels import _oracle_symbol
 
     g = Grid(32, 32, 2 * PI, 2 * PI)  # integer wavenumbers
-    sym = _oracle_symbol(0.0, g, hilbert=False)
+    sym = _oracle_symbol(0.0, g)
     jx, jy = (j[:, : g.nx // 2 + 1] for j in spectral_indices(g))  # the symbol's half layout
     assert sym[(jx == 1) & (jy == 0)][0] == pytest.approx(0.5)
     assert sym[(jx == 1) & (jy == 1)][0] == pytest.approx(1.0 / 3.0)
@@ -249,7 +218,7 @@ def test_oracle_zero_x_modes_vanish_for_negative_nu(nu):
 
     g = Grid(16, 16, 2 * PI, 2 * PI)
     with pytest.warns(RuntimeWarning, match="xi = 0 modes set to 0"):
-        sym = _oracle_symbol(nu, g, hilbert=False)
+        sym = _oracle_symbol(nu, g)
         K = kernel_spectral_oracle(nu, g)
     jx, jy = (j[:, : g.nx // 2 + 1] for j in spectral_indices(g))  # the symbol's half layout
     assert np.all(sym[jx == 0] == 0.0)
@@ -259,25 +228,64 @@ def test_oracle_zero_x_modes_vanish_for_negative_nu(nu):
     assert np.max(np.abs(K.values.sum(axis=1))) <= 1e-12 * np.max(np.abs(K.values)) * g.nx
 
 
-def _full_spectrum_oracle(nu, grid, hilbert):
+def _full_spectrum_oracle(nu, grid):
     """The full-complex oracle: real(roll(ifft2(full symbol))) on the whole (ny, nx) layout."""
     ax = np.abs(grid.xi)
     with np.errstate(divide="ignore"):
-        num = -1j * grid.xi if hilbert else ax ** (1.0 + nu)
+        num = ax ** (1.0 + nu)
     dispersion = sg.divide_off_xi0(grid, grid.xi**2 + grid.eta[:, None] ** 2, ax)
-    sym = sg.divide_off_xi0(grid, num, ax * (1.0 + dispersion), np.complex128 if hilbert else np.float64)
+    sym = sg.divide_off_xi0(grid, num, ax * (1.0 + dispersion))
     raw = np.fft.ifft2(sym) * (grid.nx * grid.ny) * (2 * np.pi) ** 2 / (grid.lx * grid.ly)
     return np.roll(np.real(raw), (grid.ny // 2, grid.nx // 2), axis=(0, 1))
 
 
-@pytest.mark.parametrize("nu, hilbert", [(0.0, False), (0.5, False), (-1.2, False), (0.0, True)])
+@pytest.mark.parametrize("nodes", [False, True])
+@pytest.mark.parametrize("nu", [0.0, 0.5, -1.2])
 @pytest.mark.parametrize("grid", [Grid(64, 32, 8 * PI, 4 * PI), Grid(512, 128, 32 * PI, 8 * PI)])
-def test_half_spectrum_oracle_matches_full_complex(nu, hilbert, grid):
+def test_half_spectrum_oracle_matches_full_complex(nu, nodes, grid):
+    """The half-spectrum oracle, as a field or read at every node by `oracle_nodes`."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the nu < 0 warning
-        ref = _full_spectrum_oracle(nu, grid, hilbert)
-        got = kernel_spectral_oracle(nu, grid, hilbert).values
+        ref = _full_spectrum_oracle(nu, grid)
+        if nodes:
+            X, Y = grid.meshgrid()
+            got = np.array([v for _, _, v in oracle_nodes(nu, grid, zip(X.ravel(), Y.ravel()))])
+            got = got.reshape(grid.ny, grid.nx)
+        else:
+            got = kernel_spectral_oracle(nu, grid).values
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _oracle_test_points(grid):
+    """Points of both signs, a duplicate, off-node points, and the first and last node rows and columns."""
+    x0, y0 = grid.x[[0, -1]], grid.y[[0, -1]]
+    return [(0.5, 1.0), (0.5, 1.0), (-0.5, -1.0), (-2.0, 3.0), (2.0, -3.0), (0.31, 0.02), (0.0, 0.5),
+            (10.0, 4.0), (x0[0], y0[0]), (x0[1], y0[1]), (x0[0], 0.5), (x0[1], -0.5), (1.0, y0[0]),
+            (-1.0, y0[1]), (grid.lx / 2 - 0.6 * grid.dx, 0.0)]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+@pytest.mark.parametrize("grid", [Grid(4096, 1024, 128 * PI, 32 * PI), Grid(8192, 1024, 256 * PI, 32 * PI)],
+                         ids=["cli_default", "criterion7"])
+def test_oracle_nodes_match_the_full_oracle(nu, grid):
+    """To 1e-12 relative; a node value under 1e-3 of the largest read (the box edges) to 1e-15 of it."""
+    points = _oracle_test_points(grid)
+    got = oracle_nodes(nu, grid, points)
+    K = kernel_spectral_oracle(nu, grid)
+    want = [oracle_node_value(K, x, y) for x, y in points]
+    peak = max(abs(v) for _, _, v in want)
+    for (x, y), g, w in zip(points, got, want):
+        assert g[:2] == w[:2], (x, y)
+        assert abs(g[2] - w[2]) <= 1e-12 * max(abs(w[2]), 1e-3 * peak), (x, y, g[2], w[2])
+    assert got[0] == got[1]
+
+
+def test_oracle_nodes_reject_a_point_outside_the_box():
+    g = Grid(64, 32, 8 * PI, 4 * PI)
+    assert oracle_nodes(0.0, g, []) == []
+    for x, y in ((g.lx / 2, 0.0), (0.0, -g.ly / 2 - 0.51 * g.dy)):  # nearest node index nx, or -1
+        with pytest.raises(InputError, match=re.escape(f"point ({x}, {y}) lies outside the oracle box")):
+            oracle_nodes(0.0, g, [(0.5, 0.5), (x, y)])
 
 
 @pytest.fixture(scope="module")
@@ -293,37 +301,6 @@ def test_quadrature_vs_oracle_close_points(oracle_aniso):
     )
     for (x, y, val, err, oracle, rel) in rows:
         assert rel <= 1e-2, (x, y, rel)
-
-
-def test_hk_vs_spectral_oracle():
-    """Odd-kernel cross-check: transform of -i xi/(|xi|+xi^2+eta^2) at (2, 3)."""
-    g = Grid(4096, 1024, 128 * PI, 32 * PI)
-    K = kernel_spectral_oracle(0.0, g, hilbert=True)
-    xs, y2s, kv = oracle_node_value(K, 2.0, 6.0)
-    s = hk_point(xs, y2s / 2.0)
-    assert abs(SQRT_PI * s.value - kv) / abs(kv) <= 1e-2
-    # odd in x: the transform itself
-    _, _, kneg = oracle_node_value(K, -xs, y2s)
-    assert kneg == pytest.approx(-kv, rel=1e-10)
-    # vanishes identically on x = 0
-    _, _, k0 = oracle_node_value(K, 0.0, 3.0)
-    assert abs(k0) <= 1e-12 * np.max(np.abs(K.values))
-
-
-def test_decay_scan():
-    spec = KernelSpec(nu=0.0)
-    rows_y = kernel_decay_scan(spec, "y", [5.0, 10.0, 20.0, 40.0])
-    weighted = [r[3] for r in rows_y]
-    assert all(0 < wv < SQRT_PI * 1.01 for wv in weighted)
-    assert weighted[-1] == pytest.approx(SQRT_PI, rel=0.01)
-    rows_x = kernel_decay_scan(spec, "x", [2.0, 5.0, 10.0, 30.0])
-    assert all(np.isfinite(r[3]) and abs(r[3]) < 10 for r in rows_x)
-    # symmetry in +-r
-    plus = kernel_decay_scan(spec, "x", [3.0])[0][1]
-    minus = kernel_decay_scan(spec, "x", [-3.0])[0][1]
-    assert minus == pytest.approx(plus, rel=1e-12)
-    with pytest.raises(InputError, match="scan radius 0 is the singular point"):
-        kernel_decay_scan(spec, "x", [0.0])
 
 
 def test_lizorkin_closed_forms_against_finite_differences():
@@ -408,3 +385,9 @@ def test_lizorkin_report():
             assert abs(a - b) <= 0.05 * max(a, b), (m, k)
     with pytest.raises(InputError, match="unknown multiplier 'bogus'"):
         lizorkin_sample("bogus")
+
+
+@pytest.mark.parametrize("n_samples", [-1, 0, 1])
+def test_lizorkin_sample_rejects_fewer_than_two_samples(n_samples):
+    with pytest.raises(InputError, match=f"^n_samples: must be at least 2, got {n_samples}$"):
+        lizorkin_sample(K_SYM, n_samples=n_samples)
