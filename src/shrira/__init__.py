@@ -9,15 +9,7 @@ evaluates the equation's convolution kernels, and propagates profiles in time.
 
 __version__ = "0.1.0"
 
-from .grid import (
-    Grid,
-    Field,
-    Spectrum,
-    forward,
-    inverse,
-    apply_multiplier,
-    lp_norm,
-)
+from .grid import Grid, Field, Spectrum, forward, inverse, apply_multiplier, lp_norm
 from .functionals import (
     PhysicsParams,
     FunctionalReport,
@@ -41,15 +33,8 @@ from .solver import (
     rescale_speed,
     sweep,
 )
-from .kernels import (
-    KernelSpec,
-    KernelSample,
-    h_nu_point,
-    kernel_spectral_oracle,
-    oracle_nodes,
-    quadrature_vs_oracle,
-    lizorkin_sample,
-)
+from .kernels import (KernelSpec, KernelSample, h_nu_point, kernel_spectral_oracle, oracle_nodes,
+                      quadrature_vs_oracle, lizorkin_sample)
 from .decay import (
     DecayReport,
     tail_exponent_fit,

@@ -35,7 +35,8 @@ class ConvergenceError(ShriraError):
 
 
 class CollapseError(ConvergenceError):
-    """The iterate collapsed: M <= 0 or a zero Petviashvili iterate, int u f(u) <= 0 for Nehari."""
+    """The iterate collapsed: M <= 0, M^gamma past the double range or a zero Petviashvili
+    iterate; int u f(u) <= 0 or a non-finite rescaling for Nehari."""
 
 
 class BlowUpError(ShriraError):

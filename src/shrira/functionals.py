@@ -75,11 +75,15 @@ class PhysicsParams:
 
 
 def _int_power(u: np.ndarray, n: int, out=None) -> np.ndarray:
-    """u^n (n >= 2) by repeated multiplication; n = 2 is u * u, as numpy computes u ** 2."""
+    """u^n (n >= 2) by square-and-multiply; n = 2 is u * u, as numpy computes u ** 2, and n = 3
+    (u * u) * u, as repeated multiplication does (larger n round differently from it)."""
     # u ** n with n > 2 calls libm pow on mixed-sign arrays: ~100x slower
     out = np.multiply(u, u, out=out)
-    for _ in range(n - 2):
-        out *= u
+    for i, bit in enumerate(bin(n)[3:]):  # the bits after the leading one, whose square is out
+        if i:
+            np.multiply(out, out, out=out)
+        if bit == "1":
+            out *= u
     return out
 
 

@@ -174,7 +174,9 @@ def weighted_sq_sum(grid: Grid, weight, coeffs) -> float:
 
     weight broadcasts to the half layout; times `Grid.spectral_weight` the sum is an integral.
     """
-    return float(np.sum(weight * grid.half_weight * (coeffs.real**2 + coeffs.imag**2)))
+    sq = np.square(coeffs.real)
+    sq += np.square(coeffs.imag)
+    return float(np.sum(np.multiply(weight * grid.half_weight, sq, out=sq)))
 
 
 def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:

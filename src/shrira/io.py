@@ -11,6 +11,7 @@ See docs/formats.md.
 from __future__ import annotations
 
 import json
+import os
 from datetime import datetime, timezone
 
 import numpy as np
@@ -46,28 +47,27 @@ def write_field(path, field: Field, meta: dict) -> None:
 
 
 def read_field(path):
-    """Read a field file; returns (Field, header dict)."""
+    """Read a field file; returns (Field, header dict).  Sizes are checked before one array is read."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise InputError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: unreadable header ({exc})") from exc
-    version = header.get("format_version")
-    if version not in (1, FORMAT_VERSION):
-        raise InputError(f"{path}: unsupported format_version {version}")
-    if version == 1:
-        header["signed_power"] = False  # version 1 predates signed powers
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise InputError(f"{path}: header lacks keys {missing}")
-    nx, ny = int(header["nx"]), int(header["ny"])
-    payload = raw[nl + 1 :]
-    if len(payload) != 8 * nx * ny:
-        raise InputError(f"{path}: payload is {len(payload)} bytes, header implies {8 * nx * ny}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(ny, nx).astype(np.float64)
-    grid = Grid(nx=nx, ny=ny, lx=float(header["lx"]), ly=float(header["ly"]))
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise InputError(f"{path}: missing header line")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"{path}: unreadable header ({exc})") from exc
+        version = header.get("format_version")
+        if version not in (1, FORMAT_VERSION):
+            raise InputError(f"{path}: unsupported format_version {version}")
+        if version == 1:
+            header["signed_power"] = False  # version 1 predates signed powers
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise InputError(f"{path}: header lacks keys {missing}")
+        nx, ny = int(header["nx"]), int(header["ny"])
+        size = os.fstat(fh.fileno()).st_size - len(line)
+        if size != 8 * nx * ny:
+            raise InputError(f"{path}: payload is {size} bytes, header implies {8 * nx * ny}")
+        grid = Grid(nx=nx, ny=ny, lx=float(header["lx"]), ly=float(header["ly"]))
+        values = np.fromfile(fh, dtype="<f8", count=nx * ny).reshape(ny, nx)
     return Field(grid, values), header

@@ -33,19 +33,16 @@ the 1/2 rule otherwise), so iterates solve the truncated Galerkin problem
 exactly at convergence.
 
 Compact-mode layout.  Both loops carry phi_hat as a 1-D vector of the dealiased
-xi != 0 modes only (`_Modes`), 25-44% of the half spectrum: M, the residual,
-the action and the update are sums and products over that vector.  Its
-transforms touch only the first kc columns of the half spectrum, where the
-kept modes lie: the forward one runs fft along y on those columns, the inverse
-one ifft along y on them, with rfft/irfft along x; the time stepper of
-`shrira.evolution` reuses the forward one.  Reductions are pairwise np.sum or
-einsum, never a BLAS dot.  `spectral_residual`, which checks stored fields,
-keeps the whole half spectrum, so content outside the kept modes still counts.
+xi != 0 modes only (`_Modes`, 25-44% of the half spectrum), whose transforms
+touch only the columns that hold them; Petviashvili's loop runs in fixed field
+buffers.  Reductions are pairwise np.sum, never a BLAS dot.  `spectral_residual`,
+which checks stored fields, keeps the whole half spectrum, so content outside
+the kept modes still counts.
 
 Every stop leaves through `_finish`, which builds the one SolveReport.  Short
-of convergence it raises ConvergenceError (max_iter ran out, Nehari stalled)
-or CollapseError (a zero iterate, M <= 0, int u f(u) <= 0 at Nehari's start),
-carrying the last iterate as `field` and its report as `report`.
+of convergence it raises ConvergenceError (max_iter ran out, Nehari stalled) or
+a CollapseError, carrying the last finite iterate as `field` and its report as
+`report`.
 """
 
 from __future__ import annotations
@@ -85,10 +82,10 @@ class GaussianInit:
                 raise InputError(f"{name}: must be positive and finite, got {getattr(self, name)}")
 
     def build(self, grid: sg.Grid) -> np.ndarray:
-        X, Y = grid.meshgrid()
-        return self.amplitude * np.exp(
-            -(X**2) / self.sigma_x**2 - (Y**2) / self.sigma_y**2
-        )
+        u = -(grid.x[None, :] ** 2) / self.sigma_x**2 - (grid.y[:, None] ** 2) / self.sigma_y**2
+        np.exp(u, out=u)
+        u *= self.amplitude
+        return u
 
 
 @dataclass(frozen=True)
@@ -203,11 +200,14 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     modes do not enter either norm.
     """
     g = f.grid
-    sph = (params.c + g.dispersion) * np.fft.rfft2(f.values)
+    fh = np.fft.rfft(params.f(f.values), axis=1)  # rfft2 as its two passes, the second in place
+    np.fft.fft(fh, axis=0, out=fh)[~g.keep(params.m)] = 0.0
+    sph = np.fft.rfft(f.values, axis=1)
+    np.multiply(params.c + sg.dispersion_table(g), np.fft.fft(sph, axis=0, out=sph), out=sph)
     sph[:, 0] = 0.0  # the xi = 0 column
-    fh = np.where(g.keep(params.m), np.fft.rfft2(params.f(f.values)), 0.0)
-    return _residual(sg.weighted_sq_sum(g, 1.0, sph - fh), sg.weighted_sq_sum(g, 1.0, sph))
-
+    den_sq = sg.weighted_sq_sum(g, 1.0, sph)
+    sph -= fh
+    return _residual(sg.weighted_sq_sum(g, 1.0, sph), den_sq)
 
 def _residual(num_sq: float, den_sq: float) -> float:
     """sqrt(num_sq / den_sq): ||sph - fh|| / ||sph|| from the two squared norms."""
@@ -221,16 +221,14 @@ class _Modes:
 
     The kept modes of the half spectrum lie in its first kc columns.
     `forward_half` is rfft along x, then fft along y on those columns only;
-    `forward` gathers the kept modes from it: the masked rfft2.  `inverse`
-    scatters into zeroed columns, runs ifft along y on them and irfft along x:
-    irfft2 of the scattered half spectrum, pruned exactly because a compact
-    vector has nothing past kc.  Every kept mode has column weight 2 (the
-    xi = 0 and Nyquist columns are never kept), so a full-spectrum sum is twice
-    the compact one; `dot` omits the 2 and the loops use it in ratios or
-    restore it.  `s` is the profile symbol c + dispersion on the kept modes.
-    The time stepper reads only kc and `forward_half`, so `s` and the buffer of
-    `inverse` are built on first use (built up front, s alone raised the peak
-    RSS of a 256^2 evolve by 0.5 MB).
+    `forward` runs it into the work buffer `_half` and gathers the kept modes:
+    the masked rfft2.  `inverse` scatters into the zeroed `_half`, runs ifft
+    along y on its first kc columns and irfft along x: irfft2, pruned exactly.
+    Every kept mode has column weight 2, so a full-spectrum sum is twice the
+    compact one; `dot` omits the 2.  `s` is the profile symbol c + dispersion
+    on the kept modes, from a table the grid does not cache.  The time stepper
+    reads only kc and `forward_half`, so `s` and `_half` are built on first use
+    (built up front, s alone raised the peak RSS of a 256^2 evolve by 0.5 MB).
     """
 
     def __init__(self, grid: sg.Grid, params: PhysicsParams):
@@ -240,11 +238,11 @@ class _Modes:
 
     @cached_property
     def s(self) -> np.ndarray:
-        return self.c + self.grid.dispersion[:, : self.kc][self.keep]
+        return self.c + sg.dispersion_table(self.grid)[:, : self.kc][self.keep]
 
     @cached_property
-    def _half(self) -> np.ndarray:  # the work buffer of `inverse`; columns kc.. stay zero
-        return np.zeros((self.grid.ny, self.grid.nx // 2 + 1), np.complex128)
+    def _half(self) -> np.ndarray:  # the work buffer of `forward` and `inverse`
+        return np.empty((self.grid.ny, self.grid.nx // 2 + 1), np.complex128)
 
     def forward_half(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The half spectrum of u, exact in columns 0..kc-1; columns kc.. skip the fft along y."""
@@ -254,14 +252,14 @@ class _Modes:
         return out
 
     def forward(self, u: np.ndarray) -> np.ndarray:
-        return self.forward_half(u)[:, : self.kc][self.keep]
+        return self.forward_half(u, out=self._half)[:, : self.kc][self.keep]
 
-    def inverse(self, v: np.ndarray) -> np.ndarray:
+    def inverse(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        self._half.fill(0.0)
         cols = self._half[:, : self.kc]
-        cols.fill(0.0)
         cols[self.keep] = v
         np.fft.ifft(cols, axis=0, out=cols)
-        return np.fft.irfft(self._half, n=self.grid.nx, axis=1)
+        return np.fft.irfft(self._half, n=self.grid.nx, axis=1, out=out)
 
     @staticmethod
     def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -279,20 +277,22 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
 
 def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """(phi, hists, started, converged, stop, extrapolations) of `petviashvili`.  A call of its
-    own, so its compact vectors and mode tables are freed before `_finish`, where a solve peaks."""
+    own, so its compact vectors and mode tables are freed before `_finish`.  phi, f(phi) and s ph
+    keep their buffers, and in-place products keep the formulas' operand order (see `_Stepper`)."""
     t0 = time.perf_counter()
     gamma = params.m / (params.m - 1.0)
     modes = _Modes(grid, params)
     ph = modes.forward(_init_values(config, grid))
     phi = modes.inverse(ph)
+    fu, sph = np.empty_like(phi), np.empty_like(ph)
     started = (t0, time.perf_counter())
     hists = res_hist, m_hist, delta_hist = [], [], []
     delta = np.inf
     d_prev, plain, extrapolations = None, 0, 0
     converged, stop = False, None
     for _ in range(config.max_iter):
-        fh = modes.forward(params.f(phi))
-        sph = modes.s * ph
+        fh = modes.forward(params.f(phi, out=fu))
+        np.multiply(modes.s, ph, out=sph)
         num = modes.dot(sph, ph)
         den = modes.dot(fh, ph)
         if den == 0.0 or num == 0.0:
@@ -322,15 +322,15 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
         d_sq = modes.dot(d, d)
         delta = math.sqrt(d_sq / ph_sq) if ph_sq > 0 else np.inf
         plain += 1
-        if d_prev is not None and plain >= AITKEN_EVERY:
+        if plain >= AITKEN_EVERY:  # so the step before was plain too, and d_prev holds it
             prev_sq = modes.dot(d_prev, d_prev)
             lam = math.sqrt(d_sq / prev_sq) if prev_sq > 0 else 0.0
             if 0.3 < lam < 0.99 and modes.dot(d, d_prev) > 0.999 * lam * prev_sq:  # cos > 0.999
-                fh += lam / (1.0 - lam) * d
-                delta, d, plain = np.inf, None, 0
+                fh += np.multiply(lam / (1.0 - lam), d, out=d)
+                delta, plain = np.inf, 0
                 extrapolations += 1
         ph, d_prev = fh, d
-        phi = modes.inverse(ph)
+        phi = modes.inverse(ph, out=phi)
     return phi, hists, started, converged, stop, extrapolations
 
 
@@ -351,6 +351,9 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         return _finish(NEHARI_DESCENT, grid, params, phi, ([], [], []), (t0, time.perf_counter()), False,
                        CollapseError("initial guess has int u f(u) <= 0"))
     t = _nehari_t(zsq, uf, params.m)
+    if not math.isfinite(t * np.max(np.abs(phi))):  # t phi would hold inf or nan
+        return _finish(NEHARI_DESCENT, grid, params, phi, ([], [], []), (t0, time.perf_counter()), False,
+                       CollapseError(f"Nehari rescaling t_u = {t:.3e} of the initial guess is not finite"))
     phi, ph = t * phi, t * ph
     S_old = k * t * t * zsq
     started = (t0, time.perf_counter())
@@ -389,6 +392,9 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             h *= 0.5
         else:  # no step accepted
             stop = ConvergenceError("Nehari descent stalled: no step decreases the action")
+            break
+        if not math.isfinite(tv * np.max(np.abs(v))):
+            stop = CollapseError(f"Nehari step to a non-finite iterate (t_u = {tv:.3e})")
             break
         phi, ph, S_old = tv * v, tv * vh, Sv
         h = min(h * 1.3, 0.9)

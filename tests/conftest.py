@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive ground-state solves are computed once."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ def small_wave(params_m2):
     grid = Grid(64, 64, 16 * PI, 16 * PI)
     field, report = petviashvili(SolverConfig(), params_m2, grid)
     return field, report
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes that tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def spectral_indices(grid):

@@ -311,13 +311,15 @@ def test_invariant_suite_randomized():
 
 
 def test_integer_powers_by_multiplication_match_pow():
-    """f multiplies instead of calling pow: within 4 ulp of u**m, bit-identical at m = 2."""
+    """f multiplies instead of calling pow: within 4 ulp of u**m, bit-identical at m = 2, and at
+    m = 3 bit-identical to repeated multiplication (u * u) * u."""
     rng = np.random.default_rng(5)
     u = rng.standard_normal(100_000) * np.exp(rng.uniform(-3.0, 3.0, 100_000))
     for m in (2, 3, 4, 5):
         got, want = PhysicsParams(c=1.0, m=m).f(u), u**m
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
     assert np.array_equal(PhysicsParams(c=1.0, m=2).f(u), u**2)
+    assert np.array_equal(PhysicsParams(c=1.0, m=3).f(u), u * u * u)
 
 
 @pytest.mark.parametrize("m, signed, F", [

@@ -21,6 +21,8 @@ from shrira.kernels import (KernelSpec, h_nu_point, kernel_rows, kernel_spectral
 from shrira.config import OutputConfig, parse_config
 from shrira.errors import InputError, QuadratureAccuracyError
 
+from conftest import traced_peak
+
 PI = math.pi
 
 
@@ -61,6 +63,34 @@ def test_field_file_errors(tmp_path):
     (tmp_path / "nonl.field").write_bytes(b"x" * 10)
     with pytest.raises(InputError, match="missing header line"):
         read_field(tmp_path / "nonl.field")
+
+
+def test_field_file_payload_size_is_checked_before_the_samples_are_read(tmp_path):
+    """A header that claims 2^20 x 2^20 samples over a short payload, or a payload with
+    trailing bytes, is rejected by size, without allocating the claimed array."""
+    header = {"format_version": 2, "nx": 2**20, "ny": 2**20, "lx": 1.0, "ly": 1.0, "c": 1.0, "m": 2.0,
+              "signed_power": False, "created": "2000-01-01T00:00:00+00:00", "producer": "t"}
+    p = tmp_path / "huge.field"
+    p.write_bytes(json.dumps(header).encode() + b"\n" + bytes(64))
+
+    def read():
+        with pytest.raises(InputError, match=f"payload is 64 bytes, header implies {8 * 2**40}"):
+            read_field(p)
+
+    assert traced_peak(read) < 2**20
+    write_field(p, Field(Grid(8, 8, 1.0, 1.0), np.zeros((8, 8))), {"c": 1.0, "m": 2})
+    p.write_bytes(p.read_bytes() + bytes(3))
+    with pytest.raises(InputError, match="payload is 515 bytes, header implies 512"):
+        read_field(p)
+
+
+def test_field_file_is_read_into_one_array(tmp_path):
+    """read_field holds one copy of the samples: the file's bytes go straight into the array
+    the Field keeps (three copies when the raw bytes, a payload slice and a cast were held)."""
+    g = Grid(256, 256, 1.0, 1.0)
+    p = tmp_path / "big.field"
+    write_field(p, Field(g, np.random.default_rng(3).standard_normal((256, 256))), {"c": 1.0, "m": 2})
+    assert traced_peak(lambda: read_field(p)) <= 1.25 * g.nx * g.ny * 8
 
 
 def test_field_file_is_little_endian(tmp_path):
@@ -316,6 +346,35 @@ def test_cli_solve_overflowing_factor_exits_3_and_keeps_its_outputs(tmp_path, ca
     assert np.all(np.isfinite(fld.values))
     rep = json.loads((out / "solve_report.json").read_text())
     assert rep["converged"] is False and rep["iterations"] == 1
+
+
+def test_cli_nehari_descent_on_a_huge_box_exits_3_and_keeps_its_outputs(tmp_path, capsys):
+    """A non-finite Nehari rescaling is a collapse that keeps the last finite iterate, not a
+    non-finite field rejected as bad input."""
+    cfg = {"grid": {"nx": 32, "ny": 32, "lx": 1e300, "ly": 25.0}, "solver": {"method": "nehari_descent"}}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):  # the products before the stop
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 3
+    assert "t_u = inf" in capsys.readouterr().err
+    fld, _ = read_field(out / "phi.field")
+    assert np.all(np.isfinite(fld.values))
+    rep = json.loads((out / "solve_report.json").read_text())
+    assert rep["method"] == "nehari_descent" and rep["converged"] is False
+    assert (out / "functionals.json").exists()
+
+
+def test_cli_solve_at_a_huge_integer_power_returns(tmp_path):
+    """m = 1e300 is an integer, so f takes the integer power: it must end (exit 2 or 3), not
+    run ~1e300 multiplications."""
+    src = str(Path(shrira.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    p = tmp_path / "huge_m.json"
+    p.write_text(json.dumps({"grid": {"nx": 32, "ny": 32, "lx": 20.0, "ly": 20.0}, "physics": {"m": 1e300}}))
+    proc = subprocess.run([sys.executable, "-m", "shrira.cli", "solve", "--config", str(p), "--out",
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (2, 3), proc.stderr
 
 
 def test_cli_malformed_config_exit_2(tmp_path):

@@ -16,6 +16,7 @@ from shrira import (
     GaussianInit,
     FileInit,
     spectral_residual,
+    functional_report,
     petviashvili,
     nehari_descent,
     rescale_speed,
@@ -32,7 +33,7 @@ from shrira.decay import decay_report
 from shrira.solver import TOL_DELTA, _Modes, solve
 from shrira.errors import CollapseError, ConvergenceError, InputError
 
-from conftest import kept_modes
+from conftest import kept_modes, traced_peak
 
 PI = math.pi
 
@@ -173,9 +174,36 @@ def test_compact_modes_are_the_masked_real_transforms(rule):
     assert np.max(np.abs(v - masked[keep])) <= 1e-13 * np.max(np.abs(masked))
     back = np.fft.irfft2(masked, s=(g.ny, g.nx))
     assert np.max(np.abs(modes.inverse(v) - back)) <= 1e-13 * np.max(np.abs(back))
+    buf = np.empty_like(u)
+    assert modes.inverse(modes.forward(u), out=buf) is buf and np.array_equal(buf, modes.inverse(v))
     xi, eta = (np.broadcast_to(a, keep.shape)[keep] for a in (np.abs(g.xi_half), g.eta[:, None]))
     assert np.array_equal(modes.s, 1.5 + (xi**2 + eta**2) / xi)
     assert 2 * modes.dot(v, v) == pytest.approx(sg.weighted_sq_sum(g, 1.0, masked), rel=1e-13)
+
+
+def test_a_solve_runs_in_a_fixed_working_set(p12):
+    """A 256^2 Petviashvili solve peaks below 6 fields: the loop keeps phi, f(phi), one half
+    spectrum and a few compact vectors (6.6 fields when every iteration built each
+    transform, f(phi) and s * ph afresh and the start came from a meshgrid)."""
+    g = Grid(256, 256, 64 * PI, 64 * PI)
+    assert traced_peak(lambda: solve(SolverConfig(), p12, g)) <= 6.0 * g.nx * g.ny * 8
+
+
+def test_verify_computations_run_in_a_fixed_working_set(p12):
+    """The residual and the functionals of a 256^2 field on a fresh grid peak below 4 fields
+    besides the field (4.7 with a cached dispersion table and whole-array expressions)."""
+    g = Grid(256, 256, 64 * PI, 64 * PI)
+    f = Field(g, GaussianInit().build(g))
+    assert traced_peak(lambda: (spectral_residual(f, p12), functional_report(f, p12))) <= 4.0 * g.nx * g.ny * 8
+
+
+def test_gaussian_start_is_the_meshgrid_formula():
+    """The start built from the axes equals the meshgrid formula bit for bit."""
+    for g, init in ((Grid(256, 128, 64 * PI, 20.0), GaussianInit()),
+                    (Grid(48, 64, 7.3, 11.0), GaussianInit(amplitude=-1.37, sigma_x=0.9, sigma_y=3.1))):
+        X, Y = g.meshgrid()
+        want = init.amplitude * np.exp(-(X**2) / init.sigma_x**2 - (Y**2) / init.sigma_y**2)
+        assert init.build(g).tobytes() == want.tobytes()
 
 
 def test_solver_loops_call_no_blas(p12, monkeypatch):
