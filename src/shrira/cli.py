@@ -4,12 +4,13 @@ A stored field's physics (c, m, signed_power) and grid come from its header:
 `verify` reads them there, and `evolve` exits 2 when its config's physics (the
 defaults if the section is absent) or its grid section (if present) differs.
 
-Exit codes: 0 success, 2 rejected input (InputError, or a ValueError or
-missing file from outside the package), evolve blow-up
+Exit codes: 0 success, 2 rejected input (InputError, or a ValueError or a
+file that cannot be read or written), evolve blow-up
 (last_good.field and the partial conservation.csv are still written) or an
 uncertified kernel point (the rows before it are still written), 3 solver
 non-convergence, a collapse included (solve still writes phi.field,
 solve_report.json with converged false and its timings, and functionals.json).
+Every exit but 0 prints a line that starts with `error:` to standard error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import decay as dec
 from . import evolution as evo
 from . import kernels as ker
 from . import solver as sol
-from .config import load_config
+from .config import _parse, load_config
 from .errors import BlowUpError, ConvergenceError, InputError, ShriraError
 from .functionals import PhysicsParams, _nehari_t, functional_report
 from .grid import Field, Grid
@@ -88,7 +89,7 @@ def _cmd_solve(args) -> int:
     except ConvergenceError as exc:  # a collapse included: every stop carries field and report
         fld, report = exc.field, exc.report
         code = EXIT_NO_CONVERGENCE
-        print(f"solver did not converge: {exc}", file=sys.stderr)
+        print(f"error: solver did not converge: {exc}", file=sys.stderr)
     write_field(out / "phi.field", fld, _meta(cfg.physics))
     _write_json(out / "solve_report.json", report.to_dict())
     _write_json(out / "functionals.json", report.functionals.to_dict())
@@ -98,7 +99,7 @@ def _cmd_solve(args) -> int:
 def _read_stored(path):
     """(Field, PhysicsParams) of a field file: its header is the one source of its physics."""
     fld, header = read_field(path)
-    return fld, PhysicsParams(float(header["c"]), float(header["m"]), bool(header["signed_power"]))
+    return fld, _parse(PhysicsParams, {k: header[k] for k in ("c", "m", "signed_power")}, f"{path}: header")
 
 
 def _cmd_verify(args) -> int:
@@ -209,7 +210,7 @@ def _cmd_sweep(args) -> int:
     try:
         rows = sol.sweep(args.param, values, cfg.solver, cfg.physics, grid)
     except ConvergenceError as exc:
-        print(f"sweep aborted: {exc}", file=sys.stderr)
+        print(f"error: sweep aborted: {exc}", file=sys.stderr)
         rows, code = exc.rows, EXIT_NO_CONVERGENCE
     _write_csv(
         out / "sweep.csv",
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ShriraError, FileNotFoundError, ValueError) as exc:
+    except (ShriraError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

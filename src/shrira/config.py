@@ -64,7 +64,10 @@ def _value(ann: str, v, where: str):
         return _parse_init(v, where)
     if ann == "float":  # NaN and Infinity, which json.loads accepts, fail the range checks
         if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return float(v)
+            try:
+                return float(v)
+            except OverflowError:  # an integer literal past the double range
+                raise InputError(f"{where}: expected a number, got an integer beyond the double range")
         raise InputError(f"{where}: expected a number, got {v!r}")
     typ, expected = _EXACT_TYPES[ann]
     if type(v) is not typ:  # bool is a subclass of int, and not an integer here

@@ -71,16 +71,12 @@ class DecayReport:
         return out
 
 
-def default_fit_window(half_length: float) -> tuple:
-    """Clean-tail window used when the caller does not pick one."""
-    return (0.04 * half_length, 0.11 * half_length)
-
-
 def _auto_window(grid: sg.Grid, axis: str) -> tuple:
-    """Default window on the axis, widened on coarse grids to hold >= 8 sample radii."""
+    """The clean-tail window [0.04, 0.11] * half-length on the axis, widened on coarse grids
+    to hold >= 8 sample radii."""
     half_length, spacing = (grid.lx / 2, grid.dx) if axis == "x" else (grid.ly / 2, grid.dy)
-    lo, hi = default_fit_window(half_length)
-    hi = min(max(hi, lo + 11.5 * spacing), 0.8 * half_length)
+    lo = 0.04 * half_length
+    hi = min(max(0.11 * half_length, lo + 11.5 * spacing), 0.8 * half_length)
     return (lo, hi)
 
 
@@ -128,25 +124,17 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def _weight_axis_power(weight):
-    """(axis, power) of a `weighted_sup` weight |axis|^power."""
-    if weight == "y3":
-        return "y", 3
-    if weight == "x3/2":
-        return "x", 1.5
-    if isinstance(weight, tuple) and weight[0] == "y_kappa":
-        kappa = float(weight[1])
-        if not 0.0 <= kappa <= 3.0:
-            raise InputError("kappa must lie in [0, 3]")
-        return "y", kappa
-    raise InputError(f"unknown weight {weight!r}")
+    """(axis, power) of the `weighted_sup` weight |axis|^power, "y3" or "x3/2"."""
+    if weight not in ("y3", "x3/2"):
+        raise InputError(f"unknown weight {weight!r}")
+    return ("y", 3) if weight == "y3" else ("x", 1.5)
 
 
 def weighted_sup(f: sg.Field, weight, window: Optional[tuple] = None) -> float:
     """Sup over the grid of weight * |phi|.
 
-    weight: "y3" (|y|^3), "x3/2" (|x|^{3/2}) or ("y_kappa", kappa) with kappa
-    in [0, 3].  A window (r_min, r_max) restricts the weighted coordinate's
-    magnitude, for box-to-box comparisons.  The weight depends on one
+    weight: "y3" (|y|^3) or "x3/2" (|x|^{3/2}).  A window (r_min, r_max) restricts the
+    weighted coordinate's magnitude, for box-to-box comparisons.  The weight depends on one
     coordinate, so the sup runs over the profile of max |phi| along the other.
     """
     axis, power = _weight_axis_power(weight)
@@ -161,20 +149,18 @@ def weighted_sup(f: sg.Field, weight, window: Optional[tuple] = None) -> float:
     return float(np.max(a))
 
 
-def two_box_sup_drift(small: sg.Field, big: sg.Field, weight, window: Optional[tuple] = None) -> float:
+def two_box_sup_drift(small: sg.Field, big: sg.Field, weight) -> float:
     """Relative drift of the windowed weighted sup between two boxes.
 
-    The window defaults to the smaller box's trusted tail range
-    [0.04, 0.10] * half-length along the weight's axis, an absolute range both
-    boxes contain; a box-stable tail makes this drift small regardless of how
-    much truncation noise lives further out on either box.
+    The window is the smaller box's trusted tail range [0.04, 0.10] *
+    half-length along the weight's axis, an absolute range both boxes contain;
+    a box-stable tail makes this drift small regardless of how much truncation
+    noise lives further out on either box.
     """
-    if window is None:
-        length = "l" + _weight_axis_power(weight)[0]
-        half = min(getattr(small.grid, length), getattr(big.grid, length)) / 2
-        window = (0.04 * half, 0.10 * half)
-    a = weighted_sup(small, weight, window)
-    b = weighted_sup(big, weight, window)
+    length = "l" + _weight_axis_power(weight)[0]
+    half = min(getattr(small.grid, length), getattr(big.grid, length)) / 2
+    window = (0.04 * half, 0.10 * half)
+    a, b = (weighted_sup(f, weight, window) for f in (small, big))
     return abs(a - b) / max(abs(a), abs(b))
 
 
@@ -185,7 +171,7 @@ def y_weighted_seminorm(f: sg.Field) -> float:
     where a real phi_x has no content); phi_y's are taken along y with eta_odd.
     """
     g = f.grid
-    rows = np.fft.rfft(f.values, axis=1)
+    rows = np.fft.rfft(f.values, axis=1)  # row spectra, transformed in x only: not grid.rfft2
     d_y = np.fft.ifft(1j * g.eta_odd[:, None] * np.fft.fft(rows, axis=0), axis=0)
     xi = g.xi_half
     y2 = g.y[:, None] ** 2
@@ -231,14 +217,8 @@ def mixed_pair_admissible(q: float, r: float) -> bool:
     return (ir + iq > 1.0) and (ir + 2.0 * iq < 3.0)
 
 
-def decay_report(
-    f: sg.Field,
-    params: PhysicsParams,
-    window_x: Optional[tuple] = None,
-    window_y: Optional[tuple] = None,
-) -> DecayReport:
-    window_x = window_x or _auto_window(f.grid, "x")
-    window_y = window_y or _auto_window(f.grid, "y")
+def decay_report(f: sg.Field, params: PhysicsParams) -> DecayReport:
+    window_x, window_y = _auto_window(f.grid, "x"), _auto_window(f.grid, "y")
     ey, sy = tail_exponent_fit(f, "y", window_y)
     ex, sx = tail_exponent_fit(f, "x", window_x)
     defect, sign_change = zero_x_mean_and_sign(f)
@@ -255,8 +235,8 @@ def decay_report(
         sup_weighted_x=weighted_sup(f, "x3/2"),
         sup_weighted_y_window=weighted_sup(f, "y3", window_y),
         sup_weighted_x_window=weighted_sup(f, "x3/2", window_x),
-        fit_window_x=tuple(window_x),
-        fit_window_y=tuple(window_y),
+        fit_window_x=window_x,
+        fit_window_y=window_y,
         y_weighted_seminorm=y_weighted_seminorm(f),
         zero_x_mean_defect=defect,
         sign_change=sign_change,

@@ -7,10 +7,9 @@ integrating-factor RK4: the linear phase is applied exactly, classical RK4
 handles the dealiased nonlinear term.  Transforms are real-to-complex: the
 loop carries the half spectrum of `shrira.grid`, and dealiasing and the
 x-derivative are one fused multiplier -i xi * keep.  One stepper per run holds
-the phase tables and the work buffers; each stage runs in place (`out=`), the
-inverse transform is ifft along y then irfft along x, and the forward one is
-the solver's pruned `_Modes.forward_half`: rfft along x, then fft along y only
-on the columns -i xi * keep leaves nonzero.
+the phase tables and the work buffers; each stage runs in place (`out=`)
+through `grid.irfft2` and `grid.rfft2`, the forward one pruned to the columns
+-i xi * keep leaves nonzero.
 The step is bit-identical to the classical formula on fresh arrays.
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
@@ -39,7 +38,6 @@ import numpy as np
 from . import grid as sg
 from .errors import BlowUpError, InputError
 from .functionals import PhysicsParams, _f_integrals
-from .solver import _Modes
 
 DISPERSIVE_STEP_FRACTION = 0.05
 
@@ -107,19 +105,18 @@ class _Stepper:
     """
 
     def __init__(self, grid, dt, params):
-        self.grid, self.dt, self.params = grid, dt, params
+        self.dt, self.params = dt, params
         e_half = np.exp(linear_symbol(grid) * (dt / 2))
         self.e_half, self.e_full = e_half, e_half * e_half
-        self.modes = _Modes(grid, params)  # its forward_half prunes the column FFT
+        self.kc = grid.kept_columns(params.m)  # the forward transform skips columns kc..
         self.mult = -1j * grid.xi_half * grid.keep(params.m)
         self.k = np.empty((5,) + e_half.shape, np.complex128)  # k1..k4 and a stage argument
         self.u, self.fu = np.empty((2, grid.ny, grid.nx))
 
     def nonlinear(self, v, out):
-        """out = -i xi keep * rfft2(f(irfft2(v))) by one-axis transforms, the forward one pruned."""
-        np.fft.ifft(v, axis=0, out=out)
-        np.fft.irfft(out, n=self.grid.nx, axis=1, out=self.u)
-        self.modes.forward_half(self.params.f(self.u, out=self.fu), out=out)
+        """out = -i xi keep * rfft2(f(irfft2(v))), the forward transform pruned; v is overwritten."""
+        sg.irfft2(v, out=self.u)
+        sg.rfft2(self.params.f(self.u, out=self.fu), self.kc, out=out)
         return np.multiply(self.mult, out, out=out)
 
     def step(self, uh, out):
@@ -128,7 +125,8 @@ class _Stepper:
         k1, k2, k3, k4, a = self.k
         # overflow here is legitimate blow-up; the caller checks finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            N(uh, k1)  # k2 = N(e_half * (uh + (dt / 2) * k1)), the product taken as (...) * e_half
+            np.copyto(a, uh)  # N overwrites its argument, and uh is the state
+            N(a, k1)  # k2 = N(e_half * (uh + (dt / 2) * k1)), the product taken as (...) * e_half
             np.multiply(np.add(uh, np.multiply(dt / 2, k1, out=a), out=a), eh, out=a)
             N(a, k2)  # k3 = N(e_half * uh + (dt / 2) * k2)
             np.add(np.multiply(eh, uh, out=a), np.multiply(dt / 2, k2, out=k3), out=a)
@@ -177,7 +175,8 @@ def evolve(
     exact spectral translate phi(. - c t, .), by Parseval on the half spectrum.
     snapshot_cb(step, t, Field) is invoked at each record time.  Raises
     InputError for a non-finite reference speed and for an initial field
-    that is zero or whose mass or energy overflows (its drifts are undefined),
+    whose mass or energy is zero, underflowing ones included, or overflows
+    (its drifts are undefined),
     and BlowUpError (carrying the last good state, its time and the report up
     to the last record) if a step makes the coefficients, or a record the mass
     or energy, non-finite.
@@ -185,17 +184,11 @@ def evolve(
     clock = time.perf_counter
     t_start = clock()  # timings: set-up (tables, transforms), steps, records
     g = initial.grid
-    if not np.any(initial.values):
-        raise InputError("initial field is zero: its mass and energy drifts are undefined")
     dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, params.m)
     nsteps = max(1, ceil(config.t_end / dt_req - 1e-12))
     dt = config.t_end / nsteps
 
     stepper = _Stepper(g, dt, params)
-
-    def real(h):
-        return np.fft.irfft2(h, s=(g.ny, g.nx))
-
     ref_hat = None
     if reference is not None:
         ref_field, ref_speed = reference
@@ -203,10 +196,10 @@ def evolve(
             raise InputError(f"reference_speed: must be finite, got {ref_speed}")
         if ref_field.grid != g:
             raise InputError(f"reference field is on {ref_field.grid}, the run on {g}")
-        ref_hat = np.fft.rfft2(ref_field.values)
+        ref_hat = sg.rfft2(ref_field.values)
         ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
 
-    uh = np.fft.rfft2(initial.values)
+    uh = sg.rfft2(initial.values)
     nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
     times, masses, energies, shapes = [], [], [], []
     records_s = 0.0
@@ -219,7 +212,7 @@ def evolve(
             if ref_hat is not None:  # ||u - translate|| / ||phi|| by Parseval, before u is made
                 diff_sq = sg.weighted_sq_sum(g, 1.0, h - ref_hat * np.exp(-1j * g.xi_half * ref_speed * t))
                 shape = np.sqrt(diff_sq / ref_sq)
-            u = real(h)
+            u = sg.irfft2(h.copy())  # h is the live state; the exits below transform uh in place
             m, e = _mass_energy(u, h, g, params)
         if not (np.isfinite(m) and np.isfinite(e)):
             return False
@@ -239,13 +232,13 @@ def evolve(
         return EvolveReport(dt, times, masses, energies, shapes, final, steps, timings)
 
     t_setup = clock()
-    if not record(0, 0.0, uh):
-        raise InputError("initial field: its mass or energy is not finite")
+    if not record(0, 0.0, uh) or 0.0 in (masses[0], energies[0]):
+        raise InputError("initial field: its mass or energy is zero or not finite; its drifts are undefined")
     for k in range(1, nsteps + 1):
         stepper.step(uh, nxt)
         at_record = k % config.record_every == 0 or k == nsteps
         if not np.all(np.isfinite(nxt)) or at_record and not record(k, k * dt, nxt):
-            raise BlowUpError(f"blow-up detected at t = {k * dt:.6g}", last_good=sg.Field(g, real(uh)),
+            raise BlowUpError(f"blow-up detected at t = {k * dt:.6g}", last_good=sg.Field(g, sg.irfft2(uh)),
                               t=(k - 1) * dt, report=report(k - 1))
         uh, nxt = nxt, uh
-    return report(nsteps, sg.Field(g, real(uh)))
+    return report(nsteps, sg.Field(g, sg.irfft2(uh)))

@@ -107,7 +107,7 @@ class FunctionalReport:
 def _energy_parts(f: sg.Field):
     """(||u||^2, ||D_x^{1/2} u||^2, ||D_x^{-1/2} u_y||^2) from one rfft2 of the field."""
     g = f.grid
-    uh = np.fft.rfft2(f.values)
+    uh = sg.rfft2(f.values)
     abs_xi = np.abs(g.xi_half)
     eta2_xi = sg.divide_off_xi0(g, g.eta[:, None] ** 2, abs_xi)
     return tuple(sg.weighted_sq_sum(g, w, uh) * g.spectral_weight for w in (1.0, abs_xi, eta2_xi))

@@ -23,10 +23,15 @@ the layout of numpy.fft.rfft2 output, shape (ny, nx/2 + 1): columns 0..nx/2
 of the full layout, whose xi < 0 columns are the conjugates of their partners.  `Grid.xi_half` holds xi on those columns;
 the Nyquist column keeps fftfreq's xi = -pi*nx/lx and its symbols and phases.
 `Grid.keep(m)` marks the xi != 0 modes that the truncation of u^m keeps: the
-2/3 rule for m <= 2, the 1/2 rule beyond.  Full-spectrum sums are
-half-spectrum sums with column weights `Grid.half_weight`: 1 on the xi = 0 and
-Nyquist columns, 2 on the others.  The public `forward`, `inverse` and
-`apply_multiplier` stay full-complex: their symbols need not be Hermitian.
+2/3 rule for m <= 2, the 1/2 rule beyond, all in the first
+`Grid.kept_columns(m)` columns.  Full-spectrum sums are half-spectrum sums
+with column weights `Grid.half_weight`: 1 on the xi = 0 and Nyquist columns,
+2 on the others.  The public `forward`, `inverse` and `apply_multiplier` stay
+full-complex: their symbols need not be Hermitian.  Every real transform of
+the package runs through `rfft2` and `irfft2`, the y pass in place and pruned
+to those columns on request, except two: `decay.y_weighted_seminorm` (row
+spectra, transformed in x only) and `kernels.kernel_spectral_oracle` (a real
+float64 symbol, which an in-place complex pass cannot hold).
 """
 
 from __future__ import annotations
@@ -135,6 +140,10 @@ class Grid:
             )
         return masks[frac]
 
+    def kept_columns(self, m: float) -> int:
+        """kc: the modes `keep(m)` keeps lie in the half-spectrum columns 0..kc-1."""
+        return int(np.flatnonzero(self.keep(m).any(axis=0))[-1]) + 1
+
     def meshgrid(self):
         """Physical coordinate arrays X, Y of shape (ny, nx)."""
         return np.meshgrid(self.x, self.y, indexing="xy")
@@ -152,7 +161,7 @@ def dispersion_table(grid: Grid, rows=slice(None)) -> np.ndarray:
     return divide_off_xi0(grid, xi**2 + grid.eta[rows, None] ** 2, np.abs(xi))
 
 
-def divide_off_xi0(grid: Grid, num, den, dtype=np.float64) -> np.ndarray:
+def divide_off_xi0(grid: Grid, num, den) -> np.ndarray:
     """num/den on the xi != 0 modes and 0 on every xi = 0 mode.
 
     num and den broadcast to the half (ny, nx/2 + 1) or the full (ny, nx)
@@ -160,7 +169,7 @@ def divide_off_xi0(grid: Grid, num, den, dtype=np.float64) -> np.ndarray:
     (|xi|^-1/2, 1/|xi|) needs no special casing.
     """
     shape = np.broadcast_shapes(np.shape(num), np.shape(den))
-    out = np.zeros(shape, dtype=dtype)
+    out = np.zeros(shape)
     return np.divide(num, den, out=out, where=grid.xi[: shape[-1]] != 0)
 
 
@@ -177,6 +186,23 @@ def weighted_sq_sum(grid: Grid, weight, coeffs) -> float:
     sq = np.square(coeffs.real)
     sq += np.square(coeffs.imag)
     return float(np.sum(np.multiply(weight * grid.half_weight, sq, out=sq)))
+
+
+def rfft2(u: np.ndarray, kc=None, out=None) -> np.ndarray:
+    """numpy.fft.rfft2 of the real (ny, nx) array u, exact in columns 0..kc-1 (all by default):
+    rfft along x, then fft along y in place on those columns; columns kc.. skip it."""
+    out = np.fft.rfft(u, axis=1, out=out)
+    cols = out[:, :kc]
+    np.fft.fft(cols, axis=0, out=cols)
+    return out
+
+
+def irfft2(h: np.ndarray, kc=None, out=None) -> np.ndarray:
+    """numpy.fft.irfft2 of the half spectrum h (zero from column kc on if kc is given), overwriting
+    h: ifft along y in place on its columns 0..kc-1, then irfft along x to 2 (h.shape[1] - 1) samples."""
+    cols = h[:, :kc]
+    np.fft.ifft(cols, axis=0, out=cols)
+    return np.fft.irfft(h, n=2 * (h.shape[1] - 1), axis=1, out=out)
 
 
 def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .config import _parse
 from .grid import Field, Grid
 from .errors import InputError
 
@@ -47,7 +48,8 @@ def write_field(path, field: Field, meta: dict) -> None:
 
 
 def read_field(path):
-    """Read a field file; returns (Field, header dict).  Sizes are checked before one array is read."""
+    """Read a field file; returns (Field, header dict).  The grid keys are checked as a config's
+    grid section is, and the sizes before one array is read; the caller parses the physics."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n"):
@@ -56,18 +58,19 @@ def read_field(path):
             header = json.loads(line[:-1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"{path}: unreadable header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise InputError(f"{path}: header is not a JSON object")
         version = header.get("format_version")
-        if version not in (1, FORMAT_VERSION):
+        if type(version) is not int or version not in (1, FORMAT_VERSION):
             raise InputError(f"{path}: unsupported format_version {version}")
         if version == 1:
             header["signed_power"] = False  # version 1 predates signed powers
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise InputError(f"{path}: header lacks keys {missing}")
-        nx, ny = int(header["nx"]), int(header["ny"])
+        grid = _parse(Grid, {k: header[k] for k in ("nx", "ny", "lx", "ly")}, f"{path}: header")
         size = os.fstat(fh.fileno()).st_size - len(line)
-        if size != 8 * nx * ny:
-            raise InputError(f"{path}: payload is {size} bytes, header implies {8 * nx * ny}")
-        grid = Grid(nx=nx, ny=ny, lx=float(header["lx"]), ly=float(header["ly"]))
-        values = np.fromfile(fh, dtype="<f8", count=nx * ny).reshape(ny, nx)
+        if size != 8 * grid.nx * grid.ny:
+            raise InputError(f"{path}: payload is {size} bytes, header implies {8 * grid.nx * grid.ny}")
+        values = np.fromfile(fh, dtype="<f8", count=grid.nx * grid.ny).reshape(grid.ny, grid.nx)
     return Field(grid, values), header

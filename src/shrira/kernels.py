@@ -72,6 +72,8 @@ class KernelSpec:
     def __post_init__(self):
         if not -1.5 < self.nu < math.inf:
             raise InputError(f"nu: kernel order must exceed -3/2 and be finite, got {self.nu}")
+        if self.nu > 170.0:  # the prefactor 2 Gamma(nu + 3/2) overflows from nu ~ 170.1 on
+            raise InputError(f"nu: kernel order must be at most 170, got {self.nu}")
         if not 0.0 < self.quad_tol <= 1e-4:
             raise InputError(f"quad_tol: must lie in (0, 1e-4], got {self.quad_tol}")
 
@@ -82,11 +84,6 @@ class KernelSample:
     y: float
     value: float
     est_error: float
-
-
-def _tail_bound(T: float, power: float) -> float:
-    # |integrand| <= t^-power e^-t for t >= T >= 1; decreasing in t
-    return T ** (-power) * math.exp(-T)
 
 
 # QUADPACK's qk15 (Piessens et al. 1983): the 15-point Kronrod nodes x >= 0 on [-1, 1], their
@@ -131,33 +128,15 @@ def _gauss_kronrod(g, a, b, epsabs, epsrel, limit):
     return float(val.sum()), float(err.sum())
 
 
-def _sample(x, y, pref, g, quad_tol, tail_power) -> KernelSample:
-    """pref * int_0^inf g; QuadratureAccuracyError if the tolerance is not certified.
-
-    Quadrature on (0, T] (T = 60) plus the tail bound past T, both scaled by
-    pref like the certificate.  For nu >= -3/2 + 1e-9 the scaled tail bound is
-    below 1e-17, under ABS_ERROR_FLOOR, so a call that fails is held back by
-    the quadrature error, which a longer interval does not shrink.  The quadrature
-    runs in s = sqrt(t), on 2 s g(s^2) over (0, sqrt(T)]: the t^(-1/2) endpoint
-    of the y = 0 axis becomes smooth and t^(nu+1) becomes s^(2 nu + 3), so the
-    bisection need not chase an endpoint singularity.
-    """
-    T = 60.0
-    val, err = _gauss_kronrod(lambda s: 2.0 * pref * s * g(s * s), 0.0, math.sqrt(T),
-                              epsabs=ABS_ERROR_FLOOR / 2, epsrel=quad_tol / 2, limit=400)
-    est = err + pref * _tail_bound(T, tail_power)
-    if est > quad_tol * abs(val) + ABS_ERROR_FLOOR:
-        rel = est / abs(val) if val else math.inf
-        raise QuadratureAccuracyError(f"quadrature error {est:.2e} exceeds tolerance at ({x}, {y}): "
-                                      f"achieved relative error {rel:.2e}", value=val, est_error=est)
-    return KernelSample(x=x, y=y, value=val, est_error=est)
-
-
 def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
     """Evaluate h_nu at one point by adaptive quadrature.
 
-    Raises InputError at (0, 0) and QuadratureAccuracyError
-    (carrying the best estimate) if the tolerance cannot be certified.
+    Raises InputError at (0, 0) and QuadratureAccuracyError (carrying the best
+    estimate) if the tolerance cannot be certified: the quadrature error on
+    (0, T], T = 60, plus pref times the bound t^-(nu+2) e^-t of the integrand
+    past T (under 1e-17 for nu >= -3/2 + 1e-9, so a longer interval would not
+    help).  The quadrature runs in s = sqrt(t), on 2 s g(s^2) over (0, sqrt(T)],
+    which smooths the t^(-1/2) endpoint of the y = 0 axis for the bisection.
     """
     if x == 0.0 and y == 0.0:
         raise InputError("kernel is singular at the origin")
@@ -170,7 +149,15 @@ def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
         return (t ** (nu + 1.0) * np.exp(-t) * (t * t * x * x + q * q) ** (-(2.0 * nu + 3.0) / 4.0)
                 * np.cos((nu + 1.5) * np.arctan2(t * ax, q)))
 
-    return _sample(x, y, pref, g, spec.quad_tol, nu + 2.0)
+    T = 60.0
+    val, err = _gauss_kronrod(lambda s: 2.0 * pref * s * g(s * s), 0.0, math.sqrt(T),
+                              epsabs=ABS_ERROR_FLOOR / 2, epsrel=spec.quad_tol / 2, limit=400)
+    est = err + pref * (T ** -(nu + 2.0) * math.exp(-T))
+    if not est <= spec.quad_tol * abs(val) + ABS_ERROR_FLOOR:  # a nan estimate certifies nothing
+        rel = est / abs(val) if val else math.inf
+        raise QuadratureAccuracyError(f"quadrature error {est:.2e} exceeds tolerance at ({x}, {y}): "
+                                      f"achieved relative error {rel:.2e}", value=val, est_error=est)
+    return KernelSample(x=x, y=y, value=val, est_error=est)
 
 
 def _warn_negative_nu(nu: float) -> None:
@@ -205,6 +192,8 @@ def kernel_spectral_oracle(nu: float, grid: sg.Grid) -> sg.Field:
     sym = _oracle_symbol(nu, grid)
     sym[1::2] *= -1.0
     sym[:, 1::2] *= -1.0
+    # not grid.irfft2: its in-place complex pass cannot hold the real symbol, and a complex copy
+    # would add ~67 MB at criterion 7's 8192 x 1024 oracle
     vals = np.fft.irfft2(sym, s=(grid.ny, grid.nx))
     vals *= (grid.nx * grid.ny) * (2 * np.pi) ** 2 / (grid.lx * grid.ly)
     return sg.Field(grid, vals)
@@ -272,15 +261,11 @@ def kernel_rows(spec: KernelSpec, points, oracle_values):
         yield x, y, s.value, s.est_error, kv, abs(SQRT_PI * s.value - kv) / max(abs(kv), 1e-300)
 
 
-def oracle_rows(spec: KernelSpec, points, oracle: sg.Field):
-    """`kernel_rows` with the oracle read from the field `oracle`, one point at a time."""
-    return kernel_rows(spec, points, (oracle_node_value(oracle, x, 2.0 * y)[2] for (x, y) in points))
-
-
 def quadrature_vs_oracle(spec: KernelSpec, points, oracle: sg.Field) -> list:
-    """`oracle_rows` at the snapped points: (xs, y2s / 2) for the node (xs, y2s) nearest (x, 2y)."""
-    nodes = [oracle_node_value(oracle, x, 2.0 * y)[:2] for (x, y) in points]
-    return list(oracle_rows(spec, [(xs, y2s / 2.0) for xs, y2s in nodes], oracle))
+    """`kernel_rows` at the snapped points (xs, y2s / 2), (xs, y2s) the node of `oracle` nearest
+    (x, 2y), against the field's value there."""
+    nodes = [oracle_node_value(oracle, x, 2.0 * y) for (x, y) in points]
+    return list(kernel_rows(spec, [(xs, y2s / 2.0) for xs, y2s, _ in nodes], [kv for _, _, kv in nodes]))
 
 
 # --- Lizorkin multiplier sampling -------------------------------------------

@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, asdict, replace
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,8 +77,9 @@ class GaussianInit:
         if not math.isfinite(self.amplitude):
             raise InputError(f"amplitude: must be finite, got {self.amplitude}")
         for name in ("sigma_x", "sigma_y"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InputError(f"{name}: must be positive and finite, got {getattr(self, name)}")
+            sigma = getattr(self, name)
+            if not (sigma > 0 and 0 < sigma * sigma < math.inf):  # build divides by sigma**2
+                raise InputError(f"{name}: must be positive with a positive finite square, got {sigma}")
 
     def build(self, grid: sg.Grid) -> np.ndarray:
         u = -(grid.x[None, :] ** 2) / self.sigma_x**2 - (grid.y[:, None] ** 2) / self.sigma_y**2
@@ -115,6 +115,8 @@ class SolverConfig:
             raise InputError(f"tol_residual: must be positive and finite, got {self.tol_residual}")
         if not self.max_iter >= 1:
             raise InputError(f"max_iter: must be >= 1, got {self.max_iter}")
+        if not isinstance(self.init, (GaussianInit, FileInit, sg.Field)):
+            raise InputError(f"init: expected GaussianInit, FileInit or Field, got {type(self.init).__name__}")
 
 
 @dataclass
@@ -140,8 +142,6 @@ class SolveReport:
 
 def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
     init = config.init
-    if isinstance(init, np.ndarray):  # checked like a field: shape and finiteness
-        init = sg.Field(grid, init)
     if isinstance(init, sg.Field):
         if init.grid != grid:  # same samples and same box
             raise InputError(f"warm-start field is on {init.grid}, the solve on {grid}")
@@ -200,10 +200,10 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     modes do not enter either norm.
     """
     g = f.grid
-    fh = np.fft.rfft(params.f(f.values), axis=1)  # rfft2 as its two passes, the second in place
-    np.fft.fft(fh, axis=0, out=fh)[~g.keep(params.m)] = 0.0
-    sph = np.fft.rfft(f.values, axis=1)
-    np.multiply(params.c + sg.dispersion_table(g), np.fft.fft(sph, axis=0, out=sph), out=sph)
+    fh = sg.rfft2(params.f(f.values), g.kept_columns(params.m))  # keep zeroes the columns it skips
+    fh[~g.keep(params.m)] = 0.0
+    sph = sg.rfft2(f.values)
+    np.multiply(params.c + sg.dispersion_table(g), sph, out=sph)
     sph[:, 0] = 0.0  # the xi = 0 column
     den_sq = sg.weighted_sq_sum(g, 1.0, sph)
     sph -= fh
@@ -219,47 +219,27 @@ def _residual(num_sq: float, den_sq: float) -> float:
 class _Modes:
     """The kept modes `Grid.keep(m)` of a grid as a compact vector, and its transforms.
 
-    The kept modes of the half spectrum lie in its first kc columns.
-    `forward_half` is rfft along x, then fft along y on those columns only;
-    `forward` runs it into the work buffer `_half` and gathers the kept modes:
-    the masked rfft2.  `inverse` scatters into the zeroed `_half`, runs ifft
-    along y on its first kc columns and irfft along x: irfft2, pruned exactly.
-    Every kept mode has column weight 2, so a full-spectrum sum is twice the
-    compact one; `dot` omits the 2.  `s` is the profile symbol c + dispersion
-    on the kept modes, from a table the grid does not cache.  The time stepper
-    reads only kc and `forward_half`, so `s` and `_half` are built on first use
-    (built up front, s alone raised the peak RSS of a 256^2 evolve by 0.5 MB).
+    The kept modes lie in the first kc columns of the half spectrum.  `forward`,
+    the masked rfft2, gathers them from `grid.rfft2` pruned to kc columns in the
+    work buffer `_half`; `inverse` scatters into the zeroed `_half` and runs the
+    pruned `grid.irfft2`.  Every kept mode has column weight 2, so a
+    full-spectrum sum is twice the compact one; `dot` omits the 2.  `s` is the
+    profile symbol c + dispersion on the kept modes.
     """
 
     def __init__(self, grid: sg.Grid, params: PhysicsParams):
-        keep = grid.keep(params.m)
-        self.kc = int(np.flatnonzero(keep.any(axis=0))[-1]) + 1  # columns kc.. of keep are empty
-        self.keep, self.grid, self.c = keep[:, : self.kc], grid, params.c
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return self.c + sg.dispersion_table(self.grid)[:, : self.kc][self.keep]
-
-    @cached_property
-    def _half(self) -> np.ndarray:  # the work buffer of `forward` and `inverse`
-        return np.empty((self.grid.ny, self.grid.nx // 2 + 1), np.complex128)
-
-    def forward_half(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The half spectrum of u, exact in columns 0..kc-1; columns kc.. skip the fft along y."""
-        out = np.fft.rfft(u, axis=1, out=out)
-        cols = out[:, : self.kc]
-        np.fft.fft(cols, axis=0, out=cols)
-        return out
+        self.kc = kc = grid.kept_columns(params.m)
+        self.keep = keep = grid.keep(params.m)[:, :kc]
+        self.s = params.c + sg.dispersion_table(grid)[:, :kc][keep]
+        self._half = np.empty((grid.ny, grid.nx // 2 + 1), np.complex128)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
-        return self.forward_half(u, out=self._half)[:, : self.kc][self.keep]
+        return sg.rfft2(u, self.kc, out=self._half)[:, : self.kc][self.keep]
 
     def inverse(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         self._half.fill(0.0)
-        cols = self._half[:, : self.kc]
-        cols[self.keep] = v
-        np.fft.ifft(cols, axis=0, out=cols)
-        return np.fft.irfft(self._half, n=self.grid.nx, axis=1, out=out)
+        self._half[:, : self.kc][self.keep] = v
+        return sg.irfft2(self._half, self.kc, out=out)
 
     @staticmethod
     def dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from shrira import (
     gn_ratio,
     functional_report,
 )
+from shrira import grid as sg
 from shrira.errors import InputError
 
 from conftest import random_field
@@ -214,9 +215,9 @@ def test_pohozaev_residuals_sum_to_mass_and_potential(g2pi, m, signed):
 
 
 def test_functionals_take_one_forward_transform(g2pi, p12, monkeypatch):
-    """functional_report takes one rfft2 and no inverse transform; so does each functional."""
+    """functional_report takes one grid.rfft2 and no inverse transform; so does each functional."""
     f = random_field(g2pi, np.random.default_rng(3))
-    rfft2, calls = np.fft.rfft2, []
+    rfft2, calls = sg.rfft2, []
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -225,7 +226,8 @@ def test_functionals_take_one_forward_transform(g2pi, p12, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("inverse transform in a functional")
 
-    monkeypatch.setattr(np.fft, "rfft2", counted)
+    monkeypatch.setattr(sg, "rfft2", counted)
+    monkeypatch.setattr(sg, "irfft2", refuse)
     for name in ("irfft2", "ifft2", "irfft", "ifft"):
         monkeypatch.setattr(np.fft, name, refuse)
     for fn, arg in ((functional_report, p12), (pohozaev_residuals, p12), (gn_ratio, 1.0),

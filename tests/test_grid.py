@@ -214,6 +214,31 @@ def test_invariant_suite_randomized():
         assert np.allclose(lhs, rhs, rtol=5e-13, atol=5e-13)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("shape", [(48, 32), (256, 128)])
+def test_real_transforms_are_numpys_bit_for_bit(shape, m):
+    """grid.rfft2 and grid.irfft2 are np.fft.rfft2 and np.fft.irfft2 bit for bit, in full and,
+    pruned to kc = kept_columns(m), on the columns below kc (the pruned inverse of a spectrum
+    that is zero from column kc on)."""
+    from shrira.grid import irfft2, rfft2
+
+    nx, ny = shape
+    g = Grid(nx, ny, 10.0, 7.0)
+    kc = g.kept_columns(m)
+    assert kc - 1 == int({2: 2 / 3, 3: 0.5}[m] * nx / 2)
+    assert g.keep(m)[:, kc - 1].any() and not g.keep(m)[:, kc:].any()
+    u = np.random.default_rng(11).standard_normal((ny, nx))
+    want = np.fft.rfft2(u)
+    assert np.array_equal(rfft2(u), want)
+    out = np.empty_like(want)
+    assert rfft2(u, kc, out=out) is out and np.array_equal(out[:, :kc], want[:, :kc])
+    assert np.array_equal(irfft2(want.copy()), np.fft.irfft2(want, s=(ny, nx)))
+    band = np.where(np.arange(nx // 2 + 1) < kc, want, 0.0)
+    back = np.empty_like(u)
+    assert irfft2(band.copy(), kc, out=back) is back
+    assert np.array_equal(back, np.fft.irfft2(band, s=(ny, nx)))
+
+
 def test_half_spectrum_weighted_sums_equal_full_sums():
     """Column weights 1, 2, ..., 2, 1 make half-spectrum sums the full ones (Parseval)."""
     from shrira.grid import full_from_half, weighted_sq_sum

@@ -17,7 +17,7 @@ import shrira
 from shrira import Grid, Field, read_field, write_field
 from shrira.cli import main
 from shrira.kernels import (KernelSpec, h_nu_point, kernel_rows, kernel_spectral_oracle, oracle_nodes,
-                            oracle_rows)
+                            oracle_node_value)
 from shrira.config import OutputConfig, parse_config
 from shrira.errors import InputError, QuadratureAccuracyError
 
@@ -284,6 +284,24 @@ def test_cli_verify_infinite_box_exits_2(tmp_path, capsys):
     assert "lx: box length must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: [1], "header is not a JSON object"),
+    (lambda h: dict(h, nx=None), "header.nx: expected an integer, got None"),
+    (lambda h: dict(h, nx=32.5), "header.nx: expected an integer, got 32.5"),
+    (lambda h: dict(h, signed_power="false"), "header.signed_power: expected true/false, got 'false'"),
+    (lambda h: dict(h, c="one"), "header.c: expected a number, got 'one'"),
+], ids=["list", "nx_null", "nx_fraction", "signed_power_string", "c_string"])
+def test_cli_verify_checks_header_values_as_config_values(solved_dir, tmp_path, capsys, edit, message):
+    """A header value of the wrong JSON type exits 2 naming its key, as a config value does;
+    none is read as a neighbouring value (nx 32.5 as 32, "false" as true)."""
+    p = tmp_path / "edited.field"
+    header, payload = (solved_dir / "phi.field").read_bytes().split(b"\n", 1)
+    p.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + payload)
+    assert main(["verify", "--field", str(p), "--out", str(tmp_path / "v")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_cli_verify_report_times_its_phases(solved_dir, tmp_path):
     out = tmp_path / "verify"
     assert main(["verify", "--field", str(solved_dir / "phi.field"), "--out", str(out)]) == 0
@@ -297,6 +315,17 @@ def test_cli_verify_zero_field_exits_2(tmp_path):
     p = tmp_path / "zero.field"
     write_field(p, Field(g, np.zeros((16, 16))), {"c": 1.0, "m": 2})
     assert main(["verify", "--field", str(p)]) == 2
+
+
+def test_cli_a_directory_given_as_a_file_exits_2(tmp_path, capsys):
+    """A path that names a directory is rejected input, as a missing file is: exit 2, no traceback."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid": {"nx": 32, "ny": 32, "lx": 25.0, "ly": 25.0},
+                               "solver": {"init": {"kind": "file", "path": str(tmp_path)}}}))
+    for argv in (["verify", "--field", str(tmp_path)],
+                 ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_solve_nonconvergence_exit_3(tmp_path, cfg_file):
@@ -549,8 +578,8 @@ def test_cli_kernel_rejects_a_non_finite_order(tmp_path, capsys):
 
 
 def test_cli_kernel_rows_are_oracle_rows(tmp_path):
-    """The CLI writes kernel_rows on oracle_nodes bit for bit; its oracle column is that of
-    oracle_rows on the full field to 1e-12 and every other column is the same."""
+    """The CLI writes kernel_rows on oracle_nodes bit for bit; its oracle column is the full
+    oracle field at the node nearest (x, 2y) to 1e-12."""
     node = PI / 32
     points = [(i * node, j * node / 2) for i, j in ((4, 30), (7, 21), (12, 12), (9, 17))]
     pts = tmp_path / "pts.csv"
@@ -567,10 +596,9 @@ def test_cli_kernel_rows_are_oracle_rows(tmp_path):
     want = list(kernel_rows(spec, points, nodes))  # %.17g strings round-trip every float
     assert got == [[f"{x:.17g}", f"{y:.17g}", f"{v:.17g}", f"{e:.3g}", f"{kv:.17g}", f"{r:.6g}"]
                    for x, y, v, e, kv, r in want]
-    full = list(oracle_rows(spec, points, kernel_spectral_oracle(0.5, grid)))
-    for row, ref in zip(want, full):
-        assert row[:4] == ref[:4]
-        assert row[4] == pytest.approx(ref[4], rel=1e-12, abs=0.0)
+    oracle = kernel_spectral_oracle(0.5, grid)
+    for row, (x, y) in zip(want, points):
+        assert row[4] == pytest.approx(oracle_node_value(oracle, x, 2.0 * y)[2], rel=1e-12, abs=0.0)
 
 
 def test_cli_kernel_checks_every_point_before_writing(tmp_path, capsys):

@@ -70,6 +70,15 @@ def test_spec_validation():
         h_nu_point(KernelSpec(), 0.0, 0.0)
 
 
+def test_a_kernel_order_past_the_gamma_range_or_a_nan_estimate_is_not_certified():
+    """nu = 1e300 overflows Gamma(nu + 3/2) (a traceback once) and is rejected up front; at
+    nu = 170 the integrand overflows and the nan error estimate fails the certificate."""
+    with pytest.raises(InputError, match="^nu: kernel order must be at most 170, got 1e"):
+        KernelSpec(nu=1e300)
+    with pytest.warns(RuntimeWarning), pytest.raises(QuadratureAccuracyError, match="error nan exceeds"):
+        h_nu_point(KernelSpec(nu=170.0), 0.5, 0.75)
+
+
 def test_h0_gauss_laguerre_oracle():
     """At x = 0 the cosine factor is 1 and the integral has Laguerre weight."""
     t, w = roots_laguerre(240)

@@ -53,6 +53,10 @@ def test_solver_config_validation():
             SolverConfig(**bad)
     with pytest.raises(InputError, match="sigma_x"):
         GaussianInit(sigma_x=0.0)
+    with pytest.raises(InputError, match="sigma_y: must be positive with a positive finite square, got 1e"):
+        GaussianInit(sigma_y=1e300)  # its square overflowed with a traceback once
+    with pytest.raises(InputError, match="^init: expected GaussianInit, FileInit or Field, got ndarray$"):
+        SolverConfig(init=np.ones((32, 32)))  # a bare array: wrap it in a Field
 
 
 @pytest.mark.parametrize("method", ["petviashvili", "nehari_descent"])
@@ -264,7 +268,8 @@ def test_petviashvili_collapse(p12):
 @pytest.mark.parametrize("method, init, error, message, iterations", [
     ("petviashvili", GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3),
     ("nehari_descent", GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3),
-    ("petviashvili", np.zeros((32, 32)), CollapseError, "lost all spectral content", 0),
+    ("petviashvili", Field(Grid(32, 32, 8 * PI, 8 * PI), np.zeros((32, 32))), CollapseError,
+     "lost all spectral content", 0),
     ("petviashvili", GaussianInit(amplitude=-1.0), CollapseError, "<= 0 (bad initial guess)", 1),
     ("nehari_descent", GaussianInit(amplitude=-1.0), CollapseError, "int u f(u) <= 0", 0),
 ], ids=["max_iter", "nehari_max_iter", "zero_init", "negative_M", "nehari_initial_collapse"])
@@ -282,15 +287,6 @@ def test_every_stop_carries_field_and_report(p12, method, init, error, message, 
     assert set(rep.timings) == {"setup_s", "loop_s", "report_s"}
     assert all(t >= 0 for t in rep.timings.values())
     assert rep.max_abs == float(np.max(np.abs(fld.values)))
-
-
-@pytest.mark.parametrize("method", ["petviashvili", "nehari_descent"])
-def test_array_initial_guess_is_checked_like_a_field(p12, method):
-    """A wrong-shape or non-finite array is rejected before the first iteration."""
-    grid = Grid(32, 32, 8 * PI, 8 * PI)
-    for init, message in ((np.ones((16, 16)), "does not match grid"), (np.full((32, 32), np.nan), "non-finite")):
-        with pytest.raises(InputError, match=message):
-            solve(SolverConfig(method=method, init=init), p12, grid)
 
 
 def test_descent_agrees_with_petviashvili(small_solution, p12):
