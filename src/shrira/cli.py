@@ -152,13 +152,13 @@ def _cmd_evolve(args) -> int:
     snapshots = []
 
     def snap(step, t, f):
-        if cfg.output.snapshots:
-            p = out / f"snap_{step:06d}.field"
-            write_field(p, f, _meta(params))
-            snapshots.append(str(p))
+        p = out / f"snap_{step:06d}.field"
+        write_field(p, f, _meta(params))
+        snapshots.append(str(p))
 
     try:
-        report = evo.evolve(fld, cfg.evolve, params, reference=reference, snapshot_cb=snap)
+        report = evo.evolve(fld, cfg.evolve, params, reference=reference,
+                            snapshot_cb=snap if cfg.output.snapshots else None)
     except BlowUpError as exc:
         write_field(out / "last_good.field", exc.last_good, _meta(params))
         _conservation_csv(out / "conservation.csv", exc.report)

@@ -4,13 +4,13 @@ Spectrally, u_hat_t = sigma_L * u_hat - i xi * f(u)_hat with the purely
 imaginary dispersive symbol sigma_L = i sgn(xi) (xi^2 + eta^2) (sgn(0) = 0, so
 all xi = 0 modes are frozen by both terms).  The integrator is
 integrating-factor RK4: the linear phase is applied exactly, classical RK4
-handles the dealiased nonlinear term.  Transforms are real-to-complex: the
-loop carries the half spectrum of `shrira.grid`, and dealiasing and the
-x-derivative are one fused multiplier -i xi * keep.  One stepper per run holds
-the phase tables and the work buffers; each stage runs in place (`out=`)
-through `grid.irfft2` and `grid.rfft2`, the forward one pruned to the columns
--i xi * keep leaves nonzero.
-The step is bit-identical to the classical formula on fresh arrays.
+handles the nonlinear term, dealiased and differentiated by -i xi * keep.
+`evolve` applies the projection P onto the Galerkin block of m (`shrira.grid`)
+to its input once; the step never leaves the block (each stage is a multiple
+of -i xi * keep, the phases are diagonal), so state, phase tables and stages
+live on it only.  Each nonlinear term runs `grid.irfft2` and `grid.rfft2` in
+place through one half-spectrum buffer, pruned to the kc columns.  A step is
+bit-identical to the classical formula on fresh half-spectrum arrays at P(uh).
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
 1/2 int u^2 and E(u) = 1/2 (||D_x^{1/2}u||^2 + ||D_x^{-1/2}u_y||^2) - int F(u)
@@ -23,7 +23,7 @@ Default step: dt = min(0.25 dx / max(1, ||u0||_inf), 0.05 / max|sigma_L|) over
 the retained modes.  The advective bound alone lets the fastest retained beat
 phases turn ~1 rad per step, which costs ~1e-4 in conservation over O(10^2)
 steps; the dispersive cap keeps the order-4 remainder near 1e-8.  dt is then
-rounded down so the steps tile t_end exactly.
+rounded down so the steps tile t_end exactly; more than MAX_STEPS are refused.
 """
 
 from __future__ import annotations
@@ -40,18 +40,19 @@ from .errors import BlowUpError, InputError
 from .functionals import PhysicsParams, _f_integrals
 
 DISPERSIVE_STEP_FRACTION = 0.05
+MAX_STEPS = 10**7  # a run planned past this many steps would not end in reasonable time
 
 
 def linear_symbol(grid: sg.Grid) -> np.ndarray:
     """i * sgn(xi) * (xi^2 + eta^2) = i * xi * dispersion, half layout; purely imaginary, 0 on xi = 0."""
-    return 1j * grid.xi_half * grid.dispersion
+    return 1j * grid.xi_half * sg.dispersion_table(grid)
 
 
 def default_dt(grid: sg.Grid, u0: np.ndarray, m: float) -> float:
     adv = 0.25 * grid.dx / max(1.0, float(np.max(np.abs(u0))))
-    sig_max = float(np.max(np.abs(linear_symbol(grid).imag[grid.keep(m)])))
-    disp = DISPERSIVE_STEP_FRACTION / sig_max if sig_max > 0 else np.inf
-    return min(adv, disp)
+    disp = sg.dispersion_table(grid, grid.kept_rows(m), grid.kept_columns(m))  # on the Galerkin block
+    sig_max = float(np.max(np.abs(grid.xi_half[: disp.shape[1]] * disp)))  # |sigma_L| = |xi| disp
+    return min(adv, DISPERSIVE_STEP_FRACTION / sig_max if sig_max > 0 else np.inf)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class EvolveReport:
     final: sg.Field = field(repr=False, default=None)
     steps: int = 0
     timings: dict = field(default_factory=dict)  # setup_s, steps_s, records_s
+    projection_defect: float = 0.0  # ||u0 - P u0|| / ||u0||: what the projection onto the block removed
 
     @property
     def mass_drift(self) -> float:
@@ -96,7 +98,7 @@ class EvolveReport:
 
 
 class _Stepper:
-    """The IFRK4 step of one run on the half spectrum: phase tables and work buffers built once.
+    """The IFRK4 step of one run on the Galerkin block of m: phase tables and work buffers built once.
 
     The stages write into the buffers in the operand order in which numpy
     evaluates the classical formula (complex a * b and b * a round differently,
@@ -106,60 +108,70 @@ class _Stepper:
 
     def __init__(self, grid, dt, params):
         self.dt, self.params = dt, params
-        e_half = np.exp(linear_symbol(grid) * (dt / 2))
+        self.rows, self.kc = grid.kept_rows(params.m), grid.kept_columns(params.m)
+        self.disp = sg.dispersion_table(grid, self.rows, self.kc)
+        xi = grid.xi_half[: self.kc]
+        e_half = np.exp(1j * xi * self.disp * (dt / 2))  # the half-layout linear_symbol's entries
         self.e_half, self.e_full = e_half, e_half * e_half
-        self.kc = grid.kept_columns(params.m)  # the forward transform skips columns kc..
-        self.mult = -1j * grid.xi_half * grid.keep(params.m)
-        self.k = np.empty((5,) + e_half.shape, np.complex128)  # k1..k4 and a stage argument
+        self.mult = -1j * xi * grid.keep(params.m)[self.rows, : self.kc]
+        self.k = np.empty((4,) + e_half.shape, np.complex128)  # k1, k2, k3 (then k4) and a stage argument
+        self.g = np.empty((grid.ny, grid.nx // 2 + 1), np.complex128)  # with u, fu: the field-sized buffers
         self.u, self.fu = np.empty((2, grid.ny, grid.nx))
 
+    def project(self, values):
+        """P of the real samples values, as a new block; their half spectrum is left in g."""
+        return sg.gather_block(sg.rfft2(values, out=self.g), np.empty_like(self.e_half))
+
+    def physical(self, b):
+        """The samples of block b, written into u."""
+        return sg.irfft2(sg.scatter_block(b, self.g), self.kc, out=self.u)
+
     def nonlinear(self, v, out):
-        """out = -i xi keep * rfft2(f(irfft2(v))), the forward transform pruned; v is overwritten."""
-        sg.irfft2(v, out=self.u)
-        sg.rfft2(self.params.f(self.u, out=self.fu), self.kc, out=out)
-        return np.multiply(self.mult, out, out=out)
+        """out = -i xi keep * rfft2(f(irfft2(v))) on the block, both transforms pruned to kc columns."""
+        sg.rfft2(self.params.f(self.physical(v), out=self.fu), self.kc, out=self.g)
+        return np.multiply(self.mult, sg.gather_block(self.g, out), out=out)
 
     def step(self, uh, out):
         """out = e_full uh + dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4), out distinct from uh."""
         dt, eh, ef, N = self.dt, self.e_half, self.e_full, self.nonlinear
-        k1, k2, k3, k4, a = self.k
+        k1, k2, k3, a = self.k
         # overflow here is legitimate blow-up; the caller checks finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            np.copyto(a, uh)  # N overwrites its argument, and uh is the state
-            N(a, k1)  # k2 = N(e_half * (uh + (dt / 2) * k1)), the product taken as (...) * e_half
+            N(uh, k1)  # k2 = N(e_half * (uh + (dt / 2) * k1)), the product taken as (...) * e_half
             np.multiply(np.add(uh, np.multiply(dt / 2, k1, out=a), out=a), eh, out=a)
             N(a, k2)  # k3 = N(e_half * uh + (dt / 2) * k2)
             np.add(np.multiply(eh, uh, out=a), np.multiply(dt / 2, k2, out=k3), out=a)
-            N(a, k3)  # k4 = N(e_full * uh + dt * e_half * k3)
-            np.multiply(np.multiply(dt, eh, out=k4), k3, out=k4)
-            np.add(np.multiply(ef, uh, out=out), k4, out=a)
-            N(a, k4)
-            np.multiply(np.multiply(2, eh, out=a), np.add(k2, k3, out=k2), out=k2)
-            np.add(np.add(np.multiply(ef, k1, out=k1), k2, out=k1), k4, out=k1)
+            N(a, k3)  # k4 = N(e_full * uh + dt * e_half * k3), into k3 once k2 + k3 is formed
+            np.multiply(np.multiply(dt, eh, out=a), k3, out=a)
+            np.add(k2, k3, out=k2)
+            np.add(np.multiply(ef, uh, out=out), a, out=a)
+            N(a, k3)
+            np.multiply(np.multiply(2, eh, out=a), k2, out=k2)
+            np.add(np.add(np.multiply(ef, k1, out=k1), k2, out=k1), k3, out=k1)
             return np.add(out, np.multiply(dt / 6, k1, out=k1), out=out)
 
 
 def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams) -> sg.Spectrum:
-    """One integrating-factor RK4 step; xi = 0 modes are exactly constant.
+    """One integrating-factor RK4 step of P(s); xi = 0 modes are exactly constant.
 
-    The step runs on the half spectrum (columns 0..nx/2) with the stepper of
-    `evolve` and the kept modes of m; the xi < 0 columns are rebuilt by
+    P zeroes the modes outside the Galerkin block of m; the step runs on that
+    block with the stepper of `evolve`, and the xi < 0 columns are rebuilt by
     conjugate symmetry.  This is exact when s is the spectrum of a real field,
     as every caller passes.
     """
-    g = s.grid
-    half = s.coeffs[:, : g.nx // 2 + 1]
-    uh = _Stepper(g, dt, params).step(half, np.empty_like(half))
+    g, half = s.grid, s.coeffs[:, : s.grid.nx // 2 + 1]
+    stepper = _Stepper(g, dt, params)
+    uh = stepper.step(sg.gather_block(half, np.empty_like(stepper.e_half)), np.empty_like(stepper.e_half))
     if not np.all(np.isfinite(uh)):
         raise BlowUpError("non-finite coefficients after one step", last_good=s)
-    return sg.Spectrum(g, sg.full_from_half(g, uh))
+    return sg.Spectrum(g, sg.full_from_half(g, sg.scatter_block(uh, np.empty_like(half))))
 
 
-def _mass_energy(u, uh, grid, params):
-    """(1/2 ||u||^2, E(u)) of the real field u with half spectrum uh."""
-    mass = 0.5 * float(np.sum(u * u)) * grid.cell_area
-    quad = 0.5 * sg.weighted_sq_sum(grid, grid.dispersion, uh) * grid.spectral_weight
-    return mass, quad - _f_integrals(u, grid.cell_area, params)[1]
+def _mass_energy(u, uh, disp, grid, params, out=None):
+    """(1/2 ||u||^2, E(u)) of real samples u with half spectrum or block uh, disp on its modes, in out."""
+    mass = 0.5 * float(np.sum(np.multiply(u, u, out=out))) * grid.cell_area
+    quad = 0.5 * sg.weighted_sq_sum(grid, disp, uh) * grid.spectral_weight
+    return mass, quad - _f_integrals(u, grid.cell_area, params, out)[1]
 
 
 def evolve(
@@ -169,23 +181,28 @@ def evolve(
     reference: Optional[tuple] = None,
     snapshot_cb=None,
 ) -> EvolveReport:
-    """Integrate to t_end, recording diagnostics every record_every steps.
+    """Integrate P(initial) to t_end, recording diagnostics every record_every steps.
 
-    reference = (Field phi, speed c) enables shape-error tracking against the
-    exact spectral translate phi(. - c t, .), by Parseval on the half spectrum.
-    snapshot_cb(step, t, Field) is invoked at each record time.  Raises
-    InputError for a non-finite reference speed and for an initial field
-    whose mass or energy is zero, underflowing ones included, or overflows
-    (its drifts are undefined),
+    P projects onto the Galerkin block of m; projection_defect is what it
+    removed.  reference = (Field phi, speed c) enables shape-error tracking of
+    P(phi) against its exact translate phi(. - c t, .), by Parseval on the
+    block.  snapshot_cb(step, t, Field) gets a copy of the samples at each
+    record time.  Raises InputError for more than MAX_STEPS planned steps, a
+    non-finite reference speed and an initial field whose mass or energy is
+    zero, underflowing ones included, or overflows (its drifts are undefined),
     and BlowUpError (carrying the last good state, its time and the report up
-    to the last record) if a step makes the coefficients, or a record the mass
-    or energy, non-finite.
+    to the last record) if a step makes the coefficients, or a record the
+    mass or energy, non-finite.
     """
     clock = time.perf_counter
     t_start = clock()  # timings: set-up (tables, transforms), steps, records
     g = initial.grid
     dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, params.m)
-    nsteps = max(1, ceil(config.t_end / dt_req - 1e-12))
+    planned = config.t_end / dt_req if dt_req > 0 else inf
+    if not planned <= MAX_STEPS:  # compared before ceil, which an infinite count would overflow
+        raise InputError(f"evolve: t_end / dt = {planned:.6g} steps (dt = {dt_req:.6g}, "
+                         f"t_end = {config.t_end:.6g}) exceed {MAX_STEPS:.0e}")
+    nsteps = max(1, ceil(planned - 1e-12))
     dt = config.t_end / nsteps
 
     stepper = _Stepper(g, dt, params)
@@ -196,10 +213,13 @@ def evolve(
             raise InputError(f"reference_speed: must be finite, got {ref_speed}")
         if ref_field.grid != g:
             raise InputError(f"reference field is on {ref_field.grid}, the run on {g}")
-        ref_hat = sg.rfft2(ref_field.values)
+        ref_hat = stepper.project(ref_field.values)
         ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
 
-    uh = sg.rfft2(initial.values)
+    uh = stepper.project(initial.values)
+    stepper.g[stepper.rows, : stepper.kc] = 0  # what is left is what P removed
+    with np.errstate(over="ignore"):  # a huge field, rejected below
+        removed, kept = sg.weighted_sq_sum(g, 1.0, stepper.g), sg.weighted_sq_sum(g, 1.0, uh)
     nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
     times, masses, energies, shapes = [], [], [], []
     records_s = 0.0
@@ -209,11 +229,11 @@ def evolve(
         nonlocal records_s
         t0 = clock()
         with np.errstate(over="ignore", invalid="ignore"):  # a state about to blow up
-            if ref_hat is not None:  # ||u - translate|| / ||phi|| by Parseval, before u is made
-                diff_sq = sg.weighted_sq_sum(g, 1.0, h - ref_hat * np.exp(-1j * g.xi_half * ref_speed * t))
-                shape = np.sqrt(diff_sq / ref_sq)
-            u = sg.irfft2(h.copy())  # h is the live state; the exits below transform uh in place
-            m, e = _mass_energy(u, h, g, params)
+            if ref_hat is not None:  # ||u - translate|| / ||phi|| by Parseval
+                diff = h - ref_hat * np.exp(-1j * g.xi_half[: stepper.kc] * ref_speed * t)
+                shape = np.sqrt(sg.weighted_sq_sum(g, 1.0, diff) / ref_sq)
+            u = stepper.physical(h)
+            m, e = _mass_energy(u, h, stepper.disp, g, params, out=stepper.fu)
         if not (np.isfinite(m) and np.isfinite(e)):
             return False
         times.append(t)
@@ -222,23 +242,24 @@ def evolve(
         if ref_hat is not None:
             shapes.append(float(shape))
         if snapshot_cb is not None:
-            snapshot_cb(step, t, sg.Field(g, u))
+            snapshot_cb(step, t, sg.Field(g, u.copy()))
         records_s += clock() - t0
         return True
 
     def report(steps, final=None):
         timings = {"setup_s": t_setup - t_start, "steps_s": clock() - t_setup - records_s,
                    "records_s": records_s}
-        return EvolveReport(dt, times, masses, energies, shapes, final, steps, timings)
+        return EvolveReport(dt, times, masses, energies, shapes, final, steps, timings, defect)
 
     t_setup = clock()
     if not record(0, 0.0, uh) or 0.0 in (masses[0], energies[0]):
         raise InputError("initial field: its mass or energy is zero or not finite; its drifts are undefined")
+    defect = float(np.sqrt(removed / (removed + kept)))
     for k in range(1, nsteps + 1):
         stepper.step(uh, nxt)
         at_record = k % config.record_every == 0 or k == nsteps
         if not np.all(np.isfinite(nxt)) or at_record and not record(k, k * dt, nxt):
-            raise BlowUpError(f"blow-up detected at t = {k * dt:.6g}", last_good=sg.Field(g, sg.irfft2(uh)),
-                              t=(k - 1) * dt, report=report(k - 1))
+            raise BlowUpError(f"blow-up detected at t = {k * dt:.6g}", t=(k - 1) * dt, report=report(k - 1),
+                              last_good=sg.Field(g, stepper.physical(uh)))
         uh, nxt = nxt, uh
-    return report(nsteps, sg.Field(g, sg.irfft2(uh)))
+    return report(nsteps, sg.Field(g, stepper.physical(uh)))  # the run is over: its buffer u is handed out

@@ -123,9 +123,10 @@ def z_norm_sq(f: sg.Field, params: PhysicsParams) -> float:
     return _z_sq(params, _energy_parts(f))
 
 
-def _f_integrals(u: np.ndarray, cell_area: float, params: PhysicsParams):
-    """(int u f(u), int F(u)) of the samples u: one pass, int F = int u f(u) / (m+1)."""
-    uf = float(np.sum(u * params.f(u)) * cell_area)
+def _f_integrals(u: np.ndarray, cell_area: float, params: PhysicsParams, out=None):
+    """(int u f(u), int F(u)) of the samples u: one pass, int F = int u f(u) / (m+1), in `out` if given."""
+    fu = params.f(u, out=out)
+    uf = float(np.sum(np.multiply(u, fu, out=fu)) * cell_area)
     return uf, uf / params.p
 
 

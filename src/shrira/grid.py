@@ -24,14 +24,17 @@ of the full layout, whose xi < 0 columns are the conjugates of their partners.  
 the Nyquist column keeps fftfreq's xi = -pi*nx/lx and its symbols and phases.
 `Grid.keep(m)` marks the xi != 0 modes that the truncation of u^m keeps: the
 2/3 rule for m <= 2, the 1/2 rule beyond, all in the first
-`Grid.kept_columns(m)` columns.  Full-spectrum sums are half-spectrum sums
-with column weights `Grid.half_weight`: 1 on the xi = 0 and Nyquist columns,
-2 on the others.  The public `forward`, `inverse` and `apply_multiplier` stay
-full-complex: their symbols need not be Hermitian.  Every real transform of
-the package runs through `rfft2` and `irfft2`, the y pass in place and pruned
-to those columns on request, except two: `decay.y_weighted_seminorm` (row
-spectra, transformed in x only) and `kernels.kernel_spectral_oracle` (a real
-float64 symbol, which an in-place complex pass cannot hold).
+`Grid.kept_columns(m)` = kc columns; with the xi = 0 modes of its band it fills
+the Galerkin block of m, rows `Grid.kept_rows(m)` (0..K, ny-K..ny-1) of those
+columns, moved as one (2K + 1, kc) array by `gather_block` and `scatter_block`.
+Full-spectrum sums are half-spectrum sums with column weights
+`Grid.half_weight`: 1 on the xi = 0 and Nyquist columns, 2 on the others.
+The public `forward`, `inverse` and `apply_multiplier` stay full-complex:
+their symbols need not be Hermitian.  Every real transform of the package
+runs through `rfft2` and `irfft2`, the y pass in place and pruned to those
+columns on request, except two: `decay.y_weighted_seminorm` (row spectra,
+transformed in x only) and `kernels.kernel_spectral_oracle` (a real float64
+symbol, which an in-place complex pass cannot hold).
 """
 
 from __future__ import annotations
@@ -118,11 +121,6 @@ class Grid:
         w[[0, -1]] = 1.0
         return _read_only(w)
 
-    @cached_property
-    def dispersion(self) -> np.ndarray:
-        """Cached, read-only `dispersion_table` of this grid."""
-        return _read_only(dispersion_table(self))
-
     def keep(self, m: float) -> np.ndarray:
         """Half-layout mask of the xi != 0 modes kept for u^m (cached, read-only).
 
@@ -144,20 +142,23 @@ class Grid:
         """kc: the modes `keep(m)` keeps lie in the half-spectrum columns 0..kc-1."""
         return int(np.flatnonzero(self.keep(m).any(axis=0))[-1]) + 1
 
+    def kept_rows(self, m: float) -> np.ndarray:
+        """The half-spectrum rows in which `keep(m)` keeps modes: 0..K and ny-K..ny-1."""
+        return np.flatnonzero(self.keep(m).any(axis=1))
+
     def meshgrid(self):
         """Physical coordinate arrays X, Y of shape (ny, nx)."""
         return np.meshgrid(self.x, self.y, indexing="xy")
 
 
-def dispersion_table(grid: Grid, rows=slice(None)) -> np.ndarray:
-    """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new half-layout array of eta rows `rows`.
+def dispersion_table(grid: Grid, rows=slice(None), kc=None) -> np.ndarray:
+    """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new half-layout array of eta rows `rows`
+    and columns 0..kc-1 (all by default).
 
     The profile symbol is c + table, the energy weight is the table itself, the
     dispersive symbol is i*xi*table and the kernel denominator |xi|(1 + table).
-    Callers that must not keep the array alive (the large kernel oracle grids)
-    use this function; everything else reads the cached `Grid.dispersion`.
     """
-    xi = grid.xi_half
+    xi = grid.xi_half[:kc]
     return divide_off_xi0(grid, xi**2 + grid.eta[rows, None] ** 2, np.abs(xi))
 
 
@@ -181,11 +182,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def weighted_sq_sum(grid: Grid, weight, coeffs) -> float:
     """Full-spectrum sum weight * |coeffs|^2 from half-spectrum coeffs and an even weight.
 
-    weight broadcasts to the half layout; times `Grid.spectral_weight` the sum is an integral.
+    coeffs may hold the first columns only (a Galerkin block); weight broadcasts to coeffs.  Times
+    `Grid.spectral_weight` the sum is an integral.
     """
     sq = np.square(coeffs.real)
     sq += np.square(coeffs.imag)
-    return float(np.sum(np.multiply(weight * grid.half_weight, sq, out=sq)))
+    return float(np.sum(np.multiply(weight * grid.half_weight[: coeffs.shape[-1]], sq, out=sq)))
 
 
 def rfft2(u: np.ndarray, kc=None, out=None) -> np.ndarray:
@@ -203,6 +205,22 @@ def irfft2(h: np.ndarray, kc=None, out=None) -> np.ndarray:
     cols = h[:, :kc]
     np.fft.ifft(cols, axis=0, out=cols)
     return np.fft.irfft(h, n=2 * (h.shape[1] - 1), axis=1, out=out)
+
+
+def gather_block(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = the Galerkin block of the half spectrum h, rows 0..K and ny-K..ny-1 of columns 0..kc-1,
+    where (2K + 1, kc) = out.shape."""
+    k, kc, ny = out.shape[0] // 2, out.shape[1], h.shape[0]
+    out[: k + 1], out[k + 1 :] = h[: k + 1, :kc], h[ny - k :, :kc]
+    return out
+
+
+def scatter_block(b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h = the half spectrum whose Galerkin block (see `gather_block`) is b and which is 0 elsewhere."""
+    k, kc, ny = b.shape[0] // 2, b.shape[1], h.shape[0]
+    h[:, kc:] = h[k + 1 : ny - k] = 0
+    h[: k + 1, :kc], h[ny - k :, :kc] = b[: k + 1], b[k + 1 :]
+    return h
 
 
 def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:

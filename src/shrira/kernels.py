@@ -175,7 +175,6 @@ def _oracle_symbol(nu: float, grid: sg.Grid, rows=slice(None)) -> np.ndarray:
     ax = np.abs(grid.xi_half)
     with np.errstate(divide="ignore"):  # |0|^(1+nu) for nu < -1: a xi = 0 mode, left 0
         num = ax ** (1.0 + nu)
-    # a fresh table, not Grid.dispersion: the oracle grids are too large to cache it on
     return sg.divide_off_xi0(grid, num, ax * (1.0 + sg.dispersion_table(grid, rows)))
 
 
@@ -286,15 +285,14 @@ def quadrature_vs_oracle(spec: KernelSpec, points, oracle: sg.Field) -> list:
 # the last because D_xi = 1 + 2 xi and D_eta = 2 eta give D_xi,eta = 0.
 
 
-def _lizorkin_tables(xi, eta):
+def _lizorkin_tables(xi, eta, multiplier_id):
+    """The four derivative tables (k1, k2) -> d^(k1,k2) L of one multiplier."""
+    a, b = _LIZORKIN_EXPONENTS[multiplier_id]
     D = xi + xi * xi + eta * eta
     dx, dy = (1.0 + 2.0 * xi) / D, 2.0 * eta / D  # D_xi / D, D_eta / D
-    tables = {}
-    for mult, (a, b) in _LIZORKIN_EXPONENTS.items():
-        L = xi**a * eta**b / D
-        lx, ly = a / xi - dx, b / eta - dy
-        tables[mult] = {(0, 0): L, (1, 0): L * lx, (0, 1): L * ly, (1, 1): L * (lx * ly + dx * dy)}
-    return tables
+    L = xi**a * eta**b / D
+    lx, ly = a / xi - dx, b / eta - dy
+    return {(0, 0): L, (1, 0): L * lx, (0, 1): L * ly, (1, 1): L * (lx * ly + dx * dy)}
 
 
 @dataclass(frozen=True)
@@ -320,7 +318,7 @@ def lizorkin_sample(multiplier_id: str, n_samples: int = LIZORKIN_SAMPLES) -> Li
         raise InputError(f"n_samples: must be at least 2, got {n_samples}")
     axis = np.geomspace(*LIZORKIN_RANGE, n_samples)
     XI, ETA = np.meshgrid(axis, axis, indexing="xy")
-    tab = _lizorkin_tables(XI, ETA)[multiplier_id]
+    tab = _lizorkin_tables(XI, ETA, multiplier_id)
     maxima = {(k1, k2): float(np.max(np.abs(XI**k1 * ETA**k2 * der))) for (k1, k2), der in tab.items()}
     return LizorkinReport(multiplier_id, n_samples, maxima)
 

@@ -75,12 +75,17 @@ def spectral_indices(grid):
     return np.meshgrid(jx, jy, indexing="xy")
 
 
-def kept_modes(grid, m):
-    """Full-layout mask of the modes kept for u^m, by definition: jx != 0 and
-    |j| <= frac * n/2 on each axis, frac = 2/3 for m <= 2 and 1/2 beyond."""
+def galerkin_block(grid, m):
+    """Full-layout mask of the Galerkin block of m, by definition: |j| <= frac * n/2 on each
+    axis, frac = 2/3 for m <= 2 and 1/2 beyond."""
     frac = 2.0 / 3.0 if m <= 2 else 0.5
     jx, jy = spectral_indices(grid)
-    return (jx != 0) & (np.abs(jx) <= frac * grid.nx / 2) & (np.abs(jy) <= frac * grid.ny / 2)
+    return (np.abs(jx) <= frac * grid.nx / 2) & (np.abs(jy) <= frac * grid.ny / 2)
+
+
+def kept_modes(grid, m):
+    """Full-layout mask of the modes kept for u^m: the Galerkin block without jx = 0."""
+    return galerkin_block(grid, m) & (spectral_indices(grid)[0] != 0)
 
 
 def random_field(grid, rng, band_limit=True):

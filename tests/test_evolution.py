@@ -18,10 +18,11 @@ from shrira import (
     step_if_rk4,
     evolve,
 )
-from shrira.evolution import default_dt, _mass_energy, _Stepper
+from shrira.evolution import MAX_STEPS, default_dt, _mass_energy, _Stepper
 from shrira.errors import BlowUpError, InputError
+from shrira.grid import dispersion_table, gather_block, scatter_block
 
-from conftest import kept_modes, random_field, spectral_indices
+from conftest import galerkin_block, kept_modes, random_field, spectral_indices, traced_peak
 
 PI = math.pi
 
@@ -152,7 +153,8 @@ def test_action_energy_mass_relation(small_wave, params_m2):
     from shrira import action_S, lp_norm
 
     fld, _ = small_wave
-    mass, energy = _mass_energy(fld.values, np.fft.rfft2(fld.values), fld.grid, params_m2)
+    mass, energy = _mass_energy(fld.values, np.fft.rfft2(fld.values), dispersion_table(fld.grid), fld.grid,
+                                params_m2)
     S = action_S(fld, params_m2)
     assert S == pytest.approx(energy + params_m2.c * mass, rel=1e-12)
     assert mass == pytest.approx(0.5 * lp_norm(fld, 2) ** 2, rel=1e-12)
@@ -221,16 +223,21 @@ def test_evolve_config_validation():
 
 
 def test_snapshot_callback(small_wave, params_m2):
+    """Each snapshot owns its samples: kept without a copy, the first is still the start and the
+    last the final field."""
     fld, _ = small_wave
     seen = []
-    evolve(
+    rep = evolve(
         fld,
         EvolveConfig(t_end=0.1, dt=0.02, record_every=2),
         params_m2,
-        snapshot_cb=lambda step, t, f: seen.append((step, t)),
+        snapshot_cb=lambda step, t, f: seen.append((step, t, f)),
     )
-    assert seen[0] == (0, 0.0)
+    assert seen[0][:2] == (0, 0.0)
     assert len(seen) >= 3
+    assert np.max(np.abs(seen[0][2].values - fld.values)) <= 1e-14 * np.max(np.abs(fld.values))
+    assert np.array_equal(seen[-1][2].values, rep.final.values)
+    assert not np.array_equal(seen[0][2].values, seen[-1][2].values)
 
 
 # --- half-spectrum stepping against the full-complex step ---------------------
@@ -266,13 +273,14 @@ def _full_complex_step(coeffs, dt, params, grid):
     band_limit=st.booleans(),
 )
 def test_half_spectrum_step_matches_full_complex_step(seed, m, shape, amplitude, dt, band_limit):
-    """Random real fields, band-limited or with Nyquist content: the same step to 1e-13."""
+    """Random real fields, band-limited or with Nyquist content: step_if_rk4 is the full-complex
+    step of P(s), P the projection on the Galerkin block, to 1e-13."""
     nx, ny = shape
     g = Grid(nx, ny, 2 * PI * nx / 16, 2 * PI * ny / 16)
     u0 = amplitude * random_field(g, np.random.default_rng(seed), band_limit).values
     params = PhysicsParams(c=1.0, m=m)
     ch = np.fft.fft2(u0)
-    ref = _full_complex_step(ch, dt, params, g)
+    ref = _full_complex_step(np.where(galerkin_block(g, m), ch, 0.0), dt, params, g)
     got = step_if_rk4(Spectrum(g, ch), dt, params).coeffs
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -313,6 +321,16 @@ def _half_multiplier(grid, m):
     return -1j * grid.xi[:half] * kept_modes(grid, m)[:, :half]
 
 
+def _projected(grid, m, h):
+    """P(h): the half spectrum h with every mode outside the Galerkin block of m zeroed."""
+    return np.where(galerkin_block(grid, m)[:, : h.shape[1]], h, 0.0)
+
+
+def _block(stepper, h):
+    """The Galerkin block of the half spectrum h, in the stepper's block layout."""
+    return gather_block(h, np.empty_like(stepper.e_half))
+
+
 def _random_half_spectrum(shape, seed, amplitude, band_limit):
     nx, ny = shape
     g = Grid(nx, ny, 2 * PI * nx / 16, 2 * PI * ny / 16)
@@ -338,28 +356,32 @@ BAND = {"two_thirds": 2.0 / 3.0, "half": 0.5}  # the kept fraction of each axis'
     band_limit=st.booleans(),
 )
 def test_stepper_is_bit_identical_to_the_classical_formula(seed, m, shape, amplitude, dt, band_limit):
-    """Integer powers and the signed power |u|^(m-1) u at m = 2.5."""
+    """Integer powers and the signed power |u|^(m-1) u at m = 2.5: the block step of P(uh) is the
+    classical step of P(uh), which is 0 outside the block."""
     g, uh = _random_half_spectrum(shape, seed, amplitude, band_limit)
     params = PhysicsParams(c=1.0, m=m, signed_power=m == 2.5)
-    ref = _classical_step(uh, dt, params, g)
-    got = _Stepper(g, dt, params).step(uh, np.empty_like(uh))
-    assert np.array_equal(got, ref)
+    ref = _classical_step(_projected(g, m, uh), dt, params, g)
+    stepper = _Stepper(g, dt, params)
+    got = stepper.step(_block(stepper, uh), np.empty_like(stepper.e_half))
+    assert np.array_equal(scatter_block(got, np.empty_like(uh)), ref)
 
 
 @pytest.mark.parametrize("m, rule, kc", [(2, "two_thirds", 86), (3, "half", 65)])
 def test_pruned_nonlinear_term(m, rule, kc):
-    """Column FFT only where -i xi keep is nonzero: the full product, exactly 0 from column kc on.
-    kc - 1 = 85 = floor((2/3) 128) under the 2/3 rule of m = 2, 64 = (1/2) 128 under the 1/2 rule."""
+    """Column FFTs only where -i xi keep is nonzero: on the block, the full product for P(v), which
+    is exactly 0 from column kc on.  kc - 1 = 85 = floor((2/3) 128) under the 2/3 rule of m = 2,
+    64 = (1/2) 128 under the 1/2 rule."""
     g, v = _random_half_spectrum((256, 256), 3, 1.0, False)
     params = PhysicsParams(c=1.0, m=m)
     stepper = _Stepper(g, 0.01, params)
     assert kc - 1 == int(BAND[rule] * g.nx / 2)
     mult = _half_multiplier(g, m)
-    want = mult * np.fft.rfft2(params.f(np.fft.irfft2(v, s=(g.ny, g.nx))))
-    got = stepper.nonlinear(v, np.full_like(v, np.nan))
-    assert stepper.kc == kc
-    assert np.array_equal(got, want)
-    assert np.all(got[:, kc:] == 0) and np.any(got[:, kc - 1] != 0)
+    want = mult * np.fft.rfft2(params.f(np.fft.irfft2(_projected(g, m, v), s=(g.ny, g.nx))))
+    b = _block(stepper, v)
+    got = stepper.nonlinear(b, np.full_like(b, np.nan))
+    assert stepper.kc == kc and got.shape == (2 * int(BAND[rule] * g.ny / 2) + 1, kc)
+    assert np.array_equal(scatter_block(got, np.empty_like(v)), want)
+    assert np.all(want[:, kc:] == 0) and np.any(got[:, kc - 1] != 0)
 
 
 @pytest.mark.parametrize("params, rule", [
@@ -371,8 +393,9 @@ def test_step_allocates_no_field_sized_arrays(params, rule):
     """After one warm step at 256^2, ten more raise the traced peak by less than two real fields."""
     g = Grid(256, 256, 64 * PI, 64 * PI)
     X, Y = g.meshgrid()
-    uh = np.fft.rfft2(np.exp(-(X**2 + Y**2) / 4))
-    stepper, out = _Stepper(g, 0.003, params), np.empty_like(uh)
+    stepper = _Stepper(g, 0.003, params)
+    uh = _block(stepper, np.fft.rfft2(np.exp(-(X**2 + Y**2) / 4)))
+    out = np.empty_like(uh)
     assert stepper.kc - 1 == int(BAND[rule] * g.nx / 2)
     stepper.step(uh, out)
     tracemalloc.start()
@@ -384,3 +407,41 @@ def test_step_allocates_no_field_sized_arrays(params, rule):
     finally:
         tracemalloc.stop()
     assert peak - base < 2 * g.nx * g.ny * 8
+
+
+def test_evolve_runs_in_a_fixed_working_set():
+    """At 256^2, m = 2, with a reference: the traced peak of evolve stays below 10 real fields
+    (the block stepper, one half spectrum, the samples and the final field)."""
+    g = Grid(256, 256, 64 * PI, 64 * PI)
+    X, Y = g.meshgrid()
+    u0 = Field(g, 0.5 * np.exp(-(X**2 + Y**2) / 4))
+    config = EvolveConfig(t_end=0.01, dt=0.002, record_every=2)
+    peak = traced_peak(lambda: evolve(u0, config, PhysicsParams(c=1.0, m=2), reference=(u0, 1.0)))
+    assert peak < 10 * g.nx * g.ny * 8
+
+
+def test_evolve_evolves_the_projection_and_reports_what_it_removed(g2pi):
+    """A field with content outside the Galerkin block: projection_defect is ||u0 - P u0|| / ||u0||
+    on the samples, and the run is the run of P u0; a field inside the block reads ~0."""
+    u0 = 0.5 * random_field(g2pi, np.random.default_rng(4), band_limit=False).values
+    p, config = PhysicsParams(c=1.0, m=3), EvolveConfig(t_end=0.1, dt=0.01)
+    pu0 = np.fft.irfft2(_projected(g2pi, 3, np.fft.rfft2(u0)), s=u0.shape)
+    rep = evolve(Field(g2pi, u0), config, p)
+    assert rep.projection_defect == pytest.approx(np.linalg.norm(u0 - pu0) / np.linalg.norm(u0), rel=1e-12)
+    assert rep.projection_defect > 1e-3 and rep.to_dict()["projection_defect"] == rep.projection_defect
+    projected = evolve(Field(g2pi, pu0), config, p)
+    assert np.max(np.abs(rep.final.values - projected.final.values)) <= 1e-13 * np.max(np.abs(pu0))
+    assert projected.projection_defect <= 1e-14
+
+
+def test_a_run_of_more_steps_than_max_steps_is_rejected(g2pi):
+    """A tiny box under the automatic step, and an infinite t_end / dt, name the count, dt and t_end."""
+    tiny = Grid(32, 32, 25.0, 1e-5)
+    X, Y = tiny.meshgrid()
+    p = PhysicsParams(c=1.0, m=2)
+    with pytest.raises(InputError, match=r"^evolve: t_end / dt = \S+ steps \(dt = \S+, t_end = 0.05\)"):
+        evolve(Field(tiny, np.exp(-X**2 / 4)), EvolveConfig(t_end=0.05), p)
+    X, _ = g2pi.meshgrid()
+    with pytest.raises(InputError, match=r"= inf steps .*\) exceed 1e\+07$") as exc:
+        evolve(Field(g2pi, np.cos(X)), EvolveConfig(t_end=1e300, dt=1e-300), p)
+    assert MAX_STEPS == 10**7 and "dt = 1e-300, t_end = 1e+300" in str(exc.value)

@@ -21,7 +21,7 @@ from shrira.errors import InputError
 from shrira.decay import y_weighted_seminorm
 from shrira.functionals import _energy_parts
 
-from conftest import kept_modes, random_field, spectral_indices
+from conftest import galerkin_block, kept_modes, random_field, spectral_indices
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -57,18 +57,17 @@ def test_wavenumber_tables(g2pi):
 
 
 def test_dispersion_table(g2pi):
-    """(xi^2 + eta^2)/|xi| on xi != 0, 0 on xi = 0, half layout; cached read-only on the grid."""
+    """(xi^2 + eta^2)/|xi| on xi != 0, 0 on xi = 0, half layout; any rows, the first kc columns."""
     from shrira.grid import dispersion_table
 
-    tab = g2pi.dispersion
+    tab = dispersion_table(g2pi)
     jx, jy = (j[:, :17] for j in spectral_indices(g2pi))
     assert tab.shape == (32, 17)
     assert tab[(jx == 1) & (jy == 0)][0] == 1.0
     assert tab[(jx == 2) & (jy == -3)][0] == pytest.approx(13.0 / 2.0, rel=1e-15)
     assert tab[(jx == -16) & (jy == 3)][0] == pytest.approx(265.0 / 16.0, rel=1e-15)  # Nyquist
     assert np.all(tab[jx == 0] == 0.0)
-    assert np.array_equal(tab, dispersion_table(g2pi))
-    assert g2pi.dispersion is tab and not tab.flags.writeable
+    assert np.array_equal(dispersion_table(g2pi, [0, 1, 31], 5), tab[[0, 1, 31], :5])
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (48, 32), (64, 48)])
@@ -241,7 +240,7 @@ def test_real_transforms_are_numpys_bit_for_bit(shape, m):
 
 def test_half_spectrum_weighted_sums_equal_full_sums():
     """Column weights 1, 2, ..., 2, 1 make half-spectrum sums the full ones (Parseval)."""
-    from shrira.grid import full_from_half, weighted_sq_sum
+    from shrira.grid import dispersion_table, full_from_half, weighted_sq_sum
 
     rng = np.random.default_rng(17)
     g = Grid(16, 24, 3.0, 5.0)
@@ -252,7 +251,7 @@ def test_half_spectrum_weighted_sums_equal_full_sums():
     xi, eta = np.abs(g.xi)[None, :], g.eta[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         full_dispersion = np.where(xi != 0, (xi**2 + eta**2) / xi, 0.0)
-    for w, half_w in ((np.ones(fa.shape), 1.0), (1.0 + full_dispersion, 1.0 + g.dispersion)):
+    for w, half_w in ((np.ones(fa.shape), 1.0), (1.0 + full_dispersion, 1.0 + dispersion_table(g))):
         full = np.sum(w * np.abs(fa) ** 2)
         assert weighted_sq_sum(g, half_w, ha) == pytest.approx(full, rel=1e-13)
     phys = np.sum(a * a) * g.cell_area
@@ -300,3 +299,21 @@ def test_verify_operators_on_half_spectrum_match_full_complex(seed, shape, box, 
     Y = g.meshgrid()[1]
     ref = float(np.sum(Y**2 * (dxh**2 + px**2 + py**2)) * g.cell_area)
     assert y_weighted_seminorm(f) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_galerkin_block_moves_out_of_and_into_the_half_layout(m):
+    """The block is keep(m) plus the xi = 0 modes of its band, rows kept_rows(m) of the first
+    kept_columns(m) columns; gathered, it sums like the half spectrum it was scattered into."""
+    from shrira.grid import gather_block, scatter_block, weighted_sq_sum
+
+    g = Grid(48, 32, 3.0, 5.0)
+    h = np.fft.rfft2(np.random.default_rng(2).standard_normal((32, 48)))
+    rows, kc = g.kept_rows(m), g.kept_columns(m)
+    mask = galerkin_block(g, m)[:, :25]
+    assert np.array_equal(mask, np.isin(np.arange(32), rows)[:, None] & (np.arange(25) < kc))
+    b = gather_block(h, np.empty((len(rows), kc), complex))
+    assert np.array_equal(b, h[rows, :kc])
+    back = scatter_block(b, np.full_like(h, np.nan))
+    assert np.array_equal(back, np.where(mask, h, 0.0))
+    assert weighted_sq_sum(g, 1.0, b) == pytest.approx(weighted_sq_sum(g, 1.0, back), rel=1e-14)
