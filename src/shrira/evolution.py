@@ -4,13 +4,14 @@ Spectrally, u_hat_t = sigma_L * u_hat - i xi * f(u)_hat with the purely
 imaginary dispersive symbol sigma_L = i sgn(xi) (xi^2 + eta^2) (sgn(0) = 0, so
 all xi = 0 modes are frozen by both terms).  The integrator is
 integrating-factor RK4: the linear phase is applied exactly, classical RK4
-handles the nonlinear term, dealiased and differentiated by -i xi * keep.
-`evolve` applies the projection P onto the Galerkin block of m (`shrira.grid`)
-to its input once; the step never leaves the block (each stage is a multiple
-of -i xi * keep, the phases are diagonal), so state, phase tables and stages
-live on it only.  Each nonlinear term runs `grid.irfft2` and `grid.rfft2` in
-place through one half-spectrum buffer, pruned to the kc columns.  A step is
-bit-identical to the classical formula on fresh half-spectrum arrays at P(uh).
+handles the nonlinear term, truncated to the Galerkin block of m
+(`grid.GalerkinBlock`) and differentiated by -i xi.  `evolve` applies the
+projection P onto that block to its input once; the step never leaves the
+block (each stage is -i xi times a block, the phases are diagonal), so state,
+phase tables and stages live on it only.  Each nonlinear term runs the block's
+`inverse` and `forward`, pruned to its kc columns, through its one
+half-spectrum buffer.  A step is bit-identical to the classical formula on
+fresh half-spectrum arrays at P(uh).
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
 1/2 int u^2 and E(u) = 1/2 (||D_x^{1/2}u||^2 + ||D_x^{-1/2}u_y||^2) - int F(u)
@@ -50,7 +51,8 @@ def linear_symbol(grid: sg.Grid) -> np.ndarray:
 
 def default_dt(grid: sg.Grid, u0: np.ndarray, m: float) -> float:
     adv = 0.25 * grid.dx / max(1.0, float(np.max(np.abs(u0))))
-    disp = sg.dispersion_table(grid, grid.kept_rows(m), grid.kept_columns(m))  # on the Galerkin block
+    block = sg.GalerkinBlock(grid, m)
+    disp = sg.dispersion_table(grid, block.rows, block.kc)  # on the Galerkin block
     sig_max = float(np.max(np.abs(grid.xi_half[: disp.shape[1]] * disp)))  # |sigma_L| = |xi| disp
     return min(adv, DISPERSIVE_STEP_FRACTION / sig_max if sig_max > 0 else np.inf)
 
@@ -108,28 +110,27 @@ class _Stepper:
 
     def __init__(self, grid, dt, params):
         self.dt, self.params = dt, params
-        self.rows, self.kc = grid.kept_rows(params.m), grid.kept_columns(params.m)
-        self.disp = sg.dispersion_table(grid, self.rows, self.kc)
-        xi = grid.xi_half[: self.kc]
+        self.block = block = sg.GalerkinBlock(grid, params.m)  # its buffer, u and fu: the field-sized ones
+        self.disp = sg.dispersion_table(grid, block.rows, block.kc)
+        xi = grid.xi_half[: block.kc]
         e_half = np.exp(1j * xi * self.disp * (dt / 2))  # the half-layout linear_symbol's entries
         self.e_half, self.e_full = e_half, e_half * e_half
-        self.mult = -1j * xi * grid.keep(params.m)[self.rows, : self.kc]
+        self.mult = -1j * xi  # the x derivative, 0 on the xi = 0 column
         self.k = np.empty((4,) + e_half.shape, np.complex128)  # k1, k2, k3 (then k4) and a stage argument
-        self.g = np.empty((grid.ny, grid.nx // 2 + 1), np.complex128)  # with u, fu: the field-sized buffers
         self.u, self.fu = np.empty((2, grid.ny, grid.nx))
 
     def project(self, values):
-        """P of the real samples values, as a new block; their half spectrum is left in g."""
-        return sg.gather_block(sg.rfft2(values, out=self.g), np.empty_like(self.e_half))
+        """P of the real samples values, as a new block; their whole half spectrum is left in block.half."""
+        return sg.gather_block(sg.rfft2(values, out=self.block.half), np.empty_like(self.e_half))
 
     def physical(self, b):
         """The samples of block b, written into u."""
-        return sg.irfft2(sg.scatter_block(b, self.g), self.kc, out=self.u)
+        return self.block.inverse(b, out=self.u)
 
     def nonlinear(self, v, out):
-        """out = -i xi keep * rfft2(f(irfft2(v))) on the block, both transforms pruned to kc columns."""
-        sg.rfft2(self.params.f(self.physical(v), out=self.fu), self.kc, out=self.g)
-        return np.multiply(self.mult, sg.gather_block(self.g, out), out=out)
+        """out = -i xi * rfft2(f(irfft2(v))) on the block, both transforms pruned to kc columns."""
+        fh = self.block.forward(self.params.f(self.physical(v), out=self.fu), out)
+        return np.multiply(self.mult, fh, out=out)
 
     def step(self, uh, out):
         """out = e_full uh + dt/6 (e_full k1 + 2 e_half (k2 + k3) + k4), out distinct from uh."""
@@ -217,9 +218,10 @@ def evolve(
         ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
 
     uh = stepper.project(initial.values)
-    stepper.g[stepper.rows, : stepper.kc] = 0  # what is left is what P removed
+    block = stepper.block
+    block.half[block.rows, : block.kc] = 0  # what is left is what P removed
     with np.errstate(over="ignore"):  # a huge field, rejected below
-        removed, kept = sg.weighted_sq_sum(g, 1.0, stepper.g), sg.weighted_sq_sum(g, 1.0, uh)
+        removed, kept = sg.weighted_sq_sum(g, 1.0, block.half), sg.weighted_sq_sum(g, 1.0, uh)
     nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
     times, masses, energies, shapes = [], [], [], []
     records_s = 0.0
@@ -230,7 +232,7 @@ def evolve(
         t0 = clock()
         with np.errstate(over="ignore", invalid="ignore"):  # a state about to blow up
             if ref_hat is not None:  # ||u - translate|| / ||phi|| by Parseval
-                diff = h - ref_hat * np.exp(-1j * g.xi_half[: stepper.kc] * ref_speed * t)
+                diff = h - ref_hat * np.exp(-1j * g.xi_half[: block.kc] * ref_speed * t)
                 shape = np.sqrt(sg.weighted_sq_sum(g, 1.0, diff) / ref_sq)
             u = stepper.physical(h)
             m, e = _mass_energy(u, h, stepper.disp, g, params, out=stepper.fu)

@@ -20,13 +20,14 @@ xi != 0 and 0 on every xi = 0 mode.
 Half-spectrum layout.  Every symbol of the equation takes conjugate values at
 (xi, eta) and -(xi, eta) and acts on real fields, so every table is built on
 the layout of numpy.fft.rfft2 output, shape (ny, nx/2 + 1): columns 0..nx/2
-of the full layout, whose xi < 0 columns are the conjugates of their partners.  `Grid.xi_half` holds xi on those columns;
-the Nyquist column keeps fftfreq's xi = -pi*nx/lx and its symbols and phases.
-`Grid.keep(m)` marks the xi != 0 modes that the truncation of u^m keeps: the
-2/3 rule for m <= 2, the 1/2 rule beyond, all in the first
-`Grid.kept_columns(m)` = kc columns; with the xi = 0 modes of its band it fills
-the Galerkin block of m, rows `Grid.kept_rows(m)` (0..K, ny-K..ny-1) of those
-columns, moved as one (2K + 1, kc) array by `gather_block` and `scatter_block`.
+of the full layout, whose xi < 0 columns are the conjugates of their partners.
+`Grid.xi_half` holds xi on those columns; the Nyquist column keeps fftfreq's
+xi = -pi*nx/lx and its symbols and phases.
+`GalerkinBlock(grid, m)` is the one place that decides which modes the
+truncation of u^m keeps (the 2/3 rule for m <= 2, the 1/2 rule beyond) and how
+they are laid out: rows 0..K and ny-K..ny-1 of the first kc columns, one
+(2K + 1, kc) array, moved by `gather_block` and `scatter_block`.  The solvers,
+the residual and the stepper all transform through it.
 Full-spectrum sums are half-spectrum sums with column weights
 `Grid.half_weight`: 1 on the xi = 0 and Nyquist columns, 2 on the others.
 The public `forward`, `inverse` and `apply_multiplier` stay full-complex:
@@ -121,31 +122,6 @@ class Grid:
         w[[0, -1]] = 1.0
         return _read_only(w)
 
-    def keep(self, m: float) -> np.ndarray:
-        """Half-layout mask of the xi != 0 modes kept for u^m (cached, read-only).
-
-        |j| <= frac * n/2 on each axis, frac = 2/3 for m <= 2 and 1/2 beyond (for
-        non-integer m, u^m is not band-limited at all; 1/2 is the conservative
-        choice).  The Nyquist column is never kept.
-        """
-        frac = 2.0 / 3.0 if m <= 2 else 0.5
-        masks = self.__dict__.setdefault("_keep", {})
-        if frac not in masks:
-            jx = np.arange(self.nx // 2 + 1)  # |j| per column; Nyquist is j = -nx/2
-            jy = np.minimum(np.arange(self.ny), self.ny - np.arange(self.ny))
-            masks[frac] = _read_only(
-                (jx != 0) & (jx <= frac * self.nx / 2) & (jy[:, None] <= frac * self.ny / 2)
-            )
-        return masks[frac]
-
-    def kept_columns(self, m: float) -> int:
-        """kc: the modes `keep(m)` keeps lie in the half-spectrum columns 0..kc-1."""
-        return int(np.flatnonzero(self.keep(m).any(axis=0))[-1]) + 1
-
-    def kept_rows(self, m: float) -> np.ndarray:
-        """The half-spectrum rows in which `keep(m)` keeps modes: 0..K and ny-K..ny-1."""
-        return np.flatnonzero(self.keep(m).any(axis=1))
-
     def meshgrid(self):
         """Physical coordinate arrays X, Y of shape (ny, nx)."""
         return np.meshgrid(self.x, self.y, indexing="xy")
@@ -221,6 +197,34 @@ def scatter_block(b: np.ndarray, h: np.ndarray) -> np.ndarray:
     h[:, kc:] = h[k + 1 : ny - k] = 0
     h[: k + 1, :kc], h[ny - k :, :kc] = b[: k + 1], b[k + 1 :]
     return h
+
+
+class GalerkinBlock:
+    """The Galerkin block of m on a grid, and the real transforms into and out of it.
+
+    The block holds the modes with |j| <= frac * n/2 on each axis, frac = 2/3 for
+    m <= 2 and 1/2 beyond (for non-integer m, u^m is not band-limited at all; 1/2
+    is the conservative choice): half-spectrum rows `rows` = 0..K and ny-K..ny-1
+    of columns 0..kc-1, as one array of `shape` (2K + 1, kc).  Its column 0 holds
+    the xi = 0 modes of the band; the Nyquist column is never in it.  Both
+    transforms run through the one half-spectrum work buffer `half`.
+    """
+
+    def __init__(self, grid: Grid, m: float):
+        frac = 2.0 / 3.0 if m <= 2 else 0.5
+        self.K, self.kc = int(frac * grid.ny / 2), int(frac * grid.nx / 2) + 1
+        self.rows = np.r_[: self.K + 1, grid.ny - self.K : grid.ny]
+        self.shape = (2 * self.K + 1, self.kc)
+        self.half = np.empty((grid.ny, grid.nx // 2 + 1), np.complex128)
+
+    def forward(self, u: np.ndarray, out=None) -> np.ndarray:
+        """The block of rfft2(u), the transform pruned to the kc columns, in out or a new array."""
+        out = np.empty(self.shape, np.complex128) if out is None else out
+        return gather_block(rfft2(u, self.kc, out=self.half), out)
+
+    def inverse(self, b: np.ndarray, out=None) -> np.ndarray:
+        """irfft2 of the half spectrum whose block is b and which is 0 elsewhere, pruned to kc columns."""
+        return irfft2(scatter_block(b, self.half), self.kc, out=out)
 
 
 def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ routes are provided:
   AITKEN_EVERY plain steps follow the start or the last extrapolation, a step
   d = phi_{n+1} - phi_n parallel to the one before, d' (cos > 0.999), with
   lam = ||d||/||d'|| in (0.3, 0.99) also adds lam/(1 - lam) d; its change is
-  recorded as inf, so no stop follows it.  Norms are compact-mode sums, equal
-  to the physical ones by Parseval (an iterate holds only kept modes).
+  recorded as inf, so no stop follows it.  Norms are sums over the Galerkin
+  block, equal to the physical ones by Parseval (an iterate holds nothing else).
 
 * `nehari_descent`: gradient descent of the action S restricted to the Nehari
   manifold {I = 0}.  The descent direction is the energy-metric gradient
@@ -28,16 +28,14 @@ routes are provided:
   round-off floor the residual stops falling: NEHARI_STALL iterations without
   a new residual minimum stop the descent as stalled.
 
-Nonlinear products keep the modes `Grid.keep(m)` of m (the 2/3 rule for m <= 2,
-the 1/2 rule otherwise), so iterates solve the truncated Galerkin problem
-exactly at convergence.
-
-Compact-mode layout.  Both loops carry phi_hat as a 1-D vector of the dealiased
-xi != 0 modes only (`_Modes`, 25-44% of the half spectrum), whose transforms
-touch only the columns that hold them; Petviashvili's loop runs in fixed field
-buffers.  Reductions are pairwise np.sum, never a BLAS dot.  `spectral_residual`,
-which checks stored fields, keeps the whole half spectrum, so content outside
-the kept modes still counts.
+Both loops carry phi_hat on the Galerkin block of m (`grid.GalerkinBlock`: the
+2/3 rule for m <= 2, the 1/2 rule otherwise), so nonlinear products are
+truncated and the iterates solve the truncated Galerkin problem exactly at
+convergence.  The block's xi = 0 column is zeroed after every transform, so it
+stays 0 and the block sums are half the full-spectrum ones.  Petviashvili's
+loop runs in fixed field buffers.  Reductions are pairwise np.sum, never a BLAS
+dot.  `spectral_residual`, which checks stored fields, keeps the whole half
+spectrum for s*phi_hat, so content outside the block still counts.
 
 Every stop leaves through `_finish`, which builds the one SolveReport.  Short
 of convergence it raises ConvergenceError (max_iter ran out, Nehari stalled) or
@@ -50,7 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, asdict, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -195,18 +193,18 @@ def _finish(method, grid, params, phi, hists, started, converged, stop=None, ext
 def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     """Relative residual ||s*phi_hat - f_hat|| / ||s*phi_hat|| over xi != 0 modes.
 
-    The nonlinear term keeps the modes `Grid.keep(params.m)`, as the solvers
-    do.  The field is expected to carry no xi = 0 content (project first); those
+    The nonlinear term keeps the Galerkin block of m, as the solvers do; s*phi_hat
+    keeps the whole half spectrum, so content outside the block still counts.
+    The field is expected to carry no xi = 0 content (project first); those
     modes do not enter either norm.
     """
-    g = f.grid
-    fh = sg.rfft2(params.f(f.values), g.kept_columns(params.m))  # keep zeroes the columns it skips
-    fh[~g.keep(params.m)] = 0.0
-    sph = sg.rfft2(f.values)
+    g, block = f.grid, sg.GalerkinBlock(f.grid, params.m)
+    fh = _forward(block, params.f(f.values))
+    sph = sg.rfft2(f.values, out=block.half)
     np.multiply(params.c + sg.dispersion_table(g), sph, out=sph)
     sph[:, 0] = 0.0  # the xi = 0 column
     den_sq = sg.weighted_sq_sum(g, 1.0, sph)
-    sph -= fh
+    sph[block.rows, : block.kc] -= fh
     return _residual(sg.weighted_sq_sum(g, 1.0, sph), den_sq)
 
 def _residual(num_sq: float, den_sq: float) -> float:
@@ -216,38 +214,25 @@ def _residual(num_sq: float, den_sq: float) -> float:
     return float(np.sqrt(num_sq / den_sq))
 
 
-class _Modes:
-    """The kept modes `Grid.keep(m)` of a grid as a compact vector, and its transforms.
+def _forward(block: sg.GalerkinBlock, u: np.ndarray) -> np.ndarray:
+    """The block of rfft2(u) with its xi = 0 column zeroed: no iterate carries xi = 0 content."""
+    b = block.forward(u)
+    b[:, 0] = 0.0
+    return b
 
-    The kept modes lie in the first kc columns of the half spectrum.  `forward`,
-    the masked rfft2, gathers them from `grid.rfft2` pruned to kc columns in the
-    work buffer `_half`; `inverse` scatters into the zeroed `_half` and runs the
-    pruned `grid.irfft2`.  Every kept mode has column weight 2, so a
-    full-spectrum sum is twice the compact one; `dot` omits the 2.  `s` is the
-    profile symbol c + dispersion on the kept modes.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum a * conj(b) over a block whose xi = 0 column is 0: half the full-spectrum sum.
+
+    np.sum sums pairwise; einsum's running sum is noisy enough to flip Nehari's step tests.
     """
+    return float(np.sum(a.view(np.float64) * b.view(np.float64)))
 
-    def __init__(self, grid: sg.Grid, params: PhysicsParams):
-        self.kc = kc = grid.kept_columns(params.m)
-        self.keep = keep = grid.keep(params.m)[:, :kc]
-        self.s = params.c + sg.dispersion_table(grid)[:, :kc][keep]
-        self._half = np.empty((grid.ny, grid.nx // 2 + 1), np.complex128)
 
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        return sg.rfft2(u, self.kc, out=self._half)[:, : self.kc][self.keep]
-
-    def inverse(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        self._half.fill(0.0)
-        self._half[:, : self.kc][self.keep] = v
-        return sg.irfft2(self._half, self.kc, out=out)
-
-    @staticmethod
-    def dot(a: np.ndarray, b: np.ndarray) -> float:
-        """Re sum a * conj(b) over the compact modes: half the full-spectrum sum.
-
-        np.sum sums pairwise; einsum's running sum is noisy enough to flip Nehari's step tests.
-        """
-        return float(np.sum(a.view(np.float64) * b.view(np.float64)))
+def _block_and_symbol(grid: sg.Grid, params: PhysicsParams):
+    """The Galerkin block of m and the profile symbol s = c + dispersion on it (c on xi = 0)."""
+    block = sg.GalerkinBlock(grid, params.m)
+    return block, params.c + sg.dispersion_table(grid, block.rows, block.kc)
 
 
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
@@ -257,13 +242,13 @@ def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
 
 def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """(phi, hists, started, converged, stop, extrapolations) of `petviashvili`.  A call of its
-    own, so its compact vectors and mode tables are freed before `_finish`.  phi, f(phi) and s ph
-    keep their buffers, and in-place products keep the formulas' operand order (see `_Stepper`)."""
+    own, so its blocks and tables are freed before `_finish`.  phi, f(phi) and s ph keep their
+    buffers, and in-place products keep the formulas' operand order (see `_Stepper`)."""
     t0 = time.perf_counter()
     gamma = params.m / (params.m - 1.0)
-    modes = _Modes(grid, params)
-    ph = modes.forward(_init_values(config, grid))
-    phi = modes.inverse(ph)
+    block, s = _block_and_symbol(grid, params)
+    ph = _forward(block, _init_values(config, grid))
+    phi = block.inverse(ph)
     fu, sph = np.empty_like(phi), np.empty_like(ph)
     started = (t0, time.perf_counter())
     hists = res_hist, m_hist, delta_hist = [], [], []
@@ -271,17 +256,17 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
     d_prev, plain, extrapolations = None, 0, 0
     converged, stop = False, None
     for _ in range(config.max_iter):
-        fh = modes.forward(params.f(phi, out=fu))
-        np.multiply(modes.s, ph, out=sph)
-        num = modes.dot(sph, ph)
-        den = modes.dot(fh, ph)
+        fh = _forward(block, params.f(phi, out=fu))
+        np.multiply(s, ph, out=sph)
+        num = _dot(sph, ph)
+        den = _dot(fh, ph)
         if den == 0.0 or num == 0.0:
             stop = CollapseError("iterate lost all spectral content")
             break
         M = num / den
-        sph_sq = modes.dot(sph, sph)
+        sph_sq = _dot(sph, sph)
         sph -= fh  # the residual s phi_hat - f_hat
-        resid = _residual(modes.dot(sph, sph), sph_sq)
+        resid = _residual(_dot(sph, sph), sph_sq)
         res_hist.append(resid)
         m_hist.append(M)
         delta_hist.append(delta)
@@ -296,36 +281,36 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
         except OverflowError:  # a float power past the double range, at a huge box or speed
             stop = CollapseError(f"Petviashvili factor M = {M:.3e}: M^{gamma:g} overflows")
             break
-        fh /= modes.s  # the plain update
-        ph_sq = modes.dot(ph, ph)
+        fh /= s  # the plain update
+        ph_sq = _dot(ph, ph)
         d = np.subtract(fh, ph, out=ph)
-        d_sq = modes.dot(d, d)
+        d_sq = _dot(d, d)
         delta = math.sqrt(d_sq / ph_sq) if ph_sq > 0 else np.inf
         plain += 1
         if plain >= AITKEN_EVERY:  # so the step before was plain too, and d_prev holds it
-            prev_sq = modes.dot(d_prev, d_prev)
+            prev_sq = _dot(d_prev, d_prev)
             lam = math.sqrt(d_sq / prev_sq) if prev_sq > 0 else 0.0
-            if 0.3 < lam < 0.99 and modes.dot(d, d_prev) > 0.999 * lam * prev_sq:  # cos > 0.999
+            if 0.3 < lam < 0.99 and _dot(d, d_prev) > 0.999 * lam * prev_sq:  # cos > 0.999
                 fh += np.multiply(lam / (1.0 - lam), d, out=d)
                 delta, plain = np.inf, 0
                 extrapolations += 1
         ph, d_prev = fh, d
-        phi = modes.inverse(ph, out=phi)
+        phi = block.inverse(ph, out=phi)
     return phi, hists, started, converged, stop, extrapolations
 
 
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Preconditioned descent of S on the Nehari manifold; returns (Field, SolveReport)."""
     t0 = time.perf_counter()
-    modes = _Modes(grid, params)
-    w = 2.0 * grid.spectral_weight  # column weight of every kept mode, times Parseval's factor
+    block, s = _block_and_symbol(grid, params)
+    w = 2.0 * grid.spectral_weight  # column weight of the block's xi != 0 modes, times Parseval's factor
     dA = grid.cell_area
     k = (params.m - 1.0) / (2.0 * params.p)  # S = k ||u||_Z^2 on the manifold
     res_hist: list = []
 
-    ph = modes.forward(_init_values(config, grid))
-    phi = modes.inverse(ph)
-    zsq = modes.dot(modes.s * ph, ph) * w
+    ph = _forward(block, _init_values(config, grid))
+    phi = block.inverse(ph)
+    zsq = _dot(s * ph, ph) * w
     uf, _ = _f_integrals(phi, dA, params)
     if uf <= 0:
         return _finish(NEHARI_DESCENT, grid, params, phi, ([], [], []), (t0, time.perf_counter()), False,
@@ -342,10 +327,10 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     best, best_at = np.inf, 0
     converged, stop = False, None
     for _ in range(config.max_iter):
-        fh = modes.forward(params.f(phi))
-        sph = modes.s * ph
+        fh = _forward(block, params.f(phi))
+        sph = s * ph
         r = sph - fh
-        resid = _residual(modes.dot(r, r), modes.dot(sph, sph))
+        resid = _residual(_dot(r, r), _dot(sph, sph))
         res_hist.append(resid)
         if resid <= config.tol_residual:
             converged = True
@@ -356,11 +341,11 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             stop = ConvergenceError(f"Nehari descent stalled: no new residual minimum in {NEHARI_STALL} "
                                     f"iterations (best {best:.3e} at iteration {best_at})")
             break
-        d = modes.inverse(ph - fh / modes.s)
+        d = block.inverse(ph - fh / s)
         for _try in range(40):
             v = phi - h * d
-            vh = modes.forward(v)
-            zv = modes.dot(modes.s * vh, vh) * w
+            vh = _forward(block, v)
+            zv = _dot(s * vh, vh) * w
             ufv, _ = _f_integrals(v, dA, params)
             if ufv <= 0 or zv == 0.0:
                 h *= 0.5

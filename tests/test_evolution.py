@@ -14,7 +14,9 @@ from shrira import (
     Spectrum,
     PhysicsParams,
     EvolveConfig,
+    SolverConfig,
     linear_symbol,
+    petviashvili,
     step_if_rk4,
     evolve,
 )
@@ -379,7 +381,7 @@ def test_pruned_nonlinear_term(m, rule, kc):
     want = mult * np.fft.rfft2(params.f(np.fft.irfft2(_projected(g, m, v), s=(g.ny, g.nx))))
     b = _block(stepper, v)
     got = stepper.nonlinear(b, np.full_like(b, np.nan))
-    assert stepper.kc == kc and got.shape == (2 * int(BAND[rule] * g.ny / 2) + 1, kc)
+    assert stepper.block.kc == kc and got.shape == (2 * int(BAND[rule] * g.ny / 2) + 1, kc)
     assert np.array_equal(scatter_block(got, np.empty_like(v)), want)
     assert np.all(want[:, kc:] == 0) and np.any(got[:, kc - 1] != 0)
 
@@ -396,7 +398,7 @@ def test_step_allocates_no_field_sized_arrays(params, rule):
     stepper = _Stepper(g, 0.003, params)
     uh = _block(stepper, np.fft.rfft2(np.exp(-(X**2 + Y**2) / 4)))
     out = np.empty_like(uh)
-    assert stepper.kc - 1 == int(BAND[rule] * g.nx / 2)
+    assert stepper.block.kc - 1 == int(BAND[rule] * g.nx / 2)
     stepper.step(uh, out)
     tracemalloc.start()
     try:
@@ -432,6 +434,19 @@ def test_evolve_evolves_the_projection_and_reports_what_it_removed(g2pi):
     projected = evolve(Field(g2pi, pu0), config, p)
     assert np.max(np.abs(rep.final.values - projected.final.values)) <= 1e-13 * np.max(np.abs(pu0))
     assert projected.projection_defect <= 1e-14
+
+
+@pytest.mark.parametrize("params", [
+    PhysicsParams(c=1.0, m=2),
+    PhysicsParams(c=1.0, m=2.5, signed_power=True),
+    PhysicsParams(c=1.0, m=3),
+])
+def test_solver_and_stepper_share_the_galerkin_block(params):
+    """A Petviashvili wave lies in the block the stepper evolves: its projection removes nothing
+    beyond round-off, under the 2/3 band of m = 2 and the 1/2 band of m = 2.5 and m = 3."""
+    g = Grid(64, 48, 16 * PI, 12 * PI)
+    wave, _ = petviashvili(SolverConfig(), params, g)
+    assert evolve(wave, EvolveConfig(t_end=0.01), params).projection_defect <= 1e-14
 
 
 def test_a_run_of_more_steps_than_max_steps_is_rejected(g2pi):

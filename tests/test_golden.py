@@ -5,7 +5,10 @@ symbol in its own module, before they were derived from the single operator
 table in `shrira.grid`; the m = 3 case was recorded from the solver loops that
 ran on the whole half spectrum, before they moved to the compact dealiased
 modes.  The refactors must reproduce them: iteration counts and the time step
-exactly, every float to a relative tolerance of RTOL.
+exactly, every float to a relative tolerance of RTOL.  The move of both solver
+loops from the compact mode vector onto the Galerkin block of m, the one the
+stepper uses, reproduced every iteration count exactly and every value within
+RTOL.
 
 Petviashvili's iteration counts and its pohozaev_r2 were recorded again when
 the iteration gained its Aitken extrapolation (53 -> 28 and 26 -> 17

@@ -73,23 +73,20 @@ def test_dispersion_table(g2pi):
 @pytest.mark.parametrize("shape", [(8, 8), (48, 32), (64, 48)])
 @pytest.mark.parametrize("m", [2, 2.5, 3])
 def test_keep_matches_its_definition(shape, m):
-    """keep(m) is the half layout of jx != 0, |j| <= frac n/2 (frac 2/3 for m <= 2, 1/2
-    beyond); the x-Nyquist column is never kept."""
+    """The Galerkin block of m is the half layout of |j| <= frac n/2 on each axis (frac 2/3 for
+    m <= 2, 1/2 beyond): rows 0..K and ny-K..ny-1 of columns 0..kc-1.  Without its column 0 it
+    holds the kept modes; the x-Nyquist column is never in it."""
+    from shrira.grid import GalerkinBlock
+
     g = Grid(*shape, 5.0, 3.0)
-    keep = g.keep(m)
-    assert keep.shape == (g.ny, g.nx // 2 + 1)
-    assert np.array_equal(keep, kept_modes(g, m)[:, : g.nx // 2 + 1])
-    assert keep.any() and not keep[:, 0].any() and not keep[:, -1].any()
-
-
-def test_keep_is_cached_and_read_only(g2pi):
-    two_thirds, half = g2pi.keep(2), g2pi.keep(3)
-    assert g2pi.keep(2) is two_thirds and g2pi.keep(1.5) is two_thirds
-    assert g2pi.keep(2.5) is half and g2pi.keep(4) is half
-    assert not two_thirds.flags.writeable and not half.flags.writeable
-    assert half.sum() < two_thirds.sum()
-    with pytest.raises(ValueError):
-        two_thirds[1, 1] = False
+    block, half = GalerkinBlock(g, m), g.nx // 2 + 1
+    frac = 2.0 / 3.0 if m <= 2 else 0.5
+    assert (block.K, block.kc) == (int(frac * g.ny / 2), int(frac * g.nx / 2) + 1)
+    assert block.shape == (len(block.rows), block.kc) == (2 * block.K + 1, block.kc)
+    mask = np.isin(np.arange(g.ny), block.rows)[:, None] & (np.arange(half) < block.kc)
+    assert np.array_equal(mask, galerkin_block(g, m)[:, :half])
+    assert np.array_equal(mask & (np.arange(half) != 0), kept_modes(g, m)[:, :half])
+    assert block.kc < half and block.half.shape == (g.ny, half)
 
 
 def test_dc_mode(g2pi):
@@ -217,15 +214,14 @@ def test_invariant_suite_randomized():
 @pytest.mark.parametrize("shape", [(48, 32), (256, 128)])
 def test_real_transforms_are_numpys_bit_for_bit(shape, m):
     """grid.rfft2 and grid.irfft2 are np.fft.rfft2 and np.fft.irfft2 bit for bit, in full and,
-    pruned to kc = kept_columns(m), on the columns below kc (the pruned inverse of a spectrum
-    that is zero from column kc on)."""
-    from shrira.grid import irfft2, rfft2
+    pruned to the kc columns of the Galerkin block of m, on the columns below kc (the pruned
+    inverse of a spectrum that is zero from column kc on)."""
+    from shrira.grid import GalerkinBlock, irfft2, rfft2
 
     nx, ny = shape
     g = Grid(nx, ny, 10.0, 7.0)
-    kc = g.kept_columns(m)
+    kc = GalerkinBlock(g, m).kc
     assert kc - 1 == int({2: 2 / 3, 3: 0.5}[m] * nx / 2)
-    assert g.keep(m)[:, kc - 1].any() and not g.keep(m)[:, kc:].any()
     u = np.random.default_rng(11).standard_normal((ny, nx))
     want = np.fft.rfft2(u)
     assert np.array_equal(rfft2(u), want)
@@ -303,17 +299,27 @@ def test_verify_operators_on_half_spectrum_match_full_complex(seed, shape, box, 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_galerkin_block_moves_out_of_and_into_the_half_layout(m):
-    """The block is keep(m) plus the xi = 0 modes of its band, rows kept_rows(m) of the first
-    kept_columns(m) columns; gathered, it sums like the half spectrum it was scattered into."""
-    from shrira.grid import gather_block, scatter_block, weighted_sq_sum
+    """gather_block and scatter_block move the block, rows `rows` of the first kc columns, out of
+    and into the half layout, and it sums like the half spectrum it was scattered into.
+    `forward` is np.fft.rfft2 on the block and `inverse` np.fft.irfft2 of the projection P h,
+    bit for bit: both run the pruned transforms through the one work buffer."""
+    from shrira.grid import GalerkinBlock, gather_block, scatter_block, weighted_sq_sum
 
     g = Grid(48, 32, 3.0, 5.0)
-    h = np.fft.rfft2(np.random.default_rng(2).standard_normal((32, 48)))
-    rows, kc = g.kept_rows(m), g.kept_columns(m)
+    block = GalerkinBlock(g, m)
+    rows, kc = block.rows, block.kc
+    u = np.random.default_rng(2).standard_normal((32, 48))
+    h = np.fft.rfft2(u)
     mask = galerkin_block(g, m)[:, :25]
-    assert np.array_equal(mask, np.isin(np.arange(32), rows)[:, None] & (np.arange(25) < kc))
-    b = gather_block(h, np.empty((len(rows), kc), complex))
+    b = gather_block(h, np.empty(block.shape, complex))
     assert np.array_equal(b, h[rows, :kc])
     back = scatter_block(b, np.full_like(h, np.nan))
     assert np.array_equal(back, np.where(mask, h, 0.0))
     assert weighted_sq_sum(g, 1.0, b) == pytest.approx(weighted_sq_sum(g, 1.0, back), rel=1e-14)
+    out = np.empty(block.shape, complex)
+    assert block.forward(u, out=out) is out and np.array_equal(out, h[rows, :kc])
+    assert np.array_equal(block.forward(u), out)
+    want = np.fft.irfft2(back, s=u.shape)
+    buf = np.empty_like(u)
+    assert block.inverse(b, out=buf) is buf and np.array_equal(buf, want)
+    assert np.array_equal(block.inverse(b), want) and np.array_equal(b, h[rows, :kc])

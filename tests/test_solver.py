@@ -30,7 +30,7 @@ from shrira import (
 from shrira import grid as sg
 from shrira import solver
 from shrira.decay import decay_report
-from shrira.solver import TOL_DELTA, _Modes, solve
+from shrira.solver import TOL_DELTA, solve
 from shrira.errors import CollapseError, ConvergenceError, InputError
 
 from conftest import kept_modes, traced_peak
@@ -69,18 +69,21 @@ def test_gaussian_init_rejects_a_non_finite_amplitude(p12, method, amplitude):
 
 
 def test_residual_two_mode_hand_oracle(p12):
-    """phi = a cos x on a 2pi box: residual = sqrt(1 + a^2/(4(c+1)^2)).
+    """phi = a cos x + b cos y on a 2pi box: residual = sqrt(1 + (a^2/4 + 2 b^2)/(c+1)^2).
 
     Hand derivation: s phi_hat lives at modes (+-1, 0) with weight (c+1) a n^2/2;
-    the dealiased f_hat = (phi^2)_hat contributes a^2 n^2 / 4 at (+-2, 0).
+    the dealiased f_hat = (phi^2)_hat contributes a^2 n^2 / 4 at (+-2, 0) and
+    a b n^2 / 2 at (+-1, +-1).  The xi = 0 term b cos y and its square enter
+    neither norm; its cross terms with a cos x do.
     """
     g = Grid(16, 16, 2 * PI, 2 * PI)
-    X, _ = g.meshgrid()
-    for a, c in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5)):
-        f = Field(g, a * np.cos(X))
-        expect = math.sqrt(1.0 + a**2 / (4.0 * (c + 1.0) ** 2))
+    X, Y = g.meshgrid()
+    for a, b, c in ((1.0, 0.0, 1.0), (0.5, 0.0, 2.0), (2.0, 0.0, 0.5),
+                    (1.0, 0.5, 1.0), (0.5, 2.0, 2.0), (2.0, 1.0, 0.5)):
+        f = Field(g, a * np.cos(X) + b * np.cos(Y))
+        expect = math.sqrt(1.0 + (a**2 / 4.0 + 2.0 * b**2) / (c + 1.0) ** 2)
         got = spectral_residual(f, PhysicsParams(c=c, m=2))
-        assert got == pytest.approx(expect, rel=1e-12), (a, c)
+        assert got == pytest.approx(expect, rel=1e-12), (a, b, c)
 
 
 def test_residual_zero_field(p12):
@@ -163,26 +166,24 @@ def test_compact_delta_is_the_physical_relative_change(n, m):
 
 
 @pytest.mark.parametrize("rule", ["two_thirds", "half"])
-def test_compact_modes_are_the_masked_real_transforms(rule):
-    """The pruned forward transform is the masked rfft2 gathered on the kept modes, the
-    pruned inverse is irfft2 of the scattered vector, and twice the compact dot is the
-    full-spectrum sum (every kept mode has column weight 2).  m = 2 keeps the 2/3 band,
-    m = 3 the 1/2 band."""
+def test_solver_blocks_are_the_masked_real_transforms(rule):
+    """The solvers' forward transform is the rfft2 masked to the kept modes, on the Galerkin block
+    (its xi = 0 column zeroed), their inverse is irfft2 of the masked spectrum, s is c plus the
+    dispersion on the block (c on xi = 0), and twice the block dot is the full-spectrum sum.
+    m = 2 keeps the 2/3 band, m = 3 the 1/2 band."""
     g = Grid(48, 32, 10.0, 7.0)
     m = {"two_thirds": 2, "half": 3}[rule]
-    modes = _Modes(g, PhysicsParams(c=1.5, m=m))
+    block, s = solver._block_and_symbol(g, PhysicsParams(c=1.5, m=m))
     keep = kept_modes(g, m)[:, : g.nx // 2 + 1]
     u = np.random.default_rng(7).standard_normal((g.ny, g.nx))
     masked = np.where(keep, np.fft.rfft2(u), 0.0)
-    v = modes.forward(u)
-    assert np.max(np.abs(v - masked[keep])) <= 1e-13 * np.max(np.abs(masked))
-    back = np.fft.irfft2(masked, s=(g.ny, g.nx))
-    assert np.max(np.abs(modes.inverse(v) - back)) <= 1e-13 * np.max(np.abs(back))
-    buf = np.empty_like(u)
-    assert modes.inverse(modes.forward(u), out=buf) is buf and np.array_equal(buf, modes.inverse(v))
-    xi, eta = (np.broadcast_to(a, keep.shape)[keep] for a in (np.abs(g.xi_half), g.eta[:, None]))
-    assert np.array_equal(modes.s, 1.5 + (xi**2 + eta**2) / xi)
-    assert 2 * modes.dot(v, v) == pytest.approx(sg.weighted_sq_sum(g, 1.0, masked), rel=1e-13)
+    v = solver._forward(block, u)
+    assert np.array_equal(v, masked[block.rows, : block.kc])
+    assert np.array_equal(block.inverse(v), np.fft.irfft2(masked, s=(g.ny, g.nx)))
+    xi, eta = np.abs(g.xi_half[: block.kc]), g.eta[block.rows, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(s, np.where(xi != 0, 1.5 + (xi**2 + eta**2) / xi, 1.5))
+    assert 2 * solver._dot(v, v) == pytest.approx(sg.weighted_sq_sum(g, 1.0, masked), rel=1e-13)
 
 
 def test_a_solve_runs_in_a_fixed_working_set(p12):
