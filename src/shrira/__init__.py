@@ -45,7 +45,7 @@ from .decay import (
     mixed_norm,
     decay_report,
 )
-from .evolution import EvolveConfig, EvolveReport, linear_symbol, step_if_rk4, evolve
+from .evolution import EvolveConfig, EvolveReport, step_if_rk4, evolve
 from .io import read_field, write_field
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -115,6 +115,15 @@ def tail_exponent_fit(f: sg.Field, axis: str, window: tuple):
     return -slope, stderr
 
 
+def tail_fit_or_nan(f: sg.Field, axis: str) -> tuple:
+    """`tail_exponent_fit` in the auto window of the axis, or (nan, nan) where that window holds
+    too few radii or too few samples above the floor to fit."""
+    try:
+        return tail_exponent_fit(f, axis, _auto_window(f.grid, axis))
+    except InputError:
+        return float("nan"), float("nan")
+
+
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     """Least-squares slope of y on x and its standard error, as scipy.stats.linregress."""
     dx, dy = x - x.mean(), y - y.mean()
@@ -219,8 +228,8 @@ def mixed_pair_admissible(q: float, r: float) -> bool:
 
 def decay_report(f: sg.Field, params: PhysicsParams) -> DecayReport:
     window_x, window_y = _auto_window(f.grid, "x"), _auto_window(f.grid, "y")
-    ey, sy = tail_exponent_fit(f, "y", window_y)
-    ex, sx = tail_exponent_fit(f, "x", window_x)
+    ey, sy = tail_fit_or_nan(f, "y")
+    ex, sx = tail_fit_or_nan(f, "x")
     defect, sign_change = zero_x_mean_and_sign(f)
     mixed = [
         (q, r, mixed_norm(f, q, r, "y_outer"), mixed_norm(f, q, r, "x_outer"), mixed_pair_admissible(q, r))

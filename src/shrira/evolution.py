@@ -8,10 +8,11 @@ handles the nonlinear term, truncated to the Galerkin block of m
 (`grid.GalerkinBlock`) and differentiated by -i xi.  `evolve` applies the
 projection P onto that block to its input once; the step never leaves the
 block (each stage is -i xi times a block, the phases are diagonal), so state,
-phase tables and stages live on it only.  Each nonlinear term runs the block's
-`inverse` and `forward`, pruned to its kc columns, through its one
-half-spectrum buffer.  A step is bit-identical to the classical formula on
-fresh half-spectrum arrays at P(uh).
+phase tables and stages live on it only.  A run builds one block, whose
+dispersion table `disp` gives the phases, the energy weights and the default
+step's cap.  Each nonlinear term runs the block's `inverse` and `forward`,
+pruned to its kc columns, through its one half-spectrum buffer.  A step is
+bit-identical to the classical formula on fresh half-spectrum arrays at P(uh).
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
 1/2 int u^2 and E(u) = 1/2 (||D_x^{1/2}u||^2 + ||D_x^{-1/2}u_y||^2) - int F(u)
@@ -44,16 +45,9 @@ DISPERSIVE_STEP_FRACTION = 0.05
 MAX_STEPS = 10**7  # a run planned past this many steps would not end in reasonable time
 
 
-def linear_symbol(grid: sg.Grid) -> np.ndarray:
-    """i * sgn(xi) * (xi^2 + eta^2) = i * xi * dispersion, half layout; purely imaginary, 0 on xi = 0."""
-    return 1j * grid.xi_half * sg.dispersion_table(grid)
-
-
-def default_dt(grid: sg.Grid, u0: np.ndarray, m: float) -> float:
-    adv = 0.25 * grid.dx / max(1.0, float(np.max(np.abs(u0))))
-    block = sg.GalerkinBlock(grid, m)
-    disp = sg.dispersion_table(grid, block.rows, block.kc)  # on the Galerkin block
-    sig_max = float(np.max(np.abs(grid.xi_half[: disp.shape[1]] * disp)))  # |sigma_L| = |xi| disp
+def default_dt(block: sg.GalerkinBlock, u0: np.ndarray) -> float:
+    adv = 0.25 * block.grid.dx / max(1.0, float(np.max(np.abs(u0))))
+    sig_max = float(np.max(np.abs(block.grid.xi_half[: block.kc] * block.disp)))  # |sigma_L| = |xi| disp
     return min(adv, DISPERSIVE_STEP_FRACTION / sig_max if sig_max > 0 else np.inf)
 
 
@@ -100,7 +94,7 @@ class EvolveReport:
 
 
 class _Stepper:
-    """The IFRK4 step of one run on the Galerkin block of m: phase tables and work buffers built once.
+    """The IFRK4 step of one run on its Galerkin block: phase tables and work buffers built once.
 
     The stages write into the buffers in the operand order in which numpy
     evaluates the classical formula (complex a * b and b * a round differently,
@@ -108,16 +102,14 @@ class _Stepper:
     so a step is bit-identical to it and allocates nothing of field size.
     """
 
-    def __init__(self, grid, dt, params):
-        self.dt, self.params = dt, params
-        self.block = block = sg.GalerkinBlock(grid, params.m)  # its buffer, u and fu: the field-sized ones
-        self.disp = sg.dispersion_table(grid, block.rows, block.kc)
-        xi = grid.xi_half[: block.kc]
-        e_half = np.exp(1j * xi * self.disp * (dt / 2))  # the half-layout linear_symbol's entries
+    def __init__(self, block, dt, params):
+        self.block, self.dt, self.params = block, dt, params  # the block's buffer, u and fu: the field-sized ones
+        xi = block.grid.xi_half[: block.kc]
+        e_half = np.exp(1j * xi * block.disp * (dt / 2))  # exp(sigma_L dt/2) on the block
         self.e_half, self.e_full = e_half, e_half * e_half
         self.mult = -1j * xi  # the x derivative, 0 on the xi = 0 column
         self.k = np.empty((4,) + e_half.shape, np.complex128)  # k1, k2, k3 (then k4) and a stage argument
-        self.u, self.fu = np.empty((2, grid.ny, grid.nx))
+        self.u, self.fu = np.empty((2, block.grid.ny, block.grid.nx))
 
     def project(self, values):
         """P of the real samples values, as a new block; their whole half spectrum is left in block.half."""
@@ -161,7 +153,7 @@ def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams) -> sg.Spectrum
     as every caller passes.
     """
     g, half = s.grid, s.coeffs[:, : s.grid.nx // 2 + 1]
-    stepper = _Stepper(g, dt, params)
+    stepper = _Stepper(sg.GalerkinBlock(g, params.m), dt, params)
     uh = stepper.step(sg.gather_block(half, np.empty_like(stepper.e_half)), np.empty_like(stepper.e_half))
     if not np.all(np.isfinite(uh)):
         raise BlowUpError("non-finite coefficients after one step", last_good=s)
@@ -197,8 +189,8 @@ def evolve(
     """
     clock = time.perf_counter
     t_start = clock()  # timings: set-up (tables, transforms), steps, records
-    g = initial.grid
-    dt_req = config.dt if config.dt is not None else default_dt(g, initial.values, params.m)
+    g, block = initial.grid, sg.GalerkinBlock(initial.grid, params.m)
+    dt_req = config.dt if config.dt is not None else default_dt(block, initial.values)
     planned = config.t_end / dt_req if dt_req > 0 else inf
     if not planned <= MAX_STEPS:  # compared before ceil, which an infinite count would overflow
         raise InputError(f"evolve: t_end / dt = {planned:.6g} steps (dt = {dt_req:.6g}, "
@@ -206,7 +198,7 @@ def evolve(
     nsteps = max(1, ceil(planned - 1e-12))
     dt = config.t_end / nsteps
 
-    stepper = _Stepper(g, dt, params)
+    stepper = _Stepper(block, dt, params)
     ref_hat = None
     if reference is not None:
         ref_field, ref_speed = reference
@@ -218,7 +210,6 @@ def evolve(
         ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
 
     uh = stepper.project(initial.values)
-    block = stepper.block
     block.half[block.rows, : block.kc] = 0  # what is left is what P removed
     with np.errstate(over="ignore"):  # a huge field, rejected below
         removed, kept = sg.weighted_sq_sum(g, 1.0, block.half), sg.weighted_sq_sum(g, 1.0, uh)
@@ -235,7 +226,7 @@ def evolve(
                 diff = h - ref_hat * np.exp(-1j * g.xi_half[: block.kc] * ref_speed * t)
                 shape = np.sqrt(sg.weighted_sq_sum(g, 1.0, diff) / ref_sq)
             u = stepper.physical(h)
-            m, e = _mass_energy(u, h, stepper.disp, g, params, out=stepper.fu)
+            m, e = _mass_energy(u, h, block.disp, g, params, out=stepper.fu)
         if not (np.isfinite(m) and np.isfinite(e)):
             return False
         times.append(t)

@@ -15,7 +15,9 @@ exactly for any discrete field.
 This module is the one place that knows the dispersion relation: every symbol
 of the equation (profile operator, energy weights, dispersive phase, kernel
 denominator) is derived from `dispersion_table`, (xi^2 + eta^2)/|xi| on
-xi != 0 and 0 on every xi = 0 mode.
+xi != 0 and 0 on every xi = 0 mode.  On the Galerkin block it is read as
+`GalerkinBlock.disp`; `spectral_residual` and the kernel oracle build it on
+every column.
 
 Half-spectrum layout.  Every symbol of the equation takes conjugate values at
 (xi, eta) and -(xi, eta) and acts on real fields, so every table is built on
@@ -27,7 +29,7 @@ xi = -pi*nx/lx and its symbols and phases.
 truncation of u^m keeps (the 2/3 rule for m <= 2, the 1/2 rule beyond) and how
 they are laid out: rows 0..K and ny-K..ny-1 of the first kc columns, one
 (2K + 1, kc) array, moved by `gather_block` and `scatter_block`.  The solvers,
-the residual and the stepper all transform through it.
+the residual and the stepper all transform through it; a run builds one.
 Full-spectrum sums are half-spectrum sums with column weights
 `Grid.half_weight`: 1 on the xi = 0 and Nyquist columns, 2 on the others.
 The public `forward`, `inverse` and `apply_multiplier` stay full-complex:
@@ -200,22 +202,30 @@ def scatter_block(b: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 class GalerkinBlock:
-    """The Galerkin block of m on a grid, and the real transforms into and out of it.
+    """The Galerkin block of m on a grid, its dispersion table and the real transforms into and out of it.
 
     The block holds the modes with |j| <= frac * n/2 on each axis, frac = 2/3 for
     m <= 2 and 1/2 beyond (for non-integer m, u^m is not band-limited at all; 1/2
     is the conservative choice): half-spectrum rows `rows` = 0..K and ny-K..ny-1
     of columns 0..kc-1, as one array of `shape` (2K + 1, kc).  Its column 0 holds
     the xi = 0 modes of the band; the Nyquist column is never in it.  Both
-    transforms run through the one half-spectrum work buffer `half`.
+    transforms run through the one half-spectrum work buffer `half`.  `disp`
+    (built on first use) is `dispersion_table` on the block: the solvers' symbol
+    s is c + disp, the stepper's linear symbol i*xi*disp.
     """
 
     def __init__(self, grid: Grid, m: float):
+        self.grid = grid
         frac = 2.0 / 3.0 if m <= 2 else 0.5
         self.K, self.kc = int(frac * grid.ny / 2), int(frac * grid.nx / 2) + 1
         self.rows = np.r_[: self.K + 1, grid.ny - self.K : grid.ny]
         self.shape = (2 * self.K + 1, self.kc)
         self.half = np.empty((grid.ny, grid.nx // 2 + 1), np.complex128)
+
+    @cached_property
+    def disp(self) -> np.ndarray:
+        """`dispersion_table` on the block's modes, 0 on its xi = 0 column (read-only)."""
+        return _read_only(dispersion_table(self.grid, self.rows, self.kc))
 
     def forward(self, u: np.ndarray, out=None) -> np.ndarray:
         """The block of rfft2(u), the transform pruned to the kc columns, in out or a new array."""

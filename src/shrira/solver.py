@@ -54,7 +54,7 @@ import numpy as np
 
 from . import grid as sg
 from .errors import CollapseError, ConvergenceError, InputError
-from .decay import _auto_window, tail_exponent_fit, zero_x_mean_and_sign
+from .decay import tail_fit_or_nan, zero_x_mean_and_sign
 from .functionals import PhysicsParams, FunctionalReport, _f_integrals, _nehari_t, functional_report
 
 PETVIASHVILI = "petviashvili"
@@ -229,12 +229,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a.view(np.float64) * b.view(np.float64)))
 
 
-def _block_and_symbol(grid: sg.Grid, params: PhysicsParams):
-    """The Galerkin block of m and the profile symbol s = c + dispersion on it (c on xi = 0)."""
-    block = sg.GalerkinBlock(grid, params.m)
-    return block, params.c + sg.dispersion_table(grid, block.rows, block.kc)
-
-
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Stabilized fixed-point iteration; returns (Field, SolveReport), raises as `_finish` does."""
     return _finish(PETVIASHVILI, grid, params, *_petviashvili_loop(config, params, grid))
@@ -246,7 +240,9 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
     buffers, and in-place products keep the formulas' operand order (see `_Stepper`)."""
     t0 = time.perf_counter()
     gamma = params.m / (params.m - 1.0)
-    block, s = _block_and_symbol(grid, params)
+    block = sg.GalerkinBlock(grid, params.m)
+    s = params.c + block.disp  # the profile symbol, c on xi = 0
+    del block.disp  # the loop holds s only: its working set keeps one table of the block
     ph = _forward(block, _init_values(config, grid))
     phi = block.inverse(ph)
     fu, sph = np.empty_like(phi), np.empty_like(ph)
@@ -302,7 +298,8 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Preconditioned descent of S on the Nehari manifold; returns (Field, SolveReport)."""
     t0 = time.perf_counter()
-    block, s = _block_and_symbol(grid, params)
+    block = sg.GalerkinBlock(grid, params.m)
+    s = params.c + block.disp
     w = 2.0 * grid.spectral_weight  # column weight of the block's xi != 0 modes, times Parseval's factor
     dA = grid.cell_area
     k = (params.m - 1.0) / (2.0 * params.p)  # S = k ||u||_Z^2 on the manifold
@@ -412,16 +409,10 @@ def sweep(
     by c_new/c_old alongside); for an m-sweep the previous profile is reused on
     the same grid, and each solve takes gamma and the kept modes from its own
     m.  Rows carry d = S(phi), ||phi||_2^2 and the tail exponents along both
-    axes, fitted in the windows `decay_report` uses (nan where a window holds
-    fewer than 8 radii or fewer than 3 samples above 1e-13).  A ConvergenceError carries the rows finished before
-    it (`rows`).
+    axes, as `decay_report` fits them (`decay.tail_fit_or_nan`: nan where a window
+    cannot be fitted).  A ConvergenceError carries the rows finished before it
+    (`rows`).
     """
-    def fit_exponent(fld, axis):
-        try:
-            return tail_exponent_fit(fld, axis, _auto_window(fld.grid, axis))[0]
-        except InputError:  # too few radii, or too few samples above the floor
-            return float("nan")
-
     if param not in ("c", "m"):
         raise InputError("sweep parameter must be 'c' or 'm'")
     physics = [replace(params, **{param: float(v)}) for v in values]  # every value checked up front
@@ -436,15 +427,13 @@ def sweep(
         except ConvergenceError as exc:
             exc.rows = rows
             raise
-        ex = fit_exponent(fld, "x")
-        ey = fit_exponent(fld, "y")
         rows.append(
             SweepRow(
                 value=float(v),
                 d=rep.d,
                 l2_norm_sq=sg.lp_norm(fld, 2.0) ** 2,
-                exponent_x=ex,
-                exponent_y=ey,
+                exponent_x=tail_fit_or_nan(fld, "x")[0],
+                exponent_y=tail_fit_or_nan(fld, "y")[0],
                 iterations=rep.iterations,
                 converged=rep.converged,
             )

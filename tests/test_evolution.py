@@ -15,14 +15,13 @@ from shrira import (
     PhysicsParams,
     EvolveConfig,
     SolverConfig,
-    linear_symbol,
     petviashvili,
     step_if_rk4,
     evolve,
 )
 from shrira.evolution import MAX_STEPS, default_dt, _mass_energy, _Stepper
 from shrira.errors import BlowUpError, InputError
-from shrira.grid import dispersion_table, gather_block, scatter_block
+from shrira.grid import GalerkinBlock, dispersion_table, gather_block, scatter_block
 
 from conftest import galerkin_block, kept_modes, random_field, spectral_indices, traced_peak
 
@@ -34,8 +33,13 @@ def g2pi():
     return Grid(32, 32, 2 * PI, 2 * PI)
 
 
+def _linear_symbol(grid):
+    """sigma_L = i sgn(xi) (xi^2 + eta^2) = i xi * dispersion on the half layout."""
+    return 1j * grid.xi_half * dispersion_table(grid)
+
+
 def test_linear_symbol_values(g2pi):
-    sym = linear_symbol(g2pi)
+    sym = _linear_symbol(g2pi)
     jx, jy = (j[:, :17] for j in spectral_indices(g2pi))  # the symbol's half-spectrum layout
     assert sym.shape == (32, 17)
     assert sym[(jx == 1) & (jy == 0)][0] == pytest.approx(1j)
@@ -88,7 +92,7 @@ def test_translation_commutes_with_linear_flow(g2pi):
     """For the linear flow, spectral phase-shift translation commutes."""
     rng = np.random.default_rng(33)
     f = random_field(g2pi, rng)
-    sym = linear_symbol(g2pi)
+    sym = _linear_symbol(g2pi)
     shift = np.exp(-1j * g2pi.xi_half * 0.37)
     t = 0.9
     ch = np.fft.rfft2(f.values)
@@ -100,11 +104,35 @@ def test_translation_commutes_with_linear_flow(g2pi):
 def test_default_dt_has_dispersive_cap():
     g = Grid(256, 256, 64 * PI, 64 * PI)
     u0 = 3.5 * np.ones((256, 256))
-    dt = default_dt(g, u0, 2)
+    dt = default_dt(GalerkinBlock(g, 2), u0)
     xi, eta = g.xi[None, :], g.eta[:, None]
     sig_max = np.max(np.where(kept_modes(g, 2), xi**2 + eta**2, 0.0))  # |sigma_L| on the kept modes
     assert dt == pytest.approx(0.05 / sig_max)
     assert dt < 0.25 * g.dx / 3.5
+
+
+def test_evolve_builds_one_block_and_one_dispersion_table(g2pi, monkeypatch):
+    """Under the automatic step, the default dt, the stepper and the energy records of a run read
+    one Galerkin block and the one dispersion table it holds."""
+    import shrira.grid as sg
+
+    counts = {"block": 0, "table": 0}
+    block_init, table = sg.GalerkinBlock.__init__, sg.dispersion_table
+
+    def counted_init(self, *args):
+        counts["block"] += 1
+        block_init(self, *args)
+
+    def counted_table(*args):
+        counts["table"] += 1
+        return table(*args)
+
+    monkeypatch.setattr(sg.GalerkinBlock, "__init__", counted_init)
+    monkeypatch.setattr(sg, "dispersion_table", counted_table)
+    X, Y = g2pi.meshgrid()
+    rep = evolve(Field(g2pi, 0.5 * np.exp(-(X**2 + Y**2))), EvolveConfig(t_end=0.01), PhysicsParams(c=1.0, m=2))
+    assert rep.steps > 1 and len(rep.energy_series) > 1
+    assert counts == {"block": 1, "table": 1}
 
 
 def test_richardson_order_four(small_wave, params_m2):
@@ -303,7 +331,7 @@ def test_reference_from_another_box_is_rejected():
 
 def _classical_step(uh, dt, params, grid):
     """One IF-RK4 step on the half spectrum as fresh-array expressions: the referee."""
-    e_half = np.exp(linear_symbol(grid) * (dt / 2))
+    e_half = np.exp(_linear_symbol(grid) * (dt / 2))
     e_full = e_half * e_half
     mult = _half_multiplier(grid, params.m)
 
@@ -363,7 +391,7 @@ def test_stepper_is_bit_identical_to_the_classical_formula(seed, m, shape, ampli
     g, uh = _random_half_spectrum(shape, seed, amplitude, band_limit)
     params = PhysicsParams(c=1.0, m=m, signed_power=m == 2.5)
     ref = _classical_step(_projected(g, m, uh), dt, params, g)
-    stepper = _Stepper(g, dt, params)
+    stepper = _Stepper(GalerkinBlock(g, m), dt, params)
     got = stepper.step(_block(stepper, uh), np.empty_like(stepper.e_half))
     assert np.array_equal(scatter_block(got, np.empty_like(uh)), ref)
 
@@ -375,7 +403,7 @@ def test_pruned_nonlinear_term(m, rule, kc):
     64 = (1/2) 128 under the 1/2 rule."""
     g, v = _random_half_spectrum((256, 256), 3, 1.0, False)
     params = PhysicsParams(c=1.0, m=m)
-    stepper = _Stepper(g, 0.01, params)
+    stepper = _Stepper(GalerkinBlock(g, m), 0.01, params)
     assert kc - 1 == int(BAND[rule] * g.nx / 2)
     mult = _half_multiplier(g, m)
     want = mult * np.fft.rfft2(params.f(np.fft.irfft2(_projected(g, m, v), s=(g.ny, g.nx))))
@@ -395,7 +423,7 @@ def test_step_allocates_no_field_sized_arrays(params, rule):
     """After one warm step at 256^2, ten more raise the traced peak by less than two real fields."""
     g = Grid(256, 256, 64 * PI, 64 * PI)
     X, Y = g.meshgrid()
-    stepper = _Stepper(g, 0.003, params)
+    stepper = _Stepper(GalerkinBlock(g, params.m), 0.003, params)
     uh = _block(stepper, np.fft.rfft2(np.exp(-(X**2 + Y**2) / 4)))
     out = np.empty_like(uh)
     assert stepper.block.kc - 1 == int(BAND[rule] * g.nx / 2)

@@ -75,8 +75,9 @@ def test_dispersion_table(g2pi):
 def test_keep_matches_its_definition(shape, m):
     """The Galerkin block of m is the half layout of |j| <= frac n/2 on each axis (frac 2/3 for
     m <= 2, 1/2 beyond): rows 0..K and ny-K..ny-1 of columns 0..kc-1.  Without its column 0 it
-    holds the kept modes; the x-Nyquist column is never in it."""
-    from shrira.grid import GalerkinBlock
+    holds the kept modes; the x-Nyquist column is never in it.  Its disp is the dispersion table
+    on those modes, read-only."""
+    from shrira.grid import GalerkinBlock, dispersion_table
 
     g = Grid(*shape, 5.0, 3.0)
     block, half = GalerkinBlock(g, m), g.nx // 2 + 1
@@ -87,6 +88,9 @@ def test_keep_matches_its_definition(shape, m):
     assert np.array_equal(mask, galerkin_block(g, m)[:, :half])
     assert np.array_equal(mask & (np.arange(half) != 0), kept_modes(g, m)[:, :half])
     assert block.kc < half and block.half.shape == (g.ny, half)
+    assert np.array_equal(block.disp, dispersion_table(g)[block.rows, : block.kc])
+    with pytest.raises(ValueError, match="read-only"):
+        block.disp[0, 1] = 0.0
 
 
 def test_dc_mode(g2pi):

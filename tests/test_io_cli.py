@@ -310,6 +310,20 @@ def test_cli_verify_report_times_its_phases(solved_dir, tmp_path):
     assert all(t >= 0 for t in timings.values())
 
 
+def test_cli_verify_keeps_its_outputs_when_no_tail_can_be_fitted(tmp_path):
+    """On 16^2 over a 25 box each fit window holds fewer than 8 sample radii: verify still exits 0
+    and writes its reports, the exponents and their stderrs null, the residual that of the solve."""
+    cfg = tmp_path / "run16.json"
+    cfg.write_text(json.dumps({"grid": {"nx": 16, "ny": 16, "lx": 25.0, "ly": 25.0}}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 0
+    out = tmp_path / "verify"
+    assert main(["verify", "--field", str(tmp_path / "solve" / "phi.field"), "--out", str(out)]) == 0
+    decay = json.loads((out / "decay_report.json").read_text())
+    assert [decay[k] for k in ("exponent_x", "stderr_x", "exponent_y", "stderr_y")] == [None] * 4
+    assert decay["mixed_norms"] and (out / "tail_x.csv").exists()
+    assert json.loads((out / "verify_report.json").read_text())["spectral_residual"] <= 1e-10
+
+
 def test_cli_verify_zero_field_exits_2(tmp_path):
     g = Grid(16, 16, 2 * PI, 2 * PI)
     p = tmp_path / "zero.field"

@@ -169,11 +169,12 @@ def test_compact_delta_is_the_physical_relative_change(n, m):
 def test_solver_blocks_are_the_masked_real_transforms(rule):
     """The solvers' forward transform is the rfft2 masked to the kept modes, on the Galerkin block
     (its xi = 0 column zeroed), their inverse is irfft2 of the masked spectrum, s is c plus the
-    dispersion on the block (c on xi = 0), and twice the block dot is the full-spectrum sum.
+    block's disp (c on xi = 0), and twice the block dot is the full-spectrum sum.
     m = 2 keeps the 2/3 band, m = 3 the 1/2 band."""
     g = Grid(48, 32, 10.0, 7.0)
     m = {"two_thirds": 2, "half": 3}[rule]
-    block, s = solver._block_and_symbol(g, PhysicsParams(c=1.5, m=m))
+    block = sg.GalerkinBlock(g, m)
+    s = 1.5 + block.disp  # the solvers' profile symbol at c = 1.5
     keep = kept_modes(g, m)[:, : g.nx // 2 + 1]
     u = np.random.default_rng(7).standard_normal((g.ny, g.nx))
     masked = np.where(keep, np.fft.rfft2(u), 0.0)
@@ -365,7 +366,8 @@ def test_sweep_exponents_are_the_decay_report_ones(small_solution, p12):
 
 def test_sweep_gives_nan_for_a_window_that_underflows(p12, monkeypatch):
     """A tail that falls below 1e-13 inside the x window leaves fewer than 3 samples to fit:
-    the row's x exponent is nan, like a window with too few radii, and the y one is fitted."""
+    the row's x exponent is nan, like a window with too few radii, and the y one is fitted.
+    decay_report reads the same: a nan x exponent and stderr, and the fitted y exponent."""
     grid = Grid(64, 64, 32.0, 32.0)
     X, Y = grid.meshgrid()
     fld = Field(grid, np.exp(-40 * X**2) * (1 + Y**2) ** -1.5)
@@ -374,6 +376,9 @@ def test_sweep_gives_nan_for_a_window_that_underflows(p12, monkeypatch):
     (row,) = sweep("c", [1.0], SolverConfig(), p12, grid)
     assert math.isnan(row.exponent_x)
     assert row.exponent_y == pytest.approx(3.0, abs=0.5)
+    dr = decay_report(fld, p12)
+    assert math.isnan(dr.exponent_x) and math.isnan(dr.stderr_x)
+    assert dr.exponent_y == row.exponent_y and dr.stderr_y > 0
 
 
 def test_nehari_stops_as_stalled_at_the_round_off_floor(p12):
