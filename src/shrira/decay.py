@@ -208,6 +208,8 @@ def mixed_norm(f: sg.Field, q: float, r: float, order: str = "y_outer") -> float
     """
     if order not in ("y_outer", "x_outer"):
         raise InputError("order must be 'y_outer' or 'x_outer'")
+    if not (q > 0 and r > 0):
+        raise InputError(f"q and r must be positive, got q = {q}, r = {r}")
     a, g = np.abs(f.values), f.grid
     inner, d_in, d_out = (a, g.dx, g.dy) if order == "y_outer" else (a.T, g.dy, g.dx)
     if np.isinf(q):

@@ -309,9 +309,9 @@ def apply_multiplier(s: Spectrum, symbol) -> Spectrum:
 
 def lp_norm(f: Field, p: float) -> float:
     """Rectangle-rule L^p norm; p = inf gives the sample max."""
+    if not p > 0:
+        raise InputError(f"p must be positive, got {p}")
     if np.isinf(p):
         return float(np.max(np.abs(f.values)))
-    if p <= 0:
-        raise InputError("p must be positive")
     return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_area) ** (1.0 / p))
 

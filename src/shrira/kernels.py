@@ -200,11 +200,12 @@ def kernel_spectral_oracle(nu: float, grid: sg.Grid) -> sg.Field:
 
 def _node(grid: sg.Grid, x: float, y: float):
     """Indices (i, j) of the grid node nearest (x, y); InputError outside the box."""
-    i = int(round((x + grid.lx / 2) / grid.dx))
-    j = int(round((y + grid.ly / 2) / grid.dy))
-    if not (0 <= i < grid.nx and 0 <= j < grid.ny):
+    # the box is checked in floating point, so that a non-finite or huge coordinate fails it too;
+    # round() halves to even, and n is even, so these bounds are those of 0 <= round(s) < n
+    si, sj = (x + grid.lx / 2) / grid.dx, (y + grid.ly / 2) / grid.dy
+    if not (-0.5 <= si < grid.nx - 0.5 and -0.5 <= sj < grid.ny - 0.5):
         raise InputError(f"point ({x}, {y}) lies outside the oracle box")
-    return i, j
+    return round(si), round(sj)
 
 
 def oracle_node_value(field: sg.Field, x: float, y: float):

@@ -379,6 +379,8 @@ def rescale_speed(f: sg.Field, c_from: float, c_to: float, m: float) -> sg.Field
     """
     if not (c_from > 0 and c_to > 0):
         raise InputError("speeds must be positive")
+    if not 1 < m < math.inf:
+        raise InputError(f"m: nonlinearity exponent must exceed 1 and be finite, got {m}")
     lam = c_to / c_from
     g = f.grid
     new_grid = sg.Grid(g.nx, g.ny, g.lx / lam, g.ly / lam)

@@ -7,7 +7,8 @@ type or to a plausible value of its own type, a key removed, or a section
 replaced.  Each config is solved and, when the solve writes phi.field,
 evolved.  Stored-field headers take the same edits over their keys and are
 verified.  The numeric flags of `kernel`, `lizorkin`, `sweep` and `evolve`
-take the same edge values as strings.  Valid requests for astronomically many
+take the same edge values as strings, and so do the coordinates of the
+`kernel` points.  Valid requests for astronomically many
 samples or iterations (nx = 10**400, max_iter = 10**400, a huge oracle or
 Lizorkin grid) are left out: they would run for ever, not fail.  So is a box
 side of order 1, whose automatic time step is tiny: it plans fewer steps than
@@ -161,10 +162,18 @@ def _flag(*plausible):
     return st.one_of(st.sampled_from(plausible), st.sampled_from(FLAG_VALUES))
 
 
+# a points file of one or two rows, each coordinate plausible or an edge value
+coordinate = st.one_of(st.sampled_from((0.5, 0.75, 1.0)), st.sampled_from(EDGE_VALUES))
+points_csv = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=2).map(
+    lambda points: "x,y\n" + "".join(f"{x},{y}\n" for x, y in points))
 kernel_args = st.tuples(
-    st.just("kernel"), st.just("--nu"), _flag("0", "0.5", "2", "-1.4"), st.just("--quad-tol"), _flag("1e-8"),
+    st.just("kernel"), points_csv,
+    st.just("--nu"), _flag("0", "0.5", "2", "-1.4"), st.just("--quad-tol"), _flag("1e-8"),
     st.just("--oracle-nx"), st.sampled_from(SIZES), st.just("--oracle-ny"), st.sampled_from(SIZES),
     st.just("--oracle-lx"), _flag("20", "40"), st.just("--oracle-ly"), _flag("10", "20"))
+# valid flags, so that every drawn point reaches the oracle box check
+kernel_points_args = st.tuples(st.just("kernel"), points_csv, *map(st.just, (
+    "--nu", "0", "--oracle-nx", "64", "--oracle-ny", "32", "--oracle-lx", "20", "--oracle-ly", "10")))
 lizorkin_args = st.tuples(st.just("lizorkin"), st.just("--n-samples"),
                           st.sampled_from(("2", "16", "0", "1", "-1", "1e3", "x", "")))
 sweep_args = st.tuples(st.just("sweep"), st.just("--param"), st.sampled_from(("c", "m")), st.just("--values"),
@@ -173,7 +182,7 @@ evolve_args = st.tuples(st.just("evolve"), st.just("--reference-speed"), _flag("
 
 
 @settings(max_examples=100, deadline=2000, derandomize=True, database=None)
-@given(args=st.one_of(kernel_args, lizorkin_args, sweep_args, evolve_args))
+@given(args=st.one_of(kernel_args, kernel_points_args, lizorkin_args, sweep_args, evolve_args))
 def test_cli_numeric_flags_exit_cleanly(args):
     command, *flags = args
     with tempfile.TemporaryDirectory() as tmp:
@@ -181,7 +190,8 @@ def test_cli_numeric_flags_exit_cleanly(args):
         cfg = d / "run.json"
         cfg.write_text(json.dumps(BASE_CONFIG))
         if command == "kernel":
-            (d / "points.csv").write_text("x,y\n0.5,0.75\n1.0,1.0\n")
+            points, *flags = flags
+            (d / "points.csv").write_text(points)
             argv = [command, *flags, "--points", str(d / "points.csv"), "--out", str(d / "kernel.csv")]
         elif command == "lizorkin":
             argv = [command, *flags, "--out", str(d / "lizorkin.csv")]

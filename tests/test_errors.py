@@ -1,14 +1,18 @@
 """Rejected input raises one type, InputError, which is both a ValueError and a ShriraError."""
 
+import math
+
 import numpy as np
 import pytest
 
 from shrira import (Field, Grid, KernelSpec, PhysicsParams, apply_multiplier, forward, gn_ratio,
-                    h_nu_point, nehari_scale, read_field, spectral_residual, tail_exponent_fit)
+                    h_nu_point, lp_norm, mixed_norm, nehari_scale, oracle_nodes, read_field, rescale_speed,
+                    spectral_residual, tail_exponent_fit)
 from shrira.config import parse_config
 from shrira.errors import InputError, ShriraError
 
 G = Grid(32, 32, 2 * np.pi, 2 * np.pi)
+F = Field(G, np.exp(-np.hypot(*G.meshgrid()) ** 2))
 M2 = PhysicsParams(c=1.0, m=2)
 
 
@@ -40,8 +44,16 @@ def _used_mode_inf(tmp_path):
     (_used_mode_inf, "non-finite symbol value on a used mode"),
     (_underflowed_window, "fewer than 3 samples in the window are above 1e-13"),
     (lambda tmp_path: Grid(6, 32, 1.0, 1.0), "^nx: must be even and >= 8, got 6$"),
+    (lambda tmp_path: oracle_nodes(0.0, G, [(math.inf, 0.0)]), r"^point \(inf, 0.0\) lies outside the oracle"),
+    (lambda tmp_path: lp_norm(F, math.nan), "^p must be positive, got nan$"),
+    (lambda tmp_path: mixed_norm(F, 0, 2), "^q and r must be positive, got q = 0, r = 2$"),
+    (lambda tmp_path: mixed_norm(F, -1, 2), "^q and r must be positive, got q = -1, r = 2$"),
+    (lambda tmp_path: mixed_norm(F, 2, math.nan), "^q and r must be positive, got q = 2, r = nan$"),
+    (lambda tmp_path: rescale_speed(F, 1, 2, m=1.0), "^m: .* must exceed 1 and be finite, got 1.0$"),
+    (lambda tmp_path: rescale_speed(F, 1, 2, m=0.5), "^m: .* must exceed 1 and be finite, got 0.5$"),
 ], ids=["config_key", "corrupt_file", "kernel_origin", "zero_residual", "gn_zero_field", "nehari_no_scaling",
-        "symbol_domain", "underflow_window", "grid_range"])
+        "symbol_domain", "underflow_window", "grid_range", "oracle_point_inf", "lp_norm_nan", "mixed_norm_zero",
+        "mixed_norm_negative", "mixed_norm_nan", "rescale_speed_m1", "rescale_speed_m_half"])
 def test_rejected_input_raises_input_error(tmp_path, trigger, message):
     with pytest.raises(InputError, match=message) as exc:
         trigger(tmp_path)

@@ -471,11 +471,23 @@ def test_cli_evolve_writes_snapshots(tmp_path):
     assert np.array_equal(snap.values, final.values)
 
 
-def test_cli_evolve_zero_field_exits_2(tmp_path, cfg_file):
-    g = Grid(16, 16, 2 * PI, 2 * PI)
-    p = tmp_path / "zero.field"
-    write_field(p, Field(g, np.zeros((16, 16))), {"c": 1.0, "m": 2})
-    assert main(["evolve", "--field", str(p), "--config", str(cfg_file), "--out", str(tmp_path / "evo")]) == 2
+@pytest.mark.parametrize("grid, amplitude, message", [
+    (Grid(16, 16, 2 * PI, 2 * PI), 0.0, "initial field: its mass or energy is zero"),
+    (Grid(32, 32, 25.0, 1e-5), 1.0, "evolve: t_end / dt = 3.94784e+13 steps"),
+], ids=["zero_field", "tiny_box"])
+def test_cli_evolve_rejected_field_exits_2(tmp_path, capsys, grid, amplitude, message):
+    """A config with no grid section takes the field's grid: a zero field has no drifts to
+    report, and a tiny box under the automatic step plans more than 10**7 steps (exit 2 at once,
+    not a hang)."""
+    X, _ = grid.meshgrid()
+    p = tmp_path / "u0.field"
+    write_field(p, Field(grid, amplitude * np.exp(-X**2 / 4)), {"c": 1.0, "m": 2})
+    cfg = tmp_path / "ev.json"
+    cfg.write_text(json.dumps({"evolve": {"t_end": 0.05}}))
+    out = tmp_path / "evo"
+    assert main(["evolve", "--field", str(p), "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+    assert not (out / "final.field").exists()
 
 
 def test_cli_evolve_blow_up_keeps_last_good_and_partial_series(tmp_path):
@@ -627,6 +639,18 @@ def test_cli_kernel_checks_every_point_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x", ["inf", "-inf", "nan", "1e308"])
+def test_cli_kernel_rejects_a_non_finite_or_huge_point(tmp_path, capsys, x):
+    """Such a point fails the box check like any point outside it: exit 2, no traceback, no rows."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x,y\n0.5,0.75\n{x},0.75\n")
+    out = tmp_path / "kernel.csv"
+    assert main(["kernel", "--nu", "0", "--points", str(pts), "--out", str(out),
+                 "--oracle-nx", "64", "--oracle-ny", "32", "--oracle-lx", "20", "--oracle-ly", "10"]) == 2
+    assert capsys.readouterr().err == f"error: point ({float(x)}, 1.5) lies outside the oracle box\n"
+    assert not out.exists()
+
+
 def test_cli_kernel(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("x,y\n0.5,0.5\n1.0,1.0\n")
@@ -750,6 +774,9 @@ def test_cli_lizorkin(tmp_path):
     assert len(rows) == 12  # 3 multipliers x 4 derivative combos
     k0 = [float(r["sup_abs"]) for r in rows if r["k1"] == "0" and r["k2"] == "0"]
     assert all(v <= 1.0 + 1e-12 for v in k0)
+    one = tmp_path / "liz1.csv"
+    assert main(["lizorkin", "--out", str(one), "--n-samples", "1"]) == 2
+    assert not one.exists()
 
 
 def test_cli_version_and_help():
@@ -781,11 +808,13 @@ def test_field_format_v1_reads_as_unsigned_power(tmp_path):
 
 @pytest.mark.parametrize("m", [2.5, 2.0])
 def test_cli_verify_takes_signed_power_from_the_field(tmp_path, m):
-    """A signed-power solve verifies without --config: the header carries signed_power."""
+    """A signed-power solve verifies without --config: the header carries signed_power.  It also
+    lies in the block evolve runs on (the 1/2 band at m = 2.5): the projection removes nothing."""
     cfg = {
         "grid": {"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI},
         "physics": {"c": 1.0, "m": m, "signed_power": True},
         "solver": {"max_iter": 1500, "init": {"kind": "gaussian", "amplitude": 1.2}},
+        "evolve": {"t_end": 0.05},
     }
     p = tmp_path / "signed.json"
     p.write_text(json.dumps(cfg))
@@ -795,6 +824,9 @@ def test_cli_verify_takes_signed_power_from_the_field(tmp_path, m):
     assert main(["verify", "--field", str(tmp_path / "phi.field"), "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "verify_report.json").read_text())
     assert rep["spectral_residual"] <= 1e-10  # u^2 instead of |u|u would leave ~3e-2 at m = 2
+    out = tmp_path / "evolve"
+    assert main(["evolve", "--field", str(tmp_path / "phi.field"), "--config", str(p), "--out", str(out)]) == 0
+    assert json.loads((out / "evolve_report.json").read_text())["projection_defect"] <= 1e-14
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
