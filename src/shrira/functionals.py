@@ -205,7 +205,7 @@ def functional_report(f: sg.Field, params: PhysicsParams) -> FunctionalReport:
     r1, r2, r3 = _pohozaev(params, parts, uf, Fi)
     try:
         q = _gn(f, min(2.0, max(0.0, params.m - 1.0)), parts)
-    except InputError:  # p_gn is clipped, so only a vanishing denominator norm lands here
+    except (InputError, ArithmeticError):  # p_gn is clipped: only a denominator that vanishes or overflows
         q = float("nan")
     return FunctionalReport(
         z_norm_sq=zsq,

@@ -208,10 +208,11 @@ class GalerkinBlock:
     m <= 2 and 1/2 beyond (for non-integer m, u^m is not band-limited at all; 1/2
     is the conservative choice): half-spectrum rows `rows` = 0..K and ny-K..ny-1
     of columns 0..kc-1, as one array of `shape` (2K + 1, kc).  Its column 0 holds
-    the xi = 0 modes of the band; the Nyquist column is never in it.  Both
-    transforms run through the one half-spectrum work buffer `half`.  `disp`
-    (built on first use) is `dispersion_table` on the block: the solvers' symbol
-    s is c + disp, the stepper's linear symbol i*xi*disp.
+    the xi = 0 modes of the band, which `forward` returns as 0: the equation gives
+    them no nonlinear term and no wave carries them.  The Nyquist column is never
+    in it.  Both transforms run through the one half-spectrum work buffer `half`.
+    `disp` (built on first use) is `dispersion_table` on the block: the solvers'
+    symbol s is c + disp, the stepper's linear symbol i*xi*disp.
     """
 
     def __init__(self, grid: Grid, m: float):
@@ -228,9 +229,10 @@ class GalerkinBlock:
         return _read_only(dispersion_table(self.grid, self.rows, self.kc))
 
     def forward(self, u: np.ndarray, out=None) -> np.ndarray:
-        """The block of rfft2(u), the transform pruned to the kc columns, in out or a new array."""
+        """The block of rfft2(u), its xi = 0 column zeroed, pruned to the kc columns, in out or a new array."""
         out = np.empty(self.shape, np.complex128) if out is None else out
-        return gather_block(rfft2(u, self.kc, out=self.half), out)
+        gather_block(rfft2(u, self.kc, out=self.half), out)[:, 0] = 0.0
+        return out
 
     def inverse(self, b: np.ndarray, out=None) -> np.ndarray:
         """irfft2 of the half spectrum whose block is b and which is 0 elsewhere, pruned to kc columns."""

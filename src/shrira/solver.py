@@ -31,16 +31,19 @@ routes are provided:
 Both loops carry phi_hat on the Galerkin block of m (`grid.GalerkinBlock`: the
 2/3 rule for m <= 2, the 1/2 rule otherwise), so nonlinear products are
 truncated and the iterates solve the truncated Galerkin problem exactly at
-convergence.  The block's xi = 0 column is zeroed after every transform, so it
+convergence.  `GalerkinBlock.forward` zeroes the block's xi = 0 column, so it
 stays 0 and the block sums are half the full-spectrum ones.  Petviashvili's
 loop runs in fixed field buffers.  Reductions are pairwise np.sum, never a BLAS
 dot.  `spectral_residual`, which checks stored fields, keeps the whole half
 spectrum for s*phi_hat, so content outside the block still counts.
 
-Every stop leaves through `_finish`, which builds the one SolveReport.  Short
-of convergence it raises ConvergenceError (max_iter ran out, Nehari stalled) or
-a CollapseError, carrying the last finite iterate as `field` and its report as
-`report`.
+One way in, one way out: `_start`, the one reader of config.init, builds the
+block and s and projects the start; each solver leaves through one `_finish`.
+Short of convergence it raises ConvergenceError (max_iter ran out, Nehari
+stalled) or a CollapseError, carrying the report (`report`) and the last
+iterate (`field`), finite and non-zero unless the start was 0: a loop stops
+before an overflowing f(phi) or update, or a Nehari rescaling to a zero or
+non-finite field, replaces it.
 """
 
 from __future__ import annotations
@@ -88,15 +91,7 @@ class GaussianInit:
 
 @dataclass(frozen=True)
 class FileInit:
-    path: str
-
-    def build(self, grid: sg.Grid) -> np.ndarray:
-        from .io import read_field
-
-        f, _ = read_field(self.path)
-        if f.grid != grid:
-            raise InputError(f"initial guess {self.path} is on {f.grid}, the solve on {grid}")
-        return f.values
+    path: str  # a stored field, read by `_start`
 
 
 @dataclass(frozen=True)
@@ -138,18 +133,25 @@ class SolveReport:
         return asdict(self)
 
 
-def _init_values(config: SolverConfig, grid: sg.Grid) -> np.ndarray:
-    init = config.init
-    if isinstance(init, sg.Field):
-        if init.grid != grid:  # same samples and same box
-            raise InputError(f"warm-start field is on {init.grid}, the solve on {grid}")
-        return init.values.copy()
-    return init.build(grid)
+def _start(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
+    """(block, s, ph, phi) of a solve: its Galerkin block, s = c + disp (the block's own table
+    dropped), and config.init, unless on another box, projected as coefficients and samples."""
+    init, name = config.init, "warm-start field"
+    if isinstance(init, FileInit):
+        from .io import read_field
+        name, (init, _) = f"initial guess {init.path}", read_field(init.path)
+    if not isinstance(init, GaussianInit) and init.grid != grid:  # same samples and same box
+        raise InputError(f"{name} is on {init.grid}, the solve on {grid}")
+    block = sg.GalerkinBlock(grid, params.m)
+    s = params.c + block.disp
+    del block.disp  # a loop holds s only: its working set keeps one table of the block
+    ph = block.forward(init.build(grid) if isinstance(init, GaussianInit) else init.values)
+    return block, s, ph, block.inverse(ph)
 
 
-def _finish(method, grid, params, phi, hists, started, converged, stop=None, extrapolations=0):
+def _finish(method, grid, params, phi, hists, started, converged, stop, extrapolations):
     """(Field, SolveReport) of a converged loop; any other stop raises `stop` (a
-    ConvergenceError if none: max_iter ran out) carrying the field and the report.
+    ConvergenceError if None: max_iter ran out) carrying the field and the report.
 
     hists = (residual, M, delta) histories; started = (call start, loop start)
     on time.perf_counter, which time the report's phases.
@@ -199,7 +201,7 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     modes do not enter either norm.
     """
     g, block = f.grid, sg.GalerkinBlock(f.grid, params.m)
-    fh = _forward(block, params.f(f.values))
+    fh = block.forward(params.f(f.values))
     sph = sg.rfft2(f.values, out=block.half)
     np.multiply(params.c + sg.dispersion_table(g), sph, out=sph)
     sph[:, 0] = 0.0  # the xi = 0 column
@@ -212,13 +214,6 @@ def _residual(num_sq: float, den_sq: float) -> float:
     if den_sq == 0.0:
         raise InputError("spectral residual of a zero field is undefined")
     return float(np.sqrt(num_sq / den_sq))
-
-
-def _forward(block: sg.GalerkinBlock, u: np.ndarray) -> np.ndarray:
-    """The block of rfft2(u) with its xi = 0 column zeroed: no iterate carries xi = 0 content."""
-    b = block.forward(u)
-    b[:, 0] = 0.0
-    return b
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -240,19 +235,15 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
     buffers, and in-place products keep the formulas' operand order (see `_Stepper`)."""
     t0 = time.perf_counter()
     gamma = params.m / (params.m - 1.0)
-    block = sg.GalerkinBlock(grid, params.m)
-    s = params.c + block.disp  # the profile symbol, c on xi = 0
-    del block.disp  # the loop holds s only: its working set keeps one table of the block
-    ph = _forward(block, _init_values(config, grid))
-    phi = block.inverse(ph)
+    block, s, ph, phi = _start(config, params, grid)
     fu, sph = np.empty_like(phi), np.empty_like(ph)
     started = (t0, time.perf_counter())
     hists = res_hist, m_hist, delta_hist = [], [], []
-    delta = np.inf
+    delta, ph_sq = np.inf, _dot(ph, ph)
     d_prev, plain, extrapolations = None, 0, 0
     converged, stop = False, None
     for _ in range(config.max_iter):
-        fh = _forward(block, params.f(phi, out=fu))
+        fh = block.forward(params.f(phi, out=fu))
         np.multiply(s, ph, out=sph)
         num = _dot(sph, ph)
         den = _dot(fh, ph)
@@ -260,6 +251,9 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
             stop = CollapseError("iterate lost all spectral content")
             break
         M = num / den
+        if not math.isfinite(M):
+            stop = CollapseError(f"Petviashvili factor M = {M:.3e} is not finite: f(phi) or s ph overflows")
+            break
         sph_sq = _dot(sph, sph)
         sph -= fh  # the residual s phi_hat - f_hat
         resid = _residual(_dot(sph, sph), sph_sq)
@@ -278,7 +272,6 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
             stop = CollapseError(f"Petviashvili factor M = {M:.3e}: M^{gamma:g} overflows")
             break
         fh /= s  # the plain update
-        ph_sq = _dot(ph, ph)
         d = np.subtract(fh, ph, out=ph)
         d_sq = _dot(d, d)
         delta = math.sqrt(d_sq / ph_sq) if ph_sq > 0 else np.inf
@@ -290,6 +283,10 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
                 fh += np.multiply(lam / (1.0 - lam), d, out=d)
                 delta, plain = np.inf, 0
                 extrapolations += 1
+        ph_sq = _dot(fh, fh)  # the next iterate's; phi still holds the last one, which is finite
+        if not math.isfinite(ph_sq):
+            stop = CollapseError(f"Petviashvili update overflows: ||phi_hat||^2 = {ph_sq:.3e}")
+            break
         ph, d_prev = fh, d
         phi = block.inverse(ph, out=phi)
     return phi, hists, started, converged, stop, extrapolations
@@ -297,34 +294,33 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
 
 def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Preconditioned descent of S on the Nehari manifold; returns (Field, SolveReport)."""
+    return _finish(NEHARI_DESCENT, grid, params, *_nehari_loop(config, params, grid))
+
+
+def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
+    """The tuple of `_petviashvili_loop` for `nehari_descent`; a stop at the start skips the loop."""
     t0 = time.perf_counter()
-    block = sg.GalerkinBlock(grid, params.m)
-    s = params.c + block.disp
+    block, s, ph, phi = _start(config, params, grid)
     w = 2.0 * grid.spectral_weight  # column weight of the block's xi != 0 modes, times Parseval's factor
-    dA = grid.cell_area
     k = (params.m - 1.0) / (2.0 * params.p)  # S = k ||u||_Z^2 on the manifold
     res_hist: list = []
-
-    ph = _forward(block, _init_values(config, grid))
-    phi = block.inverse(ph)
     zsq = _dot(s * ph, ph) * w
-    uf, _ = _f_integrals(phi, dA, params)
+    uf, _ = _f_integrals(phi, grid.cell_area, params)
+    converged, stop = False, None
     if uf <= 0:
-        return _finish(NEHARI_DESCENT, grid, params, phi, ([], [], []), (t0, time.perf_counter()), False,
-                       CollapseError("initial guess has int u f(u) <= 0"))
-    t = _nehari_t(zsq, uf, params.m)
-    if not math.isfinite(t * np.max(np.abs(phi))):  # t phi would hold inf or nan
-        return _finish(NEHARI_DESCENT, grid, params, phi, ([], [], []), (t0, time.perf_counter()), False,
-                       CollapseError(f"Nehari rescaling t_u = {t:.3e} of the initial guess is not finite"))
-    phi, ph = t * phi, t * ph
-    S_old = k * t * t * zsq
+        stop = CollapseError("initial guess has int u f(u) <= 0")
+    else:
+        t = _nehari_t(zsq, uf, params.m)
+        if not 0 < t * np.max(np.abs(phi)) < math.inf:  # t phi would be 0 or hold inf or nan
+            stop = CollapseError(f"initial guess rescaled to 0 or a non-finite field (t_u = {t:.3e})")
+    if stop is None:
+        phi, ph = t * phi, t * ph
+        S_old = k * t * t * zsq
     started = (t0, time.perf_counter())
-
     h = DESCENT_STEP
     best, best_at = np.inf, 0
-    converged, stop = False, None
-    for _ in range(config.max_iter):
-        fh = _forward(block, params.f(phi))
+    for _ in range(config.max_iter if stop is None else 0):
+        fh = block.forward(params.f(phi))
         sph = s * ph
         r = sph - fh
         resid = _residual(_dot(r, r), _dot(sph, sph))
@@ -341,27 +337,24 @@ def nehari_descent(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         d = block.inverse(ph - fh / s)
         for _try in range(40):
             v = phi - h * d
-            vh = _forward(block, v)
+            vh = block.forward(v)
             zv = _dot(s * vh, vh) * w
-            ufv, _ = _f_integrals(v, dA, params)
-            if ufv <= 0 or zv == 0.0:
-                h *= 0.5
-                continue
-            tv = _nehari_t(zv, ufv, params.m)
-            Sv = k * tv * tv * zv
-            if Sv <= S_old + 1e-14 * abs(S_old):
-                break
+            ufv, _ = _f_integrals(v, grid.cell_area, params)
+            if ufv > 0 and zv != 0.0:
+                tv = _nehari_t(zv, ufv, params.m)
+                Sv = k * tv * tv * zv
+                if Sv <= S_old + 1e-14 * abs(S_old):
+                    break
             h *= 0.5
         else:  # no step accepted
             stop = ConvergenceError("Nehari descent stalled: no step decreases the action")
             break
-        if not math.isfinite(tv * np.max(np.abs(v))):
-            stop = CollapseError(f"Nehari step to a non-finite iterate (t_u = {tv:.3e})")
+        if not 0 < tv * np.max(np.abs(v)) < math.inf:
+            stop = CollapseError(f"Nehari step to a zero or non-finite iterate (t_u = {tv:.3e})")
             break
         phi, ph, S_old = tv * v, tv * vh, Sv
         h = min(h * 1.3, 0.9)
-
-    return _finish(NEHARI_DESCENT, grid, params, phi, (res_hist, [], []), started, converged, stop)
+    return phi, (res_hist, [], []), started, converged, stop, 0
 
 
 def solve(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):

@@ -5,10 +5,13 @@ the fields of the dataclass a section is parsed into: a key set to an edge
 value (0, +-1e+-300, nan, +-inf, huge integers), to a value of the wrong JSON
 type or to a plausible value of its own type, a key removed, or a section
 replaced.  Each config is solved and, when the solve writes phi.field,
-evolved.  Stored-field headers take the same edits over their keys and are
-verified.  The numeric flags of `kernel`, `lizorkin`, `sweep` and `evolve`
-take the same edge values as strings, and so do the coordinates of the
-`kernel` points.  Valid requests for astronomically many
+evolved.  A config that parses, has a grid and starts from a Gaussian must
+solve to exit 0 or 3 and write all three outputs: every solver stop, an
+overflowing start included, carries a finite field.  Stored-field headers
+take the same edits over their keys and are verified.  The numeric flags of
+`kernel`, `lizorkin`, `sweep` and `evolve` take the same edge values as
+strings, and so do the coordinates of the `kernel` points.  Valid requests
+for astronomically many
 samples or iterations (nx = 10**400, max_iter = 10**400, a huge oracle or
 Lizorkin grid) are left out: they would run for ever, not fail.  So is a box
 side of order 1, whose automatic time step is tiny: it plans fewer steps than
@@ -29,11 +32,11 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from shrira import Field, Grid, write_field
+from shrira import Field, GaussianInit, Grid, write_field
 from shrira.cli import main
-from shrira.config import _INIT_KINDS, _SECTIONS
+from shrira.config import _INIT_KINDS, _SECTIONS, load_config
 from shrira.io import _HEADER_KEYS
 
 EDGE_VALUES = (0, -1, 0.0, 1e300, -1e300, 1e-300, -1e-300, math.nan, math.inf, -math.inf,
@@ -117,14 +120,31 @@ def _check(command, code, err):
         assert "error:" in err, err
 
 
+def _solves_from_a_gaussian(path):
+    """Whether the config at path parses, has a grid and starts from a Gaussian."""
+    try:
+        cfg = load_config(path)
+    except ValueError:  # InputError included
+        return False
+    return cfg.grid is not None and isinstance(cfg.solver.init, GaussianInit)
+
+
 @settings(max_examples=150, deadline=2000, derandomize=True, database=None)
 @given(edits=st.lists(st.one_of(key_edit, key_edit, key_edit, section_swap), max_size=2))
+@example(edits=[(("init", "amplitude"), 1e300)])  # f(phi) overflows: M = nan
+@example(edits=[(("physics", "m"), 2.5), (("physics", "signed_power"), True),
+                (("solver", "method"), "nehari_descent"), (("init", "amplitude"), 1e120)])  # t_u = 0
 def test_cli_solve_and_evolve_exit_cleanly_on_any_config(edits):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         cfg = d / "run.json"
         cfg.write_text(json.dumps(_edited_config(edits)))
-        _check("solve", *_run(["solve", "--config", str(cfg), "--out", str(d / "solve")]))
+        code, err = _run(["solve", "--config", str(cfg), "--out", str(d / "solve")])
+        _check("solve", code, err)
+        if _solves_from_a_gaussian(cfg):
+            assert code in (0, 3), err
+            assert all((d / "solve" / name).exists() for name in ("phi.field", "solve_report.json",
+                                                                  "functionals.json")), err
         if (d / "solve" / "phi.field").exists():
             _check("evolve", *_run(["evolve", "--field", str(d / "solve" / "phi.field"),
                                     "--config", str(cfg), "--out", str(d / "evolve")]))

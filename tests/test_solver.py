@@ -1,8 +1,10 @@
 """Solver behavior on small grids: residual oracle, fixed points, rescaling."""
 
+import contextlib
 import math
 import re
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,9 +169,9 @@ def test_compact_delta_is_the_physical_relative_change(n, m):
 
 @pytest.mark.parametrize("rule", ["two_thirds", "half"])
 def test_solver_blocks_are_the_masked_real_transforms(rule):
-    """The solvers' forward transform is the rfft2 masked to the kept modes, on the Galerkin block
-    (its xi = 0 column zeroed), their inverse is irfft2 of the masked spectrum, s is c plus the
-    block's disp (c on xi = 0), and twice the block dot is the full-spectrum sum.
+    """The block's forward transform is the rfft2 masked to the kept modes, on the Galerkin block
+    (its xi = 0 column zeroed), its inverse is irfft2 of the masked spectrum, the solvers' s is c
+    plus the block's disp (c on xi = 0), and twice the block dot is the full-spectrum sum.
     m = 2 keeps the 2/3 band, m = 3 the 1/2 band."""
     g = Grid(48, 32, 10.0, 7.0)
     m = {"two_thirds": 2, "half": 3}[rule]
@@ -178,13 +180,34 @@ def test_solver_blocks_are_the_masked_real_transforms(rule):
     keep = kept_modes(g, m)[:, : g.nx // 2 + 1]
     u = np.random.default_rng(7).standard_normal((g.ny, g.nx))
     masked = np.where(keep, np.fft.rfft2(u), 0.0)
-    v = solver._forward(block, u)
+    v = block.forward(u)
     assert np.array_equal(v, masked[block.rows, : block.kc])
     assert np.array_equal(block.inverse(v), np.fft.irfft2(masked, s=(g.ny, g.nx)))
     xi, eta = np.abs(g.xi_half[: block.kc]), g.eta[block.rows, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         assert np.array_equal(s, np.where(xi != 0, 1.5 + (xi**2 + eta**2) / xi, 1.5))
     assert 2 * solver._dot(v, v) == pytest.approx(sg.weighted_sq_sum(g, 1.0, masked), rel=1e-13)
+
+
+@pytest.mark.parametrize("method", ["petviashvili", "nehari_descent"])
+def test_solve_builds_one_block_and_one_dispersion_table(p12, method, monkeypatch):
+    """Both loops take their block, symbol and start from one `_start`: a solve, its report
+    included, builds one Galerkin block and one dispersion table."""
+    counts = {"block": 0, "table": 0}
+    block_init, table = sg.GalerkinBlock.__init__, sg.dispersion_table
+
+    def counted_init(self, *args):
+        counts["block"] += 1
+        block_init(self, *args)
+
+    def counted_table(*args):
+        counts["table"] += 1
+        return table(*args)
+
+    monkeypatch.setattr(sg.GalerkinBlock, "__init__", counted_init)
+    monkeypatch.setattr(sg, "dispersion_table", counted_table)
+    _, rep = solve(SolverConfig(method=method), p12, Grid(32, 32, 8 * PI, 8 * PI))
+    assert rep.converged and counts == {"block": 1, "table": 1}
 
 
 def test_a_solve_runs_in_a_fixed_working_set(p12):
@@ -267,20 +290,36 @@ def test_petviashvili_collapse(p12):
         petviashvili(cfg, p12, grid)
 
 
-@pytest.mark.parametrize("method, init, error, message, iterations", [
-    ("petviashvili", GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3),
-    ("nehari_descent", GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3),
-    ("petviashvili", Field(Grid(32, 32, 8 * PI, 8 * PI), np.zeros((32, 32))), CollapseError,
-     "lost all spectral content", 0),
-    ("petviashvili", GaussianInit(amplitude=-1.0), CollapseError, "<= 0 (bad initial guess)", 1),
-    ("nehari_descent", GaussianInit(amplitude=-1.0), CollapseError, "int u f(u) <= 0", 0),
-], ids=["max_iter", "nehari_max_iter", "zero_init", "negative_M", "nehari_initial_collapse"])
-def test_every_stop_carries_field_and_report(p12, method, init, error, message, iterations):
-    """max_iter exhausted, a zero initial field, M <= 0 and the Nehari initial collapse all
-    raise their error class with the last iterate and a timed, unconverged report."""
+P12, SIGNED = PhysicsParams(c=1.0, m=2), PhysicsParams(c=1.0, m=2.5, signed_power=True)
+SIGNED_15 = PhysicsParams(c=1.0, m=1.5, signed_power=True)
+
+
+@pytest.mark.parametrize("method, params, init, error, message, iterations, warns", [
+    ("petviashvili", P12, GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3, False),
+    ("nehari_descent", P12, GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3, False),
+    ("petviashvili", P12, Field(Grid(32, 32, 8 * PI, 8 * PI), np.zeros((32, 32))), CollapseError,
+     "lost all spectral content", 0, False),
+    ("petviashvili", P12, GaussianInit(amplitude=-1.0), CollapseError, "<= 0 (bad initial guess)", 1, False),
+    ("nehari_descent", P12, GaussianInit(amplitude=-1.0), CollapseError, "int u f(u) <= 0", 0, False),
+    ("petviashvili", P12, GaussianInit(amplitude=1e160), CollapseError,
+     "M = nan is not finite: f(phi) or s ph overflows", 0, True),
+    ("petviashvili", replace(SIGNED_15, c=1e100), GaussianInit(), CollapseError,
+     "update overflows: ||phi_hat||^2 = inf", 1, True),
+    ("nehari_descent", SIGNED, GaussianInit(amplitude=1e120), CollapseError,
+     "initial guess rescaled to 0 or a non-finite field (t_u = 0.000e+00)", 0, True),
+    ("petviashvili", SIGNED_15, GaussianInit(amplitude=1e-150), CollapseError,
+     "lost all spectral content", 0, False),
+], ids=["max_iter", "nehari_max_iter", "zero_init", "negative_M", "nehari_initial_collapse",
+        "overflowing_f", "overflowing_update", "nehari_zero_rescaling", "underflowing_report"])
+def test_every_stop_carries_field_and_report(method, params, init, error, message, iterations, warns):
+    """max_iter exhausted, a zero initial field, M <= 0, the Nehari initial collapse, an f(phi)
+    that overflows (M = nan), an update that overflows, a Nehari rescaling that underflows to 0
+    (int u f(u) = inf) and a start whose report's GN ratio underflows (it reads nan) all raise
+    their error class with the last, finite iterate and a timed, unconverged report."""
     grid = Grid(32, 32, 8 * PI, 8 * PI)
-    with pytest.raises(error, match=re.escape(message)) as exc:
-        solve(SolverConfig(method=method, init=init, max_iter=3), p12, grid)
+    with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext(), \
+            pytest.raises(error, match=re.escape(message)) as exc:
+        solve(SolverConfig(method=method, init=init, max_iter=3), params, grid)
     assert type(exc.value) is error
     fld, rep = exc.value.field, exc.value.report
     assert fld.grid == grid and np.all(np.isfinite(fld.values))
