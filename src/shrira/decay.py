@@ -53,22 +53,11 @@ class DecayReport:
     y_weighted_seminorm: float
     zero_x_mean_defect: float
     sign_change: bool
-    mixed_norms: list  # rows (q, r, value_y_outer, value_x_outer, admissible)
+    mixed_norms: list  # rows {q, r, value_y_outer, value_x_outer, admissible}
     p_in_proven_range: bool
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["mixed_norms"] = [
-            {
-                "q": None if np.isinf(q) else q,
-                "r": None if np.isinf(r) else r,
-                "value_y_outer": vy,
-                "value_x_outer": vx,
-                "admissible": adm,
-            }
-            for (q, r, vy, vx, adm) in self.mixed_norms
-        ]
-        return out
+        return asdict(self)
 
 
 def _auto_window(grid: sg.Grid, axis: str) -> tuple:
@@ -233,10 +222,9 @@ def decay_report(f: sg.Field, params: PhysicsParams) -> DecayReport:
     ey, sy = tail_fit_or_nan(f, "y")
     ex, sx = tail_fit_or_nan(f, "x")
     defect, sign_change = zero_x_mean_and_sign(f)
-    mixed = [
-        (q, r, mixed_norm(f, q, r, "y_outer"), mixed_norm(f, q, r, "x_outer"), mixed_pair_admissible(q, r))
-        for (q, r) in MIXED_PAIRS
-    ]
+    mixed = [{"q": q, "r": r, "value_y_outer": mixed_norm(f, q, r, "y_outer"),
+              "value_x_outer": mixed_norm(f, q, r, "x_outer"), "admissible": mixed_pair_admissible(q, r)}
+             for (q, r) in MIXED_PAIRS]
     return DecayReport(
         exponent_y=ey,
         stderr_y=sy,

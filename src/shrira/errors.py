@@ -35,8 +35,8 @@ class ConvergenceError(ShriraError):
 
 
 class CollapseError(ConvergenceError):
-    """The iterate collapsed: M <= 0 or non-finite, M^gamma or the update past the double range or a
-    zero Petviashvili iterate; int u f(u) <= 0 or a rescaling to a zero or non-finite field for Nehari."""
+    """The iterate collapsed: a start whose spectrum overflows, M <= 0 or non-finite, M^gamma or the update past
+    the double range, a zero Petviashvili iterate; int u f(u) <= 0 or t_u giving a zero or non-finite Nehari field."""
 
 
 class BlowUpError(ShriraError):

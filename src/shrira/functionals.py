@@ -141,15 +141,20 @@ def nehari_I(f: sg.Field, params: PhysicsParams) -> float:
 
 
 def _nehari_t(zsq: float, uf: float, m: float) -> float:
-    """t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)) from the two integrals."""
-    if uf <= 0:
-        raise InputError("int u f(u) <= 0: no positive Nehari rescaling")
-    return (zsq / uf) ** (1.0 / (m - 1.0))
+    """t_u = (||u||_Z^2 / int u f(u))^(1/(m-1)) from the two integrals: nan where int u f(u) <= 0
+    (no t_u exists), inf past the double range."""
+    try:
+        return (zsq / uf) ** (1.0 / (m - 1.0)) if uf > 0 else math.nan
+    except OverflowError:  # a float power past the double range
+        return math.inf
 
 
 def nehari_scale(f: sg.Field, params: PhysicsParams) -> float:
-    """Unique t_u > 0 with I(t_u u) = 0, maximizing t -> S(t u), in closed form (`_nehari_t`)."""
+    """Unique t_u > 0 with I(t_u u) = 0, maximizing t -> S(t u), in closed form (`_nehari_t`): inf
+    past the double range; a field with int u f(u) <= 0 has none and is rejected."""
     uf, _ = _f_integrals(f.values, f.grid.cell_area, params)
+    if uf <= 0:
+        raise InputError("int u f(u) <= 0: no positive Nehari rescaling")
     return _nehari_t(z_norm_sq(f, params), uf, params.m)
 
 

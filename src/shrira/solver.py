@@ -41,9 +41,10 @@ One way in, one way out: `_start`, the one reader of config.init, builds the
 block and s and projects the start; each solver leaves through one `_finish`.
 Short of convergence it raises ConvergenceError (max_iter ran out, Nehari
 stalled) or a CollapseError, carrying the report (`report`) and the last
-iterate (`field`), finite and non-zero unless the start was 0: a loop stops
-before an overflowing f(phi) or update, or a Nehari rescaling to a zero or
-non-finite field, replaces it.
+iterate (`field`), finite and non-zero unless the start was 0: a start whose
+spectrum overflows stops as its own samples, and a loop stops before an
+overflowing f(phi) or update, or a Nehari rescaling to a zero or non-finite
+field, replaces it.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class SolveReport:
 
 
 def _start(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
-    """(block, s, ph, phi) of a solve: its Galerkin block, s = c + disp (the block's own table
-    dropped), and config.init, unless on another box, projected as coefficients and samples."""
+    """(block, s, ph, phi) of a solve: its Galerkin block, s = c + disp (the block's own table dropped),
+    and config.init, unless on another box, projected as coefficients and samples (its own if ph overflows)."""
     init, name = config.init, "warm-start field"
     if isinstance(init, FileInit):
         from .io import read_field
@@ -145,8 +146,9 @@ def _start(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     block = sg.GalerkinBlock(grid, params.m)
     s = params.c + block.disp
     del block.disp  # a loop holds s only: its working set keeps one table of the block
-    ph = block.forward(init.build(grid) if isinstance(init, GaussianInit) else init.values)
-    return block, s, ph, block.inverse(ph)
+    u = init.build(grid) if isinstance(init, GaussianInit) else init.values
+    ph = block.forward(u)
+    return block, s, ph, block.inverse(ph) if np.isfinite(ph).all() else u
 
 
 def _finish(method, grid, params, phi, hists, started, converged, stop, extrapolations):
@@ -198,11 +200,14 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     The nonlinear term keeps the Galerkin block of m, as the solvers do; s*phi_hat
     keeps the whole half spectrum, so content outside the block still counts.
     The field is expected to carry no xi = 0 content (project first); those
-    modes do not enter either norm.
+    modes do not enter either norm.  Both spectra are scaled by 2^k, 2^k max|phi| in [1/2, 1):
+    exact, so the ratio is unchanged, but no square underflows.  An all-zero field (0/0) is rejected.
     """
     g, block = f.grid, sg.GalerkinBlock(f.grid, params.m)
-    fh = block.forward(params.f(f.values))
-    sph = sg.rfft2(f.values, out=block.half)
+    k = -np.frexp(np.max(np.abs(f.values)))[1]
+    buf = params.f(f.values)  # one field buffer: 2^k f(phi), then 2^k phi
+    fh = block.forward(np.ldexp(buf, k, out=buf))
+    sph = sg.rfft2(np.ldexp(f.values, k, out=buf), out=block.half)
     np.multiply(params.c + sg.dispersion_table(g), sph, out=sph)
     sph[:, 0] = 0.0  # the xi = 0 column
     den_sq = sg.weighted_sq_sum(g, 1.0, sph)
@@ -240,9 +245,9 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
     started = (t0, time.perf_counter())
     hists = res_hist, m_hist, delta_hist = [], [], []
     delta, ph_sq = np.inf, _dot(ph, ph)
-    d_prev, plain, extrapolations = None, 0, 0
-    converged, stop = False, None
-    for _ in range(config.max_iter):
+    d_prev, plain, extrapolations, converged = None, 0, 0, False
+    stop = None if np.isfinite(ph).all() else CollapseError("initial guess overflows its spectrum")
+    for _ in range(config.max_iter if stop is None else 0):
         fh = block.forward(params.f(phi, out=fu))
         np.multiply(s, ph, out=sph)
         num = _dot(sph, ph)
@@ -306,13 +311,11 @@ def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     res_hist: list = []
     zsq = _dot(s * ph, ph) * w
     uf, _ = _f_integrals(phi, grid.cell_area, params)
-    converged, stop = False, None
+    converged, stop, t = False, None, _nehari_t(zsq, uf, params.m)
     if uf <= 0:
         stop = CollapseError("initial guess has int u f(u) <= 0")
-    else:
-        t = _nehari_t(zsq, uf, params.m)
-        if not 0 < t * np.max(np.abs(phi)) < math.inf:  # t phi would be 0 or hold inf or nan
-            stop = CollapseError(f"initial guess rescaled to 0 or a non-finite field (t_u = {t:.3e})")
+    elif not 0 < t * np.max(np.abs(phi)) < math.inf:  # t phi would be 0 or hold inf or nan
+        stop = CollapseError(f"initial guess rescaled to 0 or a non-finite field (t_u = {t:.3e})")
     if stop is None:
         phi, ph = t * phi, t * ph
         S_old = k * t * t * zsq
@@ -340,7 +343,7 @@ def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             vh = block.forward(v)
             zv = _dot(s * vh, vh) * w
             ufv, _ = _f_integrals(v, grid.cell_area, params)
-            if ufv > 0 and zv != 0.0:
+            if zv != 0.0:  # a nan action (int u f(u) <= 0) or an infinite one is not accepted
                 tv = _nehari_t(zv, ufv, params.m)
                 Sv = k * tv * tv * zv
                 if Sv <= S_old + 1e-14 * abs(S_old):

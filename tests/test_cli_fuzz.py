@@ -8,8 +8,10 @@ replaced.  Each config is solved and, when the solve writes phi.field,
 evolved.  A config that parses, has a grid and starts from a Gaussian must
 solve to exit 0 or 3 and write all three outputs: every solver stop, an
 overflowing start included, carries a finite field.  Stored-field headers
-take the same edits over their keys and are verified.  The numeric flags of
-`kernel`, `lizorkin`, `sweep` and `evolve` take the same edge values as
+take the same edits over their keys and are verified; a file whose header
+`verify` reads (a grid and physics it accepts) must verify to exit 0 and
+write all four outputs, a value it cannot form written as null.  The
+numeric flags of `kernel`, `lizorkin`, `sweep` and `evolve` take the same edge values as
 strings, and so do the coordinates of the `kernel` points.  Valid requests
 for astronomically many
 samples or iterations (nx = 10**400, max_iter = 10**400, a huge oracle or
@@ -35,7 +37,7 @@ import numpy as np
 from hypothesis import event, example, given, settings, strategies as st
 
 from shrira import Field, GaussianInit, Grid, write_field
-from shrira.cli import main
+from shrira.cli import _read_stored, main
 from shrira.config import _INIT_KINDS, _SECTIONS, load_config
 from shrira.io import _HEADER_KEYS
 
@@ -132,6 +134,7 @@ def _solves_from_a_gaussian(path):
 @settings(max_examples=150, deadline=2000, derandomize=True, database=None)
 @given(edits=st.lists(st.one_of(key_edit, key_edit, key_edit, section_swap), max_size=2))
 @example(edits=[(("init", "amplitude"), 1e300)])  # f(phi) overflows: M = nan
+@example(edits=[(("init", "amplitude"), 1e307)])  # the start's spectrum overflows
 @example(edits=[(("physics", "m"), 2.5), (("physics", "signed_power"), True),
                 (("solver", "method"), "nehari_descent"), (("init", "amplitude"), 1e120)])  # t_u = 0
 def test_cli_solve_and_evolve_exit_cleanly_on_any_config(edits):
@@ -155,8 +158,21 @@ header_edit = st.tuples(st.sampled_from(_HEADER_KEYS),
                         st.one_of(st.sampled_from(ANY_PLAUSIBLE), st.sampled_from((DELETE,) + VALUES)))
 
 
+VERIFY_OUTPUTS = ("verify_report.json", "decay_report.json", "tail_x.csv", "tail_y.csv")
+
+
+def _is_read(path):
+    """Whether `verify` reads the stored field at path: its header gives a grid and physics."""
+    try:
+        _read_stored(path)
+    except ValueError:  # InputError included
+        return False
+    return True
+
+
 @settings(max_examples=100, deadline=2000, derandomize=True, database=None)
 @given(edits=st.lists(header_edit, max_size=3), whole=st.one_of(st.just(KEEP), st.sampled_from(VALUES)))
+@example(edits=[("c", 1e300), ("m", 1.5), ("signed_power", True)], whole=KEEP)  # t_u past the double range
 def test_cli_verify_exits_cleanly_on_any_header(edits, whole):
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "phi.field"
@@ -171,7 +187,12 @@ def test_cli_verify_exits_cleanly_on_any_header(edits, whole):
         if whole is not KEEP:  # a header that is not an object at all
             header = whole
         p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-        _check("verify", *_run(["verify", "--field", str(p), "--out", str(Path(tmp) / "verify")]))
+        out = Path(tmp) / "verify"
+        code, err = _run(["verify", "--field", str(p), "--out", str(out)])
+        _check("verify", code, err)
+        if _is_read(p):
+            assert code == 0, err
+            assert all((out / name).exists() for name in VERIFY_OUTPUTS), err
 
 
 FLAG_VALUES = ("0", "-1", "1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf", "1" + "0" * 400, "x", "")

@@ -169,6 +169,7 @@ def test_decay_report_fields(ground_state_256, params_m2):
     assert np.isfinite(rep.y_weighted_seminorm) and rep.y_weighted_seminorm > 0
     d = rep.to_dict()
     assert d["mixed_norms"][0]["q"] == 2.0
+    assert d["mixed_norms"][-1]["q"] == math.inf  # the library keeps inf; only the JSON writer gives null
     assert isinstance(d["mixed_norms"][0]["admissible"], bool)
     # default window starts at the documented fraction of the half-length
     half = fld.grid.ly / 2

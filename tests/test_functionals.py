@@ -8,6 +8,7 @@ import pytest
 from shrira import (
     Grid,
     Field,
+    GaussianInit,
     PhysicsParams,
     z_norm_sq,
     action_S,
@@ -19,6 +20,7 @@ from shrira import (
 )
 from shrira import grid as sg
 from shrira.errors import InputError
+from shrira.functionals import _nehari_t
 
 from conftest import random_field
 
@@ -186,6 +188,15 @@ def test_nehari_scale_error(g2pi, p12):
         f = Field(g2pi, -f.values)
     with pytest.raises(InputError, match="no positive Nehari rescaling"):
         nehari_scale(f, p12)
+
+
+def test_nehari_scale_past_the_double_range_is_inf(g2pi):
+    """At m = 1.5, c = 1e150 and amplitude 1e-50, t_u = (||u||_Z^2 / int u f(u))^2 passes the double
+    range: inf, not an OverflowError.  `_nehari_t` gives nan where no t_u exists, and inf there."""
+    u = Field(g2pi, GaussianInit(amplitude=1e-50).build(g2pi))
+    assert nehari_scale(u, PhysicsParams(c=1e150, m=1.5, signed_power=True)) == math.inf
+    assert _nehari_t(1e200, 1e-200, 1.5) == math.inf
+    assert all(math.isnan(_nehari_t(1.0, uf, 2.0)) for uf in (0.0, -1.0))
 
 
 def test_pohozaev_r1_equals_minus_I(g2pi, p12):

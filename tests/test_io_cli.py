@@ -254,7 +254,8 @@ def test_cli_verify_matches_solve(solved_dir, tmp_path):
     rep = json.loads((out / "verify_report.json").read_text())
     solve_rep = json.loads((solved_dir / "solve_report.json").read_text())
     assert abs(rep["spectral_residual"] - solve_rep["residual_history"][-1]) <= 1e-12
-    assert (out / "decay_report.json").exists()
+    mixed = json.loads((out / "decay_report.json").read_text())["mixed_norms"]
+    assert mixed[-1]["q"] is None and mixed[-1]["r"] == 1.5  # q = inf, written as null
     for name in ("tail_x.csv", "tail_y.csv"):
         with open(out / name) as fh:
             rows = list(csv.reader(fh))
@@ -322,6 +323,27 @@ def test_cli_verify_keeps_its_outputs_when_no_tail_can_be_fitted(tmp_path):
     assert [decay[k] for k in ("exponent_x", "stderr_x", "exponent_y", "stderr_y")] == [None] * 4
     assert decay["mixed_norms"] and (out / "tail_x.csv").exists()
     assert json.loads((out / "verify_report.json").read_text())["spectral_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("amplitude, header, key, value", [
+    (-1.0, {"c": 1.0, "m": 2}, "nehari_t_u", None),
+    (1e-170, {"c": 1.0, "m": 2}, "spectral_residual", 1.0),
+    (1e-300, {"c": 1.0, "m": 2}, "spectral_residual", 1.0),
+    (1e-50, {"c": 1e150, "m": 1.5, "signed_power": True}, "nehari_t_u", None),
+], ids=["negative", "tiny", "tinier", "t_u_past_the_double_range"])
+def test_cli_verify_writes_every_output_for_a_finite_non_zero_field(tmp_path, amplitude, header, key, value):
+    """A value verify cannot form is written as null, and the other outputs stay: a negative
+    Gaussian has int u f(u) < 0, so no Nehari rescaling t_u, and at c = 1e150, m = 1.5 the
+    rescaling passes the double range.  The squared norms of a 1e-170 or 1e-300 Gaussian would
+    underflow to 0; scaled by a power of two they do not, and the residual reads 1, since f(phi)
+    lies below the field's resolution."""
+    g = Grid(32, 32, 25.0, 25.0)
+    p = tmp_path / "phi.field"
+    write_field(p, Field(g, shrira.GaussianInit(amplitude=amplitude).build(g)), header)
+    out = tmp_path / "verify"
+    assert main(["verify", "--field", str(p), "--out", str(out)]) == 0
+    assert json.loads((out / "verify_report.json").read_text())[key] == value
+    assert all((out / name).exists() for name in ("decay_report.json", "tail_x.csv", "tail_y.csv"))
 
 
 def test_cli_verify_zero_field_exits_2(tmp_path):

@@ -309,13 +309,22 @@ SIGNED_15 = PhysicsParams(c=1.0, m=1.5, signed_power=True)
      "initial guess rescaled to 0 or a non-finite field (t_u = 0.000e+00)", 0, True),
     ("petviashvili", SIGNED_15, GaussianInit(amplitude=1e-150), CollapseError,
      "lost all spectral content", 0, False),
+    ("petviashvili", P12, GaussianInit(amplitude=1e307), CollapseError, "initial guess overflows its spectrum",
+     0, True),
+    ("nehari_descent", P12, GaussianInit(amplitude=1e307), CollapseError,
+     "initial guess rescaled to 0 or a non-finite field (t_u = nan)", 0, True),
+    ("nehari_descent", replace(SIGNED_15, c=1e150), GaussianInit(amplitude=1e-50), CollapseError,
+     "initial guess rescaled to 0 or a non-finite field (t_u = inf)", 0, False),
 ], ids=["max_iter", "nehari_max_iter", "zero_init", "negative_M", "nehari_initial_collapse",
-        "overflowing_f", "overflowing_update", "nehari_zero_rescaling", "underflowing_report"])
+        "overflowing_f", "overflowing_update", "nehari_zero_rescaling", "underflowing_report",
+        "overflowing_start", "nehari_overflowing_start", "nehari_infinite_rescaling"])
 def test_every_stop_carries_field_and_report(method, params, init, error, message, iterations, warns):
     """max_iter exhausted, a zero initial field, M <= 0, the Nehari initial collapse, an f(phi)
     that overflows (M = nan), an update that overflows, a Nehari rescaling that underflows to 0
-    (int u f(u) = inf) and a start whose report's GN ratio underflows (it reads nan) all raise
-    their error class with the last, finite iterate and a timed, unconverged report."""
+    (int u f(u) = inf), a start whose report's GN ratio underflows (it reads nan), a start whose
+    spectrum overflows (phi is then its own samples) and a Nehari rescaling past the double range
+    (t_u = inf) all raise their error class with the last, finite iterate and a timed,
+    unconverged report."""
     grid = Grid(32, 32, 8 * PI, 8 * PI)
     with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext(), \
             pytest.raises(error, match=re.escape(message)) as exc:
