@@ -24,9 +24,11 @@ from .functionals import (
 from .solver import (
     SolverConfig,
     SolveReport,
+    VerifyReport,
     GaussianInit,
     FileInit,
     spectral_residual,
+    verify,
     petviashvili,
     nehari_descent,
     solve,

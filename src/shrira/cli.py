@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from . import kernels as ker
 from . import solver as sol
 from .config import _parse, load_config
 from .errors import BlowUpError, ConvergenceError, InputError, ShriraError
-from .functionals import PhysicsParams, _nehari_t, functional_report
+from .functionals import PhysicsParams
 from .grid import Field, Grid
 from .io import read_field, write_field
 
@@ -106,23 +105,8 @@ def _cmd_verify(args) -> int:
     fld, params = _read_stored(args.field)
     out = Path(args.out or Path(args.field).parent)
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    residual = sol.spectral_residual(fld, params)
-    t1 = time.perf_counter()
-    fr = functional_report(fld, params)
-    t_u = _nehari_t(fr.z_norm_sq, fr.uf_int, params.m)
-    t2 = time.perf_counter()
-    dr = dec.decay_report(fld, params)
-    timings = {"residual_s": t1 - t0, "functionals_s": t2 - t1, "decay_s": time.perf_counter() - t2}
-    _write_json(
-        out / "verify_report.json",
-        {
-            "spectral_residual": residual,
-            "nehari_t_u": t_u,
-            "functionals": fr.to_dict(),
-            "timings": timings,
-        },
-    )
+    vr, dr = sol.verify(fld, params)
+    _write_json(out / "verify_report.json", vr.to_dict())
     _write_json(out / "decay_report.json", dr.to_dict())
     _tail_csv(out / "tail_x.csv", fld, "x", 1.5)
     _tail_csv(out / "tail_y.csv", fld, "y", 3.0)

@@ -23,8 +23,8 @@ descent and `verify` share) and S = (1/2 - 1/(m+1)) ||u||_Z^2 on {I = 0}.
 
 The eta^2/|xi| part counts every mode of the spectrum, the y-Nyquist row
 eta = -pi*ny/ly included, which the real field D_x^{-1/2} u_y cannot carry.
-Every functional reads the same three parts, so r1 = -I holds for every field,
-not only for band-limited ones.
+Each functional is a field of one `functional_report`, which writes each formula once, so
+r1 = -I holds for every field, not only for band-limited ones.
 """
 
 from __future__ import annotations
@@ -113,14 +113,8 @@ def _energy_parts(f: sg.Field):
     return tuple(sg.weighted_sq_sum(g, w, uh) * g.spectral_weight for w in (1.0, abs_xi, eta2_xi))
 
 
-def _z_sq(params: PhysicsParams, parts) -> float:
-    mass, dxh, dmy = parts
-    return params.c * mass + dxh + dmy
-
-
 def z_norm_sq(f: sg.Field, params: PhysicsParams) -> float:
-    """Squared energy-space norm from the three spectral parts."""
-    return _z_sq(params, _energy_parts(f))
+    return functional_report(f, params).z_norm_sq
 
 
 def _f_integrals(u: np.ndarray, cell_area: float, params: PhysicsParams, out=None):
@@ -131,13 +125,11 @@ def _f_integrals(u: np.ndarray, cell_area: float, params: PhysicsParams, out=Non
 
 
 def action_S(f: sg.Field, params: PhysicsParams) -> float:
-    _, Fi = _f_integrals(f.values, f.grid.cell_area, params)
-    return 0.5 * z_norm_sq(f, params) - Fi
+    return functional_report(f, params).S
 
 
 def nehari_I(f: sg.Field, params: PhysicsParams) -> float:
-    uf, _ = _f_integrals(f.values, f.grid.cell_area, params)
-    return z_norm_sq(f, params) - uf
+    return functional_report(f, params).I
 
 
 def _nehari_t(zsq: float, uf: float, m: float) -> float:
@@ -152,17 +144,10 @@ def _nehari_t(zsq: float, uf: float, m: float) -> float:
 def nehari_scale(f: sg.Field, params: PhysicsParams) -> float:
     """Unique t_u > 0 with I(t_u u) = 0, maximizing t -> S(t u), in closed form (`_nehari_t`): inf
     past the double range; a field with int u f(u) <= 0 has none and is rejected."""
-    uf, _ = _f_integrals(f.values, f.grid.cell_area, params)
-    if uf <= 0:
+    r = functional_report(f, params)
+    if r.uf_int <= 0:
         raise InputError("int u f(u) <= 0: no positive Nehari rescaling")
-    return _nehari_t(z_norm_sq(f, params), uf, params.m)
-
-
-def _pohozaev(params: PhysicsParams, parts, uf: float, Fi: float):
-    """(r1, r2, r3) of `pohozaev_residuals`."""
-    mass, dxh, dmy = parts
-    cm = params.c * mass
-    return uf - _z_sq(params, parts), cm + dxh - dmy - 2.0 * Fi, cm + 2.0 * dmy - 2.0 * Fi
+    return _nehari_t(r.z_norm_sq, r.uf_int, params.m)
 
 
 def pohozaev_residuals(f: sg.Field, params: PhysicsParams):
@@ -175,7 +160,8 @@ def pohozaev_residuals(f: sg.Field, params: PhysicsParams):
     All vanish on an exact solitary wave; for every field r1 = -I(u) and
     r1 + r2 + r3 = c ||u||^2 - (3 - m) int F(u).  int u*H(u_x) is ||D_x^{1/2} u||^2.
     """
-    return _pohozaev(params, _energy_parts(f), *_f_integrals(f.values, f.grid.cell_area, params))[:2]
+    r = functional_report(f, params)
+    return r.pohozaev_r1, r.pohozaev_r2
 
 
 def _gn(f: sg.Field, p_gn: float, parts) -> float:
@@ -204,10 +190,10 @@ def functional_report(f: sg.Field, params: PhysicsParams) -> FunctionalReport:
     The GN ratio is evaluated at p_gn = m - 1 (clipped to the lemma's [0, 2]
     range), so its numerator is the nonlinearity's own Lebesgue norm.
     """
-    parts = _energy_parts(f)
-    zsq = _z_sq(params, parts)
+    mass, dxh, dmy = parts = _energy_parts(f)
+    cm = params.c * mass
+    zsq = cm + dxh + dmy
     uf, Fi = _f_integrals(f.values, f.grid.cell_area, params)
-    r1, r2, r3 = _pohozaev(params, parts, uf, Fi)
     try:
         q = _gn(f, min(2.0, max(0.0, params.m - 1.0)), parts)
     except (InputError, ArithmeticError):  # p_gn is clipped: only a denominator that vanishes or overflows
@@ -219,8 +205,8 @@ def functional_report(f: sg.Field, params: PhysicsParams) -> FunctionalReport:
         G=0.5 * uf - Fi,
         F_int=Fi,
         uf_int=uf,
-        pohozaev_r1=r1,
-        pohozaev_r2=r2,
-        pohozaev_r3=r3,
+        pohozaev_r1=uf - zsq,
+        pohozaev_r2=cm + dxh - dmy - 2.0 * Fi,
+        pohozaev_r3=cm + 2.0 * dmy - 2.0 * Fi,
         gn_ratio=q,
     )

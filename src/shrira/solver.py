@@ -34,8 +34,8 @@ truncated and the iterates solve the truncated Galerkin problem exactly at
 convergence.  `GalerkinBlock.forward` zeroes the block's xi = 0 column, so it
 stays 0 and the block sums are half the full-spectrum ones.  Petviashvili's
 loop runs in fixed field buffers.  Reductions are pairwise np.sum, never a BLAS
-dot.  `spectral_residual`, which checks stored fields, keeps the whole half
-spectrum for s*phi_hat, so content outside the block still counts.
+dot.  `verify` checks a stored field: `spectral_residual`, which keeps the whole half
+spectrum for s*phi_hat (content outside the block still counts), functionals, decay.
 
 One way in, one way out: `_start`, the one reader of config.init, builds the
 block and s and projects the start; each solver leaves through one `_finish`.
@@ -58,7 +58,7 @@ import numpy as np
 
 from . import grid as sg
 from .errors import CollapseError, ConvergenceError, InputError
-from .decay import tail_fit_or_nan, zero_x_mean_and_sign
+from .decay import DecayReport, decay_report, tail_fit_or_nan, zero_x_mean_and_sign
 from .functionals import PhysicsParams, FunctionalReport, _f_integrals, _nehari_t, functional_report
 
 PETVIASHVILI = "petviashvili"
@@ -134,6 +134,17 @@ class SolveReport:
         return asdict(self)
 
 
+@dataclass
+class VerifyReport:
+    spectral_residual: float
+    nehari_t_u: float  # nan where int u f(u) <= 0, inf past the double range (`_nehari_t`)
+    functionals: FunctionalReport
+    timings: dict  # residual_s, functionals_s, decay_s
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 def _start(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """(block, s, ph, phi) of a solve: its Galerkin block, s = c + disp (the block's own table dropped),
     and config.init, unless on another box, projected as coefficients and samples (its own if ph overflows)."""
@@ -200,8 +211,8 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     The nonlinear term keeps the Galerkin block of m, as the solvers do; s*phi_hat
     keeps the whole half spectrum, so content outside the block still counts.
     The field is expected to carry no xi = 0 content (project first); those
-    modes do not enter either norm.  Both spectra are scaled by 2^k, 2^k max|phi| in [1/2, 1):
-    exact, so the ratio is unchanged, but no square underflows.  An all-zero field (0/0) is rejected.
+    modes do not enter either norm.  Both spectra are scaled by 2^k, then 2^j, bringing max|phi|, then
+    max|Re, Im s*phi_hat|, into [1/2, 1): exact, yet no square under- or overflows.  A zero field (0/0) is rejected.
     """
     g, block = f.grid, sg.GalerkinBlock(f.grid, params.m)
     k = -np.frexp(np.max(np.abs(f.values)))[1]
@@ -210,6 +221,9 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     sph = sg.rfft2(np.ldexp(f.values, k, out=buf), out=block.half)
     np.multiply(params.c + sg.dispersion_table(g), sph, out=sph)
     sph[:, 0] = 0.0  # the xi = 0 column
+    j = -np.frexp(max(np.max(sph.view(np.float64)), -np.min(sph.view(np.float64))))[1]
+    for a in (sph.view(np.float64), fh.view(np.float64)):  # in place: no spectrum-sized temporary
+        np.ldexp(a, j, out=a)
     den_sq = sg.weighted_sq_sum(g, 1.0, sph)
     sph[block.rows, : block.kc] -= fh
     return _residual(sg.weighted_sq_sum(g, 1.0, sph), den_sq)
@@ -219,6 +233,20 @@ def _residual(num_sq: float, den_sq: float) -> float:
     if den_sq == 0.0:
         raise InputError("spectral residual of a zero field is undefined")
     return float(np.sqrt(num_sq / den_sq))
+
+
+def verify(f: sg.Field, params: PhysicsParams) -> tuple[VerifyReport, DecayReport]:
+    """The reports of a stored field: its spectral residual, its functionals and the t_u read off them
+    (`nehari_scale`'s value), its decay report, and the wall time of each."""
+    t0 = time.perf_counter()
+    residual = spectral_residual(f, params)
+    t1 = time.perf_counter()
+    fr = functional_report(f, params)
+    t_u = _nehari_t(fr.z_norm_sq, fr.uf_int, params.m)
+    t2 = time.perf_counter()
+    dr = decay_report(f, params)
+    timings = {"residual_s": t1 - t0, "functionals_s": t2 - t1, "decay_s": time.perf_counter() - t2}
+    return VerifyReport(residual, t_u, fr, timings), dr
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import pytest
 
 import shrira
 from shrira import Grid, Field, read_field, write_field
-from shrira.cli import main
+from shrira.cli import _write_json, main
 from shrira.kernels import (KernelSpec, h_nu_point, kernel_rows, kernel_spectral_oracle, oracle_nodes,
                             oracle_node_value)
 from shrira.config import OutputConfig, parse_config
@@ -272,6 +272,18 @@ def test_cli_verify_t_u_is_nehari_scale(solved_dir, tmp_path):
     assert json.loads((out / "verify_report.json").read_text())["nehari_t_u"] == shrira.nehari_scale(fld, params)
 
 
+def test_cli_verify_report_is_the_library_report(solved_dir, tmp_path):
+    """verify_report.json is `_write_json` of `shrira.verify`'s VerifyReport, timings apart."""
+    out = tmp_path / "verify"
+    assert main(["verify", "--field", str(solved_dir / "phi.field"), "--out", str(out)]) == 0
+    fld, header = read_field(solved_dir / "phi.field")
+    params = shrira.PhysicsParams(header["c"], header["m"], header["signed_power"])
+    _write_json(tmp_path / "library.json", shrira.verify(fld, params)[0].to_dict())
+    got, want = (json.loads(p.read_text()) for p in (out / "verify_report.json", tmp_path / "library.json"))
+    assert got.pop("timings").keys() == want.pop("timings").keys()
+    assert got == want
+
+
 def test_cli_verify_infinite_box_exits_2(tmp_path, capsys):
     """A header with "lx": Infinity is rejected when the grid is built, naming the key."""
     p = tmp_path / "inf.field"
@@ -471,6 +483,38 @@ def test_cli_evolve(solved_dir, cfg_file, tmp_path):
     assert rep["mass_drift"] <= 1e-8
     assert rep["steps"] == round(0.2 / rep["dt"])
     assert set(rep["timings"]) == {"setup_s", "steps_s", "records_s"}
+
+
+def _documented_keys(doc: str, name: str):
+    """(keys, timings keys) that the bullet of `name` under "## Report JSON files" in docs/formats.md
+    names: the backticked names of its opening list (from its first colon to its first full stop,
+    parenthetical remarks dropped), and each "`key` for ..." in the remark on `timings`."""
+    section = re.search(r"^## Report JSON files\n(.*?)^## ", doc, re.S | re.M).group(1)
+    bullet = re.search(rf"^\* `{re.escape(name)}`(.*?)(?=^\* |\Z)", section, re.S | re.M).group(1)
+    timings = re.search(r"`timings` \(([^()]*)\)", bullet)
+    flat = bullet
+    while (stripped := re.sub(r"\([^()]*\)", "", flat)) != flat:
+        flat = stripped
+    opening = re.split(r"\.\s", re.split(r":\s", flat, maxsplit=1)[1], maxsplit=1)[0]
+    return set(re.findall(r"`(\w+)`", opening)), set(re.findall(r"`(\w+)` for\s", timings[1] if timings else ""))
+
+
+def test_report_keys_are_the_documented_keys(tmp_path):
+    """Every top-level key and every `timings` key that solve, verify and evolve write is named in
+    its file's bullet in docs/formats.md, and the bullet names no key the file lacks."""
+    cfg = dict(BASE_CONFIG, grid={"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI},
+               evolve={"t_end": 0.05, "record_every": 5})
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(cfg))
+    field = str(tmp_path / "phi.field")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 0
+    assert main(["verify", "--field", field, "--out", str(tmp_path)]) == 0
+    assert main(["evolve", "--field", field, "--config", str(p), "--out", str(tmp_path)]) == 0
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    for name in ("solve_report.json", "functionals.json", "verify_report.json", "decay_report.json",
+                 "evolve_report.json"):
+        rep = json.loads((tmp_path / name).read_text())
+        assert _documented_keys(doc, name) == (set(rep), set(rep.get("timings", ()))), name
 
 
 def test_cli_evolve_writes_snapshots(tmp_path):

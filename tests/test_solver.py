@@ -19,6 +19,8 @@ from shrira import (
     FileInit,
     spectral_residual,
     functional_report,
+    nehari_scale,
+    verify,
     petviashvili,
     nehari_descent,
     rescale_speed,
@@ -94,6 +96,15 @@ def test_residual_zero_field(p12):
         spectral_residual(Field(g, np.zeros((16, 16))), p12)
 
 
+@pytest.mark.parametrize("c", [1e100, 1e200, 1e300])
+def test_residual_at_huge_speeds(c):
+    """The squares of c*phi_hat overflow at c = 1e200 and 1e300; scaled by a second power of two
+    they do not, and the residual reads 1 as at c = 1e100, since f(phi) lies far below s*phi_hat."""
+    g = Grid(32, 32, 25.0, 25.0)
+    f = Field(g, GaussianInit().build(g))
+    assert spectral_residual(f, PhysicsParams(c=c, m=1.5, signed_power=True)) == 1.0
+
+
 @pytest.fixture(scope="module")
 def small_solution(p12):
     grid = Grid(64, 64, 16 * PI, 16 * PI)
@@ -111,6 +122,24 @@ def test_petviashvili_converges(small_solution, p12):
     assert np.max(np.abs(ch[:, 0])) <= 1e-12 * np.max(np.abs(ch))
     # both signs attained
     assert fld.values.min() < 0 < fld.values.max()
+
+
+@pytest.mark.parametrize("amplitude", [None, -1.0], ids=["solution", "negative_gaussian"])
+def test_verify_is_its_parts(small_solution, p12, amplitude):
+    """verify reports spectral_residual, functional_report and decay_report bit for bit, and t_u
+    read off the functionals: nehari_scale's value, or nan where int u f(u) <= 0 leaves none."""
+    fld = small_solution[0]
+    if amplitude is not None:
+        fld = Field(fld.grid, GaussianInit(amplitude=amplitude).build(fld.grid))
+    vr, dr = verify(fld, p12)
+    assert repr(vr.spectral_residual) == repr(spectral_residual(fld, p12))
+    assert repr(vr.functionals) == repr(functional_report(fld, p12))
+    assert repr(dr) == repr(decay_report(fld, p12))
+    if amplitude is None:
+        assert vr.nehari_t_u == nehari_scale(fld, p12)
+    else:
+        assert vr.functionals.uf_int < 0 and math.isnan(vr.nehari_t_u)
+    assert set(vr.timings) == {"residual_s", "functionals_s", "decay_s"}
 
 
 def test_petviashvili_records_the_delta_that_gates_convergence(small_solution, p12):
