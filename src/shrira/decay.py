@@ -153,13 +153,13 @@ def two_box_sup_drift(small: sg.Field, big: sg.Field, weight) -> float:
     The window is the smaller box's trusted tail range [0.04, 0.10] *
     half-length along the weight's axis, an absolute range both boxes contain;
     a box-stable tail makes this drift small regardless of how much truncation
-    noise lives further out on either box.
+    noise lives further out on either box.  Two sups of 0 give nan.
     """
     length = "l" + _weight_axis_power(weight)[0]
     half = min(getattr(small.grid, length), getattr(big.grid, length)) / 2
     window = (0.04 * half, 0.10 * half)
     a, b = (weighted_sup(f, weight, window) for f in (small, big))
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b) / max(abs(a), abs(b)) if a or b else np.nan
 
 
 def y_weighted_seminorm(f: sg.Field) -> float:

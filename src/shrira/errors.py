@@ -27,16 +27,13 @@ class QuadratureAccuracyError(ShriraError):
 
 
 class ConvergenceError(ShriraError):
-    """Iteration stopped short of convergence; a solver's carries its last iterate (`field`) and
-    report (`report`), set as it leaves the solver, a sweep's the rows finished before it."""
+    """Iteration stopped short of convergence: max_iter, a Nehari stall, or a collapse, which the message names
+    (a start whose spectrum overflows, M <= 0 or non-finite, M^gamma or the update past the double range, a zero
+    Petviashvili iterate; int u f(u) <= 0 or t_u giving a zero or non-finite Nehari field).  A solver's carries
+    its last iterate (`field`) and report (`report`), set as it leaves the solver, a sweep's the rows before it."""
 
     report = field = None
     rows = ()
-
-
-class CollapseError(ConvergenceError):
-    """The iterate collapsed: a start whose spectrum overflows, M <= 0 or non-finite, M^gamma or the update past
-    the double range, a zero Petviashvili iterate; int u f(u) <= 0 or t_u giving a zero or non-finite Nehari field."""
 
 
 class BlowUpError(ShriraError):

@@ -28,19 +28,19 @@ routes are provided:
   round-off floor the residual stops falling: NEHARI_STALL iterations without
   a new residual minimum stop the descent as stalled.
 
-Both loops carry phi_hat on the Galerkin block of m (`grid.GalerkinBlock`: the
-2/3 rule for m <= 2, the 1/2 rule otherwise), so nonlinear products are
-truncated and the iterates solve the truncated Galerkin problem exactly at
-convergence.  `GalerkinBlock.forward` zeroes the block's xi = 0 column, so it
-stays 0 and the block sums are half the full-spectrum ones.  Petviashvili's
-loop runs in fixed field buffers.  Reductions are pairwise np.sum, never a BLAS
-dot.  `verify` checks a stored field: `spectral_residual`, which keeps the whole half
-spectrum for s*phi_hat (content outside the block still counts), functionals, decay.
+Both loops carry phi_hat on the Galerkin block of m (`grid.GalerkinBlock`: the 2/3 rule
+for m <= 2, the 1/2 rule otherwise) and form each step there, Nehari's trials too, so
+nonlinear products are truncated and the iterates solve the truncated Galerkin problem
+exactly at convergence.  `GalerkinBlock.forward` zeroes the block's xi = 0 column, so it
+stays 0 and the block sums are half the full-spectrum ones.  Petviashvili's loop runs in
+fixed field buffers.  Reductions are pairwise np.sum, never a BLAS dot.  `verify` checks
+a stored field: `spectral_residual`, which keeps the whole half spectrum for s*phi_hat
+(content outside the block still counts), functionals, decay.
 
 One way in, one way out: `_start`, the one reader of config.init, builds the
 block and s and projects the start; each solver leaves through one `_finish`.
-Short of convergence it raises ConvergenceError (max_iter ran out, Nehari
-stalled) or a CollapseError, carrying the report (`report`) and the last
+Short of convergence it raises a ConvergenceError (max_iter ran out, Nehari
+stalled, the iterate collapsed), carrying the report (`report`) and the last
 iterate (`field`), finite and non-zero unless the start was 0: a start whose
 spectrum overflows stops as its own samples, and a loop stops before an
 overflowing f(phi) or update, or a Nehari rescaling to a zero or non-finite
@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grid as sg
-from .errors import CollapseError, ConvergenceError, InputError
+from .errors import ConvergenceError, InputError
 from .decay import DecayReport, decay_report, tail_fit_or_nan, zero_x_mean_and_sign
 from .functionals import PhysicsParams, FunctionalReport, _f_integrals, _nehari_t, functional_report
 
@@ -210,10 +210,12 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
 
     The nonlinear term keeps the Galerkin block of m, as the solvers do; s*phi_hat
     keeps the whole half spectrum, so content outside the block still counts.
-    The field is expected to carry no xi = 0 content (project first); those
-    modes do not enter either norm.  Both spectra are scaled by 2^k, then 2^j, bringing max|phi|, then
-    max|Re, Im s*phi_hat|, into [1/2, 1): exact, yet no square under- or overflows.  A zero field (0/0) is rejected.
+    The field is expected to carry no xi = 0 content (project first); those modes enter neither norm
+    (nan where it has no other: 0/0; a zero field is rejected).  Both spectra are scaled by 2^k, then 2^j,
+    bringing max|phi|, then max|Re, Im s*phi_hat|, into [1/2, 1): exact, yet no square under- or overflows.
     """
+    if not f.values.any():
+        raise InputError("spectral residual of a zero field is undefined")
     g, block = f.grid, sg.GalerkinBlock(f.grid, params.m)
     k = -np.frexp(np.max(np.abs(f.values)))[1]
     buf = params.f(f.values)  # one field buffer: 2^k f(phi), then 2^k phi
@@ -229,10 +231,8 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     return _residual(sg.weighted_sq_sum(g, 1.0, sph), den_sq)
 
 def _residual(num_sq: float, den_sq: float) -> float:
-    """sqrt(num_sq / den_sq): ||sph - fh|| / ||sph|| from the two squared norms."""
-    if den_sq == 0.0:
-        raise InputError("spectral residual of a zero field is undefined")
-    return float(np.sqrt(num_sq / den_sq))
+    """sqrt(num_sq / den_sq): ||sph - fh|| / ||sph|| from the two squared norms; nan where den_sq is 0."""
+    return float(np.sqrt(num_sq / den_sq)) if den_sq else math.nan
 
 
 def verify(f: sg.Field, params: PhysicsParams) -> tuple[VerifyReport, DecayReport]:
@@ -274,18 +274,18 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
     hists = res_hist, m_hist, delta_hist = [], [], []
     delta, ph_sq = np.inf, _dot(ph, ph)
     d_prev, plain, extrapolations, converged = None, 0, 0, False
-    stop = None if np.isfinite(ph).all() else CollapseError("initial guess overflows its spectrum")
+    stop = None if np.isfinite(ph).all() else ConvergenceError("initial guess overflows its spectrum")
     for _ in range(config.max_iter if stop is None else 0):
         fh = block.forward(params.f(phi, out=fu))
         np.multiply(s, ph, out=sph)
         num = _dot(sph, ph)
         den = _dot(fh, ph)
         if den == 0.0 or num == 0.0:
-            stop = CollapseError("iterate lost all spectral content")
+            stop = ConvergenceError("iterate lost all spectral content")
             break
         M = num / den
         if not math.isfinite(M):
-            stop = CollapseError(f"Petviashvili factor M = {M:.3e} is not finite: f(phi) or s ph overflows")
+            stop = ConvergenceError(f"Petviashvili factor M = {M:.3e} is not finite: f(phi) or s ph overflows")
             break
         sph_sq = _dot(sph, sph)
         sph -= fh  # the residual s phi_hat - f_hat
@@ -297,12 +297,12 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
             converged = True
             break
         if M <= 0:
-            stop = CollapseError(f"Petviashvili factor M = {M:.3e} <= 0 (bad initial guess)")
+            stop = ConvergenceError(f"Petviashvili factor M = {M:.3e} <= 0 (bad initial guess)")
             break
         try:
             fh *= M**gamma
         except OverflowError:  # a float power past the double range, at a huge box or speed
-            stop = CollapseError(f"Petviashvili factor M = {M:.3e}: M^{gamma:g} overflows")
+            stop = ConvergenceError(f"Petviashvili factor M = {M:.3e}: M^{gamma:g} overflows")
             break
         fh /= s  # the plain update
         d = np.subtract(fh, ph, out=ph)
@@ -318,7 +318,7 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
                 extrapolations += 1
         ph_sq = _dot(fh, fh)  # the next iterate's; phi still holds the last one, which is finite
         if not math.isfinite(ph_sq):
-            stop = CollapseError(f"Petviashvili update overflows: ||phi_hat||^2 = {ph_sq:.3e}")
+            stop = ConvergenceError(f"Petviashvili update overflows: ||phi_hat||^2 = {ph_sq:.3e}")
             break
         ph, d_prev = fh, d
         phi = block.inverse(ph, out=phi)
@@ -341,9 +341,9 @@ def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     uf, _ = _f_integrals(phi, grid.cell_area, params)
     converged, stop, t = False, None, _nehari_t(zsq, uf, params.m)
     if uf <= 0:
-        stop = CollapseError("initial guess has int u f(u) <= 0")
+        stop = ConvergenceError("initial guess has int u f(u) <= 0")
     elif not 0 < t * np.max(np.abs(phi)) < math.inf:  # t phi would be 0 or hold inf or nan
-        stop = CollapseError(f"initial guess rescaled to 0 or a non-finite field (t_u = {t:.3e})")
+        stop = ConvergenceError(f"initial guess rescaled to 0 or a non-finite field (t_u = {t:.3e})")
     if stop is None:
         phi, ph = t * phi, t * ph
         S_old = k * t * t * zsq
@@ -365,10 +365,10 @@ def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             stop = ConvergenceError(f"Nehari descent stalled: no new residual minimum in {NEHARI_STALL} "
                                     f"iterations (best {best:.3e} at iteration {best_at})")
             break
-        d = block.inverse(ph - fh / s)
+        d = ph - fh / s
         for _try in range(40):
-            v = phi - h * d
-            vh = block.forward(v)
+            vh = ph - h * d
+            v = block.inverse(vh)
             zv = _dot(s * vh, vh) * w
             ufv, _ = _f_integrals(v, grid.cell_area, params)
             if zv != 0.0:  # a nan action (int u f(u) <= 0) or an infinite one is not accepted
@@ -381,7 +381,7 @@ def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
             stop = ConvergenceError("Nehari descent stalled: no step decreases the action")
             break
         if not 0 < tv * np.max(np.abs(v)) < math.inf:
-            stop = CollapseError(f"Nehari step to a zero or non-finite iterate (t_u = {tv:.3e})")
+            stop = ConvergenceError(f"Nehari step to a zero or non-finite iterate (t_u = {tv:.3e})")
             break
         phi, ph, S_old = tv * v, tv * vh, Sv
         h = min(h * 1.3, 0.9)
@@ -401,8 +401,8 @@ def rescale_speed(f: sg.Field, c_from: float, c_to: float, m: float) -> sg.Field
     the grid this is a pure amplitude factor with box lengths divided by lam
     (sample (i, j) keeps its indices), so there is no interpolation error.
     """
-    if not (c_from > 0 and c_to > 0):
-        raise InputError("speeds must be positive")
+    if not (0 < c_from < math.inf and 0 < c_to < math.inf):
+        raise InputError("speeds must be positive and finite")
     if not 1 < m < math.inf:
         raise InputError(f"m: nonlinearity exponent must exceed 1 and be finite, got {m}")
     lam = c_to / c_from

@@ -100,6 +100,12 @@ def test_two_box_sup_drift_windows_a_y_weight_on_the_y_box():
     assert two_box_sup_drift(small, big, "y3") > 0.1
 
 
+def test_two_box_sup_drift_of_two_zero_sups_is_nan():
+    """Two windowed sups of 0 have no relative drift: nan, not a ZeroDivisionError."""
+    small, big = (Field(g, np.zeros((g.ny, g.nx))) for g in (Grid(64, 128, 32.0, 64.0), Grid(64, 256, 32.0, 128.0)))
+    assert math.isnan(two_box_sup_drift(small, big, "y3"))
+
+
 def test_y_weighted_seminorm_single_mode_closed_form():
     """u = cos(x) sin(y) on [-pi, pi)^2: integral = pi^4 - pi^2/2."""
     g = Grid(256, 256, 2 * PI, 2 * PI)

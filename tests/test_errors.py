@@ -51,9 +51,10 @@ def _used_mode_inf(tmp_path):
     (lambda tmp_path: mixed_norm(F, 2, math.nan), "^q and r must be positive, got q = 2, r = nan$"),
     (lambda tmp_path: rescale_speed(F, 1, 2, m=1.0), "^m: .* must exceed 1 and be finite, got 1.0$"),
     (lambda tmp_path: rescale_speed(F, 1, 2, m=0.5), "^m: .* must exceed 1 and be finite, got 0.5$"),
+    (lambda tmp_path: rescale_speed(F, math.inf, 1.0, 2.0), "^speeds must be positive and finite$"),
 ], ids=["config_key", "corrupt_file", "kernel_origin", "zero_residual", "gn_zero_field", "nehari_no_scaling",
         "symbol_domain", "underflow_window", "grid_range", "oracle_point_inf", "lp_norm_nan", "mixed_norm_zero",
-        "mixed_norm_negative", "mixed_norm_nan", "rescale_speed_m1", "rescale_speed_m_half"])
+        "mixed_norm_negative", "mixed_norm_nan", "rescale_speed_m1", "rescale_speed_m_half", "rescale_speed_inf"])
 def test_rejected_input_raises_input_error(tmp_path, trigger, message):
     with pytest.raises(InputError, match=message) as exc:
         trigger(tmp_path)

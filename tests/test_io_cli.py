@@ -337,21 +337,26 @@ def test_cli_verify_keeps_its_outputs_when_no_tail_can_be_fitted(tmp_path):
     assert json.loads((out / "verify_report.json").read_text())["spectral_residual"] <= 1e-10
 
 
-@pytest.mark.parametrize("amplitude, header, key, value", [
-    (-1.0, {"c": 1.0, "m": 2}, "nehari_t_u", None),
-    (1e-170, {"c": 1.0, "m": 2}, "spectral_residual", 1.0),
-    (1e-300, {"c": 1.0, "m": 2}, "spectral_residual", 1.0),
-    (1e-50, {"c": 1e150, "m": 1.5, "signed_power": True}, "nehari_t_u", None),
-], ids=["negative", "tiny", "tinier", "t_u_past_the_double_range"])
-def test_cli_verify_writes_every_output_for_a_finite_non_zero_field(tmp_path, amplitude, header, key, value):
+def _gaussian(amplitude):
+    return lambda g: shrira.GaussianInit(amplitude=amplitude).build(g)
+
+
+@pytest.mark.parametrize("values, header, key, value", [
+    (_gaussian(-1.0), {"c": 1.0, "m": 2}, "nehari_t_u", None),
+    (_gaussian(1e-170), {"c": 1.0, "m": 2}, "spectral_residual", 1.0),
+    (_gaussian(1e-300), {"c": 1.0, "m": 2}, "spectral_residual", 1.0),
+    (_gaussian(1e-50), {"c": 1e150, "m": 1.5, "signed_power": True}, "nehari_t_u", None),
+    (lambda g: np.exp(-g.meshgrid()[1] ** 2 / 4), {"c": 1.0, "m": 2}, "spectral_residual", None),
+], ids=["negative", "tiny", "tinier", "t_u_past_the_double_range", "no_xi_content"])
+def test_cli_verify_writes_every_output_for_a_finite_non_zero_field(tmp_path, values, header, key, value):
     """A value verify cannot form is written as null, and the other outputs stay: a negative
     Gaussian has int u f(u) < 0, so no Nehari rescaling t_u, and at c = 1e150, m = 1.5 the
     rescaling passes the double range.  The squared norms of a 1e-170 or 1e-300 Gaussian would
     underflow to 0; scaled by a power of two they do not, and the residual reads 1, since f(phi)
-    lies below the field's resolution."""
+    lies below the field's resolution.  exp(-y^2/4) has no xi != 0 content: its residual is 0/0."""
     g = Grid(32, 32, 25.0, 25.0)
     p = tmp_path / "phi.field"
-    write_field(p, Field(g, shrira.GaussianInit(amplitude=amplitude).build(g)), header)
+    write_field(p, Field(g, values(g)), header)
     out = tmp_path / "verify"
     assert main(["verify", "--field", str(p), "--out", str(out)]) == 0
     assert json.loads((out / "verify_report.json").read_text())[key] == value

@@ -35,7 +35,8 @@ from shrira import grid as sg
 from shrira import solver
 from shrira.decay import decay_report
 from shrira.solver import TOL_DELTA, solve
-from shrira.errors import CollapseError, ConvergenceError, InputError
+from shrira.errors import ConvergenceError, InputError
+from shrira.functionals import _f_integrals, _nehari_t
 
 from conftest import kept_modes, traced_peak
 
@@ -315,7 +316,7 @@ def test_petviashvili_nonconvergence_carries_history(p12):
 def test_petviashvili_collapse(p12):
     grid = Grid(64, 64, 16 * PI, 16 * PI)
     cfg = SolverConfig(init=GaussianInit(amplitude=-1.0))
-    with pytest.raises(CollapseError):
+    with pytest.raises(ConvergenceError, match="bad initial guess"):
         petviashvili(cfg, p12, grid)
 
 
@@ -323,42 +324,38 @@ P12, SIGNED = PhysicsParams(c=1.0, m=2), PhysicsParams(c=1.0, m=2.5, signed_powe
 SIGNED_15 = PhysicsParams(c=1.0, m=1.5, signed_power=True)
 
 
-@pytest.mark.parametrize("method, params, init, error, message, iterations, warns", [
-    ("petviashvili", P12, GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3, False),
-    ("nehari_descent", P12, GaussianInit(), ConvergenceError, "did not converge in 3 iterations", 3, False),
-    ("petviashvili", P12, Field(Grid(32, 32, 8 * PI, 8 * PI), np.zeros((32, 32))), CollapseError,
-     "lost all spectral content", 0, False),
-    ("petviashvili", P12, GaussianInit(amplitude=-1.0), CollapseError, "<= 0 (bad initial guess)", 1, False),
-    ("nehari_descent", P12, GaussianInit(amplitude=-1.0), CollapseError, "int u f(u) <= 0", 0, False),
-    ("petviashvili", P12, GaussianInit(amplitude=1e160), CollapseError,
-     "M = nan is not finite: f(phi) or s ph overflows", 0, True),
-    ("petviashvili", replace(SIGNED_15, c=1e100), GaussianInit(), CollapseError,
-     "update overflows: ||phi_hat||^2 = inf", 1, True),
-    ("nehari_descent", SIGNED, GaussianInit(amplitude=1e120), CollapseError,
+@pytest.mark.parametrize("method, params, init, message, iterations, warns", [
+    ("petviashvili", P12, GaussianInit(), "did not converge in 3 iterations", 3, False),
+    ("nehari_descent", P12, GaussianInit(), "did not converge in 3 iterations", 3, False),
+    ("petviashvili", P12, Field(Grid(32, 32, 8 * PI, 8 * PI), np.zeros((32, 32))), "lost all spectral content",
+     0, False),
+    ("petviashvili", P12, GaussianInit(amplitude=-1.0), "<= 0 (bad initial guess)", 1, False),
+    ("nehari_descent", P12, GaussianInit(amplitude=-1.0), "int u f(u) <= 0", 0, False),
+    ("petviashvili", P12, GaussianInit(amplitude=1e160), "M = nan is not finite: f(phi) or s ph overflows", 0, True),
+    ("petviashvili", replace(SIGNED_15, c=1e100), GaussianInit(), "update overflows: ||phi_hat||^2 = inf", 1, True),
+    ("nehari_descent", SIGNED, GaussianInit(amplitude=1e120),
      "initial guess rescaled to 0 or a non-finite field (t_u = 0.000e+00)", 0, True),
-    ("petviashvili", SIGNED_15, GaussianInit(amplitude=1e-150), CollapseError,
-     "lost all spectral content", 0, False),
-    ("petviashvili", P12, GaussianInit(amplitude=1e307), CollapseError, "initial guess overflows its spectrum",
-     0, True),
-    ("nehari_descent", P12, GaussianInit(amplitude=1e307), CollapseError,
+    ("petviashvili", SIGNED_15, GaussianInit(amplitude=1e-150), "lost all spectral content", 0, False),
+    ("petviashvili", P12, GaussianInit(amplitude=1e307), "initial guess overflows its spectrum", 0, True),
+    ("nehari_descent", P12, GaussianInit(amplitude=1e307),
      "initial guess rescaled to 0 or a non-finite field (t_u = nan)", 0, True),
-    ("nehari_descent", replace(SIGNED_15, c=1e150), GaussianInit(amplitude=1e-50), CollapseError,
+    ("nehari_descent", replace(SIGNED_15, c=1e150), GaussianInit(amplitude=1e-50),
      "initial guess rescaled to 0 or a non-finite field (t_u = inf)", 0, False),
 ], ids=["max_iter", "nehari_max_iter", "zero_init", "negative_M", "nehari_initial_collapse",
         "overflowing_f", "overflowing_update", "nehari_zero_rescaling", "underflowing_report",
         "overflowing_start", "nehari_overflowing_start", "nehari_infinite_rescaling"])
-def test_every_stop_carries_field_and_report(method, params, init, error, message, iterations, warns):
+def test_every_stop_carries_field_and_report(method, params, init, message, iterations, warns):
     """max_iter exhausted, a zero initial field, M <= 0, the Nehari initial collapse, an f(phi)
     that overflows (M = nan), an update that overflows, a Nehari rescaling that underflows to 0
     (int u f(u) = inf), a start whose report's GN ratio underflows (it reads nan), a start whose
     spectrum overflows (phi is then its own samples) and a Nehari rescaling past the double range
-    (t_u = inf) all raise their error class with the last, finite iterate and a timed,
-    unconverged report."""
+    (t_u = inf) all raise a plain ConvergenceError, whose message names the stop, with the last,
+    finite iterate and a timed, unconverged report."""
     grid = Grid(32, 32, 8 * PI, 8 * PI)
     with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext(), \
-            pytest.raises(error, match=re.escape(message)) as exc:
+            pytest.raises(ConvergenceError, match=re.escape(message)) as exc:
         solve(SolverConfig(method=method, init=init, max_iter=3), params, grid)
-    assert type(exc.value) is error
+    assert type(exc.value) is ConvergenceError
     fld, rep = exc.value.field, exc.value.report
     assert fld.grid == grid and np.all(np.isfinite(fld.values))
     assert rep.method == method and rep.converged is False and rep.iterations == iterations
@@ -471,6 +468,62 @@ def test_nehari_stops_as_stalled_at_the_round_off_floor(p12):
     assert len(hist) == best_at + solver.NEHARI_STALL < cfg.max_iter
     assert hist[best_at - 1] < 1e-14 and not exc.value.report.converged
     assert exc.value.field.grid == grid
+
+
+def test_nehari_transforms_f_only_on_the_block(p12, monkeypatch):
+    """Nehari steps and trials are formed on the block: a solve runs one forward transform per
+    iteration, of f(phi), and the start's (trials formed in samples add one per trial: 128 here)."""
+    calls, forward = [], sg.GalerkinBlock.forward
+    monkeypatch.setattr(sg.GalerkinBlock, "forward", lambda self, *a, **k: calls.append(1) or forward(self, *a, **k))
+    _, rep = nehari_descent(SolverConfig(method="nehari_descent"), p12, Grid(32, 32, 8 * PI, 8 * PI))
+    assert rep.converged and len(calls) == rep.iterations + 1
+
+
+def _sample_step_nehari(config, params, grid):
+    """(iterations, phi) of Nehari descent with each step formed in samples, the referee of the
+    block step: the direction inverse-transformed, each trial phi - h d forward-transformed."""
+    block, s, ph, phi = solver._start(config, params, grid)
+    w, k = 2.0 * grid.spectral_weight, (params.m - 1.0) / (2.0 * params.p)
+    zsq = solver._dot(s * ph, ph) * w
+    t = _nehari_t(zsq, _f_integrals(phi, grid.cell_area, params)[0], params.m)
+    phi, ph, S, h = t * phi, t * ph, k * t * t * zsq, solver.DESCENT_STEP
+    for it in range(1, config.max_iter + 1):
+        fh = block.forward(params.f(phi))
+        sph = s * ph
+        r = sph - fh
+        if solver._residual(solver._dot(r, r), solver._dot(sph, sph)) <= config.tol_residual:
+            return it, phi
+        d = block.inverse(ph - fh / s)
+        while True:
+            v = phi - h * d
+            vh = block.forward(v)
+            zv = solver._dot(s * vh, vh) * w
+            tv = _nehari_t(zv, _f_integrals(v, grid.cell_area, params)[0], params.m)
+            if k * tv * tv * zv <= S + 1e-14 * abs(S):
+                break
+            h *= 0.5
+        phi, ph, S = tv * v, tv * vh, k * tv * tv * zv
+        h = min(h * 1.3, 0.9)
+    raise AssertionError("the sample-step descent did not converge")
+
+
+@pytest.mark.parametrize("grid, params, init, iterations", [
+    (Grid(64, 64, 16 * PI, 16 * PI), PhysicsParams(c=1.0, m=2), GaussianInit(), 68),
+    (Grid(128, 128, 64 * PI, 64 * PI), PhysicsParams(c=1.0, m=2), GaussianInit(), 60),
+    (Grid(128, 96, 32 * PI, 24 * PI), PhysicsParams(c=1.0, m=2.5, signed_power=True), GaussianInit(), 49),
+    (Grid(64, 64, 16 * PI, 16 * PI), PhysicsParams(c=1.0, m=3), GaussianInit(amplitude=1.5), 41),
+    (Grid(32, 32, 8 * PI, 8 * PI), PhysicsParams(c=2.0, m=1.5, signed_power=True), GaussianInit(), 92),
+], ids=["golden", "box64pi", "signed_25", "cubic", "signed_15_c2"])
+def test_nehari_block_step_matches_the_sample_step(grid, params, init, iterations):
+    """The block step takes the sample step's path: the same iteration count, the field within
+    1e-14 max|phi| and S within 1e-14 relative (round-off of one transform pair per step)."""
+    cfg = SolverConfig(method="nehari_descent", max_iter=4000, init=init)
+    fld, rep = nehari_descent(cfg, params, grid)
+    it, phi = _sample_step_nehari(cfg, params, grid)
+    assert rep.iterations == it == iterations
+    assert np.max(np.abs(fld.values - phi)) <= 1e-14 * np.max(np.abs(phi))
+    S = functional_report(Field(grid, phi), params).S
+    assert abs(rep.d - S) <= 1e-14 * abs(S)
 
 
 def test_cubic_and_signed_power_nonlinearities():
