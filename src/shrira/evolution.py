@@ -6,13 +6,12 @@ all xi = 0 modes are frozen by both terms).  The integrator is
 integrating-factor RK4: the linear phase is applied exactly, classical RK4
 handles the nonlinear term, truncated to the Galerkin block of m
 (`grid.GalerkinBlock`) and differentiated by -i xi.  `evolve` applies the
-projection P onto that block to its input once; the step never leaves the
-block (each stage is -i xi times a block, the phases are diagonal), so state,
-phase tables and stages live on it only.  A run builds one block, whose
-dispersion table `disp` gives the phases, the energy weights and the default
-step's cap.  Each nonlinear term runs the block's `inverse` and `forward`,
-pruned to its kc columns, through its one half-spectrum buffer.  A step is
-bit-identical to the classical formula on fresh half-spectrum arrays at P(uh).
+block's projection P to its input once; the step never leaves the block (each
+stage is -i xi times a block, the phases are diagonal), so state, phase tables
+and stages live on it only, and only the block knows its layout.  A run builds
+one block, whose `xi` and `disp` give the phases, the energy weights and the
+default step's cap; each nonlinear term runs its pruned `inverse` and `forward`.
+A step is bit-identical to the classical formula on fresh half-spectrum arrays at P(uh).
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
 1/2 int u^2 and E(u) = 1/2 (||D_x^{1/2}u||^2 + ||D_x^{-1/2}u_y||^2) - int F(u)
@@ -47,7 +46,7 @@ MAX_STEPS = 10**7  # a run planned past this many steps would not end in reasona
 
 def default_dt(block: sg.GalerkinBlock, u0: np.ndarray) -> float:
     adv = 0.25 * block.grid.dx / max(1.0, float(np.max(np.abs(u0))))
-    sig_max = float(np.max(np.abs(block.grid.xi_half[: block.kc] * block.disp)))  # |sigma_L| = |xi| disp
+    sig_max = float(np.max(np.abs(block.xi * block.disp)))  # |sigma_L| = |xi| disp
     return min(adv, DISPERSIVE_STEP_FRACTION / sig_max if sig_max > 0 else np.inf)
 
 
@@ -104,24 +103,15 @@ class _Stepper:
 
     def __init__(self, block, dt, params):
         self.block, self.dt, self.params = block, dt, params  # the block's buffer, u and fu: the field-sized ones
-        xi = block.grid.xi_half[: block.kc]
-        e_half = np.exp(1j * xi * block.disp * (dt / 2))  # exp(sigma_L dt/2) on the block
+        e_half = np.exp(1j * block.xi * block.disp * (dt / 2))  # exp(sigma_L dt/2) on the block
         self.e_half, self.e_full = e_half, e_half * e_half
-        self.mult = -1j * xi  # the x derivative, 0 on the xi = 0 column
+        self.mult = -1j * block.xi  # the x derivative, 0 on the xi = 0 column
         self.k = np.empty((4,) + e_half.shape, np.complex128)  # k1, k2, k3 (then k4) and a stage argument
         self.u, self.fu = np.empty((2, block.grid.ny, block.grid.nx))
 
-    def project(self, values):
-        """P of the real samples values, as a new block; their whole half spectrum is left in block.half."""
-        return sg.gather_block(sg.rfft2(values, out=self.block.half), np.empty_like(self.e_half))
-
-    def physical(self, b):
-        """The samples of block b, written into u."""
-        return self.block.inverse(b, out=self.u)
-
     def nonlinear(self, v, out):
         """out = -i xi * rfft2(f(irfft2(v))) on the block, both transforms pruned to kc columns."""
-        fh = self.block.forward(self.params.f(self.physical(v), out=self.fu), out)
+        fh = self.block.forward(self.params.f(self.block.inverse(v, out=self.u), out=self.fu), out)
         return np.multiply(self.mult, fh, out=out)
 
     def step(self, uh, out):
@@ -152,12 +142,11 @@ def step_if_rk4(s: sg.Spectrum, dt: float, params: PhysicsParams) -> sg.Spectrum
     conjugate symmetry.  This is exact when s is the spectrum of a real field,
     as every caller passes.
     """
-    g, half = s.grid, s.coeffs[:, : s.grid.nx // 2 + 1]
-    stepper = _Stepper(sg.GalerkinBlock(g, params.m), dt, params)
-    uh = stepper.step(sg.gather_block(half, np.empty_like(stepper.e_half)), np.empty_like(stepper.e_half))
+    g, half, block = s.grid, s.coeffs[:, : s.grid.nx // 2 + 1], sg.GalerkinBlock(s.grid, params.m)
+    uh = _Stepper(block, dt, params).step(block.gather(half), np.empty(block.shape, np.complex128))
     if not np.all(np.isfinite(uh)):
         raise BlowUpError("non-finite coefficients after one step", last_good=s)
-    return sg.Spectrum(g, sg.full_from_half(g, sg.scatter_block(uh, np.empty_like(half))))
+    return sg.Spectrum(g, sg.full_from_half(g, block.scatter(uh, np.empty_like(half))))
 
 
 def _mass_energy(u, uh, disp, grid, params, out=None):
@@ -181,9 +170,10 @@ def evolve(
     P(phi) against its exact translate phi(. - c t, .), by Parseval on the
     block.  snapshot_cb(step, t, Field) gets a copy of the samples at each
     record time.  Raises InputError for more than MAX_STEPS planned steps, a
-    non-finite reference speed and an initial field whose mass or energy is
-    zero, underflowing ones included, or overflows (its drifts are undefined),
-    and BlowUpError (carrying the last good state, its time and the report up
+    non-finite reference speed, a reference whose projection is zero or
+    overflows (its shape error is undefined) and an initial field whose mass or
+    energy is zero, underflowing ones included, or overflows (its drifts are
+    undefined), and BlowUpError (carrying the last good state, its time and the report up
     to the last record) if a step makes the coefficients, or a record the
     mass or energy, non-finite.
     """
@@ -206,13 +196,13 @@ def evolve(
             raise InputError(f"reference_speed: must be finite, got {ref_speed}")
         if ref_field.grid != g:
             raise InputError(f"reference field is on {ref_field.grid}, the run on {g}")
-        ref_hat = stepper.project(ref_field.values)
-        ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
+        ref_hat = block.project(ref_field.values)[0]
+        with np.errstate(over="ignore"):  # a huge reference, rejected next
+            ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
+        if not 0 < ref_sq < inf:
+            raise InputError("reference field: its projection is zero or overflows; the shape error is undefined")
 
-    uh = stepper.project(initial.values)
-    block.half[block.rows, : block.kc] = 0  # what is left is what P removed
-    with np.errstate(over="ignore"):  # a huge field, rejected below
-        removed, kept = sg.weighted_sq_sum(g, 1.0, block.half), sg.weighted_sq_sum(g, 1.0, uh)
+    uh, defect = block.project(initial.values)  # a huge field, or a zero one, is rejected below
     nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
     times, masses, energies, shapes = [], [], [], []
     records_s = 0.0
@@ -223,9 +213,9 @@ def evolve(
         t0 = clock()
         with np.errstate(over="ignore", invalid="ignore"):  # a state about to blow up
             if ref_hat is not None:  # ||u - translate|| / ||phi|| by Parseval
-                diff = h - ref_hat * np.exp(-1j * g.xi_half[: block.kc] * ref_speed * t)
+                diff = h - ref_hat * np.exp(-1j * block.xi * ref_speed * t)
                 shape = np.sqrt(sg.weighted_sq_sum(g, 1.0, diff) / ref_sq)
-            u = stepper.physical(h)
+            u = block.inverse(h, out=stepper.u)
             m, e = _mass_energy(u, h, block.disp, g, params, out=stepper.fu)
         if not (np.isfinite(m) and np.isfinite(e)):
             return False
@@ -247,12 +237,11 @@ def evolve(
     t_setup = clock()
     if not record(0, 0.0, uh) or 0.0 in (masses[0], energies[0]):
         raise InputError("initial field: its mass or energy is zero or not finite; its drifts are undefined")
-    defect = float(np.sqrt(removed / (removed + kept)))
     for k in range(1, nsteps + 1):
         stepper.step(uh, nxt)
         at_record = k % config.record_every == 0 or k == nsteps
         if not np.all(np.isfinite(nxt)) or at_record and not record(k, k * dt, nxt):
             raise BlowUpError(f"blow-up detected at t = {k * dt:.6g}", t=(k - 1) * dt, report=report(k - 1),
-                              last_good=sg.Field(g, stepper.physical(uh)))
+                              last_good=sg.Field(g, block.inverse(uh, out=stepper.u)))
         uh, nxt = nxt, uh
-    return report(nsteps, sg.Field(g, stepper.physical(uh)))  # the run is over: its buffer u is handed out
+    return report(nsteps, sg.Field(g, block.inverse(uh, out=stepper.u)))  # the run is over: its buffer u is handed out

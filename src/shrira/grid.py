@@ -28,8 +28,11 @@ xi = -pi*nx/lx and its symbols and phases.
 `GalerkinBlock(grid, m)` is the one place that decides which modes the
 truncation of u^m keeps (the 2/3 rule for m <= 2, the 1/2 rule beyond) and how
 they are laid out: rows 0..K and ny-K..ny-1 of the first kc columns, one
-(2K + 1, kc) array, moved by `gather_block` and `scatter_block`.  The solvers,
-the residual and the stepper all transform through it; a run builds one.
+(2K + 1, kc) array, moved by its `gather` and `scatter`.  The solvers, the
+residual, the stepper and evolve's projection all run through it; a run builds
+one.  Only `solver.spectral_residual` reads its layout from outside, forming the
+whole-half-spectrum residual in the block's buffer `half`: a buffer of its own
+would grow verify's working set by a spectrum.
 Full-spectrum sums are half-spectrum sums with column weights
 `Grid.half_weight`: 1 on the xi = 0 and Nyquist columns, 2 on the others.
 The public `forward`, `inverse` and `apply_multiplier` stay full-complex:
@@ -185,32 +188,16 @@ def irfft2(h: np.ndarray, kc=None, out=None) -> np.ndarray:
     return np.fft.irfft(h, n=2 * (h.shape[1] - 1), axis=1, out=out)
 
 
-def gather_block(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = the Galerkin block of the half spectrum h, rows 0..K and ny-K..ny-1 of columns 0..kc-1,
-    where (2K + 1, kc) = out.shape."""
-    k, kc, ny = out.shape[0] // 2, out.shape[1], h.shape[0]
-    out[: k + 1], out[k + 1 :] = h[: k + 1, :kc], h[ny - k :, :kc]
-    return out
-
-
-def scatter_block(b: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """h = the half spectrum whose Galerkin block (see `gather_block`) is b and which is 0 elsewhere."""
-    k, kc, ny = b.shape[0] // 2, b.shape[1], h.shape[0]
-    h[:, kc:] = h[k + 1 : ny - k] = 0
-    h[: k + 1, :kc], h[ny - k :, :kc] = b[: k + 1], b[k + 1 :]
-    return h
-
-
 class GalerkinBlock:
-    """The Galerkin block of m on a grid, its dispersion table and the real transforms into and out of it.
+    """The Galerkin block of m on a grid: its layout, xi, dispersion table, transforms and projection.
 
     The block holds the modes with |j| <= frac * n/2 on each axis, frac = 2/3 for
     m <= 2 and 1/2 beyond (for non-integer m, u^m is not band-limited at all; 1/2
     is the conservative choice): half-spectrum rows `rows` = 0..K and ny-K..ny-1
     of columns 0..kc-1, as one array of `shape` (2K + 1, kc).  Its column 0 holds
-    the xi = 0 modes of the band, which `forward` returns as 0: the equation gives
-    them no nonlinear term and no wave carries them.  The Nyquist column is never
-    in it.  Both transforms run through the one half-spectrum work buffer `half`.
+    the xi = 0 modes of the band, which `forward` returns as 0 (no wave carries
+    them) and `project` keeps (evolve carries them frozen).  The Nyquist column is
+    never in it.  Every transform runs through the one half-spectrum buffer `half`.
     `disp` (built on first use) is `dispersion_table` on the block: the solvers'
     symbol s is c + disp, the stepper's linear symbol i*xi*disp.
     """
@@ -221,6 +208,7 @@ class GalerkinBlock:
         self.K, self.kc = int(frac * grid.ny / 2), int(frac * grid.nx / 2) + 1
         self.rows = np.r_[: self.K + 1, grid.ny - self.K : grid.ny]
         self.shape = (2 * self.K + 1, self.kc)
+        self.xi = grid.xi_half[: self.kc]  # xi on the block's columns (read-only)
         self.half = np.empty((grid.ny, grid.nx // 2 + 1), np.complex128)
 
     @cached_property
@@ -228,15 +216,37 @@ class GalerkinBlock:
         """`dispersion_table` on the block's modes, 0 on its xi = 0 column (read-only)."""
         return _read_only(dispersion_table(self.grid, self.rows, self.kc))
 
-    def forward(self, u: np.ndarray, out=None) -> np.ndarray:
-        """The block of rfft2(u), its xi = 0 column zeroed, pruned to the kc columns, in out or a new array."""
+    def gather(self, h: np.ndarray, out=None) -> np.ndarray:
+        """The block of the half spectrum h, rows `rows` of columns 0..kc-1, in out or a new array."""
         out = np.empty(self.shape, np.complex128) if out is None else out
-        gather_block(rfft2(u, self.kc, out=self.half), out)[:, 0] = 0.0
+        out[: self.K + 1], out[self.K + 1 :] = h[: self.K + 1, : self.kc], h[self.grid.ny - self.K :, : self.kc]
+        return out
+
+    def scatter(self, b: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """h = the half spectrum whose block is b and which is 0 elsewhere."""
+        k, kc, ny = self.K, self.kc, self.grid.ny
+        h[:, kc:] = h[k + 1 : ny - k] = 0
+        h[: k + 1, :kc], h[ny - k :, :kc] = b[: k + 1], b[k + 1 :]
+        return h
+
+    def forward(self, u: np.ndarray, out=None) -> np.ndarray:
+        """The block of rfft2(u), pruned to kc columns, xi = 0 column zeroed (`project` keeps it), in out or new."""
+        out = self.gather(rfft2(u, self.kc, out=self.half), out)
+        out[:, 0] = 0.0
         return out
 
     def inverse(self, b: np.ndarray, out=None) -> np.ndarray:
         """irfft2 of the half spectrum whose block is b and which is 0 elsewhere, pruned to kc columns."""
-        return irfft2(scatter_block(b, self.half), self.kc, out=out)
+        return irfft2(self.scatter(b, self.half), self.kc, out=out)
+
+    def project(self, u: np.ndarray) -> tuple:
+        """(P u, ||u - P u|| / ||u||) of the real samples u, the defect by Parseval and nan for u = 0: evolve's
+        projection, which keeps the xi = 0 column (`forward` zeroes it) and transforms every column."""
+        b = self.gather(rfft2(u, out=self.half))
+        self.half[self.rows, : self.kc] = 0  # what is left is what P removed
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge field, or a zero one
+            removed, kept = weighted_sq_sum(self.grid, 1.0, self.half), weighted_sq_sum(self.grid, 1.0, b)
+            return b, float(np.sqrt(np.divide(removed, removed + kept)))
 
 
 def full_from_half(grid: Grid, h: np.ndarray) -> np.ndarray:

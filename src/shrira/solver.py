@@ -213,6 +213,7 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     The field is expected to carry no xi = 0 content (project first); those modes enter neither norm
     (nan where it has no other: 0/0; a zero field is rejected).  Both spectra are scaled by 2^k, then 2^j,
     bringing max|phi|, then max|Re, Im s*phi_hat|, into [1/2, 1): exact, yet no square under- or overflows.
+    nan too where c*phi_hat or f(phi) leaves the double range: f(phi) is formed before the scaling.
     """
     if not f.values.any():
         raise InputError("spectral residual of a zero field is undefined")

@@ -218,9 +218,9 @@ def test_report_outside_proven_range():
 
 def test_tail_fit_matches_linregress(ground_state_256):
     """The closed-form fit returns linregress's slope and standard error to 1e-12."""
-    from scipy.stats import linregress
-
     from shrira.decay import _axis_samples, _linear_fit
+
+    linregress = pytest.importorskip("scipy.stats").linregress
 
     rng = np.random.default_rng(23)
     for n in (3, 9, 250):

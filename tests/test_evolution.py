@@ -21,7 +21,7 @@ from shrira import (
 )
 from shrira.evolution import MAX_STEPS, default_dt, _mass_energy, _Stepper
 from shrira.errors import BlowUpError, InputError
-from shrira.grid import GalerkinBlock, dispersion_table, gather_block, scatter_block
+from shrira.grid import GalerkinBlock, dispersion_table
 
 from conftest import galerkin_block, kept_modes, random_field, spectral_indices, traced_peak
 
@@ -358,7 +358,7 @@ def _projected(grid, m, h):
 
 def _block(stepper, h):
     """The Galerkin block of the half spectrum h, in the stepper's block layout."""
-    return gather_block(h, np.empty_like(stepper.e_half))
+    return stepper.block.gather(h)
 
 
 def _random_half_spectrum(shape, seed, amplitude, band_limit):
@@ -393,7 +393,7 @@ def test_stepper_is_bit_identical_to_the_classical_formula(seed, m, shape, ampli
     ref = _classical_step(_projected(g, m, uh), dt, params, g)
     stepper = _Stepper(GalerkinBlock(g, m), dt, params)
     got = stepper.step(_block(stepper, uh), np.empty_like(stepper.e_half))
-    assert np.array_equal(scatter_block(got, np.empty_like(uh)), ref)
+    assert np.array_equal(stepper.block.scatter(got, np.empty_like(uh)), ref)
 
 
 @pytest.mark.parametrize("m, rule, kc", [(2, "two_thirds", 86), (3, "half", 65)])
@@ -410,7 +410,7 @@ def test_pruned_nonlinear_term(m, rule, kc):
     b = _block(stepper, v)
     got = stepper.nonlinear(b, np.full_like(b, np.nan))
     assert stepper.block.kc == kc and got.shape == (2 * int(BAND[rule] * g.ny / 2) + 1, kc)
-    assert np.array_equal(scatter_block(got, np.empty_like(v)), want)
+    assert np.array_equal(stepper.block.scatter(got, np.empty_like(v)), want)
     assert np.all(want[:, kc:] == 0) and np.any(got[:, kc - 1] != 0)
 
 

@@ -303,22 +303,24 @@ def test_verify_operators_on_half_spectrum_match_full_complex(seed, shape, box, 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_galerkin_block_moves_out_of_and_into_the_half_layout(m):
-    """gather_block and scatter_block move the block, rows `rows` of the first kc columns, out of
+    """`gather` and `scatter` move the block, rows `rows` of the first kc columns, out of
     and into the half layout, and it sums like the half spectrum it was scattered into.
     `forward` is np.fft.rfft2 on the block with its xi = 0 column zeroed and `inverse`
     np.fft.irfft2 of the projection P h, bit for bit: both run the pruned transforms through
-    the one work buffer."""
-    from shrira.grid import GalerkinBlock, gather_block, scatter_block, weighted_sq_sum
+    the one work buffer.  `project` is np.fft.rfft2 on the block, xi = 0 column kept, with the
+    defect sqrt(dropped / (dropped + kept)) formed on Python floats, and a nan defect for 0."""
+    from shrira.grid import GalerkinBlock, weighted_sq_sum
 
     g = Grid(48, 32, 3.0, 5.0)
     block = GalerkinBlock(g, m)
     rows, kc = block.rows, block.kc
+    assert np.array_equal(block.xi, g.xi_half[:kc]) and not block.xi.flags.writeable
     u = np.random.default_rng(2).standard_normal((32, 48))
     h = np.fft.rfft2(u)
     mask = galerkin_block(g, m)[:, :25]
-    b = gather_block(h, np.empty(block.shape, complex))
-    assert np.array_equal(b, h[rows, :kc])
-    back = scatter_block(b, np.full_like(h, np.nan))
+    b = block.gather(h, np.empty(block.shape, complex))
+    assert np.array_equal(b, h[rows, :kc]) and np.array_equal(block.gather(h), b)
+    back = block.scatter(b, np.full_like(h, np.nan))
     assert np.array_equal(back, np.where(mask, h, 0.0))
     assert weighted_sq_sum(g, 1.0, b) == pytest.approx(weighted_sq_sum(g, 1.0, back), rel=1e-14)
     out = np.empty(block.shape, complex)
@@ -328,3 +330,9 @@ def test_galerkin_block_moves_out_of_and_into_the_half_layout(m):
     buf = np.empty_like(u)
     assert block.inverse(b, out=buf) is buf and np.array_equal(buf, want)
     assert np.array_equal(block.inverse(b), want) and np.array_equal(b, h[rows, :kc])
+    pu, defect = block.project(u)
+    assert np.array_equal(pu, b) and np.any(pu[:, 0] != 0)
+    dropped, kept = weighted_sq_sum(g, 1.0, np.where(mask, 0.0, h)), weighted_sq_sum(g, 1.0, b)
+    assert defect == float(np.sqrt(dropped / (dropped + kept))) and 0 < defect < 1
+    pz, zero_defect = block.project(np.zeros_like(u))
+    assert not pz.any() and math.isnan(zero_defect)

@@ -1,5 +1,6 @@
 """Field persistence, configuration parsing, and CLI end-to-end runs."""
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -341,24 +342,27 @@ def _gaussian(amplitude):
     return lambda g: shrira.GaussianInit(amplitude=amplitude).build(g)
 
 
-@pytest.mark.parametrize("values, header, key, value", [
-    (_gaussian(-1.0), {"c": 1.0, "m": 2}, "nehari_t_u", None),
-    (_gaussian(1e-170), {"c": 1.0, "m": 2}, "spectral_residual", 1.0),
-    (_gaussian(1e-300), {"c": 1.0, "m": 2}, "spectral_residual", 1.0),
-    (_gaussian(1e-50), {"c": 1e150, "m": 1.5, "signed_power": True}, "nehari_t_u", None),
-    (lambda g: np.exp(-g.meshgrid()[1] ** 2 / 4), {"c": 1.0, "m": 2}, "spectral_residual", None),
-], ids=["negative", "tiny", "tinier", "t_u_past_the_double_range", "no_xi_content"])
-def test_cli_verify_writes_every_output_for_a_finite_non_zero_field(tmp_path, values, header, key, value):
+@pytest.mark.parametrize("values, header, key, value, warns", [
+    (_gaussian(-1.0), {"c": 1.0, "m": 2}, "nehari_t_u", None, False),
+    (_gaussian(1e-170), {"c": 1.0, "m": 2}, "spectral_residual", 1.0, False),
+    (_gaussian(1e-300), {"c": 1.0, "m": 2}, "spectral_residual", 1.0, False),
+    (_gaussian(1e-50), {"c": 1e150, "m": 1.5, "signed_power": True}, "nehari_t_u", None, False),
+    (lambda g: np.exp(-g.meshgrid()[1] ** 2 / 4), {"c": 1.0, "m": 2}, "spectral_residual", None, False),
+    (_gaussian(1e120), {"c": 1.0, "m": 3}, "spectral_residual", None, True),  # overflow RuntimeWarnings
+], ids=["negative", "tiny", "tinier", "t_u_past_the_double_range", "no_xi_content", "f_overflows"])
+def test_cli_verify_writes_every_output_for_a_finite_non_zero_field(tmp_path, values, header, key, value, warns):
     """A value verify cannot form is written as null, and the other outputs stay: a negative
     Gaussian has int u f(u) < 0, so no Nehari rescaling t_u, and at c = 1e150, m = 1.5 the
     rescaling passes the double range.  The squared norms of a 1e-170 or 1e-300 Gaussian would
     underflow to 0; scaled by a power of two they do not, and the residual reads 1, since f(phi)
-    lies below the field's resolution.  exp(-y^2/4) has no xi != 0 content: its residual is 0/0."""
+    lies below the field's resolution.  exp(-y^2/4) has no xi != 0 content: its residual is 0/0.
+    At amplitude 1e120 and m = 3, phi^3 overflows before the scaling, though c*phi_hat is finite."""
     g = Grid(32, 32, 25.0, 25.0)
     p = tmp_path / "phi.field"
     write_field(p, Field(g, values(g)), header)
     out = tmp_path / "verify"
-    assert main(["verify", "--field", str(p), "--out", str(out)]) == 0
+    with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+        assert main(["verify", "--field", str(p), "--out", str(out)]) == 0
     assert json.loads((out / "verify_report.json").read_text())[key] == value
     assert all((out / name).exists() for name in ("decay_report.json", "tail_x.csv", "tail_y.csv"))
 
@@ -542,21 +546,22 @@ def test_cli_evolve_writes_snapshots(tmp_path):
     assert np.array_equal(snap.values, final.values)
 
 
-@pytest.mark.parametrize("grid, amplitude, message", [
-    (Grid(16, 16, 2 * PI, 2 * PI), 0.0, "initial field: its mass or energy is zero"),
-    (Grid(32, 32, 25.0, 1e-5), 1.0, "evolve: t_end / dt = 3.94784e+13 steps"),
-], ids=["zero_field", "tiny_box"])
-def test_cli_evolve_rejected_field_exits_2(tmp_path, capsys, grid, amplitude, message):
+@pytest.mark.parametrize("grid, amplitude, extra, message", [
+    (Grid(16, 16, 2 * PI, 2 * PI), 0.0, [], "initial field: its mass or energy is zero"),
+    (Grid(32, 32, 25.0, 1e-5), 1.0, [], "evolve: t_end / dt = 3.94784e+13 steps"),
+    (Grid(32, 32, 25.0, 25.0), 0.0, ["--reference-speed", "1"], "reference field: its projection is zero"),
+], ids=["zero_field", "tiny_box", "zero_field_with_reference"])
+def test_cli_evolve_rejected_field_exits_2(tmp_path, capsys, grid, amplitude, extra, message):
     """A config with no grid section takes the field's grid: a zero field has no drifts to
-    report, and a tiny box under the automatic step plans more than 10**7 steps (exit 2 at once,
-    not a hang)."""
+    report, nor, as a reference, a shape error; a tiny box under the automatic step plans more
+    than 10**7 steps (exit 2 at once, not a hang)."""
     X, _ = grid.meshgrid()
     p = tmp_path / "u0.field"
     write_field(p, Field(grid, amplitude * np.exp(-X**2 / 4)), {"c": 1.0, "m": 2})
     cfg = tmp_path / "ev.json"
     cfg.write_text(json.dumps({"evolve": {"t_end": 0.05}}))
     out = tmp_path / "evo"
-    assert main(["evolve", "--field", str(p), "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["evolve", "--field", str(p), "--config", str(cfg), "--out", str(out), *extra]) == 2
     assert capsys.readouterr().err.startswith("error: " + message)
     assert not (out / "final.field").exists()
 

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import roots_laguerre
 
 from shrira import (
     Grid,
@@ -81,7 +80,7 @@ def test_a_kernel_order_past_the_gamma_range_or_a_nan_estimate_is_not_certified(
 
 def test_h0_gauss_laguerre_oracle():
     """At x = 0 the cosine factor is 1 and the integral has Laguerre weight."""
-    t, w = roots_laguerre(240)
+    t, w = pytest.importorskip("scipy.special").roots_laguerre(240)
     oracle = SQRT_PI * float(np.sum(w * t * (t * t + 1.0) ** -1.5))
     assert oracle == pytest.approx(GL_H0_AT_01, abs=1e-13)
     s = h_nu_point(KernelSpec(nu=0.0), 0.0, 1.0)
@@ -170,9 +169,7 @@ def test_qk15_error_estimate_is_quadpacks():
 def _quad_referee(monkeypatch, evaluate, points):
     """(value, est_error) per point with the quadrature routed through scipy.integrate.quad
     (the call shape is shared); where quad cannot certify, its best estimate and error."""
-    from scipy.integrate import quad
-
-    monkeypatch.setattr(kernels, "_gauss_kronrod", quad)
+    monkeypatch.setattr(kernels, "_gauss_kronrod", pytest.importorskip("scipy.integrate").quad)
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # quad's IntegrationWarning near the t = 0 singularity
