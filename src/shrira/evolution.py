@@ -15,10 +15,10 @@ A step is bit-identical to the classical formula on fresh half-spectrum arrays a
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
 1/2 int u^2 and E(u) = 1/2 (||D_x^{1/2}u||^2 + ||D_x^{-1/2}u_y||^2) - int F(u)
-are conserved, and remain exactly conserved (in continuous time) for the
-dealiased Galerkin truncation; the measured drift therefore isolates the
-integrator's O(dt^4) error, and the full action relates by
-S(u) = E(u) + (c/2)||u||_2^2.
+are conserved, and the full action relates by S(u) = E(u) + (c/2)||u||_2^2.
+For integer m the block is alias-free (`grid.GalerkinBlock`), so the truncation
+conserves both in continuous time and the drift isolates the integrator's O(dt^4)
+error; for non-integer m the mass drift also carries f(u)'s aliasing, at every dt.
 
 Default step: dt = min(0.25 dx / max(1, ||u0||_inf), 0.05 / max|sigma_L|) over
 the retained modes.  The advective bound alone lets the fastest retained beat
@@ -189,6 +189,7 @@ def evolve(
     dt = config.t_end / nsteps
 
     stepper = _Stepper(block, dt, params)
+    uh, defect = block.project(initial.values)  # a huge field, or a zero one, is rejected below
     ref_hat = None
     if reference is not None:
         ref_field, ref_speed = reference
@@ -196,13 +197,12 @@ def evolve(
             raise InputError(f"reference_speed: must be finite, got {ref_speed}")
         if ref_field.grid != g:
             raise InputError(f"reference field is on {ref_field.grid}, the run on {g}")
-        ref_hat = block.project(ref_field.values)[0]
+        ref_hat = uh.copy() if ref_field is initial else block.project(ref_field.values)[0]  # steps overwrite uh
         with np.errstate(over="ignore"):  # a huge reference, rejected next
             ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
         if not 0 < ref_sq < inf:
             raise InputError("reference field: its projection is zero or overflows; the shape error is undefined")
 
-    uh, defect = block.project(initial.values)  # a huge field, or a zero one, is rejected below
     nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
     times, masses, energies, shapes = [], [], [], []
     records_s = 0.0

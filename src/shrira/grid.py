@@ -26,11 +26,11 @@ of the full layout, whose xi < 0 columns are the conjugates of their partners.
 `Grid.xi_half` holds xi on those columns; the Nyquist column keeps fftfreq's
 xi = -pi*nx/lx and its symbols and phases.
 `GalerkinBlock(grid, m)` is the one place that decides which modes the
-truncation of u^m keeps (the 2/3 rule for m <= 2, the 1/2 rule beyond) and how
-they are laid out: rows 0..K and ny-K..ny-1 of the first kc columns, one
-(2K + 1, kc) array, moved by its `gather` and `scatter`.  The solvers, the
-residual, the stepper and evolve's projection all run through it; a run builds
-one.  Only `solver.spectral_residual` reads its layout from outside, forming the
+truncation of u^m keeps (its docstring states the dealias rule) and how they are
+laid out: rows 0..K and ny-K..ny-1 of the first kc columns, one (2K + 1, kc)
+array, moved by its `gather` and `scatter`.  The solvers, the residual, the
+stepper and evolve's projection all run through it; a run builds one.  Only
+`solver.spectral_residual` reads its layout from outside, forming the
 whole-half-spectrum residual in the block's buffer `half`: a buffer of its own
 would grow verify's working set by a spectrum.
 Full-spectrum sums are half-spectrum sums with column weights
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import ceil
 
 import numpy as np
 
@@ -191,21 +192,21 @@ def irfft2(h: np.ndarray, kc=None, out=None) -> np.ndarray:
 class GalerkinBlock:
     """The Galerkin block of m on a grid: its layout, xi, dispersion table, transforms and projection.
 
-    The block holds the modes with |j| <= frac * n/2 on each axis, frac = 2/3 for
-    m <= 2 and 1/2 beyond (for non-integer m, u^m is not band-limited at all; 1/2
-    is the conservative choice): half-spectrum rows `rows` = 0..K and ny-K..ny-1
-    of columns 0..kc-1, as one array of `shape` (2K + 1, kc).  Its column 0 holds
-    the xi = 0 modes of the band, which `forward` returns as 0 (no wave carries
-    them) and `project` keeps (evolve carries them frozen).  The Nyquist column is
-    never in it.  Every transform runs through the one half-spectrum buffer `half`.
-    `disp` (built on first use) is `dispersion_table` on the block: the solvers'
-    symbol s is c + disp, the stepper's linear symbol i*xi*disp.
+    The block holds the modes with |j| <= K on each axis, K the largest with (ceil(m) + 1) K < n.
+    For integer m no alias of u^m then lands on it (Orszag 1971), so mass and energy are conserved
+    semi-discretely; |u|^(m-1) u of a non-integer m is not band-limited and aliases under any rule,
+    resolution its remedy.  Its layout: half-spectrum rows `rows` = 0..K and ny-K..ny-1 of columns
+    0..kc-1, kc = K_x + 1, one array of `shape` (2K + 1, kc).  Its column 0 holds the xi = 0 modes,
+    which `forward` returns as 0 (no wave carries them) and `project` keeps (evolve carries them
+    frozen); the Nyquist column is never in it.  Every transform runs through the one buffer `half`.
+    `disp` (built on first use) is `dispersion_table` on the block: the solvers' symbol s is
+    c + disp, the stepper's linear symbol i*xi*disp.
     """
 
     def __init__(self, grid: Grid, m: float):
         self.grid = grid
-        frac = 2.0 / 3.0 if m <= 2 else 0.5
-        self.K, self.kc = int(frac * grid.ny / 2), int(frac * grid.nx / 2) + 1
+        p = ceil(m) + 1  # u^m of the block reaches |j| <= m K; its aliases miss |j| <= K if m K < n - K
+        self.K, self.kc = (grid.ny - 1) // p, (grid.nx - 1) // p + 1
         self.rows = np.r_[: self.K + 1, grid.ny - self.K : grid.ny]
         self.shape = (2 * self.K + 1, self.kc)
         self.xi = grid.xi_half[: self.kc]  # xi on the block's columns (read-only)

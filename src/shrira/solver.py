@@ -28,14 +28,13 @@ routes are provided:
   round-off floor the residual stops falling: NEHARI_STALL iterations without
   a new residual minimum stop the descent as stalled.
 
-Both loops carry phi_hat on the Galerkin block of m (`grid.GalerkinBlock`: the 2/3 rule
-for m <= 2, the 1/2 rule otherwise) and form each step there, Nehari's trials too, so
-nonlinear products are truncated and the iterates solve the truncated Galerkin problem
-exactly at convergence.  `GalerkinBlock.forward` zeroes the block's xi = 0 column, so it
-stays 0 and the block sums are half the full-spectrum ones.  Petviashvili's loop runs in
-fixed field buffers.  Reductions are pairwise np.sum, never a BLAS dot.  `verify` checks
-a stored field: `spectral_residual`, which keeps the whole half spectrum for s*phi_hat
-(content outside the block still counts), functionals, decay.
+Both loops carry phi_hat on the Galerkin block of m (`grid.GalerkinBlock`, which states the
+dealias rule) and form each step there, Nehari's trials too, so the iterates solve the
+truncated Galerkin problem exactly at convergence.  `GalerkinBlock.forward` zeroes the
+block's xi = 0 column, so it stays 0 and the block sums are half the full-spectrum ones.
+Petviashvili's loop runs in fixed field buffers.  Reductions are pairwise np.sum, never a
+BLAS dot.  `verify` checks a stored field: `spectral_residual`, which keeps the whole half
+spectrum for s*phi_hat (content outside the block still counts), functionals, decay.
 
 One way in, one way out: `_start`, the one reader of config.init, builds the
 block and s and projects the start; each solver leaves through one `_finish`.

@@ -75,12 +75,20 @@ def spectral_indices(grid):
     return np.meshgrid(jx, jy, indexing="xy")
 
 
+def dealias_band(n, m):
+    """The largest K with (ceil(m) + 1) K < n, found by search: then u^m of modes |j| <= K,
+    reaching |j| <= m K, sends no alias onto |j| <= K (Orszag's rule, 2/3 at m = 2)."""
+    K = 0
+    while (math.ceil(m) + 1) * (K + 1) < n:
+        K += 1
+    return K
+
+
 def galerkin_block(grid, m):
-    """Full-layout mask of the Galerkin block of m, by definition: |j| <= frac * n/2 on each
-    axis, frac = 2/3 for m <= 2 and 1/2 beyond."""
-    frac = 2.0 / 3.0 if m <= 2 else 0.5
+    """Full-layout mask of the Galerkin block of m, by definition: |j| <= dealias_band(n, m) on
+    each axis."""
     jx, jy = spectral_indices(grid)
-    return (np.abs(jx) <= frac * grid.nx / 2) & (np.abs(jy) <= frac * grid.ny / 2)
+    return (np.abs(jx) <= dealias_band(grid.nx, m)) & (np.abs(jy) <= dealias_band(grid.ny, m))
 
 
 def kept_modes(grid, m):
@@ -91,7 +99,8 @@ def kept_modes(grid, m):
 def random_field(grid, rng, band_limit=True):
     """Smooth random band-limited field with zero mean, unit-ish amplitude.
 
-    band_limit keeps |j| <= (2/3) n/2 on each axis, the xi = 0 column included."""
+    band_limit keeps the band of m = 2, |j| <= dealias_band(n, 2) on each axis, the xi = 0
+    column included."""
     coeffs = rng.standard_normal((grid.ny, grid.nx)) + 1j * rng.standard_normal(
         (grid.ny, grid.nx)
     )
@@ -99,8 +108,7 @@ def random_field(grid, rng, band_limit=True):
     damp = np.exp(-0.3 * (np.abs(jx) + np.abs(jy)))
     coeffs *= damp
     if band_limit:
-        frac = 2.0 / 3.0
-        coeffs[(np.abs(jx) > frac * grid.nx / 2) | (np.abs(jy) > frac * grid.ny / 2)] = 0.0
+        coeffs[~galerkin_block(grid, 2)] = 0.0
     vals = np.real(np.fft.ifft2(coeffs))
     scale = np.max(np.abs(vals))
     from shrira import Field

@@ -14,6 +14,7 @@ from shrira import (
     Spectrum,
     PhysicsParams,
     EvolveConfig,
+    GaussianInit,
     SolverConfig,
     petviashvili,
     step_if_rk4,
@@ -23,7 +24,7 @@ from shrira.evolution import MAX_STEPS, default_dt, _mass_energy, _Stepper
 from shrira.errors import BlowUpError, InputError
 from shrira.grid import GalerkinBlock, dispersion_table
 
-from conftest import galerkin_block, kept_modes, random_field, spectral_indices, traced_peak
+from conftest import dealias_band, galerkin_block, kept_modes, random_field, spectral_indices, traced_peak
 
 PI = math.pi
 
@@ -162,6 +163,20 @@ def test_conservation_small_wave(small_wave, params_m2):
     assert d["mass_drift"] == rep.mass_drift
 
 
+@pytest.mark.parametrize("n, m", [(48, 2), (64, 3)])
+def test_mass_drift_falls_with_dt_on_the_alias_free_block(n, m):
+    """The block of an integer m is alias-free, so the truncation conserves mass in continuous time
+    and evolve's mass drift is the integrator's: it falls >= 16x per halving of dt.  The waves of
+    m = 2 on 48^2 and of m = 3 on 64^2, 16 pi, to t = 0.5: n is a multiple of 3 and of 4, where a
+    band one mode wider (|j| <= n/3, n/4) aliases on its edge and drifts the same at every dt."""
+    g = Grid(n, n, 16 * PI, 16 * PI)
+    params = PhysicsParams(c=1.0, m=m)
+    wave, _ = petviashvili(SolverConfig(init=GaussianInit(amplitude=1.5)), params, g)
+    drifts = [evolve(wave, EvolveConfig(t_end=0.5, dt=0.5 / steps), params).mass_drift
+              for steps in (80, 160, 320)]
+    assert drifts[0] <= 1e-9 and all(a >= 16 * b for a, b in zip(drifts, drifts[1:])), drifts
+
+
 def test_shape_error_by_parseval_is_the_physical_one(small_wave, params_m2):
     """The recorded shape error equals ||u - phi(. - c t, .)|| / ||phi|| on the samples."""
     fld, _ = small_wave
@@ -296,7 +311,7 @@ def _full_complex_step(coeffs, dt, params, grid):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    m=st.sampled_from([2, 3]),  # the 2/3 and the 1/2 rule
+    m=st.sampled_from([2, 3]),  # the blocks of 3 K < n and of 4 K < n
     shape=st.sampled_from([(16, 16), (32, 16), (16, 24)]),
     amplitude=st.floats(0.1, 3.0),
     dt=st.floats(1e-3, 0.05),
@@ -373,7 +388,6 @@ def _random_half_spectrum(shape, seed, amplitude, band_limit):
 # grids numpy keeps the written order and the step differs from the formula in
 # the last bit; the full-complex test above covers those grids to 1e-13.
 LARGE_SHAPES = [(256, 128), (128, 256)]
-BAND = {"two_thirds": 2.0 / 3.0, "half": 0.5}  # the kept fraction of each axis's half-band
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -396,25 +410,25 @@ def test_stepper_is_bit_identical_to_the_classical_formula(seed, m, shape, ampli
     assert np.array_equal(stepper.block.scatter(got, np.empty_like(uh)), ref)
 
 
-@pytest.mark.parametrize("m, rule, kc", [(2, "two_thirds", 86), (3, "half", 65)])
+@pytest.mark.parametrize("m, rule, kc", [(2, "two_thirds", 86), (3, "half", 64)])
 def test_pruned_nonlinear_term(m, rule, kc):
     """Column FFTs only where -i xi keep is nonzero: on the block, the full product for P(v), which
-    is exactly 0 from column kc on.  kc - 1 = 85 = floor((2/3) 128) under the 2/3 rule of m = 2,
-    64 = (1/2) 128 under the 1/2 rule."""
+    is exactly 0 from column kc on.  kc - 1 = 85, the largest K with 3 K < 256, under the 2/3 rule
+    of m = 2, and 63, the largest with 4 K < 256, under the 1/2 rule of m = 3."""
     g, v = _random_half_spectrum((256, 256), 3, 1.0, False)
     params = PhysicsParams(c=1.0, m=m)
     stepper = _Stepper(GalerkinBlock(g, m), 0.01, params)
-    assert kc - 1 == int(BAND[rule] * g.nx / 2)
+    assert kc - 1 == dealias_band(g.nx, m)
     mult = _half_multiplier(g, m)
     want = mult * np.fft.rfft2(params.f(np.fft.irfft2(_projected(g, m, v), s=(g.ny, g.nx))))
     b = _block(stepper, v)
     got = stepper.nonlinear(b, np.full_like(b, np.nan))
-    assert stepper.block.kc == kc and got.shape == (2 * int(BAND[rule] * g.ny / 2) + 1, kc)
+    assert stepper.block.kc == kc and got.shape == (2 * dealias_band(g.ny, m) + 1, kc)
     assert np.array_equal(stepper.block.scatter(got, np.empty_like(v)), want)
     assert np.all(want[:, kc:] == 0) and np.any(got[:, kc - 1] != 0)
 
 
-@pytest.mark.parametrize("params, rule", [
+@pytest.mark.parametrize("params, rule", [  # the rule: 3 K < n (m = 2) or 4 K < n (m = 2.5, 3)
     (PhysicsParams(c=1.0, m=2), "two_thirds"),
     (PhysicsParams(c=1.0, m=3), "half"),
     (PhysicsParams(c=1.0, m=2.5, signed_power=True), "half"),
@@ -426,7 +440,7 @@ def test_step_allocates_no_field_sized_arrays(params, rule):
     stepper = _Stepper(GalerkinBlock(g, params.m), 0.003, params)
     uh = _block(stepper, np.fft.rfft2(np.exp(-(X**2 + Y**2) / 4)))
     out = np.empty_like(uh)
-    assert stepper.block.kc - 1 == int(BAND[rule] * g.nx / 2)
+    assert stepper.block.kc - 1 == dealias_band(g.nx, params.m)
     stepper.step(uh, out)
     tracemalloc.start()
     try:
@@ -471,7 +485,7 @@ def test_evolve_evolves_the_projection_and_reports_what_it_removed(g2pi):
 ])
 def test_solver_and_stepper_share_the_galerkin_block(params):
     """A Petviashvili wave lies in the block the stepper evolves: its projection removes nothing
-    beyond round-off, under the 2/3 band of m = 2 and the 1/2 band of m = 2.5 and m = 3."""
+    beyond round-off, under the band of m = 2 (3 K < n) and of m = 2.5 and m = 3 (4 K < n)."""
     g = Grid(64, 48, 16 * PI, 12 * PI)
     wave, _ = petviashvili(SolverConfig(), params, g)
     assert evolve(wave, EvolveConfig(t_end=0.01), params).projection_defect <= 1e-14

@@ -10,6 +10,12 @@ loops from the compact mode vector onto the Galerkin block of m, the one the
 stepper uses, reproduced every iteration count exactly and every value within
 RTOL.
 
+The m = 3 case was recorded again when the Galerkin block took the alias-free
+rule (ceil(m) + 1) K < n in place of |j| <= n/4: its block lost the edge row
+pair and column (K 12 -> 11, kc 17 -> 16), and d moved 10.6086 -> 11.2931 and
+z_norm_sq 42.4345 -> 45.1724 in the same 17 iterations.  m = 3 waves shrink to
+the grid scale (no ground state exists at m >= 3), so d follows the block.
+
 Petviashvili's iteration counts and its pohozaev_r2 were recorded again when
 the iteration gained its Aitken extrapolation (53 -> 28 and 26 -> 17
 iterations).  r2 = 0.254 moved by 7.5e-10 relative (1.9e-12 Z^2): at that
@@ -60,9 +66,9 @@ NEHARI = dict(
     pohozaev_r1=3.396813235509667e-14,
     pohozaev_r2=0.253821528048821,
 )
-# m = 3 takes the 1/2 dealias rule; the grid and the box are not square
+# m = 3 keeps |j| <= K with 4 K < n (K = 15 in x, 11 in y); the grid and the box are not square
 CUBIC_GRID = Grid(64, 48, 16 * PI, 12 * PI)
-PETVIASHVILI_CUBIC = dict(iterations=17, d=10.608631552524654, z_norm_sq=42.43452621009866)
+PETVIASHVILI_CUBIC = dict(iterations=17, d=11.293098628405247, z_norm_sq=45.17239451362103)
 EVOLVE_DT = 0.0036231884057971015
 EVOLVE_MASS = [
     22.95000863057282, 22.950008630439488, 22.95000863030616, 22.950008630172817,

@@ -21,7 +21,7 @@ from shrira.errors import InputError
 from shrira.decay import y_weighted_seminorm
 from shrira.functionals import _energy_parts
 
-from conftest import galerkin_block, kept_modes, random_field, spectral_indices
+from conftest import dealias_band, galerkin_block, kept_modes, random_field, spectral_indices
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -71,18 +71,17 @@ def test_dispersion_table(g2pi):
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (48, 32), (64, 48)])
-@pytest.mark.parametrize("m", [2, 2.5, 3])
+@pytest.mark.parametrize("m", [1.5, 2, 2.5, 3, 4])
 def test_keep_matches_its_definition(shape, m):
-    """The Galerkin block of m is the half layout of |j| <= frac n/2 on each axis (frac 2/3 for
-    m <= 2, 1/2 beyond): rows 0..K and ny-K..ny-1 of columns 0..kc-1.  Without its column 0 it
+    """The Galerkin block of m is the half layout of |j| <= K on each axis, K the largest with
+    (ceil(m) + 1) K < n: rows 0..K and ny-K..ny-1 of columns 0..kc-1.  Without its column 0 it
     holds the kept modes; the x-Nyquist column is never in it.  Its disp is the dispersion table
     on those modes, read-only."""
     from shrira.grid import GalerkinBlock, dispersion_table
 
     g = Grid(*shape, 5.0, 3.0)
     block, half = GalerkinBlock(g, m), g.nx // 2 + 1
-    frac = 2.0 / 3.0 if m <= 2 else 0.5
-    assert (block.K, block.kc) == (int(frac * g.ny / 2), int(frac * g.nx / 2) + 1)
+    assert (block.K, block.kc) == (dealias_band(g.ny, m), dealias_band(g.nx, m) + 1)
     assert block.shape == (len(block.rows), block.kc) == (2 * block.K + 1, block.kc)
     mask = np.isin(np.arange(g.ny), block.rows)[:, None] & (np.arange(half) < block.kc)
     assert np.array_equal(mask, galerkin_block(g, m)[:, :half])
@@ -225,7 +224,7 @@ def test_real_transforms_are_numpys_bit_for_bit(shape, m):
     nx, ny = shape
     g = Grid(nx, ny, 10.0, 7.0)
     kc = GalerkinBlock(g, m).kc
-    assert kc - 1 == int({2: 2 / 3, 3: 0.5}[m] * nx / 2)
+    assert kc - 1 == dealias_band(nx, m)
     u = np.random.default_rng(11).standard_normal((ny, nx))
     want = np.fft.rfft2(u)
     assert np.array_equal(rfft2(u), want)
@@ -299,6 +298,37 @@ def test_verify_operators_on_half_spectrum_match_full_complex(seed, shape, box, 
     Y = g.meshgrid()[1]
     ref = float(np.sum(Y**2 * (dxh**2 + px**2 + py**2)) * g.cell_area)
     assert y_weighted_seminorm(f) == pytest.approx(ref, rel=1e-13)
+
+
+def _padded_power(u, m, pad=4):
+    """rfft2 of u^m, u a real trigonometric polynomial of degree < n/(m + 1) per axis, formed on
+    the pad-times finer grid (no alias there) and cut back to the (ny, nx/2 + 1) half layout."""
+    ny, nx = u.shape
+    iy, ix = (np.rint(np.fft.fftfreq(n) * n).astype(int) % (pad * n) for n in (ny, nx))
+    wide = np.zeros((pad * ny, pad * nx), complex)
+    wide[np.ix_(iy, ix)] = np.fft.fft2(u)
+    fine = np.fft.ifft2(wide).real * pad**2
+    return np.fft.fft2(fine**m)[np.ix_(iy, ix[: nx // 2 + 1])] / pad**2
+
+
+@pytest.mark.parametrize("n", [24, 30, 32, 48, 96, 256])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_block_product_has_no_alias(m, n):
+    """The Galerkin block of an integer m is alias-free: `forward` of u^m, for u any real field on
+    the block, equals the product formed on a 4x zero-padded grid and truncated to the block, to
+    1e-13 relative.  A band one mode wider aliases on its edge: |j| <= n/3 at m = 2 where 3
+    divides n, |j| <= n/4 at m = 3 where 4 divides n; |j| <= n/4 aliases throughout at m = 4."""
+    from shrira.grid import GalerkinBlock
+
+    g = Grid(n, n, 2 * PI, 3.0)
+    block = GalerkinBlock(g, m)
+    rng = np.random.default_rng(n + m)
+    u = block.inverse(rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape))
+    u /= np.max(np.abs(u))
+    want = block.gather(_padded_power(u, m))
+    want[:, 0] = 0.0
+    got = block.forward(u**m)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -494,6 +494,29 @@ def test_cli_evolve(solved_dir, cfg_file, tmp_path):
     assert set(rep["timings"]) == {"setup_s", "steps_s", "records_s"}
 
 
+def test_cli_evolve_projects_its_reference_field_once(solved_dir, cfg_file, tmp_path, monkeypatch):
+    """`--reference-speed` makes the input field the reference too: evolve projects it once and
+    copies the block for the reference, and every report value and the final field equal those of
+    a run whose reference is a separate copy of the field, projected on its own."""
+    from shrira import evolution, grid as sg
+    from shrira.config import load_config
+
+    calls, project = [], sg.GalerkinBlock.project
+    monkeypatch.setattr(sg.GalerkinBlock, "project", lambda self, u: calls.append(1) or project(self, u))
+    out = tmp_path / "evo"
+    assert main(["evolve", "--field", str(solved_dir / "phi.field"), "--config", str(cfg_file),
+                 "--out", str(out), "--reference-speed", "1.0"]) == 0
+    assert len(calls) == 1
+    fld, cfg = read_field(solved_dir / "phi.field")[0], load_config(cfg_file)
+    copy = Field(fld.grid, fld.values.copy())
+    apart = evolution.evolve(fld, cfg.evolve, cfg.physics, reference=(copy, 1.0))
+    assert len(calls) == 3
+    rep = json.loads((out / "evolve_report.json").read_text())
+    for key in ("dt", "steps", "times", "mass_series", "energy_series", "shape_error_series", "projection_defect"):
+        assert np.array_equal(rep[key], getattr(apart, key)), key
+    assert np.array_equal(read_field(out / "final.field")[0].values, apart.final.values)
+
+
 def _documented_keys(doc: str, name: str):
     """(keys, timings keys) that the bullet of `name` under "## Report JSON files" in docs/formats.md
     names: the backticked names of its opening list (from its first colon to its first full stop,
@@ -885,7 +908,7 @@ def test_field_format_v1_reads_as_unsigned_power(tmp_path):
 @pytest.mark.parametrize("m", [2.5, 2.0])
 def test_cli_verify_takes_signed_power_from_the_field(tmp_path, m):
     """A signed-power solve verifies without --config: the header carries signed_power.  It also
-    lies in the block evolve runs on (the 1/2 band at m = 2.5): the projection removes nothing."""
+    lies in the block evolve runs on (4 K < n at m = 2.5): the projection removes nothing."""
     cfg = {
         "grid": {"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI},
         "physics": {"c": 1.0, "m": m, "signed_power": True},

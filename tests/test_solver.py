@@ -202,7 +202,7 @@ def test_solver_blocks_are_the_masked_real_transforms(rule):
     """The block's forward transform is the rfft2 masked to the kept modes, on the Galerkin block
     (its xi = 0 column zeroed), its inverse is irfft2 of the masked spectrum, the solvers' s is c
     plus the block's disp (c on xi = 0), and twice the block dot is the full-spectrum sum.
-    m = 2 keeps the 2/3 band, m = 3 the 1/2 band."""
+    m = 2 keeps the 2/3 band (3 K < n), m = 3 the 1/2 band (4 K < n); 3 divides nx = 48."""
     g = Grid(48, 32, 10.0, 7.0)
     m = {"two_thirds": 2, "half": 3}[rule]
     block = sg.GalerkinBlock(g, m)
@@ -510,8 +510,8 @@ def _sample_step_nehari(config, params, grid):
 @pytest.mark.parametrize("grid, params, init, iterations", [
     (Grid(64, 64, 16 * PI, 16 * PI), PhysicsParams(c=1.0, m=2), GaussianInit(), 68),
     (Grid(128, 128, 64 * PI, 64 * PI), PhysicsParams(c=1.0, m=2), GaussianInit(), 60),
-    (Grid(128, 96, 32 * PI, 24 * PI), PhysicsParams(c=1.0, m=2.5, signed_power=True), GaussianInit(), 49),
-    (Grid(64, 64, 16 * PI, 16 * PI), PhysicsParams(c=1.0, m=3), GaussianInit(amplitude=1.5), 41),
+    (Grid(128, 96, 32 * PI, 24 * PI), PhysicsParams(c=1.0, m=2.5, signed_power=True), GaussianInit(), 48),
+    (Grid(64, 64, 16 * PI, 16 * PI), PhysicsParams(c=1.0, m=3), GaussianInit(amplitude=1.5), 40),
     (Grid(32, 32, 8 * PI, 8 * PI), PhysicsParams(c=2.0, m=1.5, signed_power=True), GaussianInit(), 92),
 ], ids=["golden", "box64pi", "signed_25", "cubic", "signed_15_c2"])
 def test_nehari_block_step_matches_the_sample_step(grid, params, init, iterations):
