@@ -4,8 +4,8 @@ A stored field's physics (c, m, signed_power) and grid come from its header:
 `verify` reads them there, and `evolve` exits 2 when its config's physics (the
 defaults if the section is absent) or its grid section (if present) differs.
 
-Exit codes: 0 success, 2 rejected input (InputError, or a ValueError or a
-file that cannot be read or written), evolve blow-up
+Exit codes: 0 success, 2 rejected input (InputError, or a ValueError, a
+file that cannot be read or written, or a grid too large for memory), evolve blow-up
 (last_good.field and the partial conservation.csv are still written) or an
 uncertified kernel point (the rows before it are still written), 3 solver
 non-convergence, a collapse included (solve still writes phi.field,
@@ -270,8 +270,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ShriraError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ShriraError, OSError, ValueError, MemoryError) as exc:  # MemoryError: a grid too large to hold
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -12,12 +12,12 @@ so Parseval reads
 
 exactly for any discrete field.
 
-This module is the one place that knows the dispersion relation: every symbol
-of the equation (profile operator, energy weights, dispersive phase, kernel
-denominator) is derived from `dispersion_table`, (xi^2 + eta^2)/|xi| on
-xi != 0 and 0 on every xi = 0 mode.  On the Galerkin block it is read as
-`GalerkinBlock.disp`; `spectral_residual` and the kernel oracle build it on
-every column.
+The dispersion relation is `dispersion_table`, (xi^2 + eta^2)/|xi| on xi != 0
+and 0 on every xi = 0 mode; the profile operator, evolve's energy record, the
+dispersive phase and the kernel denominator derive from it.  On the Galerkin
+block it is read as `GalerkinBlock.disp`; `spectral_residual` and the kernel
+oracle build it on every column.  `functionals` weights its two parts, |xi| and
+eta^2/|xi|, apart: the Pohozaev identities need them separately.
 
 Half-spectrum layout.  Every symbol of the equation takes conjugate values at
 (xi, eta) and -(xi, eta) and acts on real fields, so every table is built on
@@ -28,19 +28,22 @@ xi = -pi*nx/lx and its symbols and phases.
 `GalerkinBlock(grid, m)` is the one place that decides which modes the
 truncation of u^m keeps (its docstring states the dealias rule) and how they are
 laid out: rows 0..K and ny-K..ny-1 of the first kc columns, one (2K + 1, kc)
-array, moved by its `gather` and `scatter`.  The solvers, the residual, the
-stepper and evolve's projection all run through it; a run builds one.  Only
-`solver.spectral_residual` reads its layout from outside, forming the
-whole-half-spectrum residual in the block's buffer `half`: a buffer of its own
-would grow verify's working set by a spectrum.
+array, moved by its `gather`, `scatter` and `subtract`.  The solvers, the
+residual, the stepper and evolve's projection all run through it; a run builds
+one, and no code outside it reads its layout.  It owns its inner product too:
+`dot` is the full-spectrum sum of two blocks whose xi = 0 column is 0.
+`solver.spectral_residual` forms its whole-half-spectrum residual in the
+block's buffer `half`: a buffer of its own would grow verify's working set by a
+spectrum.
 Full-spectrum sums are half-spectrum sums with column weights
 `Grid.half_weight`: 1 on the xi = 0 and Nyquist columns, 2 on the others.
 The public `forward`, `inverse` and `apply_multiplier` stay full-complex:
 their symbols need not be Hermitian.  Every real transform of the package
-runs through `rfft2` and `irfft2`, the y pass in place and pruned to those
-columns on request, except two: `decay.y_weighted_seminorm` (row spectra,
-transformed in x only) and `kernels.kernel_spectral_oracle` (a real float64
-symbol, which an in-place complex pass cannot hold).
+runs through `rfft2` or the block's `inverse`, the y pass in place, pruned to
+the block's columns where the block transforms, except two:
+`decay.y_weighted_seminorm` (row spectra, transformed in x only) and
+`kernels.kernel_spectral_oracle` (a real float64 symbol, which an in-place
+complex pass cannot hold).
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ def dispersion_table(grid: Grid, rows=slice(None), kc=None) -> np.ndarray:
     """(xi^2 + eta^2)/|xi| on xi != 0 and 0 on xi = 0, as a new half-layout array of eta rows `rows`
     and columns 0..kc-1 (all by default).
 
-    The profile symbol is c + table, the energy weight is the table itself, the
+    The profile symbol is c + table, evolve's energy weight is the table itself, the
     dispersive symbol is i*xi*table and the kernel denominator |xi|(1 + table).
     """
     xi = grid.xi_half[:kc]
@@ -181,16 +184,9 @@ def rfft2(u: np.ndarray, kc=None, out=None) -> np.ndarray:
     return out
 
 
-def irfft2(h: np.ndarray, kc=None, out=None) -> np.ndarray:
-    """numpy.fft.irfft2 of the half spectrum h (zero from column kc on if kc is given), overwriting
-    h: ifft along y in place on its columns 0..kc-1, then irfft along x to 2 (h.shape[1] - 1) samples."""
-    cols = h[:, :kc]
-    np.fft.ifft(cols, axis=0, out=cols)
-    return np.fft.irfft(h, n=2 * (h.shape[1] - 1), axis=1, out=out)
-
-
 class GalerkinBlock:
-    """The Galerkin block of m on a grid: its layout, xi, dispersion table, transforms and projection.
+    """The Galerkin block of m on a grid: its layout, xi, dispersion table, transforms, inner product
+    and projection.
 
     The block holds the modes with |j| <= K on each axis, K the largest with (ceil(m) + 1) K < n.
     For integer m no alias of u^m then lands on it (Orszag 1971), so mass and energy are conserved
@@ -237,8 +233,21 @@ class GalerkinBlock:
         return out
 
     def inverse(self, b: np.ndarray, out=None) -> np.ndarray:
-        """irfft2 of the half spectrum whose block is b and which is 0 elsewhere, pruned to kc columns."""
-        return irfft2(self.scatter(b, self.half), self.kc, out=out)
+        """numpy.fft.irfft2 of the half spectrum whose block is b and which is 0 elsewhere: ifft along y
+        in place on columns 0..kc-1 of `half` (the others are 0), then irfft along x, in out or new."""
+        cols = self.scatter(b, self.half)[:, : self.kc]
+        np.fft.ifft(cols, axis=0, out=cols)
+        return np.fft.irfft(self.half, n=self.grid.nx, axis=1, out=out)
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Full-spectrum Re sum a * conj(b) of blocks whose xi = 0 column is 0, as `forward` returns: twice the
+        block's pairwise np.sum (einsum's running sum is noisy enough to flip Nehari's step tests)."""
+        return 2.0 * float(np.sum(a.view(np.float64) * b.view(np.float64)))
+
+    def subtract(self, b: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """h -= the half spectrum whose block is b and which is 0 elsewhere."""
+        h[self.rows, : self.kc] -= b
+        return h
 
     def project(self, u: np.ndarray) -> tuple:
         """(P u, ||u - P u|| / ||u||) of the real samples u, the defect by Parseval and nan for u = 0: evolve's

@@ -131,8 +131,8 @@ def _gauss_kronrod(g, a, b, epsabs, epsrel, limit):
 def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
     """Evaluate h_nu at one point by adaptive quadrature.
 
-    Raises InputError at (0, 0) and QuadratureAccuracyError (carrying the best
-    estimate) if the tolerance cannot be certified: the quadrature error on
+    Raises InputError at (0, 0) or a non-finite point, and QuadratureAccuracyError (carrying the
+    best estimate) if the tolerance cannot be certified: the quadrature error on
     (0, T], T = 60, plus pref times the bound t^-(nu+2) e^-t of the integrand
     past T (under 1e-17 for nu >= -3/2 + 1e-9, so a longer interval would not
     help).  The quadrature runs in s = sqrt(t), on 2 s g(s^2) over (0, sqrt(T)],
@@ -140,6 +140,8 @@ def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
     """
     if x == 0.0 and y == 0.0:
         raise InputError("kernel is singular at the origin")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InputError(f"kernel point ({x}, {y}) is not finite")
     nu = spec.nu
     pref = 2.0 * math.gamma(nu + 1.5)
     ax, y2 = abs(x), y * y
@@ -160,7 +162,10 @@ def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
     return KernelSample(x=x, y=y, value=val, est_error=est)
 
 
-def _warn_negative_nu(nu: float) -> None:
+def _check_nu(nu: float) -> None:
+    """InputError unless -3/2 < nu < inf, where the symbol's xi -> 0 singularity is integrable; nu < 0 warns."""
+    if not -1.5 < nu < math.inf:
+        raise InputError(f"nu: kernel order must exceed -3/2 and be finite, got {nu}")
     if nu < 0:
         warnings.warn(
             "nu < 0: the symbol's xi -> 0 limit is direction-dependent; "
@@ -187,12 +192,12 @@ def kernel_spectral_oracle(nu: float, grid: sg.Grid) -> sg.Field:
     wavenumber cutoff; the caller picks a grid that truncates consciously.  A
     long-x anisotropic grid suppresses the dominant image error.
     """
-    _warn_negative_nu(nu)
+    _check_nu(nu)
     sym = _oracle_symbol(nu, grid)
     sym[1::2] *= -1.0
     sym[:, 1::2] *= -1.0
-    # not grid.irfft2: its in-place complex pass cannot hold the real symbol, and a complex copy
-    # would add ~67 MB at criterion 7's 8192 x 1024 oracle
+    # not an in-place complex y pass, as the Galerkin block's inverse takes: it cannot hold the real
+    # symbol, and a complex copy would add ~67 MB at criterion 7's 8192 x 1024 oracle
     vals = np.fft.irfft2(sym, s=(grid.ny, grid.nx))
     vals *= (grid.nx * grid.ny) * (2 * np.pi) ** 2 / (grid.lx * grid.ly)
     return sg.Field(grid, vals)
@@ -233,7 +238,7 @@ def oracle_nodes(nu: float, grid: sg.Grid, points) -> list:
     sign (-1)^k.  S is built ORACLE_BLOCK eta-rows at a time, and both sums
     are BLAS matmuls; the values agree with the full transform to ~1e-14.
     """
-    _warn_negative_nu(nu)
+    _check_nu(nu)
     idx = np.array([_node(grid, x, y) for x, y in points], dtype=np.int64).reshape(-1, 2)
     cols, ci = np.unique(idx[:, 0], return_inverse=True)
     rows, ri = np.unique(idx[:, 1], return_inverse=True)

@@ -31,10 +31,10 @@ routes are provided:
 Both loops carry phi_hat on the Galerkin block of m (`grid.GalerkinBlock`, which states the
 dealias rule) and form each step there, Nehari's trials too, so the iterates solve the
 truncated Galerkin problem exactly at convergence.  `GalerkinBlock.forward` zeroes the
-block's xi = 0 column, so it stays 0 and the block sums are half the full-spectrum ones.
-Petviashvili's loop runs in fixed field buffers.  Reductions are pairwise np.sum, never a
-BLAS dot.  `verify` checks a stored field: `spectral_residual`, which keeps the whole half
-spectrum for s*phi_hat (content outside the block still counts), functionals, decay.
+block's xi = 0 column, so it stays 0, and the block's `dot` gives the full-spectrum sums.
+Petviashvili's loop runs in fixed field buffers.  `verify` checks a stored field:
+`spectral_residual`, which keeps the whole half spectrum for s*phi_hat (content outside the
+block still counts), functionals, decay.
 
 One way in, one way out: `_start`, the one reader of config.init, builds the
 block and s and projects the start; each solver leaves through one `_finish`.
@@ -227,8 +227,7 @@ def spectral_residual(f: sg.Field, params: PhysicsParams) -> float:
     for a in (sph.view(np.float64), fh.view(np.float64)):  # in place: no spectrum-sized temporary
         np.ldexp(a, j, out=a)
     den_sq = sg.weighted_sq_sum(g, 1.0, sph)
-    sph[block.rows, : block.kc] -= fh
-    return _residual(sg.weighted_sq_sum(g, 1.0, sph), den_sq)
+    return _residual(sg.weighted_sq_sum(g, 1.0, block.subtract(fh, sph)), den_sq)
 
 def _residual(num_sq: float, den_sq: float) -> float:
     """sqrt(num_sq / den_sq): ||sph - fh|| / ||sph|| from the two squared norms; nan where den_sq is 0."""
@@ -249,14 +248,6 @@ def verify(f: sg.Field, params: PhysicsParams) -> tuple[VerifyReport, DecayRepor
     return VerifyReport(residual, t_u, fr, timings), dr
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re sum a * conj(b) over a block whose xi = 0 column is 0: half the full-spectrum sum.
-
-    np.sum sums pairwise; einsum's running sum is noisy enough to flip Nehari's step tests.
-    """
-    return float(np.sum(a.view(np.float64) * b.view(np.float64)))
-
-
 def petviashvili(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """Stabilized fixed-point iteration; returns (Field, SolveReport), raises as `_finish` does."""
     return _finish(PETVIASHVILI, grid, params, *_petviashvili_loop(config, params, grid))
@@ -272,14 +263,14 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
     fu, sph = np.empty_like(phi), np.empty_like(ph)
     started = (t0, time.perf_counter())
     hists = res_hist, m_hist, delta_hist = [], [], []
-    delta, ph_sq = np.inf, _dot(ph, ph)
+    delta, ph_sq = np.inf, block.dot(ph, ph)
     d_prev, plain, extrapolations, converged = None, 0, 0, False
     stop = None if np.isfinite(ph).all() else ConvergenceError("initial guess overflows its spectrum")
     for _ in range(config.max_iter if stop is None else 0):
         fh = block.forward(params.f(phi, out=fu))
         np.multiply(s, ph, out=sph)
-        num = _dot(sph, ph)
-        den = _dot(fh, ph)
+        num = block.dot(sph, ph)
+        den = block.dot(fh, ph)
         if den == 0.0 or num == 0.0:
             stop = ConvergenceError("iterate lost all spectral content")
             break
@@ -287,9 +278,9 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
         if not math.isfinite(M):
             stop = ConvergenceError(f"Petviashvili factor M = {M:.3e} is not finite: f(phi) or s ph overflows")
             break
-        sph_sq = _dot(sph, sph)
+        sph_sq = block.dot(sph, sph)
         sph -= fh  # the residual s phi_hat - f_hat
-        resid = _residual(_dot(sph, sph), sph_sq)
+        resid = _residual(block.dot(sph, sph), sph_sq)
         res_hist.append(resid)
         m_hist.append(M)
         delta_hist.append(delta)
@@ -306,17 +297,17 @@ def _petviashvili_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Gri
             break
         fh /= s  # the plain update
         d = np.subtract(fh, ph, out=ph)
-        d_sq = _dot(d, d)
+        d_sq = block.dot(d, d)
         delta = math.sqrt(d_sq / ph_sq) if ph_sq > 0 else np.inf
         plain += 1
         if plain >= AITKEN_EVERY:  # so the step before was plain too, and d_prev holds it
-            prev_sq = _dot(d_prev, d_prev)
+            prev_sq = block.dot(d_prev, d_prev)
             lam = math.sqrt(d_sq / prev_sq) if prev_sq > 0 else 0.0
-            if 0.3 < lam < 0.99 and _dot(d, d_prev) > 0.999 * lam * prev_sq:  # cos > 0.999
+            if 0.3 < lam < 0.99 and block.dot(d, d_prev) > 0.999 * lam * prev_sq:  # cos > 0.999
                 fh += np.multiply(lam / (1.0 - lam), d, out=d)
                 delta, plain = np.inf, 0
                 extrapolations += 1
-        ph_sq = _dot(fh, fh)  # the next iterate's; phi still holds the last one, which is finite
+        ph_sq = block.dot(fh, fh)  # the next iterate's; phi still holds the last one, which is finite
         if not math.isfinite(ph_sq):
             stop = ConvergenceError(f"Petviashvili update overflows: ||phi_hat||^2 = {ph_sq:.3e}")
             break
@@ -334,10 +325,9 @@ def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
     """The tuple of `_petviashvili_loop` for `nehari_descent`; a stop at the start skips the loop."""
     t0 = time.perf_counter()
     block, s, ph, phi = _start(config, params, grid)
-    w = 2.0 * grid.spectral_weight  # column weight of the block's xi != 0 modes, times Parseval's factor
     k = (params.m - 1.0) / (2.0 * params.p)  # S = k ||u||_Z^2 on the manifold
     res_hist: list = []
-    zsq = _dot(s * ph, ph) * w
+    zsq = block.dot(s * ph, ph) * grid.spectral_weight
     uf, _ = _f_integrals(phi, grid.cell_area, params)
     converged, stop, t = False, None, _nehari_t(zsq, uf, params.m)
     if uf <= 0:
@@ -354,7 +344,7 @@ def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         fh = block.forward(params.f(phi))
         sph = s * ph
         r = sph - fh
-        resid = _residual(_dot(r, r), _dot(sph, sph))
+        resid = _residual(block.dot(r, r), block.dot(sph, sph))
         res_hist.append(resid)
         if resid <= config.tol_residual:
             converged = True
@@ -369,7 +359,7 @@ def _nehari_loop(config: SolverConfig, params: PhysicsParams, grid: sg.Grid):
         for _try in range(40):
             vh = ph - h * d
             v = block.inverse(vh)
-            zv = _dot(s * vh, vh) * w
+            zv = block.dot(s * vh, vh) * grid.spectral_weight
             ufv, _ = _f_integrals(v, grid.cell_area, params)
             if zv != 0.0:  # a nan action (int u f(u) <= 0) or an infinite one is not accepted
                 tv = _nehari_t(zv, ufv, params.m)

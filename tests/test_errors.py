@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from shrira import (Field, Grid, KernelSpec, PhysicsParams, apply_multiplier, forward, gn_ratio,
-                    h_nu_point, lp_norm, mixed_norm, nehari_scale, oracle_nodes, read_field, rescale_speed,
-                    spectral_residual, tail_exponent_fit)
+                    h_nu_point, kernel_spectral_oracle, lp_norm, mixed_norm, nehari_scale, oracle_nodes,
+                    read_field, rescale_speed, spectral_residual, tail_exponent_fit)
 from shrira.config import parse_config
 from shrira.errors import InputError, ShriraError
 
@@ -52,9 +52,17 @@ def _used_mode_inf(tmp_path):
     (lambda tmp_path: rescale_speed(F, 1, 2, m=1.0), "^m: .* must exceed 1 and be finite, got 1.0$"),
     (lambda tmp_path: rescale_speed(F, 1, 2, m=0.5), "^m: .* must exceed 1 and be finite, got 0.5$"),
     (lambda tmp_path: rescale_speed(F, math.inf, 1.0, 2.0), "^speeds must be positive and finite$"),
+    (lambda tmp_path: oracle_nodes(math.nan, G, [(0.5, 0.5)]), "^nu: .* must exceed -3/2 and be finite, got nan$"),
+    (lambda tmp_path: oracle_nodes(-2.0, G, [(0.5, 0.5)]), "^nu: .* must exceed -3/2 and be finite, got -2.0$"),
+    (lambda tmp_path: kernel_spectral_oracle(math.nan, G), "^nu: .* must exceed -3/2 and be finite, got nan$"),
+    (lambda tmp_path: kernel_spectral_oracle(-2.0, G), "^nu: .* must exceed -3/2 and be finite, got -2.0$"),
+    (lambda tmp_path: h_nu_point(KernelSpec(), math.nan, 0.0), r"^kernel point \(nan, 0.0\) is not finite$"),
+    (lambda tmp_path: h_nu_point(KernelSpec(), math.inf, 1.0), r"^kernel point \(inf, 1.0\) is not finite$"),
 ], ids=["config_key", "corrupt_file", "kernel_origin", "zero_residual", "gn_zero_field", "nehari_no_scaling",
         "symbol_domain", "underflow_window", "grid_range", "oracle_point_inf", "lp_norm_nan", "mixed_norm_zero",
-        "mixed_norm_negative", "mixed_norm_nan", "rescale_speed_m1", "rescale_speed_m_half", "rescale_speed_inf"])
+        "mixed_norm_negative", "mixed_norm_nan", "rescale_speed_m1", "rescale_speed_m_half", "rescale_speed_inf",
+        "oracle_nodes_nu_nan", "oracle_nodes_nu_m2", "oracle_nu_nan", "oracle_nu_m2", "kernel_point_nan",
+        "kernel_point_inf"])
 def test_rejected_input_raises_input_error(tmp_path, trigger, message):
     with pytest.raises(InputError, match=message) as exc:
         trigger(tmp_path)

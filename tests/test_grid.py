@@ -216,10 +216,9 @@ def test_invariant_suite_randomized():
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("shape", [(48, 32), (256, 128)])
 def test_real_transforms_are_numpys_bit_for_bit(shape, m):
-    """grid.rfft2 and grid.irfft2 are np.fft.rfft2 and np.fft.irfft2 bit for bit, in full and,
-    pruned to the kc columns of the Galerkin block of m, on the columns below kc (the pruned
-    inverse of a spectrum that is zero from column kc on)."""
-    from shrira.grid import GalerkinBlock, irfft2, rfft2
+    """grid.rfft2 is np.fft.rfft2 bit for bit, in full and, pruned to the kc columns of the
+    Galerkin block of m, on the columns below kc."""
+    from shrira.grid import GalerkinBlock, rfft2
 
     nx, ny = shape
     g = Grid(nx, ny, 10.0, 7.0)
@@ -230,11 +229,6 @@ def test_real_transforms_are_numpys_bit_for_bit(shape, m):
     assert np.array_equal(rfft2(u), want)
     out = np.empty_like(want)
     assert rfft2(u, kc, out=out) is out and np.array_equal(out[:, :kc], want[:, :kc])
-    assert np.array_equal(irfft2(want.copy()), np.fft.irfft2(want, s=(ny, nx)))
-    band = np.where(np.arange(nx // 2 + 1) < kc, want, 0.0)
-    back = np.empty_like(u)
-    assert irfft2(band.copy(), kc, out=back) is back
-    assert np.array_equal(back, np.fft.irfft2(band, s=(ny, nx)))
 
 
 def test_half_spectrum_weighted_sums_equal_full_sums():

@@ -16,6 +16,7 @@ import pytest
 
 import shrira
 from shrira import Grid, Field, read_field, write_field
+from shrira import cli
 from shrira.cli import _write_json, main
 from shrira.kernels import (KernelSpec, h_nu_point, kernel_rows, kernel_spectral_oracle, oracle_nodes,
                             oracle_node_value)
@@ -385,6 +386,21 @@ def test_cli_a_directory_given_as_a_file_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 8.00 TiB for an array"), "error: Unable to allocate 8.00 TiB for an array\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_cli_memory_error_exits_2(tmp_path, capsys, monkeypatch, exc, message):
+    """A grid too large to hold exits 2 with an `error:` line, not a traceback.  A stand-in command
+    raises it: a real huge grid can be allocated on an overcommitting machine and then exhaust it."""
+    def cmd(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_solve", cmd)
+    assert main(["solve", "--config", str(tmp_path / "run.json")]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_cli_solve_nonconvergence_exit_3(tmp_path, cfg_file):
     cfg = json.loads(cfg_file.read_text())
     cfg["solver"]["max_iter"] = 2
@@ -517,12 +533,17 @@ def test_cli_evolve_projects_its_reference_field_once(solved_dir, cfg_file, tmp_
     assert np.array_equal(read_field(out / "final.field")[0].values, apart.final.values)
 
 
-def _documented_keys(doc: str, name: str):
-    """(keys, timings keys) that the bullet of `name` under "## Report JSON files" in docs/formats.md
-    names: the backticked names of its opening list (from its first colon to its first full stop,
-    parenthetical remarks dropped), and each "`key` for ..." in the remark on `timings`."""
+def _bullet(doc: str, name: str) -> str:
+    """The bullet of `name` under "## Report JSON files" in docs/formats.md."""
     section = re.search(r"^## Report JSON files\n(.*?)^## ", doc, re.S | re.M).group(1)
-    bullet = re.search(rf"^\* `{re.escape(name)}`(.*?)(?=^\* |\Z)", section, re.S | re.M).group(1)
+    return re.search(rf"^\* `{re.escape(name)}`(.*?)(?=^\* |\Z)", section, re.S | re.M).group(1)
+
+
+def _documented_keys(doc: str, name: str):
+    """(keys, timings keys) that the bullet of `name` names: the backticked names of its opening
+    list (from its first colon to its first full stop, parenthetical remarks dropped), and each
+    "`key` for ..." in the remark on `timings`."""
+    bullet = _bullet(doc, name)
     timings = re.search(r"`timings` \(([^()]*)\)", bullet)
     flat = bullet
     while (stripped := re.sub(r"\([^()]*\)", "", flat)) != flat:
@@ -531,9 +552,17 @@ def _documented_keys(doc: str, name: str):
     return set(re.findall(r"`(\w+)`", opening)), set(re.findall(r"`(\w+)` for\s", timings[1] if timings else ""))
 
 
+def _nested_keys(doc: str, name: str, key: str) -> set:
+    """The backticked names that the bullet of `name` lists in parentheses after `key`, up to a ';'."""
+    inner = re.search(rf"`{key}` \(([^()]*)\)", _bullet(doc, name)).group(1)
+    return set(re.findall(r"`(\w+)`", inner.split(";")[0]))
+
+
 def test_report_keys_are_the_documented_keys(tmp_path):
     """Every top-level key and every `timings` key that solve, verify and evolve write is named in
-    its file's bullet in docs/formats.md, and the bullet names no key the file lacks."""
+    its file's bullet in docs/formats.md, and the bullet names no key the file lacks; so are the
+    keys of the nested `symmetry_defects` and of each `mixed_norms` row, and the `functionals`
+    object of solve_report.json and verify_report.json has the keys of functionals.json."""
     cfg = dict(BASE_CONFIG, grid={"nx": 32, "ny": 32, "lx": 8 * PI, "ly": 8 * PI},
                evolve={"t_end": 0.05, "record_every": 5})
     p = tmp_path / "run.json"
@@ -543,10 +572,17 @@ def test_report_keys_are_the_documented_keys(tmp_path):
     assert main(["verify", "--field", field, "--out", str(tmp_path)]) == 0
     assert main(["evolve", "--field", field, "--config", str(p), "--out", str(tmp_path)]) == 0
     doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
-    for name in ("solve_report.json", "functionals.json", "verify_report.json", "decay_report.json",
-                 "evolve_report.json"):
-        rep = json.loads((tmp_path / name).read_text())
+    reports = {name: json.loads((tmp_path / name).read_text())
+               for name in ("solve_report.json", "functionals.json", "verify_report.json", "decay_report.json",
+                            "evolve_report.json")}
+    for name, rep in reports.items():
         assert _documented_keys(doc, name) == (set(rep), set(rep.get("timings", ()))), name
+    assert set(reports["solve_report.json"]["symmetry_defects"]) == _nested_keys(doc, "solve_report.json",
+                                                                                 "symmetry_defects")
+    rows, row_keys = reports["decay_report.json"]["mixed_norms"], _nested_keys(doc, "decay_report.json", "mixed_norms")
+    assert rows and all(set(row) == row_keys for row in rows)
+    for name in ("solve_report.json", "verify_report.json"):
+        assert set(reports[name]["functionals"]) == set(reports["functionals.json"]), name
 
 
 def test_cli_evolve_writes_snapshots(tmp_path):

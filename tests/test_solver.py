@@ -201,7 +201,7 @@ def test_compact_delta_is_the_physical_relative_change(n, m):
 def test_solver_blocks_are_the_masked_real_transforms(rule):
     """The block's forward transform is the rfft2 masked to the kept modes, on the Galerkin block
     (its xi = 0 column zeroed), its inverse is irfft2 of the masked spectrum, the solvers' s is c
-    plus the block's disp (c on xi = 0), and twice the block dot is the full-spectrum sum.
+    plus the block's disp (c on xi = 0), and the block's dot is the full-spectrum sum.
     m = 2 keeps the 2/3 band (3 K < n), m = 3 the 1/2 band (4 K < n); 3 divides nx = 48."""
     g = Grid(48, 32, 10.0, 7.0)
     m = {"two_thirds": 2, "half": 3}[rule]
@@ -216,7 +216,7 @@ def test_solver_blocks_are_the_masked_real_transforms(rule):
     xi, eta = np.abs(g.xi_half[: block.kc]), g.eta[block.rows, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         assert np.array_equal(s, np.where(xi != 0, 1.5 + (xi**2 + eta**2) / xi, 1.5))
-    assert 2 * solver._dot(v, v) == pytest.approx(sg.weighted_sq_sum(g, 1.0, masked), rel=1e-13)
+    assert block.dot(v, v) == pytest.approx(sg.weighted_sq_sum(g, 1.0, masked), rel=1e-13)
 
 
 @pytest.mark.parametrize("method", ["petviashvili", "nehari_descent"])
@@ -483,21 +483,21 @@ def _sample_step_nehari(config, params, grid):
     """(iterations, phi) of Nehari descent with each step formed in samples, the referee of the
     block step: the direction inverse-transformed, each trial phi - h d forward-transformed."""
     block, s, ph, phi = solver._start(config, params, grid)
-    w, k = 2.0 * grid.spectral_weight, (params.m - 1.0) / (2.0 * params.p)
-    zsq = solver._dot(s * ph, ph) * w
+    w, k = grid.spectral_weight, (params.m - 1.0) / (2.0 * params.p)
+    zsq = block.dot(s * ph, ph) * w
     t = _nehari_t(zsq, _f_integrals(phi, grid.cell_area, params)[0], params.m)
     phi, ph, S, h = t * phi, t * ph, k * t * t * zsq, solver.DESCENT_STEP
     for it in range(1, config.max_iter + 1):
         fh = block.forward(params.f(phi))
         sph = s * ph
         r = sph - fh
-        if solver._residual(solver._dot(r, r), solver._dot(sph, sph)) <= config.tol_residual:
+        if solver._residual(block.dot(r, r), block.dot(sph, sph)) <= config.tol_residual:
             return it, phi
         d = block.inverse(ph - fh / s)
         while True:
             v = phi - h * d
             vh = block.forward(v)
-            zv = solver._dot(s * vh, vh) * w
+            zv = block.dot(s * vh, vh) * w
             tv = _nehari_t(zv, _f_integrals(v, grid.cell_area, params)[0], params.m)
             if k * tv * tv * zv <= S + 1e-14 * abs(S):
                 break
