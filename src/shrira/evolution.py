@@ -11,7 +11,9 @@ stage is -i xi times a block, the phases are diagonal), so state, phase tables
 and stages live on it only, and only the block knows its layout.  A run builds
 one block, whose `xi` and `disp` give the phases, the energy weights and the
 default step's cap; each nonlinear term runs its pruned `inverse` and `forward`.
-A step is bit-identical to the classical formula on fresh half-spectrum arrays at P(uh).
+A y-even P(u0) stays y-even (y -> -y is a symmetry and f acts pointwise): the block's `set_y_even` then
+sets its `y_even` flag, halving the x passes.  On the general path a step is bit-identical to the
+classical formula on fresh half-spectrum arrays at P(uh).
 
 Conservation: the equation is u_t = d/dx (L u - f(u)) with L self-adjoint, so
 1/2 int u^2 and E(u) = 1/2 (||D_x^{1/2}u||^2 + ||D_x^{-1/2}u_y||^2) - int F(u)
@@ -76,6 +78,7 @@ class EvolveReport:
     steps: int = 0
     timings: dict = field(default_factory=dict)  # setup_s, steps_s, records_s
     projection_defect: float = 0.0  # ||u0 - P u0|| / ||u0||: what the projection onto the block removed
+    y_parity_defect: float = 0.0  # ||b_-k - b_k|| / ||b|| of b = P u0: the y-even path runs if <= 1e-14
 
     @property
     def mass_drift(self) -> float:
@@ -165,17 +168,15 @@ def evolve(
 ) -> EvolveReport:
     """Integrate P(initial) to t_end, recording diagnostics every record_every steps.
 
-    P projects onto the Galerkin block of m; projection_defect is what it
-    removed.  reference = (Field phi, speed c) enables shape-error tracking of
-    P(phi) against its exact translate phi(. - c t, .), by Parseval on the
-    block.  snapshot_cb(step, t, Field) gets a copy of the samples at each
-    record time.  Raises InputError for more than MAX_STEPS planned steps, a
-    non-finite reference speed, a reference whose projection is zero or
-    overflows (its shape error is undefined) and an initial field whose mass or
-    energy is zero, underflowing ones included, or overflows (its drifts are
-    undefined), and BlowUpError (carrying the last good state, its time and the report up
-    to the last record) if a step makes the coefficients, or a record the
-    mass or energy, non-finite.
+    P projects onto the Galerkin block of m; projection_defect is what it removed, y_parity_defect
+    its y-asymmetry (`GalerkinBlock.set_y_even`).  reference = (Field phi, speed c) enables shape-error
+    tracking of P(phi) against its exact translate phi(. - c t, .), by Parseval on the block.
+    snapshot_cb(step, t, Field) gets a copy of the samples at each record time.  Raises InputError for
+    more than MAX_STEPS planned steps, a non-finite reference speed, a reference whose projection is
+    zero or overflows (its shape error is undefined) and an initial field whose mass or energy is zero,
+    underflowing ones included, or overflows (its drifts are undefined), and BlowUpError (carrying the
+    last good state, its time and the report up to the last record) if a step makes the coefficients,
+    or a record the mass or energy, non-finite.
     """
     clock = time.perf_counter
     t_start = clock()  # timings: set-up (tables, transforms), steps, records
@@ -202,6 +203,7 @@ def evolve(
             ref_sq = sg.weighted_sq_sum(g, 1.0, ref_hat)
         if not 0 < ref_sq < inf:
             raise InputError("reference field: its projection is zero or overflows; the shape error is undefined")
+    parity = block.set_y_even(uh)  # after the reference's copy: a reference that is the initial field is P(initial)
 
     nxt = np.empty_like(uh)  # the step writes here; uh stays the last good state
     times, masses, energies, shapes = [], [], [], []
@@ -232,7 +234,7 @@ def evolve(
     def report(steps, final=None):
         timings = {"setup_s": t_setup - t_start, "steps_s": clock() - t_setup - records_s,
                    "records_s": records_s}
-        return EvolveReport(dt, times, masses, energies, shapes, final, steps, timings, defect)
+        return EvolveReport(dt, times, masses, energies, shapes, final, steps, timings, defect, parity)
 
     t_setup = clock()
     if not record(0, 0.0, uh) or 0.0 in (masses[0], energies[0]):

@@ -31,15 +31,15 @@ laid out: rows 0..K and ny-K..ny-1 of the first kc columns, one (2K + 1, kc)
 array, moved by its `gather`, `scatter` and `subtract`.  The solvers, the
 residual, the stepper and evolve's projection all run through it; a run builds
 one, and no code outside it reads its layout.  It owns its inner product too:
-`dot` is the full-spectrum sum of two blocks whose xi = 0 column is 0.
-`solver.spectral_residual` forms its whole-half-spectrum residual in the
-block's buffer `half`: a buffer of its own would grow verify's working set by a
-spectrum.
+`dot` is the full-spectrum sum of two blocks whose xi = 0 column is 0.  Its
+`y_even` flag (evolve's, for a y-even field) halves the transforms' x passes.
+`solver.spectral_residual` forms its whole-half-spectrum residual in the block's
+buffer `half`: a buffer of its own would grow verify's working set by a spectrum.
 Full-spectrum sums are half-spectrum sums with column weights
 `Grid.half_weight`: 1 on the xi = 0 and Nyquist columns, 2 on the others.
 The public `forward`, `inverse` and `apply_multiplier` stay full-complex:
 their symbols need not be Hermitian.  Every real transform of the package
-runs through `rfft2` or the block's `inverse`, the y pass in place, pruned to
+runs through `rfft2` or the block's transforms, the y pass in place, pruned to
 the block's columns where the block transforms, except two:
 `decay.y_weighted_seminorm` (row spectra, transformed in x only) and
 `kernels.kernel_spectral_oracle` (a real float64 symbol, which an in-place
@@ -55,6 +55,8 @@ from math import ceil
 import numpy as np
 
 from .errors import InputError
+
+Y_EVEN_TOL = 1e-14  # the largest y-asymmetry `GalerkinBlock.set_y_even` rounds off
 
 
 @dataclass(frozen=True)
@@ -196,11 +198,13 @@ class GalerkinBlock:
     which `forward` returns as 0 (no wave carries them) and `project` keeps (evolve carries them
     frozen); the Nyquist column is never in it.  Every transform runs through the one buffer `half`.
     `disp` (built on first use) is `dispersion_table` on the block: the solvers' symbol s is
-    c + disp, the stepper's linear symbol i*xi*disp.
+    c + disp, the stepper's linear symbol i*xi*disp.  `y_even` (off unless `set_y_even` sets it) declares
+    every block and field the transforms see even in y: both run their x passes on rows 0..ny/2 and mirror
+    the others, and `forward` writes the block's rows -k from its rows k, so a y-even state stays y-even.
     """
 
     def __init__(self, grid: Grid, m: float):
-        self.grid = grid
+        self.grid, self.y_even = grid, False
         p = ceil(m) + 1  # u^m of the block reaches |j| <= m K; its aliases miss |j| <= K if m K < n - K
         self.K, self.kc = (grid.ny - 1) // p, (grid.nx - 1) // p + 1
         self.rows = np.r_[: self.K + 1, grid.ny - self.K : grid.ny]
@@ -228,16 +232,40 @@ class GalerkinBlock:
 
     def forward(self, u: np.ndarray, out=None) -> np.ndarray:
         """The block of rfft2(u), pruned to kc columns, xi = 0 column zeroed (`project` keeps it), in out or new."""
-        out = self.gather(rfft2(u, self.kc, out=self.half), out)
+        if self.y_even:  # the x pass on rows 0..ny/2, whose kc columns the other rows mirror
+            h, cols = self.grid.ny // 2 + 1, self.half[:, : self.kc]
+            np.fft.rfft(u[:h], axis=1, out=self.half[:h])
+            np.fft.fft(self._mirror(cols), axis=0, out=cols)
+        out = self.gather(self.half if self.y_even else rfft2(u, self.kc, out=self.half), out)
         out[:, 0] = 0.0
-        return out
+        return self._mirror(out)
 
     def inverse(self, b: np.ndarray, out=None) -> np.ndarray:
         """numpy.fft.irfft2 of the half spectrum whose block is b and which is 0 elsewhere: ifft along y
         in place on columns 0..kc-1 of `half` (the others are 0), then irfft along x, in out or new."""
         cols = self.scatter(b, self.half)[:, : self.kc]
         np.fft.ifft(cols, axis=0, out=cols)
-        return np.fft.irfft(self.half, n=self.grid.nx, axis=1, out=out)
+        rows = slice(self.grid.ny // 2 + 1 if self.y_even else None)  # y-even: rows 0..ny/2, then mirrored
+        out = np.empty((self.grid.ny, self.grid.nx)) if out is None else out
+        np.fft.irfft(self.half[rows], n=self.grid.nx, axis=1, out=out[rows])
+        return self._mirror(out)
+
+    def _mirror(self, a: np.ndarray) -> np.ndarray:
+        """If `y_even`, a[n - j] = a[j] for 0 < j < n/2 along the n rows of a: samples, column spectra, a block."""
+        if self.y_even:
+            a[len(a) // 2 + 1 :] = a[(len(a) - 1) // 2 : 0 : -1]
+        return a
+
+    def set_y_even(self, b: np.ndarray) -> float:
+        """The y-asymmetry ||b_-k - b_k|| / ||b|| of the block b, nan for b = 0; at most Y_EVEN_TOL, it sets `y_even`
+        and b_-k = b_k."""
+        k, g = self.K, self.grid
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge block, or a zero one
+            odd = np.subtract(b[k + 1 :], b[k:0:-1], out=self.half[:k, : self.kc])  # in `half`: no temporary block
+            share = float(np.sqrt(np.divide(weighted_sq_sum(g, 1.0, odd), weighted_sq_sum(g, 1.0, b))))
+        self.y_even = share <= Y_EVEN_TOL
+        self._mirror(b)
+        return share
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Full-spectrum Re sum a * conj(b) of blocks whose xi = 0 column is 0, as `forward` returns: twice the

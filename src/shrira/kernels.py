@@ -152,8 +152,9 @@ def h_nu_point(spec: KernelSpec, x: float, y: float) -> KernelSample:
                 * np.cos((nu + 1.5) * np.arctan2(t * ax, q)))
 
     T = 60.0
-    val, err = _gauss_kronrod(lambda s: 2.0 * pref * s * g(s * s), 0.0, math.sqrt(T),
-                              epsabs=ABS_ERROR_FLOOR / 2, epsrel=spec.quad_tol / 2, limit=400)
+    with np.errstate(over="ignore"):  # at a huge point the integrand's powers overflow to its limit, 0
+        val, err = _gauss_kronrod(lambda s: 2.0 * pref * s * g(s * s), 0.0, math.sqrt(T),
+                                  epsabs=ABS_ERROR_FLOOR / 2, epsrel=spec.quad_tol / 2, limit=400)
     est = err + pref * (T ** -(nu + 2.0) * math.exp(-T))
     if not est <= spec.quad_tol * abs(val) + ABS_ERROR_FLOOR:  # a nan estimate certifies nothing
         rel = est / abs(val) if val else math.inf

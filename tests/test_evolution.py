@@ -432,6 +432,7 @@ def test_pruned_nonlinear_term(m, rule, kc):
     (PhysicsParams(c=1.0, m=2), "two_thirds"),
     (PhysicsParams(c=1.0, m=3), "half"),
     (PhysicsParams(c=1.0, m=2.5, signed_power=True), "half"),
+    (PhysicsParams(c=1.0, m=2), "two_thirds_y_even"),  # the block's y-even transforms
 ])
 def test_step_allocates_no_field_sized_arrays(params, rule):
     """After one warm step at 256^2, ten more raise the traced peak by less than two real fields."""
@@ -441,6 +442,8 @@ def test_step_allocates_no_field_sized_arrays(params, rule):
     uh = _block(stepper, np.fft.rfft2(np.exp(-(X**2 + Y**2) / 4)))
     out = np.empty_like(uh)
     assert stepper.block.kc - 1 == dealias_band(g.nx, params.m)
+    if rule.endswith("y_even"):
+        assert stepper.block.set_y_even(uh) <= 1e-14 and stepper.block.y_even
     stepper.step(uh, out)
     tracemalloc.start()
     try:
@@ -502,3 +505,93 @@ def test_a_run_of_more_steps_than_max_steps_is_rejected(g2pi):
     with pytest.raises(InputError, match=r"= inf steps .*\) exceed 1e\+07$") as exc:
         evolve(Field(g2pi, np.cos(X)), EvolveConfig(t_end=1e300, dt=1e-300), p)
     assert MAX_STEPS == 10**7 and "dt = 1e-300, t_end = 1e+300" in str(exc.value)
+
+
+# --- the y-even path: half the x passes, the same run -------------------------
+
+
+def _y_mirror(u):
+    """u[ny - j] (row 0 kept): the samples of u(x, -y) on the grid."""
+    return np.roll(u[::-1], 1, axis=0)
+
+
+def _gaussian(grid, y0=0.0):
+    X, Y = grid.meshgrid()
+    return Field(grid, np.exp(-(X**2 + (Y - y0) ** 2) / 4))
+
+
+@pytest.mark.parametrize("params", [PhysicsParams(c=1.0, m=2), PhysicsParams(c=1.0, m=2.5, signed_power=True)])
+def test_y_even_run_matches_the_general_path(params, monkeypatch):
+    """256^2 on 64 pi, 100 steps of a y-even Gaussian: the y-even run agrees with the same run forced
+    onto the general path to 1e-13 relative (final field, mass, energy and shape error against the
+    wave's norm), and every recorded sample array is exactly even in y."""
+    g = Grid(256, 256, 64 * PI, 64 * PI)
+    u0, config = _gaussian(g), EvolveConfig(t_end=0.3, dt=0.003, record_every=25)
+    import shrira.grid as sg
+
+    snaps = []
+    even = evolve(u0, config, params, reference=(u0, 1.0), snapshot_cb=lambda k, t, f: snaps.append(f.values))
+    monkeypatch.setattr(sg, "Y_EVEN_TOL", -1.0)  # no share passes: the general path
+    general = evolve(u0, config, params, reference=(u0, 1.0))
+    assert even.steps == general.steps == 100 and len(snaps) == 5
+    assert even.y_parity_defect == general.y_parity_defect <= 1e-14
+    assert all(np.array_equal(u, _y_mirror(u)) for u in snaps)
+    scale = np.max(np.abs(general.final.values))
+    assert np.max(np.abs(even.final.values - general.final.values)) <= 1e-13 * scale
+    for key in ("mass_series", "energy_series"):
+        a, b = np.array(getattr(even, key)), np.array(getattr(general, key))
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), key
+    assert np.max(np.abs(np.subtract(even.shape_error_series, general.shape_error_series))) <= 1e-13
+
+
+def test_y_even_stepper_keeps_the_block_exactly_y_even():
+    """Rows k and -k of the state are array_equal after every step, m = 3 on 128 x 96."""
+    g = Grid(128, 96, 32 * PI, 24 * PI)
+    params = PhysicsParams(c=1.0, m=3)
+    block = GalerkinBlock(g, params.m)
+    stepper = _Stepper(block, 0.01, params)
+    uh = block.project(1.5 * _gaussian(g).values)[0]
+    assert block.set_y_even(uh) <= 1e-14 and block.y_even
+    out, k = np.empty_like(uh), block.K
+    for _ in range(20):
+        stepper.step(uh, out)
+        uh, out = out, uh
+        assert np.array_equal(uh[k + 1 :], uh[k:0:-1])
+
+
+@pytest.mark.parametrize("field", ["shifted_gaussian", "random"])
+def test_a_field_that_is_not_y_even_takes_the_general_path(field):
+    """A Gaussian centred off the grid's mirror line and a random field report their y-asymmetry
+    and evolve exactly as the general stepper does: project, step, inverse-transform."""
+    g = Grid(64, 48, 16 * PI, 12 * PI)
+    u0 = _gaussian(g, y0=0.7) if field == "shifted_gaussian" else random_field(g, np.random.default_rng(8))
+    params, config = PhysicsParams(c=1.0, m=2), EvolveConfig(t_end=0.2, dt=0.01)
+    rep = evolve(u0, config, params)
+    assert rep.y_parity_defect > 1e-3 and rep.to_dict()["y_parity_defect"] == rep.y_parity_defect
+    block = GalerkinBlock(g, params.m)
+    stepper = _Stepper(block, rep.dt, params)
+    uh = block.project(u0.values)[0]
+    out = np.empty_like(uh)
+    for _ in range(rep.steps):
+        stepper.step(uh, out)
+        uh, out = out, uh
+    assert not block.y_even and np.array_equal(rep.final.values, block.inverse(uh))
+
+
+@pytest.mark.parametrize("m", [2, 2.5, 3])
+@pytest.mark.parametrize("shape", [(64, 48), (48, 96)])
+def test_y_even_transforms_match_the_general_ones(m, shape):
+    """On a y-even random block, the flagged inverse and forward agree with the general ones to
+    1e-15 relative; the flagged inverse's samples and forward's block are exactly y-even."""
+    nx, ny = shape
+    g = Grid(nx, ny, 2 * PI * nx / 16, 2 * PI * ny / 16)
+    u = random_field(g, np.random.default_rng(5), band_limit=False).values
+    general, even = GalerkinBlock(g, m), GalerkinBlock(g, m)
+    b = general.forward(u + _y_mirror(u))
+    assert even.set_y_even(b) <= 1e-14 and even.y_even and not general.y_even
+    v = general.inverse(b)
+    got = even.inverse(b)
+    assert np.max(np.abs(got - v)) <= 1e-15 * np.max(np.abs(v)) and np.array_equal(got, _y_mirror(got))
+    fb, got = general.forward(got), even.forward(got)
+    k = even.K
+    assert np.max(np.abs(got - fb)) <= 1e-15 * np.max(np.abs(fb)) and np.array_equal(got[k + 1 :], got[k:0:-1])

@@ -103,6 +103,15 @@ def test_h0_y_asymptote():
     assert abs(vals[2] - SQRT_PI) <= 0.02 * SQRT_PI
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+@pytest.mark.parametrize("x, y", [(1e308, 0.0), (1e200, 1e200), (0.0, 1e308)])
+def test_huge_point_certifies_zero_without_a_warning(nu, x, y):
+    """Far out the integrand's powers overflow to their limit 0; the quadrature returns the
+    certified 0.0 and no overflow RuntimeWarning escapes (the suite turns one into an error)."""
+    s = h_nu_point(KernelSpec(nu=nu), x, y)
+    assert s.value == 0.0 and s.est_error <= ABS_ERROR_FLOOR
+
+
 def test_h_nu_symmetry():
     spec = KernelSpec(nu=0.5)
     a = h_nu_point(spec, 1.2, 0.7).value
